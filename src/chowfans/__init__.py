@@ -2,8 +2,8 @@
 
 from .matroid import (Matroid, matroid_from_bases, matroid_from_graph,
                       matroid_from_json, matroid_uniform, pyramid_matroid)
-from .fans import (Fan, bergman_fan, bipermutohedral_fan, build_fan,
-                   check_balanced, permutohedral_fan, projective_bundle_fan)
+from .fans import (Fan, bergman_fan, bipermutohedral_fan, check_balanced,
+                   permutohedral_fan, projective_bundle_fan)
 from .chow import (ChowElement, DivisorClass, MinkowskiWeight, cap_product,
                    chow_dim, degree, fundamental_weight, graded_basis,
                    is_zero_class, multiply_by_divisor, pair, pair_all,

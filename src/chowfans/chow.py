@@ -8,7 +8,7 @@ Everything is exact; coefficients are fractions.Fraction throughout.
 from fractions import Fraction
 
 from . import linalg
-from .fans import Fan, check_balanced
+from .fans import check_balanced
 
 
 SUPPORTED_FAMILIES = ("permutohedral", "bergman", "bipermutohedral",
@@ -162,6 +162,39 @@ def ray_class(fan, rho):
     return DivisorClass(fan, coeffs)
 
 
+def _fan_out(fan, cone, values, a=None):
+    """x_cone * D as pairs (cone + rho, a_rho - m(u_rho)) over the rays rho
+    extending cone, zero coefficients dropped (Adiprasito-Huh-Katz).  m is
+    the functional vanishing on the lineality with m(u_j) = values[j] on
+    the j-th ray of cone; a lists D's coefficients by ray, None for a D
+    supported on the cone."""
+    pivots, dual = fan.dual_basis(cone)
+    lin = len(fan.lineality)
+    m = [0] * len(pivots)
+    for f, v in zip(dual[lin:], values):
+        if v:
+            m = [x + v * y for x, y in zip(m, f)]
+    rays = fan.rays
+    out = []
+    for rho in fan.cone_extensions(cone):
+        u = rays[rho]
+        coef = (0 if a is None else a[rho]) - sum(
+            x * u[p] for x, p in zip(m, pivots))
+        if coef:
+            out.append((tuple(sorted(cone + (rho,))), coef))
+    return out
+
+
+def _accumulate(out, c, pairs):
+    """out += c * pairs, deleting terms that cancel."""
+    for key, coef in pairs:
+        v = out.get(key, Fraction(0)) + c * coef
+        if v:
+            out[key] = v
+        elif key in out:
+            del out[key]
+
+
 def multiply_by_divisor(elem, D):
     if elem.fan is not D.fan:
         raise FanMismatch("element and divisor live on different fans")
@@ -169,40 +202,8 @@ def multiply_by_divisor(elem, D):
     a = D.coeffs
     out = {}
     for cone, c in elem.terms.items():
-        values = tuple(a[i] for i in cone)
-        m = fan.solve_representative(cone, values)
-        for rho in fan.cone_extensions(cone):
-            coef = a[rho] - sum(mi * ri for mi, ri in zip(m, fan.rays[rho]))
-            if coef == 0:
-                continue
-            key = tuple(sorted(cone + (rho,)))
-            v = out.get(key, Fraction(0)) + c * coef
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
+        _accumulate(out, c, _fan_out(fan, cone, [a[i] for i in cone], a))
     return ChowElement(fan, elem.degree + 1, out)
-
-
-def _ray_fanout(fan, cone, rho):
-    """Expansion data for x_cone * x_rho when rho already lies in cone:
-    list of (bigger cone, rational coefficient).  Cached on the fan."""
-    cache = getattr(fan, "_fanout_cache", None)
-    if cache is None:
-        cache = fan._fanout_cache = {}
-    key = (cone, rho)
-    hit = cache.get(key)
-    if hit is None:
-        values = tuple(Fraction(int(i == rho)) for i in cone)
-        m = fan.solve_representative(cone, values)
-        hit = []
-        for rho2 in fan.cone_extensions(cone):
-            coef = Fraction(int(rho2 == rho)) - sum(
-                mi * ri for mi, ri in zip(m, fan.rays[rho2]))
-            if coef != 0:
-                hit.append((tuple(sorted(cone + (rho2,))), coef))
-        cache[key] = hit
-    return hit
 
 
 def multiply_by_ray(elem, rho):
@@ -212,20 +213,12 @@ def multiply_by_ray(elem, rho):
     out = {}
     for cone, c in elem.terms.items():
         if rho in cone:
-            for key, coef in _ray_fanout(fan, cone, rho):
-                v = out.get(key, Fraction(0)) + c * coef
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
+            indicator = [int(i == rho) for i in cone]
+            _accumulate(out, c, _fan_out(fan, cone, indicator))
         else:
             key = tuple(sorted(cone + (rho,)))
             if key in cones:
-                v = out.get(key, Fraction(0)) + c
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
+                _accumulate(out, c, [(key, 1)])
     return ChowElement(fan, elem.degree + 1, out)
 
 
@@ -264,31 +257,34 @@ def pair(elem, tau):
     return degree(multiply_by_monomial(elem, tau))
 
 
-def pair_all(elem):
-    """Pairings of elem against every complementary-dimension cone, as a
-    dict cone -> value.  Shares work across cones with a common prefix of
-    ray indices."""
+def _pairings(elem):
+    """Walk the complementary-dimension cones in ray order, sharing the
+    products of a common prefix of rays, and yield (cone, pairing) for each
+    cone reached.  A prefix whose product vanishes is cut off, so the
+    cones below it, which pair to 0, are never yielded."""
     fan = elem.fan
     k = fan.top_dim - elem.degree
     if k < 0:
         raise DegreeMismatch("element degree above top dimension")
-    out = {}
     nrays = len(fan.rays)
     def walk(cur_elem, prefix, next_ray):
         depth = len(prefix)
         if depth == k:
-            if tuple(prefix) in fan.cones:
-                out[tuple(prefix)] = degree(cur_elem)
+            if prefix in fan.cones:
+                yield prefix, degree(cur_elem)
             return
         for rho in range(next_ray, nrays - (k - depth - 1)):
             nxt = multiply_by_ray(cur_elem, rho)
-            if nxt.is_empty():
-                # the value is 0 for every completion; record cones only
-                continue
-            walk(nxt, prefix + [rho], rho + 1)
-    walk(elem, [], 0)
-    # fill in zeros for cones never reached
-    for tau in fan.cones_of_dim(k):
+            if not nxt.is_empty():
+                yield from walk(nxt, prefix + (rho,), rho + 1)
+    return walk(elem, (), 0)
+
+
+def pair_all(elem):
+    """Pairings of elem against every complementary-dimension cone, as a
+    dict cone -> value."""
+    out = dict(_pairings(elem))
+    for tau in elem.fan.cones_of_dim(elem.fan.top_dim - elem.degree):
         out.setdefault(tau, Fraction(0))
     return out
 
@@ -298,31 +294,15 @@ def is_zero_class(elem):
     if fan.family not in SUPPORTED_FAMILIES:
         raise UnsupportedFan("zero-testing by duality is only valid on the "
                              "four flag-fan families")
-    if elem.degree > fan.top_dim:
-        return True
     return nonzero_pairing_witness(elem) is None
 
 
 def nonzero_pairing_witness(elem):
-    """A complementary cone pairing nonzero with elem, or None."""
-    fan = elem.fan
-    k = fan.top_dim - elem.degree
-    nrays = len(fan.rays)
-    def walk(cur_elem, prefix, next_ray):
-        depth = len(prefix)
-        if depth == k:
-            if tuple(prefix) in fan.cones and degree(cur_elem) != 0:
-                return tuple(prefix)
-            return None
-        for rho in range(next_ray, nrays - (k - depth - 1)):
-            nxt = multiply_by_ray(cur_elem, rho)
-            if nxt.is_empty():
-                continue
-            w = walk(nxt, prefix + [rho], rho + 1)
-            if w is not None:
-                return w
+    """The first complementary cone of the pairing walk that pairs nonzero
+    with elem, or None."""
+    if elem.degree > elem.fan.top_dim:
         return None
-    return walk(elem, [], 0)
+    return next((tau for tau, v in _pairings(elem) if v != 0), None)
 
 
 def _pairing_matrix(fan, k):
@@ -362,37 +342,13 @@ def graded_basis(fan, k):
     if k in cache:
         return cache[k]
     rows, cols, mat = _pairing_matrix(fan, k)
-    basis_rows = _independent_rows(mat)
-    basis_cols = _independent_rows([[mat[i][j] for i in range(len(rows))]
-                                    for j in range(len(cols))])
+    # pivot columns are the greedy independent columns, in order
+    basis_rows = linalg.row_echelon([list(col) for col in zip(*mat)])
+    basis_cols = linalg.row_echelon(linalg.mat_copy(mat))
     gram = [[mat[i][j] for j in basis_cols] for i in basis_rows]
     result = ([rows[i] for i in basis_rows], [cols[j] for j in basis_cols], gram)
     cache[k] = result
     return result
-
-
-def _independent_rows(mat):
-    """Indices of a maximal linearly independent subset of rows, taken
-    greedily in order."""
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    kept = []
-    echelon = []
-    pivots = []
-    for idx, row in enumerate(mat):
-        work = [Fraction(x) for x in row]
-        for erow, p in zip(echelon, pivots):
-            if work[p] != 0:
-                f = work[p] / erow[p]
-                for j in range(ncols):
-                    work[j] -= f * erow[j]
-        pcol = next((j for j in range(ncols) if work[j] != 0), None)
-        if pcol is not None:
-            kept.append(idx)
-            echelon.append(work)
-            pivots.append(pcol)
-    return kept
 
 
 def chow_dim(fan, k):
@@ -405,24 +361,11 @@ def cap_product(weight, D):
     if D.fan is not fan:
         raise FanMismatch("weight and divisor on different fans")
     a = D.coeffs
+    w = weight.values
     out = {}
     for tau in fan.cones_of_dim(weight.dim - 1):
-        total = Fraction(0)
-        pending = []
-        touched = False
-        for rho in fan.cone_extensions(tau):
-            sigma = tuple(sorted(tau + (rho,)))
-            w = weight.values.get(sigma, Fraction(0))
-            if w == 0:
-                continue
-            touched = True
-            pending.append((rho, w))
-        if not touched:
-            continue
-        m = fan.solve_representative(tau, tuple(a[i] for i in tau))
-        for rho, w in pending:
-            coef = a[rho] - sum(mi * ri for mi, ri in zip(m, fan.rays[rho]))
-            total += coef * w
+        pairs = _fan_out(fan, tau, [a[i] for i in tau], a)
+        total = sum(coef * w.get(sigma, 0) for sigma, coef in pairs)
         if total:
             out[tau] = total
     return MinkowskiWeight(fan, weight.dim - 1, out)
@@ -444,16 +387,6 @@ def restrict_to_subfan(elem, subfan):
         if target in subfan.cones:
             out[target] = c
     return ChowElement(subfan, elem.degree, out)
-
-
-def restrict_divisor(D, subfan):
-    fan = D.fan
-    out = []
-    for lab in subfan.ray_labels:
-        if lab not in fan.ray_index:
-            raise NotASubfan("ray %r missing from the ambient fan" % (lab,))
-        out.append(D.coeffs[fan.ray_index[lab]])
-    return DivisorClass(subfan, out)
 
 
 def pullback_pi1(D, target):

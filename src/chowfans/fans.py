@@ -7,10 +7,10 @@ tuple standing for the lineality cone.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
-from .matroid import (LoopyMatroid, Matroid, mask_to_set, matroid_uniform,
-                      popcount)
+from .matroid import LoopyMatroid, mask_to_set, matroid_uniform, popcount
 
 
 class FanError(Exception):
@@ -92,7 +92,6 @@ def proper_biflats(M):
         comp = full & ~F
         # S must contain F^c; the rest of S is any subset of F, but S = [N]
         # is excluded exactly when F = [N]
-        sub = F
         subsets = []
         x = F
         while True:
@@ -125,7 +124,7 @@ class Fan:
         self.weight = {c: Fraction(1) for c in self.maximal_cones}
         self._ext_cache = {}
         self._mult_cache = {}
-        self._rep_cache = {}
+        self._dual_cache = {}
 
     def cones_of_dim(self, k):
         return sorted(c for c in self.cones if len(c) == k)
@@ -161,19 +160,24 @@ class Fan:
             self._mult_cache[cone] = hit
         return hit
 
-    def solve_representative(self, cone, values):
-        """Linear functional m on the ambient space with m = 0 on the
-        lineality space and m(u_rho) = values[rho] for each ray rho of the
-        cone.  Solvable because cones are simplicial.  Cached."""
-        key = (cone, values)
-        hit = self._rep_cache.get(key)
+    def dual_basis(self, cone):
+        """(pivots, dual) for the rows [lineality; rays of cone], cached by
+        cone.  pivots are the pivot columns of those rows, and dual[i] is
+        the i-th column of the inverse of their pivot block: the functional
+        that is 1 on row i and 0 on every other row, given by its values on
+        the pivot coordinates and 0 elsewhere.  So the functional vanishing
+        on the lineality with values v_j on the rays u_j of the cone is
+        sum_j v_j dual[L + j], L the number of lineality rows."""
+        hit = self._dual_cache.get(cone)
         if hit is None:
             rows = self.lineality + [self.rays[i] for i in cone]
-            rhs = [Fraction(0)] * len(self.lineality) + [Fraction(v) for v in values]
-            hit = linalg.solve(rows, rhs)
-            if hit is None:
-                raise FanError("no linear representative on cone %r" % (cone,))
-            self._rep_cache[key] = hit
+            try:
+                pivots, inv = linalg.pivot_inverse(rows)
+            except ValueError:
+                raise FanError("cone %r is not simplicial modulo the "
+                               "lineality" % (cone,))
+            hit = (tuple(pivots), tuple(zip(*inv)))
+            self._dual_cache[cone] = hit
         return hit
 
     def to_json(self):
@@ -195,22 +199,6 @@ class Fan:
 
 def _indicator(N, mask):
     return [1 if (mask >> i) & 1 else 0 for i in range(N)]
-
-
-def _close_under_subsets(maximal_like):
-    cones = set()
-    for c in maximal_like:
-        sub = frozenset(c)
-        stack = [tuple(sorted(sub))]
-        while stack:
-            cur = stack.pop()
-            if cur in cones:
-                continue
-            cones.add(cur)
-            for i in range(len(cur)):
-                stack.append(cur[:i] + cur[i + 1:])
-    cones.add(())
-    return cones
 
 
 def permutohedral_fan(N):
@@ -274,18 +262,6 @@ def bipermutohedral_fan(N):
     return projective_bundle_fan(N, matroid_uniform(N, N), family="bipermutohedral")
 
 
-def build_fan(kind, *args):
-    if kind == "permutohedral":
-        return permutohedral_fan(*args)
-    if kind == "bergman":
-        return bergman_fan(*args)
-    if kind == "bipermutohedral":
-        return bipermutohedral_fan(*args)
-    if kind == "projective_bundle":
-        return projective_bundle_fan(*args)
-    raise FanError("unknown fan kind: %r" % (kind,))
-
-
 def check_balanced(fan, dim, values):
     """Balancing of a rational weight on the dim-cones: around every
     (dim-1)-cone tau, the weighted sum of the extending ray generators must
@@ -295,23 +271,27 @@ def check_balanced(fan, dim, values):
         return []
     if dim < 0 or dim > fan.top_dim:
         raise DimensionMismatch("no cones of dimension %d" % dim)
+    # balancing is invariant under scaling, so clear the denominators once
+    # and add up integer vectors
+    scale = lcm(*(Fraction(v).denominator for v in values.values()))
+    weights = {c: int(Fraction(v) * scale) for c, v in values.items() if v}
     violations = []
     for tau in fan.cones_of_dim(dim - 1):
-        total = [Fraction(0)] * fan.ambient_dim
-        touched = False
+        total = [0] * fan.ambient_dim
         for rho in fan.cone_extensions(tau):
-            sigma = tuple(sorted(tau + (rho,)))
-            w = values.get(sigma, Fraction(0))
-            if w == 0:
-                continue
-            touched = True
-            ray = fan.rays[rho]
-            for i in range(fan.ambient_dim):
-                total[i] += w * ray[i]
-        if not touched:
+            w = weights.get(tuple(sorted(tau + (rho,))))
+            if w is not None:
+                for i, x in enumerate(fan.rays[rho]):
+                    total[i] += w * x
+        if not any(total):
             continue
-        span = fan.lineality + [fan.rays[i] for i in tau]
-        base_rank = linalg.rank(span)
-        if linalg.rank(span + [total]) != base_rank:
+        # coordinates of total against [lineality; rays of tau]; total lies
+        # in their span exactly when those coordinates reproduce it, which
+        # they do on the pivot coordinates by construction
+        pivots, dual = fan.dual_basis(tau)
+        coords = [sum(f * total[p] for f, p in zip(fi, pivots)) for fi in dual]
+        rows = fan.lineality + [fan.rays[i] for i in tau]
+        if any(sum(c * row[q] for c, row in zip(coords, rows)) != total[q]
+               for q in range(fan.ambient_dim) if q not in pivots):
             violations.append(tau)
     return violations

@@ -113,10 +113,6 @@ def base_convex_divisor(fan, N):
     return DivisorClass(fan, vals)
 
 
-def zeta_divisor(fan, gammabar):
-    return gammabar
-
-
 def candidate_schedule(samples, seed=0):
     """Deterministic (s, t) weights for s*h + t*zeta candidates."""
     base = [(Fraction(1), Fraction(1)), (Fraction(1), Fraction(1, 7)),

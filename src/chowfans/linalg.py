@@ -1,20 +1,26 @@
 """Exact rational linear algebra helpers.
 
-Everything here works over ``fractions.Fraction`` (or plain ints, which
-Fraction arithmetic absorbs).  Matrices are lists of lists, rows first.
+Everything here works over ``fractions.Fraction`` and plain ints.
+Elimination keeps an entry an int as long as every division it meets is
+exact, and takes a Fraction otherwise, so integer input that stays
+integral is never promoted.  Matrices are lists of lists, rows first.
 No floating point is used anywhere in the package.
 """
 
 from fractions import Fraction
-from math import gcd
 
 
 def mat_copy(m):
     return [list(row) for row in m]
 
 
+def _div(a, b):
+    """Exact quotient: an int when b divides a, a Fraction otherwise."""
+    return a // b if a % b == 0 else Fraction(a) / b
+
+
 def row_echelon(m):
-    """In-place fraction row echelon form.  Returns the list of pivot columns."""
+    """In-place row echelon form.  Returns the list of pivot columns."""
     if not m:
         return []
     rows, cols = len(m), len(m[0])
@@ -30,7 +36,7 @@ def row_echelon(m):
             f = m[i][c]
             if f == 0:
                 continue
-            ratio = Fraction(f, 1) / pv
+            ratio = _div(f, pv)
             mi, mr = m[i], m[r]
             for j in range(c, cols):
                 mi[j] -= mr[j] * ratio
@@ -43,30 +49,6 @@ def row_echelon(m):
 
 def rank(m):
     return len(row_echelon(mat_copy(m)))
-
-
-def solve(a, b):
-    """One exact solution x of a @ x = b, or None if inconsistent.
-
-    The system may be under- or over-determined; free variables are set to 0.
-    """
-    if not a:
-        return []
-    rows, cols = len(a), len(a[0])
-    aug = [list(a[i]) + [Fraction(b[i])] for i in range(rows)]
-    pivots = row_echelon(aug)
-    # consistency: no pivot in the rhs column
-    if cols in pivots:
-        return None
-    x = [Fraction(0)] * cols
-    for r in range(len(pivots) - 1, -1, -1):
-        c = pivots[r]
-        s = aug[r][cols]
-        for j in range(c + 1, cols):
-            if aug[r][j] != 0:
-                s -= aug[r][j] * x[j]
-        x[c] = s / aug[r][c]
-    return x
 
 
 def nullspace(m):
@@ -93,22 +75,40 @@ def nullspace(m):
     return basis
 
 
+def pivot_inverse(rows):
+    """(pivots, inv) for a matrix with linearly independent rows: pivots
+    are its pivot columns, and inv is the inverse of the square block they
+    cut out.  Gauss-Jordan on [rows | I]: once the pivot block is reduced
+    to I, the right half is its inverse.  Raises ValueError if the rows
+    are dependent."""
+    n = len(rows)
+    cols = len(rows[0]) if rows else 0
+    aug = [list(rows[i]) + [int(i == j) for j in range(n)] for i in range(n)]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == n:
+            break
+        pr = next((i for i in range(r, n) if aug[i][c] != 0), None)
+        if pr is None:
+            continue
+        aug[r], aug[pr] = aug[pr], aug[r]
+        pv = aug[r][c]
+        if pv != 1:
+            aug[r] = [_div(v, pv) for v in aug[r]]
+        for i in range(n):
+            f = aug[i][c]
+            if i != r and f != 0:
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+    if len(pivots) < n:
+        raise ValueError("singular matrix")
+    return pivots, [row[cols:] for row in aug]
+
+
 def invert(m):
     """Exact inverse of a square matrix; raises ValueError if singular."""
-    n = len(m)
-    aug = [list(m[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        pr = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if pr is None:
-            raise ValueError("singular matrix")
-        aug[c], aug[pr] = aug[pr], aug[c]
-        pv = aug[c][c]
-        aug[c] = [v / pv for v in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [aug[i][j] - f * aug[c][j] for j in range(2 * n)]
-    return [row[n:] for row in aug]
+    return pivot_inverse(m)[1]
 
 
 def mat_mul(a, b):

@@ -234,20 +234,50 @@ def _is_forest(vertices, edge_list):
     return True
 
 
+def _is_int_list(value, length=None):
+    return (isinstance(value, list) and all(type(x) is int for x in value)
+            and length in (None, len(value)))
+
+
+def _malformed(what, value):
+    return MatroidError("malformed %s: %r" % (what, value))
+
+
 def matroid_from_json(data):
     """Parse a matroid descriptor dict.
 
     Accepted forms: {"n": 4, "bases": [[1,2], ...]}, {"uniform": [r, n]},
-    {"graph": {"vertices": 5, "edges": [[1,2], ...]}}.
+    {"graph": {"vertices": 5, "edges": [[1,2], ...]}}.  Anything else,
+    including ill-typed fields, raises MatroidError.
     """
+    if not isinstance(data, dict):
+        raise _malformed("matroid descriptor, want a JSON object", data)
     if "uniform" in data:
-        r, n = data["uniform"]
-        return matroid_uniform(r, n)
+        u = data["uniform"]
+        if not _is_int_list(u, 2):
+            raise _malformed("uniform, want [r, n]", u)
+        return matroid_uniform(*u)
     if "graph" in data:
         g = data["graph"]
-        return matroid_from_graph(g["vertices"], [tuple(e) for e in g["edges"]])
+        if not (isinstance(g, dict) and type(g.get("vertices")) is int
+                and isinstance(g.get("edges"), list)):
+            raise _malformed('graph, want {"vertices": v, "edges": [...]}', g)
+        v = g["vertices"]
+        for e in g["edges"]:
+            if not (_is_int_list(e, 2) and all(1 <= x <= v for x in e)):
+                raise _malformed("edge, want [a, b] in 1..%d" % v, e)
+        return matroid_from_graph(v, [tuple(e) for e in g["edges"]])
     if "bases" in data:
-        return matroid_from_bases(data["n"], data["bases"])
+        n, bases = data.get("n"), data["bases"]
+        if type(n) is not int or not isinstance(bases, list):
+            raise _malformed('bases descriptor, want {"n": n, "bases": [...]}',
+                             data)
+        for b in bases:
+            if not (_is_int_list(b) and len(set(b)) == len(b)
+                    and all(1 <= e <= n for e in b)):
+                raise _malformed("basis, want distinct elements of 1..%d" % n,
+                                 b)
+        return matroid_from_bases(n, bases)
     raise MatroidError("unrecognized matroid descriptor: %r" % (sorted(data),))
 
 

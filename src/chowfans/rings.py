@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from . import linalg
 from .chow import (ChowElement, DegreeTooLow, degree, graded_basis,
-                   multiply_by_monomial, pair, unit_class)
+                   multiply_by_monomial, pair)
 
 
 class RingError(Exception):
@@ -60,8 +60,11 @@ class FanRingModel:
         return graded_basis(self.fan, k)[0]
 
     def to_vector(self, elem):
-        """Coordinates of a ChowElement in the degree-k basis."""
+        """Coordinates of a ChowElement in the degree-k basis; above the
+        top degree the ring is zero and the coordinates are empty."""
         k = elem.degree
+        if k > self.top:
+            return []
         cols = graded_basis(self.fan, k)[1]
         p = [pair(elem, tau) for tau in cols]
         return linalg.mat_vec(self._gram_inv_t[k], p)
@@ -75,16 +78,16 @@ class FanRingModel:
         if k > self.top:
             return []
         out = _zeros(self.dim(k))
-        b1 = self.basis_cones(k1)
         for i, a in enumerate(v1):
             if a == 0:
                 continue
             for j, b in enumerate(v2):
                 if b == 0:
                     continue
-                prod = self._basis_product(k1, i, k2, j)
-                for t in range(len(out)):
-                    out[t] += a * b * prod[t]
+                ab = a * b
+                for t, x in enumerate(self._basis_product(k1, i, k2, j)):
+                    if x:
+                        out[t] += ab * x
         return out
 
     def _basis_product(self, k1, i, k2, j):
@@ -184,7 +187,7 @@ class BundleRing:
         pos = 0
         for i in range(self.r):
             d = self.base.dim(k - i)
-            comps.append([Fraction(x) for x in v[pos:pos + d]])
+            comps.append(v[pos:pos + d])
             pos += d
         return comps
 

@@ -115,3 +115,37 @@ def test_jobs_flag_accepted(capsys):
     code, _, _ = run(capsys, ["--jobs", "4", "fan", "--kind",
                               "permutohedral", "--N", "3"])
     assert code == 0
+
+
+def test_kahler_free_matroid_without_descriptor(capsys):
+    # the top Chern class of the free matroid lies above the top degree of
+    # the base ring, where it is zero
+    code, lines, err = run(capsys, ["kahler", "--N", "3"])
+    assert code == 0
+    assert "9/9 checks passed" in err
+    assert len(lines) == 3
+
+
+def test_bloch_gieseker_rank_above_base_dimension(capsys):
+    code, lines, err = run(capsys, ["bloch-gieseker", "--matroid",
+                                    '{"uniform":[3,3]}'])
+    assert code == 1
+    assert [line["status"] for line in lines] == ["fail", "pass"]
+    assert "1/2 checks passed" in err
+
+
+@pytest.mark.parametrize("descriptor", [
+    "null",
+    "[1, 2]",
+    '{"uniform":"ab"}',
+    '{"graph": {"vertices": 3, "edges": [[1, 2], [1, 7]]}}',
+    '{"n": 3, "bases": [[1, 1]]}',
+    '{"n": 3, "bases": [[1, 4]]}',
+], ids=["null", "non-object", "uniform-not-ints", "edge-off-graph",
+        "basis-repeats", "basis-out-of-range"])
+def test_malformed_descriptor_is_usage_error(capsys, descriptor):
+    code, lines, err = run(capsys, ["verify", "--matroid", descriptor])
+    assert code == 2
+    assert lines == []
+    assert err.startswith("error: malformed")
+    assert "Traceback" not in err

@@ -95,8 +95,11 @@ def test_weight_one_balancing():
 def test_balancing_detects_corruption():
     fan = permutohedral_fan(3)
     values = {c: Fraction(1) for c in fan.maximal_cones}
-    values[fan.maximal_cones[0]] = Fraction(2)
-    assert check_balanced(fan, fan.top_dim, values) != []
+    sigma = fan.maximal_cones[0]
+    values[sigma] = Fraction(2)
+    # each ray of sigma lies in one other maximal cone, of weight 1, so
+    # both of sigma's facets, and only they, become unbalanced
+    assert check_balanced(fan, fan.top_dim, values) == [(i,) for i in sigma]
 
 
 def test_bisubset_predicates():
