@@ -10,11 +10,11 @@ from .chow import (ChowElement, DivisorClass, MinkowskiWeight, cap_product,
                    pullback_pi1, unit_class)
 from .tautological import (chern_classes, segre_classes, structural_divisors,
                            twist_classes, w_divisors)
-from .rings import (BundleRing, FanRingModel, bloch_gieseker, bundle_ring,
-                    multi_bundle_ring, quotient_by_ann_segre,
-                    ring_model_from_fan, segre_vectors, twist_vectors)
+from .rings import (BundleRing, FanRingModel, bloch_gieseker,
+                    multi_bundle_ring, quotient_by_ann_segre, segre_vectors,
+                    twist_vectors)
 from .kahler import (check_hl, check_hr, check_pd, kahler_report,
-                     sample_lefschetz_candidates)
+                     lefschetz_inertia, sample_lefschetz_candidates)
 from .biflags import (SplitBiflag, canonical_expansion, dyck_profile,
                       family_sets, is_lex_decreasing, lemma_suite,
                       split_at_first_gap, verify_bundle_identity,

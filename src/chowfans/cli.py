@@ -19,7 +19,7 @@ from .kahler import sample_lefschetz_candidates
 from .matroid import LoopyMatroid, MatroidError, matroid_from_json, \
     matroid_uniform
 from .rings import FanRingModel, bloch_gieseker, quotient_by_ann_segre, \
-    ring_model_from_fan, segre_vectors
+    segre_vectors
 from .tautological import chern_classes, structural_divisors
 
 
@@ -123,7 +123,7 @@ def cmd_kahler(args):
 def cmd_bloch_gieseker(args):
     M = load_matroid(args.matroid) if args.matroid else matroid_uniform(2, args.N)
     N = args.N if args.N else M.n
-    base = ring_model_from_fan(permutohedral_fan(N))
+    base = FanRingModel(permutohedral_fan(N))
     from .kahler import base_convex_divisor, divisor_vector
     cs_elems = chern_classes(base.fan, M)
     c = [base.unit()] + [base.to_vector(e) for e in cs_elems[1:]]
@@ -144,11 +144,11 @@ def cmd_bloch_gieseker(args):
 def cmd_quotient_ahk(args):
     M = load_matroid(args.matroid)
     N = args.N if args.N else M.n
-    base = ring_model_from_fan(permutohedral_fan(N))
+    base = FanRingModel(permutohedral_fan(N))
     cs_elems = chern_classes(base.fan, M, via="negation")
     c = [base.unit()] + [base.to_vector(e) for e in cs_elems[1:]]
     quo = quotient_by_ann_segre(base, c)
-    target = ring_model_from_fan(bergman_fan(M))
+    target = FanRingModel(bergman_fan(M))
     dims_q = [quo.dim(k) for k in range(quo.top + 1)]
     dims_b = [target.dim(k) for k in range(target.top + 1)]
     ok = dims_q == dims_b

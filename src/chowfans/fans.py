@@ -122,7 +122,7 @@ class Fan:
         self.top_dim = max((len(c) for c in self.cones), default=0)
         self.maximal_cones = sorted(c for c in self.cones if len(c) == self.top_dim)
         self.weight = {c: Fraction(1) for c in self.maximal_cones}
-        self._ext_cache = {}
+        self._extensions = None
         self._mult_cache = {}
         self._dual_cache = {}
 
@@ -142,12 +142,13 @@ class Fan:
         cone = tuple(sorted(cone))
         if cone not in self.cones:
             raise ConeNotInFan("not a cone of this fan: %r" % (cone,))
-        hit = self._ext_cache.get(cone)
-        if hit is None:
-            hit = [i for i in range(len(self.rays)) if i not in cone
-                   and tuple(sorted(cone + (i,))) in self.cones]
-            self._ext_cache[cone] = hit
-        return hit
+        if self._extensions is None:
+            # sorted order of the cones tau+{i} is ascending order of i
+            self._extensions = {}
+            for c in sorted(self.cones):
+                for j, i in enumerate(c):
+                    self._extensions.setdefault(c[:j] + c[j + 1:], []).append(i)
+        return self._extensions.get(cone, [])
 
     def cone_multiplicity(self, cone):
         cone = tuple(sorted(cone))

@@ -6,11 +6,13 @@ from a small deterministic family of combinations of the pulled-back
 permutohedral support class and the relative hyperplane class.
 """
 
+import weakref
 from fractions import Fraction
+from itertools import accumulate
 
 from . import linalg
 from .chow import DivisorClass
-from .rings import model_gram, power_matrix, _unit_vec
+from .rings import model_gram, power_matrix
 
 
 class KahlerError(Exception):
@@ -21,79 +23,75 @@ class MissingConvexClass(KahlerError):
     pass
 
 
+_GRAMS = weakref.WeakKeyDictionary()
+
+
+def _pd_grams(model):
+    """The Gram matrices G_0..G_{n//2} of a model, or None when Poincare
+    duality fails; once per model, which does not change after it is built.
+    The memo holds models weakly and sets no attribute on them, since a
+    model is any object with the graded ring interface."""
+    if model in _GRAMS:
+        return _GRAMS[model]
+    n = model.top
+    grams = []
+    for k in range(n // 2 + 1):
+        d = model.dim(k)
+        g = model_gram(model, k)
+        if d != model.dim(n - k) or (d and linalg.rank(g) != d):
+            grams = None
+            break
+        grams.append(g)
+    _GRAMS[model] = grams
+    return grams
+
+
+def lefschetz_inertia(model, ell):
+    """Inertia (pos, neg, zero) of Q_i = G_i L_i, the matrix of the form
+    (x, y) -> deg(ell^(n-2i) x y) on degree i, for i = 0..n//2; None when
+    Poincare duality fails.  Given PD, HL holds in degree i exactly when
+    Q_i is nonsingular, and by the Lefschetz decomposition HR holds in
+    degrees j <= i exactly when each Q_j has signature
+    sum_{k<=j} (-1)^k (d_k - d_{k-1}) (Adiprasito-Huh-Katz, Ann. Math.
+    2018, section 7)."""
+    grams = _pd_grams(model)
+    if grams is None:
+        return None
+    out = []
+    for i, g in enumerate(grams):
+        e = model.top - 2 * i
+        # power_matrix is [] when the power passes through a zero degree
+        power = power_matrix(model, ell, i, e) or [[0] * len(g)] * len(g)
+        out.append(linalg.inertia(linalg.mat_mul(g, power) if e else g))
+    return out
+
+
 def check_pd(model):
     """Every graded pairing matrix must be square and invertible."""
-    n = model.top
-    for k in range(n // 2 + 1):
-        g = model_gram(model, k)
-        if len(g) != model.dim(n - k):
-            return False
-        if model.dim(k) != model.dim(n - k):
-            return False
-        if g and linalg.rank([row[:] for row in g]) != len(g):
-            return False
-        if not g and model.dim(k) != 0:
-            return False
-    return True
+    return _pd_grams(model) is not None
 
 
 def check_hl(model, ell):
-    """ell^(n-2i) must be a bijection from degree i to degree n-i."""
-    n = model.top
-    for i in range(n // 2 + 1):
-        d1, d2 = model.dim(i), model.dim(n - i)
-        if d1 != d2:
-            return False
-        mat = power_matrix(model, ell, i, n - 2 * i)
-        if d1 == 0:
-            continue
-        if not mat or linalg.rank([row[:] for row in mat]) != d1:
-            return False
-    return True
-
-
-def primitive_kernel(model, ell, i):
-    """Basis of the kernel of ell^(n-2i+1) in degree i."""
-    n = model.top
-    d = model.dim(i)
-    if d == 0:
-        return []
-    if n - 2 * i + 1 + i > n:
-        # the target degree exceeds the top, so the map is zero
-        return [_unit_vec(d, j) for j in range(d)]
-    mat = power_matrix(model, ell, i, n - 2 * i + 1)
-    if not mat:
-        return [_unit_vec(d, j) for j in range(d)]
-    return linalg.nullspace(mat)
+    """Given PD, ell^(n-2i) must be a bijection from degree i to n-i."""
+    return kahler_report(model, ell)["hl"]
 
 
 def check_hr(model, ell):
-    """(-1)^i deg(ell^(n-2i) x y) must be positive definite on the
-    primitive part in each degree i up to the middle."""
-    n = model.top
-    for i in range(n // 2 + 1):
-        ker = primitive_kernel(model, ell, i)
-        if not ker:
-            continue
-        form = []
-        for p, kp in enumerate(ker):
-            row = []
-            for kq in ker:
-                z = model.multiply(i, kp, i, kq)
-                for step in range(n - 2 * i):
-                    z = model.multiply(1, ell, 2 * i + step, z)
-                val = model.deg(z)
-                row.append(val if i % 2 == 0 else -val)
-            form.append(row)
-        if not linalg.is_positive_definite(form):
-            return False
-    return True
+    """Given Hard Lefschetz, (-1)^i deg(ell^(n-2i) x y) must be positive
+    definite on the primitive part in each degree i up to the middle."""
+    return kahler_report(model, ell)["hr"]
 
 
 def kahler_report(model, ell):
-    pd = check_pd(model)
-    hl = check_hl(model, ell) if pd else False
-    hr = check_hr(model, ell) if hl else False
+    """PD, HL and HR verdicts for ell, all read off lefschetz_inertia:
+    d_i - d_{i-1} is the dimension of the primitive part in degree i."""
+    inertias = lefschetz_inertia(model, ell)
+    pd = inertias is not None
+    hl = pd and all(zero == 0 for _, _, zero in inertias)
+    steps = [(-1) ** i * (model.dim(i) - (model.dim(i - 1) if i else 0))
+             for i in range(model.top // 2 + 1)]
+    hr = hl and all(pos - neg == sig for (pos, neg, _), sig
+                    in zip(inertias, accumulate(steps)))
     return {"pd": pd, "hl": hl, "hr": hr}
 
 

@@ -124,28 +124,36 @@ def mat_vec(a, v):
     return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
 
 
-def is_positive_definite(m):
-    """Exact positive-definiteness of a symmetric matrix.
-
-    Gaussian elimination without row exchanges: the matrix is positive
-    definite iff every pivot encountered is positive (Sylvester's criterion,
-    since a zero or negative pivot witnesses a non-positive leading minor).
-    """
-    n = len(m)
-    if n == 0:
-        return True
+def inertia(m):
+    """(positive, negative, zero) eigenvalue counts of a symmetric matrix,
+    exactly, by symmetric elimination.  Each step is a congruence, which
+    keeps the counts (Sylvester's law of inertia), and splits off one
+    nonzero pivot.  When the remaining diagonal is zero but some a_pq is
+    not, adding row and column q to row and column p makes it 2*a_pq."""
     w = mat_copy(m)
-    for k in range(n):
-        if w[k][k] <= 0:
-            return False
-        pv = w[k][k]
-        for i in range(k + 1, n):
-            if w[i][k] != 0:
-                f = Fraction(w[i][k], 1) / pv
-                wi, wk = w[i], w[k]
-                for j in range(k, n):
-                    wi[j] -= wk[j] * f
-    return True
+    live = list(range(len(w)))
+    positive = []
+    while live:
+        p = next((i for i in live if w[i][i] != 0), None)
+        if p is None:
+            pq = next(((i, j) for i in live for j in live if w[i][j] != 0), None)
+            if pq is None:
+                break
+            p, q = pq
+            for j in live:
+                w[p][j] += w[q][j]
+            w[p][p] += w[p][q]
+        # only row p is read from here on, so column p may go stale
+        live.remove(p)
+        wp = w[p]
+        for i in live:
+            if wp[i] != 0:
+                f, wi = _div(wp[i], wp[p]), w[i]
+                for j in live:
+                    wi[j] -= f * wp[j]
+        positive.append(wp[p] > 0)
+    pos = sum(positive)
+    return pos, len(positive) - pos, len(w) - len(positive)
 
 
 def lattice_index(rows):

@@ -280,14 +280,6 @@ class BundleRing:
         return self.split(k, v)[self.r - 1]
 
 
-def ring_model_from_fan(fan):
-    return FanRingModel(fan)
-
-
-def bundle_ring(base, c):
-    return BundleRing(base, len(c), c)
-
-
 def segre_vectors(model, c, upto):
     """s_0..s_upto in the model from the classes c[1..r]."""
     r = len(c) - 1

@@ -5,6 +5,10 @@ monomials whose support is not a cone and the linear forms coming from
 functionals that vanish on the lineality space.  Everything here is
 deliberately naive and shares no code with the library beyond the Fan
 container itself.
+
+Also the reference Kahler verdicts: Poincare duality, Hard Lefschetz and
+Hodge-Riemann checked separately from ranks, kernels and leading minors,
+using nothing of a ring model but its graded ring interface.
 """
 
 from fractions import Fraction
@@ -120,3 +124,65 @@ class NaiveQuotient:
         residual = self._top_reduction()
         m = tuple(sorted(sigma + tau))
         return residual[m] / residual[tuple(sorted(ref))] * ref_degree
+
+
+def _unit(d, j):
+    return [Fraction(int(i == j)) for i in range(d)]
+
+
+def _rank(rows):
+    return len(rref(rows)[1])
+
+
+def _is_positive_definite(m):
+    """Sylvester's criterion: elimination without row exchanges meets only
+    positive pivots, since a zero or negative pivot witnesses a
+    non-positive leading minor."""
+    w = [[Fraction(x) for x in row] for row in m]
+    for k in range(len(w)):
+        if w[k][k] <= 0:
+            return False
+        for i in range(k + 1, len(w)):
+            f = w[i][k] / w[k][k]
+            w[i] = [a - f * b for a, b in zip(w[i], w[k])]
+    return True
+
+
+def reference_kahler_report(model, ell):
+    """PD, HL and HR verdicts the long way, through the graded ring
+    interface alone: the rank of every pairing matrix, the rank of every
+    ell^(n-2i), and Sylvester's criterion for the Hodge-Riemann form
+    (-1)^i deg(ell^(n-2i) x y) on a kernel basis of ell^(n-2i+1), built
+    one entry at a time."""
+    n = model.top
+    d = [model.dim(k) for k in range(n + 1)]
+
+    def power(k, x, e):
+        for step in range(e):
+            x = model.multiply(1, ell, k + step, x)
+        return x
+
+    def images(i, e):
+        # the matrix of ell^e on degree i, rows first
+        return [list(r) for r in zip(*[power(i, _unit(d[i], j), e)
+                                      for j in range(d[i])])]
+
+    middle = range(n // 2 + 1)
+    pd = all(d[k] == d[n - k] and _rank(
+        [[model.deg(model.multiply(k, _unit(d[k], a), n - k, _unit(d[k], b)))
+          for b in range(d[k])] for a in range(d[k])]) == d[k] for k in middle)
+    hl = pd and all(_rank(images(i, n - 2 * i)) == d[i] for i in middle)
+
+    def hr_in_degree(i):
+        # in degree 0, ell^(n+1) lands above the top degree and is zero
+        if i == 0:
+            ker = [_unit(d[0], j) for j in range(d[0])]
+        else:
+            ker = functionals_vanishing_on(images(i, n - 2 * i + 1), d[i])
+        form = [[(-1) ** i * model.deg(power(2 * i, model.multiply(i, p, i, q),
+                                             n - 2 * i))
+                 for q in ker] for p in ker]
+        return _is_positive_definite(form)
+
+    hr = hl and all(hr_in_degree(i) for i in middle)
+    return {"pd": pd, "hl": hl, "hr": hr}

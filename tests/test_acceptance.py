@@ -18,7 +18,7 @@ from chowfans.kahler import (matroid_bundle_model,
 from chowfans.matroid import (matroid_from_bases, matroid_uniform,
                               pyramid_matroid, set_to_mask)
 from chowfans.rings import (FanRingModel, bloch_gieseker,
-                            quotient_by_ann_segre, ring_model_from_fan)
+                            quotient_by_ann_segre)
 from chowfans.tautological import chern_classes
 from naive_oracle import NaiveQuotient
 
@@ -151,7 +151,7 @@ def test_criterion_7_annihilator_quotient(capsys):
         cs = chern_classes(base.fan, M, via="negation")
         c = [base.unit()] + [base.to_vector(ci) for ci in cs[1:]]
         quot = quotient_by_ann_segre(base, c)
-        other = ring_model_from_fan(bergman_fan(M))
+        other = FanRingModel(bergman_fan(M))
         ok = ok and quot.t == want_t
         ok = ok and quot.top == other.top
         ok = ok and all(quot.dim(k) == other.dim(k)

@@ -3,11 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from chowfans.fans import (Fan, NotAChain, bergman_fan, bipermutohedral_fan,
-                           check_balanced, gap_indices, is_bisubset, is_chain,
-                           is_proper_bisubset, matroid_gap_indices,
-                           permutohedral_fan, projective_bundle_fan,
-                           proper_biflats)
+from chowfans.fans import (ConeNotInFan, Fan, NotAChain, bergman_fan,
+                           bipermutohedral_fan, check_balanced, gap_indices,
+                           is_bisubset, is_chain, is_proper_bisubset,
+                           matroid_gap_indices, permutohedral_fan,
+                           projective_bundle_fan, proper_biflats)
 from chowfans.matroid import matroid_uniform, pyramid_matroid, set_to_mask
 
 
@@ -144,6 +144,21 @@ def test_cones_closed_under_subsets():
     for cone in fan.cones:
         for i in range(len(cone)):
             assert cone[:i] + cone[i + 1:] in fan.cones
+
+
+@pytest.mark.parametrize("fan", [
+    permutohedral_fan(4), bergman_fan(pyramid_matroid()),
+    projective_bundle_fan(4, matroid_uniform(3, 4))],
+    ids=["perm4", "bergman-pyramid", "bundle-U(3,4)"])
+def test_cone_extensions_match_a_scan_of_every_ray(fan):
+    for cone in fan.cones:
+        scan = [i for i in range(len(fan.rays)) if i not in cone
+                and tuple(sorted(cone + (i,))) in fan.cones]
+        assert fan.cone_extensions(cone) == scan
+    assert fan.cone_extensions(tuple(reversed(max(fan.cones)))) == \
+        fan.cone_extensions(max(fan.cones))
+    with pytest.raises(ConeNotInFan):
+        fan.cone_extensions((0, 0))
 
 
 @given(st.integers(0, 80), st.integers(0, 80), st.integers(0, 80))

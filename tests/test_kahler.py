@@ -1,7 +1,10 @@
+import collections
+import functools
 from fractions import Fraction
 
 import pytest
 
+from chowfans import kahler
 from chowfans.fans import permutohedral_fan
 from chowfans.kahler import (MissingConvexClass, base_convex_divisor,
                              candidate_schedule, check_hl, check_hr, check_pd,
@@ -10,7 +13,8 @@ from chowfans.kahler import (MissingConvexClass, base_convex_divisor,
                              restricted_multi_bundle_model,
                              sample_lefschetz_candidates)
 from chowfans.matroid import matroid_uniform
-from chowfans.rings import FanRingModel
+from chowfans.rings import FanRingModel, model_gram
+from naive_oracle import reference_kahler_report
 
 
 class PointModel:
@@ -88,15 +92,62 @@ def test_bundle_model_kahler_small():
             assert rep["pd"] and rep["hl"] and rep["hr"]
 
 
-def test_out_of_cone_candidate_may_fail_without_error():
+BUNDLES = [(2, 3, "identity"), (2, 3, "negation"),
+           (1, 4, "identity"), (1, 4, "negation")]
+
+# (bundle, s, t, flipped, verdict) for candidates off the schedule; the
+# U(2,3) one is the out-of-cone candidate h - 3 zeta
+NAMED = {
+    "U(1,4)-negation-hr-fails":
+        ((1, 4, "negation"), 1, -3, True, {"pd": True, "hl": True, "hr": False}),
+    "U(1,4)-negation-hl-fails":
+        ((1, 4, "negation"), 0, 1, False, {"pd": True, "hl": False, "hr": False}),
+    "U(2,3)-identity-out-of-cone":
+        ((2, 3, "identity"), 1, -3, True, {"pd": True, "hl": True, "hr": True}),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def bundle_model(r, n, phi):
+    return matroid_bundle_model(n, matroid_uniform(r, n), phi=phi)
+
+
+def oriented_candidate(bundle, s, t):
+    B, h, zetas = bundle_model(*bundle)
+    return B, oriented_degree_one(
+        B, [s * a + t * b for a, b in zip(h, zetas[0])])
+
+
+@pytest.mark.parametrize("bundle", BUNDLES,
+                         ids=["U(%d,%d)-%s" % b for b in BUNDLES])
+def test_kahler_report_matches_reference(bundle):
+    weights = candidate_schedule(8) + [
+        (s, t) for b, s, t, _, _ in NAMED.values() if b == bundle]
+    for s, t in weights:
+        B, (ell, _) = oriented_candidate(bundle, s, t)
+        assert kahler_report(B, ell) == reference_kahler_report(B, ell), (s, t)
+
+
+@pytest.mark.parametrize("case", list(NAMED))
+def test_named_kahler_verdicts(case):
+    bundle, s, t, flipped, verdict = NAMED[case]
+    B, (ell, was_flipped) = oriented_candidate(bundle, s, t)
+    assert was_flipped == flipped
+    assert kahler_report(B, ell) == verdict
+    assert (check_hl(B, ell), check_hr(B, ell)) == (verdict["hl"], verdict["hr"])
+
+
+def test_gram_matrices_are_built_once_per_model(monkeypatch):
+    built = collections.Counter()
+
+    def counting_gram(model, k):
+        built[k] += 1
+        return model_gram(model, k)
+
+    monkeypatch.setattr(kahler, "model_gram", counting_gram)
     B, h, zetas = matroid_bundle_model(3, matroid_uniform(2, 3))
-    bad = [a - 3 * b for a, b in zip(h, zetas[0])]
-    try:
-        bad, _ = oriented_degree_one(B, bad)
-    except MissingConvexClass:
-        return
-    rep = kahler_report(B, bad)
-    assert set(rep) == {"pd", "hl", "hr"}
+    assert len(sample_lefschetz_candidates(B, h, zetas, samples=3)) == 3
+    assert built == {k: 1 for k in range(B.top // 2 + 1)}
 
 
 def test_corrupted_model_fails_pd():

@@ -1,6 +1,6 @@
 """Differential tests for the per-cone dual basis and everything derived
 from it: representatives, balancing, divisor and ray products, and the
-pairing walk."""
+pairing walk; plus the exact inverse and inertia in `linalg`."""
 
 import random
 from fractions import Fraction
@@ -122,3 +122,19 @@ def test_invert_is_exact_on_integers():
     unimodular = linalg.invert([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
     assert unimodular == [[1, -1, 1], [0, 1, -1], [0, 0, 1]]
     assert all(type(x) is int for row in unimodular for x in row)
+
+
+@pytest.mark.parametrize("m, expected", [
+    ([[0, 1], [1, 0]], (1, 1, 0)),      # zero diagonal: needs the 2x2 step
+    ([[1, 0, 0], [0, -2, 0], [0, 0, 0]], (1, 1, 1)),
+    ([[0, 0], [0, 0]], (0, 0, 2)),
+    ([], (0, 0, 0)),
+    ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], (1, 2, 0)),
+    ([[0, 0, 2], [0, 0, -1], [2, -1, 0]], (1, 1, 1)),   # eigenvalues ±√5, 0
+    ([[Fraction(1, 2), 1], [1, Fraction(1, 3)]], (1, 1, 0)),
+], ids=["hyperbolic", "diagonal", "zero", "empty", "all-ones-minus-I",
+        "zero-diagonal-singular", "fractions"])
+def test_inertia(m, expected):
+    before = [list(row) for row in m]
+    assert linalg.inertia(m) == expected
+    assert m == before
