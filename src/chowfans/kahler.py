@@ -12,7 +12,7 @@ from itertools import accumulate
 
 from . import linalg
 from .chow import DivisorClass
-from .rings import model_gram, power_matrix
+from .rings import model_gram, mult_matrix
 
 
 class KahlerError(Exception):
@@ -46,24 +46,38 @@ def _pd_grams(model):
     return grams
 
 
+def lefschetz_forms(model, ell):
+    """The matrices Q_i = G_i L_{n-i-1} ... L_i of the forms
+    (x, y) -> deg(ell^(n-2i) x y) on degree i, for i = 0..n//2, where L_k
+    is multiplication by ell from degree k; None when Poincare duality
+    fails.  Each L_k is built once and shared by every degree."""
+    grams = _pd_grams(model)
+    if grams is None:
+        return None
+    n = model.top
+    steps = [mult_matrix(model, 1, ell, k) for k in range(n)]
+    out = []
+    for i, g in enumerate(grams):
+        if i == n - i:
+            out.append(g)
+            continue
+        power = steps[i]
+        for step in steps[i + 1:n - i]:
+            power = linalg.mat_mul(step, power)
+        # mat_mul is [] when the power passes through a zero degree
+        out.append(linalg.mat_mul(g, power) or [[0] * len(g)] * len(g))
+    return out
+
+
 def lefschetz_inertia(model, ell):
-    """Inertia (pos, neg, zero) of Q_i = G_i L_i, the matrix of the form
-    (x, y) -> deg(ell^(n-2i) x y) on degree i, for i = 0..n//2; None when
+    """Inertia (pos, neg, zero) of each Q_i of lefschetz_forms; None when
     Poincare duality fails.  Given PD, HL holds in degree i exactly when
     Q_i is nonsingular, and by the Lefschetz decomposition HR holds in
     degrees j <= i exactly when each Q_j has signature
     sum_{k<=j} (-1)^k (d_k - d_{k-1}) (Adiprasito-Huh-Katz, Ann. Math.
     2018, section 7)."""
-    grams = _pd_grams(model)
-    if grams is None:
-        return None
-    out = []
-    for i, g in enumerate(grams):
-        e = model.top - 2 * i
-        # power_matrix is [] when the power passes through a zero degree
-        power = power_matrix(model, ell, i, e) or [[0] * len(g)] * len(g)
-        out.append(linalg.inertia(linalg.mat_mul(g, power) if e else g))
-    return out
+    forms = lefschetz_forms(model, ell)
+    return None if forms is None else [linalg.inertia(q) for q in forms]
 
 
 def check_pd(model):

@@ -8,6 +8,7 @@ No floating point is used anywhere in the package.
 """
 
 from fractions import Fraction
+from math import lcm
 
 
 def mat_copy(m):
@@ -49,30 +50,6 @@ def row_echelon(m):
 
 def rank(m):
     return len(row_echelon(mat_copy(m)))
-
-
-def nullspace(m):
-    """Basis of the right kernel, as a list of length-cols vectors."""
-    if not m:
-        return []
-    work = mat_copy(m)
-    cols = len(work[0])
-    pivots = row_echelon(work)
-    work = [row for row in work if any(v != 0 for v in row)]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        x = [Fraction(0)] * cols
-        x[fc] = Fraction(1)
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
-            s = Fraction(0)
-            for j in range(c + 1, cols):
-                if work[r][j] != 0:
-                    s -= work[r][j] * x[j]
-            x[c] = s / work[r][c]
-        basis.append(x)
-    return basis
 
 
 def pivot_inverse(rows):
@@ -120,8 +97,28 @@ def mat_mul(a, b):
             for i in range(rows)]
 
 
-def mat_vec(a, v):
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
+def _lcd(values):
+    return lcm(1, *(x.denominator for x in values))
+
+
+def scaled_integer(m):
+    """(A, den) with A an integer matrix and den the least common
+    denominator of the rational matrix m, so that m = A / den."""
+    den = _lcd(x for row in m for x in row)
+    return [[x.numerator * (den // x.denominator) for x in row]
+            for row in m], den
+
+
+def scaled_mat_vec(scaled, v):
+    """m v for scaled = scaled_integer(m), exactly, as Fractions.  The
+    denominators of v are cleared once, so the mat-vec runs over ints and
+    skips the zero entries of v."""
+    a, den = scaled
+    scale = _lcd(v)
+    w = [(j, x.numerator * (scale // x.denominator))
+         for j, x in enumerate(v) if x]
+    den *= scale
+    return [Fraction(sum(row[j] * x for j, x in w), den) for row in a]
 
 
 def inertia(m):

@@ -31,13 +31,15 @@ def _zeros(n):
 
 class FanRingModel:
     """Graded ring model of the Chow ring of a supported fan.  Basis
-    elements are cone monomials; products are expressed in the basis by
-    solving against cached Gram inverses."""
+    elements are cone monomials; an element is expressed in the basis by
+    pairing it with the complementary basis cones and solving against the
+    Gram inverse, kept per degree as an integer matrix over one common
+    denominator, so each solve is an integer mat-vec."""
 
     def __init__(self, fan):
         self.fan = fan
         self.top = fan.top_dim
-        self._gram_inv_t = {}
+        self._solve = {}
         self._mul_cache = {}
         self._top_degrees = None
         for k in range(self.top + 1):
@@ -45,9 +47,8 @@ class FanRingModel:
             if len(b) != len(graded_basis(fan, self.top - k)[0]):
                 raise SingularGram("graded dimensions not symmetric at %d" % k)
             try:
-                self._gram_inv_t[k] = linalg.invert(
-                    [[gram[i][j] for i in range(len(gram))]
-                     for j in range(len(gram[0]))] if gram else [])
+                self._solve[k] = linalg.scaled_integer(linalg.invert(
+                    [list(col) for col in zip(*gram)]))
             except ValueError:
                 raise SingularGram("pairing degenerate in degree %d" % k)
 
@@ -67,11 +68,7 @@ class FanRingModel:
             return []
         cols = graded_basis(self.fan, k)[1]
         p = [pair(elem, tau) for tau in cols]
-        return linalg.mat_vec(self._gram_inv_t[k], p)
-
-    def from_vector(self, k, v):
-        cones = self.basis_cones(k)
-        return ChowElement(self.fan, k, {c: x for c, x in zip(cones, v)})
+        return linalg.scaled_mat_vec(self._solve[k], p)
 
     def multiply(self, k1, v1, k2, v2):
         k = k1 + k2
@@ -144,17 +141,6 @@ def mult_matrix(model, d, w, k):
         img = model.multiply(d, w, k, _unit_vec(cols, j))
         for i in range(rows):
             mat[i][j] = img[i]
-    return mat
-
-
-def power_matrix(model, ell, k, e):
-    """Matrix of multiplication by ell^e from degree k."""
-    cols = model.dim(k)
-    mat = [[Fraction(int(i == j)) for j in range(cols)] for i in range(cols)]
-    for step in range(e):
-        mat = linalg.mat_mul(mult_matrix(model, 1, ell, k + step), mat)
-        if not mat:
-            return []
     return mat
 
 
@@ -375,24 +361,18 @@ class QuotientRingModel:
         self._comp = {}
         self._proj = {}
         for k in range(self.top + 1):
+            # the complement of ker(mat) takes the greedy independent columns
+            # C of mat, and w projects along ker(mat) to the c with
+            # mat_C c = mat w; on independent rows R of mat_C that is
+            # c = mat_C[R]^-1 mat[R] w, one matrix formed once per degree
             mat = mult_matrix(base, t, self.z, k)
-            D = base.dim(k)
-            if mat:
-                ker = linalg.nullspace(mat)
-            else:
-                ker = [_unit_vec(D, i) for i in range(D)]
-            chosen = []
-            span = [list(v) for v in ker]
-            for i in range(D):
-                cand = _unit_vec(D, i)
-                if linalg.rank(span + [cand]) > len(span):
-                    span.append(cand)
-                    chosen.append(i)
+            chosen = linalg.row_echelon(linalg.mat_copy(mat))
+            rows, inv_t = linalg.pivot_inverse(
+                [[row[i] for row in mat] for i in chosen])
+            proj = linalg.mat_mul([list(col) for col in zip(*inv_t)],
+                                  [mat[r] for r in rows])
             self._comp[k] = chosen
-            # basis-change matrix [complement | kernel], inverted once
-            cols = [_unit_vec(D, i) for i in chosen] + [list(v) for v in ker]
-            mat_b = [[cols[j][i] for j in range(len(cols))] for i in range(D)]
-            self._proj[k] = (linalg.invert(mat_b) if D else [], len(chosen))
+            self._proj[k] = (linalg.scaled_integer(proj), len(chosen))
         scale = None
         if self.dim(self.top) > 0:
             rep = self._rep(self.top, _unit_vec(self.dim(self.top), 0))
@@ -415,9 +395,7 @@ class QuotientRingModel:
         return out
 
     def project(self, k, w):
-        inv, d = self._proj[k]
-        coords = linalg.mat_vec(inv, w)
-        return coords[:d]
+        return linalg.scaled_mat_vec(self._proj[k][0], w)
 
     def multiply(self, k1, v1, k2, v2):
         k = k1 + k2

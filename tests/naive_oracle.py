@@ -9,10 +9,19 @@ container itself.
 Also the reference Kahler verdicts: Poincare duality, Hard Lefschetz and
 Hodge-Riemann checked separately from ranks, kernels and leading minors,
 using nothing of a ring model but its graded ring interface.
+
+Also the Fraction references for the two integer solves of the ring
+models, `FanRingModel.to_vector` and `QuotientRingModel.project`: these
+take the library's Gram matrices, pairings and multiplication matrices
+and replace only the solve, by `linalg.invert` and a plain mat-vec.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+
+from chowfans import linalg
+from chowfans.chow import graded_basis, pair
+from chowfans.rings import mult_matrix
 
 
 def rref(rows):
@@ -44,7 +53,7 @@ def rref(rows):
 
 def functionals_vanishing_on(lineality, dim):
     """Basis of linear functionals on the ambient space that kill the
-    lineality generators."""
+    lineality generators: the right kernel of the matrix they form."""
     if not lineality:
         return [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
     rows, pivots = rref(lineality)
@@ -186,3 +195,34 @@ def reference_kahler_report(model, ell):
 
     hr = hl and all(hr_in_degree(i) for i in middle)
     return {"pd": pd, "hl": hl, "hr": hr}
+
+
+def _mat_vec(m, v):
+    return [sum(a * b for a, b in zip(row, v)) for row in m]
+
+
+def reference_coordinates(model, k):
+    """FanRingModel.to_vector on degree-k elements: the pairings with the
+    complementary basis cones, times the inverse of the transposed Gram
+    matrix."""
+    _, cols, gram = graded_basis(model.fan, k)
+    inv = linalg.invert([list(col) for col in zip(*gram)])
+    return lambda elem: _mat_vec(inv, [pair(elem, tau) for tau in cols])
+
+
+def reference_projection(quotient, k):
+    """QuotientRingModel.project in degree k, through a full change of
+    basis: the greedy unit vectors independent modulo ker(z) followed by a
+    kernel basis, inverted whole; the leading rows give the coordinates."""
+    base = quotient.base
+    D = base.dim(k)
+    ker = functionals_vanishing_on(
+        mult_matrix(base, quotient.t, quotient.z, k), D)
+    span, comp = list(ker), []
+    for i in range(D):
+        if _rank(span + [_unit(D, i)]) > len(span):
+            span.append(_unit(D, i))
+            comp.append(i)
+    cols = [_unit(D, i) for i in comp] + ker
+    inv = linalg.invert([list(row) for row in zip(*cols)])[:len(comp)]
+    return lambda w: _mat_vec(inv, w)

@@ -5,15 +5,17 @@ from fractions import Fraction
 import pytest
 
 from chowfans import kahler
-from chowfans.fans import permutohedral_fan
+from chowfans.fans import bergman_fan, permutohedral_fan
 from chowfans.kahler import (MissingConvexClass, base_convex_divisor,
                              candidate_schedule, check_hl, check_hr, check_pd,
-                             divisor_vector, kahler_report,
-                             matroid_bundle_model, oriented_degree_one,
+                             divisor_vector, kahler_report, lefschetz_forms,
+                             lefschetz_inertia, matroid_bundle_model,
+                             oriented_degree_one,
                              restricted_multi_bundle_model,
                              sample_lefschetz_candidates)
-from chowfans.matroid import matroid_uniform
-from chowfans.rings import FanRingModel, model_gram
+from chowfans.linalg import mat_mul
+from chowfans.matroid import matroid_uniform, pyramid_matroid
+from chowfans.rings import FanRingModel, model_gram, mult_matrix
 from naive_oracle import reference_kahler_report
 
 
@@ -148,6 +150,67 @@ def test_gram_matrices_are_built_once_per_model(monkeypatch):
     B, h, zetas = matroid_bundle_model(3, matroid_uniform(2, 3))
     assert len(sample_lefschetz_candidates(B, h, zetas, samples=3)) == 3
     assert built == {k: 1 for k in range(B.top // 2 + 1)}
+
+
+def perm3_candidate():
+    model = FanRingModel(permutohedral_fan(3))
+    return model, divisor_vector(model, base_convex_divisor(model.fan, 3))
+
+
+def pyramid_candidate():
+    P = pyramid_matroid()
+    model = FanRingModel(bergman_fan(P))
+    return model, divisor_vector(model, base_convex_divisor(model.fan, P.n))
+
+
+def u23_candidate():
+    B, h, zetas = bundle_model(2, 3, "identity")
+    return B, [a + b for a, b in zip(h, zetas[0])]
+
+
+def unit(d, j):
+    return [Fraction(int(i == j)) for i in range(d)]
+
+
+@pytest.mark.parametrize("candidate", [perm3_candidate, u23_candidate],
+                         ids=["perm3", "U(2,3)"])
+def test_lefschetz_form_composes_mult_matrices(candidate):
+    """Q_i = G_i L_{n-i-1} ... L_i, built by hand from mult_matrix, and
+    its entries are deg(x ell^(n-2i) y) on the degree-i basis."""
+    model, ell = candidate()
+    n = model.top
+    forms = lefschetz_forms(model, ell)
+    assert len(forms) == n // 2 + 1
+    for i, q in enumerate(forms):
+        power = None
+        for k in range(i, n - i):
+            step = mult_matrix(model, 1, ell, k)
+            power = step if power is None else mat_mul(step, power)
+        gram = model_gram(model, i)
+        assert q == (mat_mul(gram, power) if power else gram), i
+        d = model.dim(i)
+        for c in range(d):
+            y = unit(d, c)
+            for k in range(i, n - i):
+                y = model.multiply(1, ell, k, y)
+            for a in range(d):
+                x = model.multiply(i, unit(d, a), n - i, y)
+                assert q[a][c] == model.deg(x), (i, a, c)
+
+
+@pytest.mark.parametrize("candidate", [u23_candidate, pyramid_candidate],
+                         ids=["U(2,3)", "pyramid"])
+def test_lefschetz_inertia_builds_each_step_once(monkeypatch, candidate):
+    model, ell = candidate()
+    built = collections.Counter()
+
+    def counting_mult_matrix(model, d, w, k):
+        built[k] += 1
+        return mult_matrix(model, d, w, k)
+
+    monkeypatch.setattr(kahler, "mult_matrix", counting_mult_matrix)
+    assert lefschetz_inertia(model, ell) is not None
+    assert built == {k: 1 for k in range(model.top)}
 
 
 def test_corrupted_model_fails_pd():

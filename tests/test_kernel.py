@@ -1,6 +1,7 @@
 """Differential tests for the per-cone dual basis and everything derived
 from it: representatives, balancing, divisor and ray products, and the
-pairing walk; plus the exact inverse and inertia in `linalg`."""
+pairing walk; for the integer solves of the ring models against their
+Fraction references; plus the exact inverse and inertia in `linalg`."""
 
 import random
 from fractions import Fraction
@@ -12,7 +13,10 @@ from chowfans.chow import (ChowElement, DivisorClass, multiply_by_divisor,
                            multiply_by_ray, nonzero_pairing_witness, pair_all)
 from chowfans.fans import (bergman_fan, check_balanced, permutohedral_fan,
                            projective_bundle_fan)
-from chowfans.matroid import matroid_uniform
+from chowfans.matroid import matroid_uniform, pyramid_matroid
+from chowfans.rings import FanRingModel, quotient_by_ann_segre
+from chowfans.tautological import chern_classes
+from naive_oracle import reference_coordinates, reference_projection
 
 
 def kernel_fans():
@@ -112,6 +116,68 @@ def test_witness_is_first_nonzero_of_the_walk(name, fan):
             walk = pair_all(elem)
             first = next((tau for tau, v in walk.items() if v != 0), None)
             assert nonzero_pairing_witness(elem) == first
+
+
+# non-integer coefficients make the pairings non-integral, so the integer
+# solve has a vector denominator to clear
+COEFFS = [Fraction(1), Fraction(1, 3), Fraction(-5, 7), Fraction(2)]
+
+
+def random_vectors(rng, d, count=4):
+    return [[rng.choice(COEFFS + [0]) for _ in range(d)] for _ in range(count)]
+
+
+@pytest.mark.parametrize("name,fan", [
+    ("perm3", permutohedral_fan(3)),
+    ("perm4", permutohedral_fan(4)),
+    ("bergman-pyramid", bergman_fan(pyramid_matroid())),
+], ids=["perm3", "perm4", "bergman-pyramid"])
+def test_to_vector_matches_fraction_solve(name, fan):
+    model = FanRingModel(fan)
+    rng = random.Random(name)
+    for k in range(model.top + 1):
+        solve = reference_coordinates(model, k)
+        cones = fan.cones_of_dim(k)
+        elems = [ChowElement(fan, k, {c: Fraction(1)}) for c in cones]
+        for coeffs in random_vectors(rng, len(cones), count=5):
+            elems.append(ChowElement(fan, k, dict(zip(cones, coeffs))))
+        for elem in elems:
+            got = model.to_vector(elem)
+            assert got == solve(elem), (k, elem.terms)
+            assert all(type(x) is Fraction for x in got)
+
+
+@pytest.mark.parametrize("r", [2, 3], ids=["U(2,4)", "U(3,4)"])
+def test_project_matches_fraction_solve(r):
+    base = FanRingModel(permutohedral_fan(4))
+    cs = chern_classes(base.fan, matroid_uniform(r, 4), via="negation")
+    quotient = quotient_by_ann_segre(
+        base, [base.unit()] + [base.to_vector(e) for e in cs[1:]])
+    rng = random.Random(r)
+    for k in range(quotient.top + 1):
+        solve = reference_projection(quotient, k)
+        D = base.dim(k)
+        ws = random_vectors(rng, D) + [
+            [Fraction(int(i == j)) for i in range(D)] for j in range(D)]
+        for w in ws:
+            got = quotient.project(k, w)
+            assert got == solve(w), (k, w)
+            assert len(got) == quotient.dim(k)
+            assert all(type(x) is Fraction for x in got)
+
+
+def test_scaled_integer_keeps_the_rationals():
+    m = [[Fraction(1, 2), Fraction(-1, 3)], [2, 0]]
+    scaled = linalg.scaled_integer(m)
+    assert scaled == ([[3, -2], [12, 0]], 6)
+    assert all(type(x) is int for row in scaled[0] for x in row)
+    v = [Fraction(3, 5), Fraction(-1, 7)]
+    got = linalg.scaled_mat_vec(scaled, v)
+    assert got == [Fraction(1, 2) * v[0] + Fraction(1, 3) * Fraction(1, 7),
+                   2 * v[0]]
+    assert all(type(x) is Fraction for x in got)
+    assert linalg.scaled_mat_vec(scaled, [0, 0]) == [0, 0]
+    assert linalg.scaled_mat_vec(linalg.scaled_integer([]), []) == []
 
 
 def test_invert_is_exact_on_integers():

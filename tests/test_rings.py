@@ -6,8 +6,7 @@ from chowfans.chow import DegreeTooLow
 from chowfans.fans import bergman_fan, permutohedral_fan
 from chowfans.matroid import matroid_uniform
 from chowfans.rings import (AllSegreZero, BundleRing, FanRingModel,
-                            bloch_gieseker, model_gram, mult_matrix,
-                            multi_bundle_ring, power_matrix,
+                            bloch_gieseker, model_gram, multi_bundle_ring,
                             quotient_by_ann_segre, segre_vectors,
                             twist_vectors)
 from chowfans.tautological import chern_classes
@@ -134,16 +133,6 @@ def test_model_gram_square_and_symmetric_dims():
     base = perm_model(3)
     g = model_gram(base, 1)
     assert len(g) == 4 and len(g[0]) == 4
-
-
-def test_power_matrix_composes_mult_matrices():
-    base = perm_model(3)
-    ell = [Fraction(i + 1) for i in range(4)]
-    m2 = power_matrix(base, ell, 0, 2)
-    step = mult_matrix(base, 1, ell, 1)
-    first = mult_matrix(base, 1, ell, 0)
-    from chowfans.linalg import mat_mul
-    assert m2 == mat_mul(step, first)
 
 
 def test_bloch_gieseker_u23():
