@@ -384,9 +384,12 @@ def gap_free_firsts(M, max_len=1):
 def lemma_suite(M, fan=None, max_first_len=1, with_min_dec=True):
     """Run the cancellation and vanishing checks over every gap-free first
     component up to the given length and every admissible l.  Yields one
-    report dict per (first, l) pair."""
-    if with_min_dec and fan is None:
-        fan = projective_bundle_fan(M.n, M)
+    report dict per (first, l) pair.  The family sets of a pair are built
+    once and read by both checks."""
+    if with_min_dec:
+        if fan is None:
+            fan = projective_bundle_fan(M.n, M)
+        sd = structural_divisors(fan, M)
     for first in gap_free_firsts(M, max_first_len):
         a = SplitBiflag(M, list(first), []).a
         for l in range(a):
@@ -395,7 +398,8 @@ def lemma_suite(M, fan=None, max_first_len=1, with_min_dec=True):
                    "status": rep["status"],
                    "witness": rep.get("witness"), "detail": rep.get("check")}
             if with_min_dec:
-                ok = verify_min_dec(M, fan, list(first), l)
+                ok = _min_dec_vanishes(fan, sd, rep["data"]["A"],
+                                       len(first) + l, a - l)
                 yield {"check": "vanishing-product", "first": first, "l": l,
                        "status": "pass" if ok else "fail", "witness": None}
 
@@ -408,6 +412,21 @@ def chain_to_cone(fan, chain):
     return cone if cone in fan.cones else None
 
 
+def _min_dec_vanishes(fan, sd, A, degree, steps):
+    """Whether the sum of x_chain over the family A, a class of the given
+    degree, times prod_{i=1}^{steps} (gammabar - v_i^-) is zero; sd holds
+    the structural divisors of the fan."""
+    terms = {}
+    for sp in A:
+        cone = chain_to_cone(fan, sp.chain())
+        if cone is not None:
+            terms[cone] = Fraction(1)
+    elem = ChowElement(fan, degree, terms)
+    for i in range(1, steps + 1):
+        elem = multiply_by_divisor(elem, sd["gammabar"] - sd["vminus"][i])
+    return is_zero_class(elem)
+
+
 def verify_min_dec(M, fan, first, l):
     """Check that the sum of x_chain over the length-l lexicographically
     decreasing family, times prod_{i=1}^{a-l} (gammabar - v_i^-), vanishes."""
@@ -416,17 +435,9 @@ def verify_min_dec(M, fan, first, l):
     if base.a == 0:
         # the first component is gap-free, so its monomial is already zero
         return chain_to_cone(fan, first) is None
-    data = family_sets(M, first, l)
-    terms = {}
-    for sp in data["A"]:
-        cone = chain_to_cone(fan, sp.chain())
-        if cone is not None:
-            terms[cone] = Fraction(1)
-    elem = ChowElement(fan, len(first) + l, terms)
-    sd = structural_divisors(fan, M)
-    for i in range(1, base.a - l + 1):
-        elem = multiply_by_divisor(elem, sd["gammabar"] - sd["vminus"][i])
-    return is_zero_class(elem)
+    return _min_dec_vanishes(fan, structural_divisors(fan, M),
+                             family_sets(M, first, l)["A"],
+                             len(first) + l, base.a - l)
 
 
 def verify_bundle_identity(N, M, fan=None):

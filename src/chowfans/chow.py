@@ -306,34 +306,31 @@ def nonzero_pairing_witness(elem):
 
 
 def _pairing_matrix(fan, k):
-    """Matrix of deg(x_sigma x_tau) over (k-cones) x ((top-k)-cones).
-    Cached on the fan; the complementary degree reuses the transpose."""
+    """Matrix of deg(x_sigma x_tau) over (k-cones) x ((top-k)-cones),
+    cached on the fan; above the middle degree it is the transpose of the
+    complementary one."""
     cache = getattr(fan, "_pairing_cache", None)
     if cache is None:
         cache = fan._pairing_cache = {}
-    if k in cache:
-        return cache[k]
-    n = fan.top_dim
-    if n - k in cache and n - k != k:
-        rows_c, cols_c, mat_c = cache[n - k]
-        mat = [[mat_c[j][i] for j in range(len(rows_c))] for i in range(len(cols_c))]
-        cache[k] = (cols_c, rows_c, mat)
-        return cache[k]
-    rows = fan.cones_of_dim(k)
-    cols = fan.cones_of_dim(n - k)
-    col_index = {c: j for j, c in enumerate(cols)}
-    mat = []
-    for sigma in rows:
-        pairings = pair_all(ChowElement(fan, k, {sigma: Fraction(1)}))
-        mat.append([pairings[c] for c in cols])
-    cache[k] = (rows, cols, mat)
+    if k not in cache:
+        n = fan.top_dim
+        if 2 * k > n:
+            rows, cols, mat = _pairing_matrix(fan, n - k)
+            cache[k] = (cols, rows, [list(col) for col in zip(*mat)])
+        else:
+            rows, cols, mat = fan.cones_of_dim(k), fan.cones_of_dim(n - k), []
+            for sigma in rows:
+                pairings = pair_all(ChowElement(fan, k, {sigma: 1}))
+                mat.append([pairings[c] for c in cols])
+            cache[k] = (rows, cols, mat)
     return cache[k]
 
 
 def graded_basis(fan, k):
     """A set of k-cones whose monomials form a basis of the degree-k Chow
-    group, together with their pairing (Gram) matrix against the basis
-    cones of complementary degree."""
+    group, the complementary basis cones, and their pairing (Gram) matrix.
+    One elimination per pair of complementary degrees: degree top-k is the
+    mirror of degree k."""
     if fan.family not in SUPPORTED_FAMILIES:
         raise UnsupportedFan("graded bases need Poincare duality")
     cache = getattr(fan, "_basis_cache", None)
@@ -341,14 +338,18 @@ def graded_basis(fan, k):
         cache = fan._basis_cache = {}
     if k in cache:
         return cache[k]
+    if 2 * k > fan.top_dim:
+        rows, cols, gram = graded_basis(fan, fan.top_dim - k)
+        cache[k] = (cols, rows, [list(col) for col in zip(*gram)])
+        return cache[k]
     rows, cols, mat = _pairing_matrix(fan, k)
-    # pivot columns are the greedy independent columns, in order
-    basis_rows = linalg.row_echelon([list(col) for col in zip(*mat)])
+    # pivot columns are the greedy independent columns, in order; rows are
+    # independent exactly when their restrictions to those columns are
     basis_cols = linalg.row_echelon(linalg.mat_copy(mat))
+    basis_rows = linalg.row_echelon([[row[j] for row in mat] for j in basis_cols])
     gram = [[mat[i][j] for j in basis_cols] for i in basis_rows]
-    result = ([rows[i] for i in basis_rows], [cols[j] for j in basis_cols], gram)
-    cache[k] = result
-    return result
+    cache[k] = ([rows[i] for i in basis_rows], [cols[j] for j in basis_cols], gram)
+    return cache[k]
 
 
 def chow_dim(fan, k):

@@ -18,8 +18,7 @@ from .fans import bergman_fan, bipermutohedral_fan, check_balanced, \
 from .kahler import sample_lefschetz_candidates
 from .matroid import LoopyMatroid, MatroidError, matroid_from_json, \
     matroid_uniform
-from .rings import FanRingModel, bloch_gieseker, quotient_by_ann_segre, \
-    segre_vectors
+from .rings import FanRingModel, bloch_gieseker, quotient_by_ann_segre
 from .tautological import chern_classes, structural_divisors
 
 
@@ -47,6 +46,19 @@ def load_matroid(arg):
             text = fh.read()
     data = json.loads(text)
     return matroid_from_json(data)
+
+
+def ground_set_size(args, M):
+    """The N a command runs on: --N, which must match the ground set of the
+    matroid when there is one."""
+    if M is None:
+        if not args.N or args.N < 1:
+            raise SystemExit2("need --matroid or a positive --N")
+        return args.N
+    if args.N is not None and args.N != M.n:
+        raise SystemExit2("--N %d does not match the %d-element ground set "
+                          "of the matroid" % (args.N, M.n))
+    return M.n
 
 
 def finish(failures, total):
@@ -92,13 +104,9 @@ def cmd_verify(args):
 
 
 def cmd_kahler(args):
-    if args.matroid:
-        M = load_matroid(args.matroid)
-        N = args.N if args.N else M.n
-    else:
-        if not args.N:
-            raise SystemExit2("need --matroid or --N")
-        N = args.N
+    M = load_matroid(args.matroid) if args.matroid else None
+    N = ground_set_size(args, M)
+    if M is None:
         M = matroid_uniform(N, N)
     from .kahler import matroid_bundle_model
     B, h, zetas = matroid_bundle_model(N, M, phi=args.phi)
@@ -121,14 +129,19 @@ def cmd_kahler(args):
 
 
 def cmd_bloch_gieseker(args):
-    M = load_matroid(args.matroid) if args.matroid else matroid_uniform(2, args.N)
-    N = args.N if args.N else M.n
+    M = load_matroid(args.matroid) if args.matroid else None
+    N = ground_set_size(args, M)
+    if M is None:
+        M = matroid_uniform(2, N)
+    try:
+        lams = [Fraction(x) for x in args.lams.split(",")] if args.lams else [0, 1]
+    except ZeroDivisionError:
+        raise SystemExit2("zero denominator in --lams %s" % args.lams)
     base = FanRingModel(permutohedral_fan(N))
     from .kahler import base_convex_divisor, divisor_vector
     cs_elems = chern_classes(base.fan, M)
     c = [base.unit()] + [base.to_vector(e) for e in cs_elems[1:]]
     h = divisor_vector(base, base_convex_divisor(base.fan, N))
-    lams = [Fraction(x) for x in args.lams.split(",")] if args.lams else [0, 1]
     failures = total = 0
     for entry in bloch_gieseker(base, c, h, lams=lams):
         total += 1
@@ -143,7 +156,7 @@ def cmd_bloch_gieseker(args):
 
 def cmd_quotient_ahk(args):
     M = load_matroid(args.matroid)
-    N = args.N if args.N else M.n
+    N = ground_set_size(args, M)
     base = FanRingModel(permutohedral_fan(N))
     cs_elems = chern_classes(base.fan, M, via="negation")
     c = [base.unit()] + [base.to_vector(e) for e in cs_elems[1:]]
@@ -159,17 +172,20 @@ def cmd_quotient_ahk(args):
 
 def cmd_fan(args):
     try:
-        if args.kind == "permutohedral":
-            fan = permutohedral_fan(args.N)
-        elif args.kind == "bipermutohedral":
-            fan = bipermutohedral_fan(args.N)
+        if args.kind in ("permutohedral", "bipermutohedral"):
+            if not args.N or args.N < 1:
+                raise SystemExit2("--kind %s needs a positive --N" % args.kind)
+            fan = (permutohedral_fan if args.kind == "permutohedral"
+                   else bipermutohedral_fan)(args.N)
         else:
+            if not args.matroid:
+                raise SystemExit2("--kind %s needs --matroid" % args.kind)
             M = load_matroid(args.matroid)
             if M.loops():
                 if not args.simplify:
                     raise LoopyMatroid("matroid has loops; pass --simplify")
                 M, _ = M.delete_loops()
-            N = args.N if args.N else M.n
+            N = ground_set_size(args, M)
             if args.kind == "bergman":
                 fan = bergman_fan(M)
             else:

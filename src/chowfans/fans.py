@@ -66,10 +66,6 @@ def gap_indices(N, pairs):
     return {j for j in range(len(pairs) + 1) if (ext[j][0] | ext[j + 1][1]) != full}
 
 
-def is_biflag(N, pairs):
-    return bool(gap_indices(N, pairs))
-
-
 def matroid_gap_indices(M, pairs):
     """Same gap set, via the closure criterion for chains of biflats:
     j is a gap iff closure(S_j^c) is not contained in F_{j+1}."""

@@ -46,27 +46,26 @@ def _pd_grams(model):
     return grams
 
 
+def _powers(model, ell):
+    """ell^0, ..., ell^n as coordinate vectors."""
+    out = [model.unit()]
+    for k in range(model.top):
+        out.append(model.multiply(1, ell, k, out[k]) if k else list(ell))
+    return out
+
+
 def lefschetz_forms(model, ell):
-    """The matrices Q_i = G_i L_{n-i-1} ... L_i of the forms
-    (x, y) -> deg(ell^(n-2i) x y) on degree i, for i = 0..n//2, where L_k
-    is multiplication by ell from degree k; None when Poincare duality
-    fails.  Each L_k is built once and shared by every degree."""
+    """The matrices Q_i = G_i P_i of the forms (x, y) -> deg(ell^(n-2i) x y)
+    on degree i, for i = 0..n//2, where P_i is multiplication by
+    ell^(n-2i) from degree i; None when Poincare duality fails."""
     grams = _pd_grams(model)
     if grams is None:
         return None
     n = model.top
-    steps = [mult_matrix(model, 1, ell, k) for k in range(n)]
-    out = []
-    for i, g in enumerate(grams):
-        if i == n - i:
-            out.append(g)
-            continue
-        power = steps[i]
-        for step in steps[i + 1:n - i]:
-            power = linalg.mat_mul(step, power)
-        # mat_mul is [] when the power passes through a zero degree
-        out.append(linalg.mat_mul(g, power) or [[0] * len(g)] * len(g))
-    return out
+    powers = _powers(model, ell)
+    return [g if 2 * i == n else linalg.mat_mul(
+                g, mult_matrix(model, n - 2 * i, powers[n - 2 * i], i))
+            for i, g in enumerate(grams)]
 
 
 def lefschetz_inertia(model, ell):
@@ -223,16 +222,12 @@ def sample_lefschetz_candidates(model, h, zetas, samples=3, seed=0):
 def oriented_degree_one(model, vec):
     """Flip the sign of a degree-1 element so its top power has positive
     degree; report whether a flip happened.  Raises if the power is zero."""
-    n = model.top
     z = list(vec)
-    acc = list(vec)
-    for k in range(1, n):
-        acc = model.multiply(1, z, k, acc)
-    d = model.deg(acc) if n >= 1 else model.deg(model.unit())
+    d = model.deg(_powers(model, z)[-1])
     if d == 0:
         raise MissingConvexClass("candidate has degenerate top power")
     if d > 0:
         return z, False
-    if n % 2 == 0:
+    if model.top % 2 == 0:
         raise MissingConvexClass("top power negative in even degree")
     return [-x for x in z], True

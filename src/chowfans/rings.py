@@ -9,8 +9,8 @@ Kahler checks) is written against this interface only.
 from fractions import Fraction
 
 from . import linalg
-from .chow import (ChowElement, DegreeTooLow, degree, graded_basis,
-                   multiply_by_monomial, pair)
+from .chow import (ChowElement, DegreeTooLow, _pairing_matrix, graded_basis,
+                   multiply_by_monomial)
 
 
 class RingError(Exception):
@@ -32,20 +32,24 @@ def _zeros(n):
 class FanRingModel:
     """Graded ring model of the Chow ring of a supported fan.  Basis
     elements are cone monomials; an element is expressed in the basis by
-    pairing it with the complementary basis cones and solving against the
-    Gram inverse, kept per degree as an integer matrix over one common
-    denominator, so each solve is an integer mat-vec."""
+    reading its pairings with the complementary basis cones off the fan's
+    pairing matrix and solving against the Gram inverse, kept per degree
+    as an integer matrix over one common denominator, so each solve is an
+    integer mat-vec."""
 
     def __init__(self, fan):
         self.fan = fan
         self.top = fan.top_dim
         self._solve = {}
+        self._pairing_rows = {}
         self._mul_cache = {}
-        self._top_degrees = None
         for k in range(self.top + 1):
-            b, _, gram = graded_basis(fan, k)
-            if len(b) != len(graded_basis(fan, self.top - k)[0]):
-                raise SingularGram("graded dimensions not symmetric at %d" % k)
+            _, basis_cols, gram = graded_basis(fan, k)
+            cones, cols, mat = _pairing_matrix(fan, k)
+            at = {c: j for j, c in enumerate(cols)}
+            pick = [at[c] for c in basis_cols]
+            self._pairing_rows[k] = {s: [row[j] for j in pick]
+                                 for s, row in zip(cones, mat)}
             try:
                 self._solve[k] = linalg.scaled_integer(linalg.invert(
                     [list(col) for col in zip(*gram)]))
@@ -66,8 +70,10 @@ class FanRingModel:
         k = elem.degree
         if k > self.top:
             return []
-        cols = graded_basis(self.fan, k)[1]
-        p = [pair(elem, tau) for tau in cols]
+        rows = self._pairing_rows[k]
+        p = [0] * self.dim(k)
+        for sigma, c in elem.terms.items():
+            p = [x + c * y for x, y in zip(p, rows[sigma])]
         return linalg.scaled_mat_vec(self._solve[k], p)
 
     def multiply(self, k1, v1, k2, v2):
@@ -101,11 +107,9 @@ class FanRingModel:
         return hit
 
     def deg(self, v):
-        if self._top_degrees is None:
-            self._top_degrees = [
-                degree(ChowElement(self.fan, self.top, {c: Fraction(1)}))
-                for c in self.basis_cones(self.top)]
-        return sum(a * d for a, d in zip(v, self._top_degrees))
+        # the degree-top Gram matrix pairs the basis with the unit class
+        gram = graded_basis(self.fan, self.top)[2]
+        return sum(a * row[0] for a, row in zip(v, gram))
 
     def unit(self):
         return [Fraction(1)]

@@ -10,8 +10,9 @@ Also the reference Kahler verdicts: Poincare duality, Hard Lefschetz and
 Hodge-Riemann checked separately from ranks, kernels and leading minors,
 using nothing of a ring model but its graded ring interface.
 
-Also the Fraction references for the two integer solves of the ring
-models, `FanRingModel.to_vector` and `QuotientRingModel.project`: these
+Also the graded basis of a fan the long way, by two eliminations of a
+pairing matrix built afresh in every degree; and the Fraction references
+for the two integer solves of the ring models, `FanRingModel.to_vector` and `QuotientRingModel.project`: these
 take the library's Gram matrices, pairings and multiplication matrices
 and replace only the solve, by `linalg.invert` and a plain mat-vec.
 """
@@ -20,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from chowfans import linalg
-from chowfans.chow import graded_basis, pair
+from chowfans.chow import ChowElement, graded_basis, pair, pair_all
 from chowfans.rings import mult_matrix
 
 
@@ -195,6 +196,23 @@ def reference_kahler_report(model, ell):
 
     hr = hl and all(hr_in_degree(i) for i in middle)
     return {"pd": pd, "hl": hl, "hr": hr}
+
+
+def reference_graded_basis(fan, k):
+    """chow.graded_basis without its caches or its mirror: the pairing
+    matrix of the k-cones against the (top-k)-cones, one pairing walk per
+    row, with the greedy independent rows and columns taken by two
+    separate eliminations."""
+    n = fan.top_dim
+    rows, cols = fan.cones_of_dim(k), fan.cones_of_dim(n - k)
+    mat = []
+    for sigma in rows:
+        pairings = pair_all(ChowElement(fan, k, {sigma: 1}))
+        mat.append([pairings[c] for c in cols])
+    basis_rows = linalg.row_echelon([list(col) for col in zip(*mat)])
+    basis_cols = linalg.row_echelon(linalg.mat_copy(mat))
+    gram = [[mat[i][j] for j in basis_cols] for i in basis_rows]
+    return [rows[i] for i in basis_rows], [cols[j] for j in basis_cols], gram
 
 
 def _mat_vec(m, v):

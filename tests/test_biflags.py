@@ -1,5 +1,8 @@
+import collections
+
 import pytest
 
+from chowfans import biflags
 from chowfans.biflags import (NotABiflag, SplitBiflag, canonical_expansion,
                               dyck_profile, expansion_index, family_sets,
                               gap_free_firsts, is_lex_decreasing, lemma_suite,
@@ -143,6 +146,36 @@ def test_lemma_suite_reports_all_pass():
     reports = list(lemma_suite(M, max_first_len=1))
     assert reports
     assert all(r["status"] == "pass" for r in reports)
+
+
+def test_lemma_suite_builds_each_pair_once(monkeypatch):
+    """One family_sets per (first, l) pair and one set of structural
+    divisors per suite; the vanishing verdicts are verify_min_dec's."""
+    M = matroid_uniform(2, 4)
+    fan = projective_bundle_fan(4, M)
+    built = collections.Counter()
+    divisors = []
+    family_sets_, structural_divisors = (biflags.family_sets,
+                                         biflags.structural_divisors)
+
+    def counting_family_sets(M, first, l):
+        built[tuple(first), l] += 1
+        return family_sets_(M, first, l)
+
+    def counting_divisors(fan, M):
+        divisors.append(fan)
+        return structural_divisors(fan, M)
+
+    monkeypatch.setattr(biflags, "family_sets", counting_family_sets)
+    monkeypatch.setattr(biflags, "structural_divisors", counting_divisors)
+    reports = list(lemma_suite(M, fan=fan, max_first_len=2))
+    monkeypatch.undo()
+    vanishing = [r for r in reports if r["check"] == "vanishing-product"]
+    assert vanishing and len(divisors) == 1
+    assert built == {(r["first"], r["l"]): 1 for r in vanishing}
+    for r in vanishing:
+        ok = verify_min_dec(M, fan, list(r["first"]), r["l"])
+        assert r["status"] == ("pass" if ok else "fail"), r
 
 
 def test_bundle_identity_small():

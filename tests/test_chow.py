@@ -8,11 +8,12 @@ from chowfans.chow import (ChowElement, DegreeMismatch, MinkowskiWeight,
                            linear_relation_class, multiply_by_divisor,
                            multiply_by_monomial, pair, pair_all, ray_class,
                            unit_class)
-from chowfans.fans import (bergman_fan, permutohedral_fan,
+from chowfans import linalg
+from chowfans.fans import (bergman_fan, bipermutohedral_fan, permutohedral_fan,
                            projective_bundle_fan)
-from chowfans.matroid import matroid_uniform
+from chowfans.matroid import matroid_from_graph, matroid_uniform, pyramid_matroid
 
-from naive_oracle import NaiveQuotient
+from naive_oracle import NaiveQuotient, reference_graded_basis
 
 
 def oracle_instances():
@@ -134,3 +135,38 @@ def test_multiply_by_monomial_kills_non_cones():
     elem = multiply_by_monomial(unit_class(fan), (s1,))
     elem = multiply_by_monomial(elem, (s2,))
     assert all(v == 0 for v in pair_all(elem).values())
+
+
+K4_EDGES = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+
+BASIS_FANS = {
+    "perm3": lambda: permutohedral_fan(3),
+    "perm4": lambda: permutohedral_fan(4),
+    "perm5": lambda: permutohedral_fan(5),
+    "bergman-pyramid": lambda: bergman_fan(pyramid_matroid()),
+    "bergman-K4": lambda: bergman_fan(matroid_from_graph(4, K4_EDGES)),
+    "biperm3": lambda: bipermutohedral_fan(3),
+    "bundle-u23": lambda: projective_bundle_fan(3, matroid_uniform(2, 3)),
+    "bundle-u24": lambda: projective_bundle_fan(4, matroid_uniform(2, 4)),
+}
+
+
+@pytest.mark.parametrize("name", list(BASIS_FANS))
+def test_graded_basis_matches_two_elimination_reference(monkeypatch, name):
+    """Bases, complementary bases and Gram matrices agree exactly with two
+    eliminations per degree, from one elimination per complementary pair."""
+    fan = BASIS_FANS[name]()
+    n = fan.top_dim
+    calls = []
+
+    def counting_row_echelon(m):
+        calls.append(len(m))
+        return row_echelon(m)
+
+    row_echelon = linalg.row_echelon
+    monkeypatch.setattr(linalg, "row_echelon", counting_row_echelon)
+    got = [graded_basis(fan, k) for k in range(n + 1)]
+    monkeypatch.undo()
+    assert len(calls) == 2 * (n // 2 + 1)
+    for k in range(n + 1):
+        assert got[k] == reference_graded_basis(fan, k), k

@@ -149,3 +149,39 @@ def test_malformed_descriptor_is_usage_error(capsys, descriptor):
     assert lines == []
     assert err.startswith("error: malformed")
     assert "Traceback" not in err
+
+
+BAD_ARGUMENTS = {
+    "bergman-without-matroid": ["fan", "--kind", "bergman"],
+    "bundle-without-matroid": ["fan", "--kind", "bundle"],
+    "permutohedral-without-N": ["fan", "--kind", "permutohedral"],
+    "bipermutohedral-without-N": ["fan", "--kind", "bipermutohedral"],
+    "bloch-gieseker-without-matroid-or-N": ["bloch-gieseker"],
+    "zero-denominator-twist": ["bloch-gieseker", "--N", "3", "--lams", "1/0"],
+    "bundle-fan-N-mismatch": ["fan", "--kind", "bundle", "--matroid", U23,
+                              "--N", "4"],
+    "kahler-N-mismatch": ["kahler", "--matroid", U23, "--N", "4"],
+    "quotient-ahk-N-mismatch": ["quotient-ahk", "--matroid", U24, "--N", "5"],
+    "bloch-gieseker-N-mismatch": ["bloch-gieseker", "--matroid", U23,
+                                  "--N", "4"],
+}
+
+
+@pytest.mark.parametrize("argv", list(BAD_ARGUMENTS.values()),
+                         ids=list(BAD_ARGUMENTS))
+def test_bad_arguments_fail_before_any_work(capsys, monkeypatch, argv):
+    from chowfans import cli, kahler
+
+    def work(*args, **kwargs):
+        raise AssertionError("work started on bad arguments")
+
+    for module, name in [(cli, "FanRingModel"), (cli, "permutohedral_fan"),
+                         (cli, "bipermutohedral_fan"), (cli, "bergman_fan"),
+                         (cli, "projective_bundle_fan"),
+                         (kahler, "matroid_bundle_model")]:
+        monkeypatch.setattr(module, name, work)
+    code, lines, err = run(capsys, argv)
+    assert code == 2
+    assert lines == []
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -175,8 +175,9 @@ def unit(d, j):
 @pytest.mark.parametrize("candidate", [perm3_candidate, u23_candidate],
                          ids=["perm3", "U(2,3)"])
 def test_lefschetz_form_composes_mult_matrices(candidate):
-    """Q_i = G_i L_{n-i-1} ... L_i, built by hand from mult_matrix, and
-    its entries are deg(x ell^(n-2i) y) on the degree-i basis."""
+    """Q_i = G_i L_{n-i-1} ... L_i, composed by hand from the matrices L_k
+    of multiplication by ell, and its entries are deg(x ell^(n-2i) y) on
+    the degree-i basis."""
     model, ell = candidate()
     n = model.top
     forms = lefschetz_forms(model, ell)
@@ -201,16 +202,19 @@ def test_lefschetz_form_composes_mult_matrices(candidate):
 @pytest.mark.parametrize("candidate", [u23_candidate, pyramid_candidate],
                          ids=["U(2,3)", "pyramid"])
 def test_lefschetz_inertia_builds_each_step_once(monkeypatch, candidate):
+    """One multiplication matrix per degree i below the middle, that of
+    ell^(n-2i) from degree i; the middle form is the Gram matrix itself."""
     model, ell = candidate()
+    n = model.top
     built = collections.Counter()
 
     def counting_mult_matrix(model, d, w, k):
-        built[k] += 1
+        built[d, k] += 1
         return mult_matrix(model, d, w, k)
 
     monkeypatch.setattr(kahler, "mult_matrix", counting_mult_matrix)
     assert lefschetz_inertia(model, ell) is not None
-    assert built == {k: 1 for k in range(model.top)}
+    assert built == {(n - 2 * i, i): 1 for i in range((n + 1) // 2)}
 
 
 def test_corrupted_model_fails_pd():

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from chowfans import linalg
+from chowfans import chow, linalg, rings
 from chowfans.chow import (ChowElement, DivisorClass, multiply_by_divisor,
                            multiply_by_ray, nonzero_pairing_witness, pair_all)
 from chowfans.fans import (bergman_fan, check_balanced, permutohedral_fan,
@@ -145,6 +145,33 @@ def test_to_vector_matches_fraction_solve(name, fan):
             got = model.to_vector(elem)
             assert got == solve(elem), (k, elem.terms)
             assert all(type(x) is Fraction for x in got)
+
+
+@pytest.mark.parametrize("name,fan", [
+    ("perm3", permutohedral_fan(3)),
+    ("perm4", permutohedral_fan(4)),
+    ("bergman-pyramid", bergman_fan(pyramid_matroid())),
+], ids=["perm3", "perm4", "bergman-pyramid"])
+def test_coordinates_and_degrees_need_no_pairing_walk(monkeypatch, name, fan):
+    """Once the model is built, to_vector and deg read the fan's cached
+    pairing matrix: with every pairing walk patched out they still match
+    the reference on every cone monomial."""
+    model = FanRingModel(fan)
+    monos = [ChowElement(fan, k, {c: Fraction(1)})
+             for k in range(model.top + 1) for c in fan.cones_of_dim(k)]
+    solves = [reference_coordinates(model, k) for k in range(model.top + 1)]
+    want = [solves[m.degree](m) for m in monos]
+    degrees = [chow.degree(m) for m in monos if m.degree == model.top]
+
+    def walk(*args):
+        raise AssertionError("pairing walk after the model was built")
+
+    for module in (chow, rings):
+        for fn in ("degree", "pair", "pair_all", "_pairings", "multiply_by_ray"):
+            monkeypatch.setattr(module, fn, walk, raising=False)
+    assert [model.to_vector(m) for m in monos] == want
+    assert [model.deg(model.to_vector(m)) for m in monos
+            if m.degree == model.top] == degrees
 
 
 @pytest.mark.parametrize("r", [2, 3], ids=["U(2,4)", "U(3,4)"])
