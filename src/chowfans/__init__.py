@@ -8,8 +8,7 @@ from .chow import (ChowElement, DivisorClass, MinkowskiWeight, cap_product,
                    chow_dim, degree, fundamental_weight, graded_basis,
                    is_zero_class, multiply_by_divisor, pair, pair_all,
                    pullback_pi1, unit_class)
-from .tautological import (chern_classes, segre_classes, structural_divisors,
-                           twist_classes, w_divisors)
+from .tautological import chern_classes, structural_divisors, w_divisors
 from .rings import (BundleRing, FanRingModel, bloch_gieseker,
                     multi_bundle_ring, quotient_by_ann_segre, segre_vectors,
                     twist_vectors)

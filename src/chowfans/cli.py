@@ -67,6 +67,8 @@ def finish(failures, total):
 
 
 def cmd_verify(args):
+    if args.max_first_len < 0:
+        raise SystemExit2("--max-first-len must be non-negative")
     M = load_matroid(args.matroid)
     N = M.n
     failures = total = 0
@@ -104,6 +106,8 @@ def cmd_verify(args):
 
 
 def cmd_kahler(args):
+    if args.samples < 0:
+        raise SystemExit2("--samples must be non-negative")
     M = load_matroid(args.matroid) if args.matroid else None
     N = ground_set_size(args, M)
     if M is None:
@@ -210,9 +214,6 @@ class SystemExit2(Exception):
 
 def build_parser():
     ap = argparse.ArgumentParser(prog="chowfans")
-    ap.add_argument("--jobs", type=int,
-                    default=int(os.environ.get("CHOWFANS_JOBS", "1")),
-                    help="worker count hint (checks are cheap enough to run serially)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="bundle identity and lemma suites")

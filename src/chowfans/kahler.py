@@ -12,7 +12,7 @@ from itertools import accumulate
 
 from . import linalg
 from .chow import DivisorClass
-from .rings import model_gram, mult_matrix
+from .rings import model_gram, multi_bundle_ring
 
 
 class KahlerError(Exception):
@@ -54,18 +54,40 @@ def _powers(model, ell):
     return out
 
 
-def lefschetz_forms(model, ell):
-    """The matrices Q_i = G_i P_i of the forms (x, y) -> deg(ell^(n-2i) x y)
-    on degree i, for i = 0..n//2, where P_i is multiplication by
-    ell^(n-2i) from degree i; None when Poincare duality fails."""
+def _forms(model, powers):
+    """lefschetz_forms from the powers of ell."""
     grams = _pd_grams(model)
     if grams is None:
         return None
     n = model.top
-    powers = _powers(model, ell)
     return [g if 2 * i == n else linalg.mat_mul(
-                g, mult_matrix(model, n - 2 * i, powers[n - 2 * i], i))
+                g, model.mult_matrix(n - 2 * i, powers[n - 2 * i], i))
             for i, g in enumerate(grams)]
+
+
+def _inertias(model, powers):
+    """lefschetz_inertia from the powers of ell."""
+    forms = _forms(model, powers)
+    return None if forms is None else [linalg.inertia(q) for q in forms]
+
+
+def _report(model, powers):
+    """kahler_report from the powers of ell."""
+    inertias = _inertias(model, powers)
+    pd = inertias is not None
+    hl = pd and all(zero == 0 for _, _, zero in inertias)
+    steps = [(-1) ** i * (model.dim(i) - (model.dim(i - 1) if i else 0))
+             for i in range(model.top // 2 + 1)]
+    hr = hl and all(pos - neg == sig for (pos, neg, _), sig
+                    in zip(inertias, accumulate(steps)))
+    return {"pd": pd, "hl": hl, "hr": hr}
+
+
+def lefschetz_forms(model, ell):
+    """The matrices Q_i = G_i P_i of the forms (x, y) -> deg(ell^(n-2i) x y)
+    on degree i, for i = 0..n//2, where P_i is multiplication by
+    ell^(n-2i) from degree i; None when Poincare duality fails."""
+    return _forms(model, _powers(model, ell))
 
 
 def lefschetz_inertia(model, ell):
@@ -75,8 +97,7 @@ def lefschetz_inertia(model, ell):
     degrees j <= i exactly when each Q_j has signature
     sum_{k<=j} (-1)^k (d_k - d_{k-1}) (Adiprasito-Huh-Katz, Ann. Math.
     2018, section 7)."""
-    forms = lefschetz_forms(model, ell)
-    return None if forms is None else [linalg.inertia(q) for q in forms]
+    return _inertias(model, _powers(model, ell))
 
 
 def check_pd(model):
@@ -98,14 +119,7 @@ def check_hr(model, ell):
 def kahler_report(model, ell):
     """PD, HL and HR verdicts for ell, all read off lefschetz_inertia:
     d_i - d_{i-1} is the dimension of the primitive part in degree i."""
-    inertias = lefschetz_inertia(model, ell)
-    pd = inertias is not None
-    hl = pd and all(zero == 0 for _, _, zero in inertias)
-    steps = [(-1) ** i * (model.dim(i) - (model.dim(i - 1) if i else 0))
-             for i in range(model.top // 2 + 1)]
-    hr = hl and all(pos - neg == sig for (pos, neg, _), sig
-                    in zip(inertias, accumulate(steps)))
-    return {"pd": pd, "hl": hl, "hr": hr}
+    return _report(model, _powers(model, ell))
 
 
 def permutohedral_support_values(N, S):
@@ -168,32 +182,25 @@ def restricted_multi_bundle_model(base_matroid, bundle_matroids):
     plus the restricted convex class h and the relative hyperplane classes."""
     from .chow import restrict_to_subfan
     from .fans import bergman_fan, permutohedral_fan
-    from .rings import BundleRing, FanRingModel
+    from .rings import FanRingModel
     from .tautological import chern_classes
     N = base_matroid.n
     ambient = permutohedral_fan(N)
     base = FanRingModel(bergman_fan(base_matroid))
-    model = base
+    specs = [[base.unit()] + [
+        base.to_vector(restrict_to_subfan(e, base.fan)) if i <= base.top
+        else [] for i, e in enumerate(chern_classes(ambient, M)[1:], 1)]
+        for M in bundle_matroids]
+    model = multi_bundle_ring(base, specs)
     chain = []
+    ring = model
+    while ring is not base:
+        chain.insert(0, ring)
+        ring = ring.base
     zetas = []
-    for M in bundle_matroids:
-        cs = chern_classes(ambient, M)
-        c = []
-        for i, e in enumerate(cs[1:], start=1):
-            if i > base.top:
-                v = []
-            else:
-                v = base.to_vector(restrict_to_subfan(e, base.fan))
-            for ring in chain:
-                v = ring.lift(i, v)
-            c.append(v)
-        ring = BundleRing(model, M.r, c)
-        zetas = [ring.lift(1, z) for z in zetas]
-        zetas.append(ring.zeta())
-        chain.append(ring)
-        model = ring
     h = divisor_vector(base, base_convex_divisor(base.fan, N))
     for ring in chain:
+        zetas = [ring.lift(1, z) for z in zetas] + [ring.zeta()]
         h = ring.lift(1, h)
     return model, h, zetas
 
@@ -203,15 +210,16 @@ def sample_lefschetz_candidates(model, h, zetas, samples=3, seed=0):
 
     h and the zetas are degree-1 coefficient vectors of the model.  Returns
     one report per sample, each tagged with the weights used and whether a
-    sign flip was needed.
+    sign flip was needed.  The powers of each candidate are computed once,
+    for the orientation and the report alike.
     """
     reports = []
     for s, t in candidate_schedule(samples, seed):
         vec = [s * a for a in h]
         for z in zetas:
             vec = [a + t * b for a, b in zip(vec, z)]
-        vec, flipped = oriented_degree_one(model, vec)
-        rep = kahler_report(model, vec)
+        _, powers, flipped = _oriented(model, vec)
+        rep = _report(model, powers)
         rep["s"] = s
         rep["t"] = t
         rep["flipped"] = flipped
@@ -219,15 +227,23 @@ def sample_lefschetz_candidates(model, h, zetas, samples=3, seed=0):
     return reports
 
 
-def oriented_degree_one(model, vec):
-    """Flip the sign of a degree-1 element so its top power has positive
-    degree; report whether a flip happened.  Raises if the power is zero."""
-    z = list(vec)
-    d = model.deg(_powers(model, z)[-1])
+def _oriented(model, vec):
+    """(ell, its powers, flipped) for ell = vec or -vec, whichever has a
+    top power of positive degree; the powers of -vec are (-1)^k vec^k."""
+    powers = _powers(model, vec)
+    d = model.deg(powers[-1])
     if d == 0:
         raise MissingConvexClass("candidate has degenerate top power")
     if d > 0:
-        return z, False
+        return list(vec), powers, False
     if model.top % 2 == 0:
         raise MissingConvexClass("top power negative in even degree")
-    return [-x for x in z], True
+    return [-x for x in vec], [[-x for x in p] if k % 2 else p
+                               for k, p in enumerate(powers)], True
+
+
+def oriented_degree_one(model, vec):
+    """Flip the sign of a degree-1 element so its top power has positive
+    degree; report whether a flip happened.  Raises if the power is zero."""
+    ell, _, flipped = _oriented(model, vec)
+    return ell, flipped

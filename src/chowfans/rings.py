@@ -1,9 +1,12 @@
 """Finite-dimensional graded ring models.
 
-A model exposes: top (the socle degree), dim(k), multiply(k1, v1, k2, v2)
-returning a coefficient vector in degree k1+k2, and deg(v) on top-degree
-vectors.  Everything downstream (bundle rings, annihilator quotients, the
-Kahler checks) is written against this interface only.
+A model exposes: top (the socle degree), dim(k), mult_matrix(d, w, k),
+the matrix of multiplication by the degree-d element w from degree k to
+degree k+d (rows first, one column per degree-k basis element), and deg(v)
+on top-degree vectors.  Every model derives from GradedModel, which reads
+multiply(k1, v1, k2, v2) and unit() off mult_matrix.  Everything
+downstream (bundle rings, annihilator quotients, the Kahler checks) is
+written against this interface only.
 """
 
 from fractions import Fraction
@@ -29,20 +32,36 @@ def _zeros(n):
     return [Fraction(0)] * n
 
 
-class FanRingModel:
+class GradedModel:
+    """The part of the model interface that every model reads off its own
+    mult_matrix: the product of two vectors and the unit class."""
+
+    def multiply(self, k1, v1, k2, v2):
+        """v1 * v2 in degree k1 + k2: multiplication by v1 applied to v2."""
+        nonzero = [(j, b) for j, b in enumerate(v2) if b]
+        return [sum((row[j] * b for j, b in nonzero), Fraction(0))
+                for row in self.mult_matrix(k1, v1, k2)]
+
+    def unit(self):
+        return [Fraction(1)]
+
+
+class FanRingModel(GradedModel):
     """Graded ring model of the Chow ring of a supported fan.  Basis
     elements are cone monomials; an element is expressed in the basis by
     reading its pairings with the complementary basis cones off the fan's
     pairing matrix and solving against the Gram inverse, kept per degree
     as an integer matrix over one common denominator, so each solve is an
-    integer mat-vec."""
+    integer mat-vec.  Multiplication by w is the sum of w_j T_j, where T_j
+    multiplies by the j-th basis monomial; each T_j is built on first use,
+    one product of basis monomials per column."""
 
     def __init__(self, fan):
         self.fan = fan
         self.top = fan.top_dim
         self._solve = {}
         self._pairing_rows = {}
-        self._mul_cache = {}
+        self._monomials = {}
         for k in range(self.top + 1):
             _, basis_cols, gram = graded_basis(fan, k)
             cones, cols, mat = _pairing_matrix(fan, k)
@@ -76,85 +95,71 @@ class FanRingModel:
             p = [x + c * y for x, y in zip(p, rows[sigma])]
         return linalg.scaled_mat_vec(self._solve[k], p)
 
-    def multiply(self, k1, v1, k2, v2):
-        k = k1 + k2
-        if k > self.top:
-            return []
-        out = _zeros(self.dim(k))
-        for i, a in enumerate(v1):
-            if a == 0:
-                continue
-            for j, b in enumerate(v2):
-                if b == 0:
-                    continue
-                ab = a * b
-                for t, x in enumerate(self._basis_product(k1, i, k2, j)):
-                    if x:
-                        out[t] += ab * x
+    def mult_matrix(self, d, w, k):
+        """The sum of w_j T_j over the nonzero w_j."""
+        rows, cols = self.dim(k + d), self.dim(k)
+        out = [_zeros(cols) for _ in range(rows)]
+        if not (rows and cols):
+            return out
+        for j, a in enumerate(w):
+            if a:
+                for i, col in enumerate(self._monomial_columns(d, j, k)):
+                    for t, x in col:
+                        out[t][i] += a * x
         return out
 
-    def _basis_product(self, k1, i, k2, j):
-        key = (k1, i, k2, j)
-        hit = self._mul_cache.get(key)
-        if hit is None:
-            sigma = self.basis_cones(k1)[i]
-            tau = self.basis_cones(k2)[j]
-            elem = multiply_by_monomial(
-                ChowElement(self.fan, k1, {sigma: Fraction(1)}), tau)
-            hit = self.to_vector(elem)
-            self._mul_cache[key] = hit
-            self._mul_cache[(k2, j, k1, i)] = hit
-        return hit
+    def _monomial_columns(self, d, j, k):
+        """The columns of T_j from degree k: column i holds the nonzero
+        coordinates, as (row, value) pairs, of x_tau x_sigma, for tau the
+        j-th degree-d and sigma the i-th degree-k basis cone.  Column i is
+        column j of the twin matrix of sigma from degree d, and is shared
+        with it when that is built."""
+        key = d, j, k
+        cols = self._monomials.get(key)
+        if cols is None:
+            tau = self.basis_cones(d)[j]
+            cols = []
+            for i, sigma in enumerate(self.basis_cones(k)):
+                twin = self._monomials.get((k, i, d))
+                if twin is None:
+                    prod = self.to_vector(multiply_by_monomial(
+                        ChowElement(self.fan, k, {sigma: Fraction(1)}), tau))
+                    cols.append([(t, x) for t, x in enumerate(prod) if x])
+                else:
+                    cols.append(twin[j])
+            self._monomials[key] = cols
+        return cols
 
     def deg(self, v):
         # the degree-top Gram matrix pairs the basis with the unit class
         gram = graded_basis(self.fan, self.top)[2]
         return sum(a * row[0] for a, row in zip(v, gram))
 
-    def unit(self):
-        return [Fraction(1)]
-
 
 def model_gram(model, k):
-    """Pairing matrix of the degree-k basis against the complementary one."""
+    """Pairing matrix of the degree-k basis against the complementary one:
+    column j holds the degrees of the columns of multiplication by the
+    j-th degree-(n-k) basis element from degree k."""
     n = model.top
-    d1, d2 = model.dim(k), model.dim(n - k)
-    out = []
-    for i in range(d1):
-        ei = _unit_vec(d1, i)
-        row = []
-        for j in range(d2):
-            row.append(model.deg(model.multiply(k, ei, n - k, _unit_vec(d2, j))))
-        out.append(row)
-    return out
+    d = model.dim(n - k)
+    cols = [[model.deg(list(c)) for c in zip(*model.mult_matrix(
+                n - k, [Fraction(int(i == j)) for i in range(d)], k))]
+            for j in range(d)]
+    return [list(row) for row in zip(*cols)]
 
 
-def _unit_vec(n, i):
-    v = _zeros(n)
-    v[i] = Fraction(1)
-    return v
-
-
-def mult_matrix(model, d, w, k):
-    """Matrix of multiplication by the degree-d element w, from degree k to
-    degree k+d, columns indexed by the degree-k basis."""
-    rows = model.dim(k + d)
-    cols = model.dim(k)
-    mat = [[Fraction(0)] * cols for _ in range(rows)]
-    for j in range(cols):
-        img = model.multiply(d, w, k, _unit_vec(cols, j))
-        for i in range(rows):
-            mat[i][j] = img[i]
-    return mat
-
-
-class BundleRing:
+class BundleRing(GradedModel):
     """A[zeta] modulo the monic degree-r relation with coefficients c_i.
 
     Elements of degree k are stored as a list of r base-ring vectors, the
     i-th being the zeta^i coefficient in base degree k-i; out-of-range
     components are empty lists.  The flat coordinate vector used by the
     model interface concatenates these components.
+
+    Since w zeta^j = sum_s w_s zeta^(s+j), multiplication by w is an r x r
+    block matrix whose block (i, j) is multiplication on the base by
+    u_ij = sum_s w_s [zeta^(s+j)]_i, where [zeta^m]_i is the zeta^i
+    coefficient of the reduced power zeta^m.
     """
 
     def __init__(self, base, r, c):
@@ -168,6 +173,9 @@ class BundleRing:
             if len(self.c[i]) != base.dim(i):
                 raise RingError("coefficient %d has wrong dimension" % i)
         self.top = base.top + r - 1
+        # the reduced powers zeta^m, as components; below r, zeta^m itself
+        self._zeta = [[base.unit() if i == m else _zeros(base.dim(m - i))
+                       for i in range(r)] for m in range(r)]
 
     def dim(self, k):
         return sum(self.base.dim(k - i) for i in range(self.r))
@@ -181,85 +189,64 @@ class BundleRing:
             pos += d
         return comps
 
-    def join(self, comps):
-        out = []
-        for c in comps:
-            out.extend(c)
-        return out
+    def _reduced_power(self, m):
+        """The components of zeta^m, by the companion recursion: zeta^(e-1)
+        = sum_i a_i zeta^i gives zeta^e = sum_i a_(i-1) zeta^i - a_(r-1)
+        sum_t c_t zeta^(r-t)."""
+        r, base = self.r, self.base
+        while len(self._zeta) <= m:
+            e = len(self._zeta)
+            a = self._zeta[-1]
+            nxt = [list(a[i - 1]) if i else _zeros(base.dim(e))
+                   for i in range(r)]
+            if any(a[r - 1]):
+                for i in range(r):
+                    prod = base.multiply(r - i, self.c[r - i], e - r, a[r - 1])
+                    nxt[i] = [u - x for u, x in zip(nxt[i], prod)]
+            self._zeta.append(nxt)
+        return self._zeta[m]
 
-    def reduce_poly(self, k, poly):
-        """Reduce a dict zeta-power -> base vector (of degree k - power)
-        modulo the defining relation, returning components 0..r-1."""
-        maxp = max(poly) if poly else 0
-        work = dict(poly)
-        for m in range(maxp, self.r - 1, -1):
-            a = work.pop(m, None)
-            if a is None or not any(a):
-                continue
-            deg_a = k - m
-            for t in range(1, self.r + 1):
-                prod = self.base.multiply(t, self.c[t], deg_a, a)
-                if not prod:
-                    continue
-                tgt = m - t
-                cur = work.get(tgt)
-                if cur is None or not cur:
-                    work[tgt] = [-x for x in prod]
-                else:
-                    work[tgt] = [u - x for u, x in zip(cur, prod)]
-        comps = []
-        for i in range(self.r):
-            d = self.base.dim(k - i)
-            cur = work.get(i)
-            comps.append(list(cur) if cur else _zeros(d))
-        return comps
+    def _block_class(self, ws, d, i, j):
+        """u_ij = sum_s w_s [zeta^(s+j)]_i, of base degree d+j-i; None when
+        every term vanishes."""
+        u = None
+        for s, w in enumerate(ws):
+            z = self._reduced_power(s + j)[i]
+            if any(w) and any(z):
+                prod = self.base.multiply(d - s, w, s + j - i, z)
+                u = prod if u is None else [a + b for a, b in zip(u, prod)]
+        return u
 
-    def multiply(self, k1, v1, k2, v2):
-        k = k1 + k2
-        if k > self.top:
-            return []
-        c1 = self.split(k1, v1)
-        c2 = self.split(k2, v2)
-        poly = {}
+    def mult_matrix(self, d, w, k):
+        ws = self.split(d, w)
+        rows = [self.base.dim(k + d - i) for i in range(self.r)]
+        cols = [self.base.dim(k - j) for j in range(self.r)]
+        out = [_zeros(sum(cols)) for _ in range(sum(rows))]
+        r0 = 0
         for i in range(self.r):
-            if not any(c1[i]):
-                continue
+            c0 = 0
             for j in range(self.r):
-                if not any(c2[j]):
-                    continue
-                prod = self.base.multiply(k1 - i, c1[i], k2 - j, c2[j])
-                if not prod:
-                    continue
-                m = i + j
-                cur = poly.get(m)
-                if cur is None:
-                    poly[m] = list(prod)
-                else:
-                    poly[m] = [u + x for u, x in zip(cur, prod)]
-        return self.join(self.reduce_poly(k, poly))
+                u = self._block_class(ws, d, i, j) \
+                    if rows[i] and cols[j] else None
+                if u is not None:
+                    block = self.base.mult_matrix(d + j - i, u, k - j)
+                    for row, b in zip(out[r0:r0 + rows[i]], block):
+                        row[c0:c0 + cols[j]] = b
+                c0 += cols[j]
+            r0 += rows[i]
+        return out
 
     def deg(self, v):
         comps = self.split(self.top, v)
         return self.base.deg(comps[self.r - 1])
 
-    def unit(self):
-        return [Fraction(1)]
-
     def lift(self, k, v):
         """pi^*: a base degree-k vector as a bundle-ring vector."""
-        comps = [list(v) if i == 0 else _zeros(self.base.dim(k - i))
-                 for i in range(self.r)]
-        return self.join(comps)
+        return list(v) + _zeros(self.dim(k) - len(v))
 
     def zeta_power(self, e):
         """The element zeta^e, of degree e."""
-        if e < self.r:
-            comps = []
-            for i in range(self.r):
-                d = self.base.dim(e - i)
-                comps.append(_unit_vec(d, 0) if i == e else _zeros(d))
-            return self.join(comps)
-        return self.join(self.reduce_poly(e, {e: self.base.unit()}))
+        return [x for comp in self._reduced_power(e) for x in comp]
 
     def zeta(self):
         return self.zeta_power(1)
@@ -319,7 +306,7 @@ def bloch_gieseker(base, c, delta, lams=(0,)):
         zeta = B.zeta()
         full_rank = True
         for i in range(B.top):
-            mat = mult_matrix(B, 1, zeta, i)
+            mat = B.mult_matrix(1, zeta, i)
             rk = linalg.rank(mat) if mat else 0
             if rk != min(B.dim(i), B.dim(i + 1)):
                 full_rank = False
@@ -328,7 +315,7 @@ def bloch_gieseker(base, c, delta, lams=(0,)):
         if full_rank:
             ok = True
             for i in range(0, n - d + 1):
-                mat = mult_matrix(base, d, cl[d], i)
+                mat = base.mult_matrix(d, cl[d], i)
                 rk = linalg.rank(mat) if mat else 0
                 inj = rk == base.dim(i)
                 surj = rk == base.dim(i + d)
@@ -352,7 +339,7 @@ def quotient_by_ann_segre(base, c):
     return QuotientRingModel(base, t, s[t])
 
 
-class QuotientRingModel:
+class QuotientRingModel(GradedModel):
     """base / ann(z) for a fixed degree-t class z, with the induced degree
     map a -> deg(a * z) scaled so that the first top-degree basis element
     has degree 1."""
@@ -369,7 +356,7 @@ class QuotientRingModel:
             # C of mat, and w projects along ker(mat) to the c with
             # mat_C c = mat w; on independent rows R of mat_C that is
             # c = mat_C[R]^-1 mat[R] w, one matrix formed once per degree
-            mat = mult_matrix(base, t, self.z, k)
+            mat = base.mult_matrix(t, self.z, k)
             chosen = linalg.row_echelon(linalg.mat_copy(mat))
             rows, inv_t = linalg.pivot_inverse(
                 [[row[i] for row in mat] for i in chosen])
@@ -377,14 +364,11 @@ class QuotientRingModel:
                                   [mat[r] for r in rows])
             self._comp[k] = chosen
             self._proj[k] = (linalg.scaled_integer(proj), len(chosen))
-        scale = None
-        if self.dim(self.top) > 0:
-            rep = self._rep(self.top, _unit_vec(self.dim(self.top), 0))
-            raw = base.deg(base.multiply(self.top, rep, t, self.z))
-            if raw == 0:
-                raise SingularGram("degenerate degree map on the quotient")
-            scale = 1 / raw
-        self._scale = scale
+        # deg(a z) for the top basis, read off the last mat
+        raw = [base.deg([row[i] for row in mat]) for i in chosen]
+        if raw and raw[0] == 0:
+            raise SingularGram("degenerate degree map on the quotient")
+        self._degrees = [x / raw[0] for x in raw]
 
     def dim(self, k):
         if not 0 <= k <= self.top:
@@ -401,34 +385,29 @@ class QuotientRingModel:
     def project(self, k, w):
         return linalg.scaled_mat_vec(self._proj[k][0], w)
 
-    def multiply(self, k1, v1, k2, v2):
-        k = k1 + k2
-        if k > self.top:
-            return []
-        w = self.base.multiply(k1, self._rep(k1, v1), k2, self._rep(k2, v2))
-        return self.project(k, w)
+    def mult_matrix(self, d, w, k):
+        """The projection of multiplication by a representative of w on
+        the base, restricted to the complement columns C_k."""
+        rows, cols = self.dim(k + d), self.dim(k)
+        if not (rows and cols):
+            return [_zeros(cols) for _ in range(rows)]
+        full = self.base.mult_matrix(d, self._rep(d, w), k)
+        images = [self.project(k + d, [row[i] for row in full])
+                  for i in self._comp[k]]
+        return [list(row) for row in zip(*images)]
 
     def deg(self, v):
-        rep = self._rep(self.top, v)
-        return self._scale * self.base.deg(
-            self.base.multiply(self.top, rep, self.t, self.z))
-
-    def unit(self):
-        return [Fraction(1)]
+        return sum((a * b for a, b in zip(v, self._degrees)), Fraction(0))
 
 
 def multi_bundle_ring(base, specs):
     """Iterated bundle ring: specs is a list of coefficient lists c with
-    c[i] a base-ring vector of degree i; each round lifts the remaining
-    coefficient lists through the ring just built."""
+    c[i] a base-ring vector of degree i (c[0] is not read); each round
+    lifts the remaining coefficient lists through the ring just built."""
     model = base
-    pending = [ [list(ci) for ci in spec] for spec in specs ]
+    pending = [list(spec) for spec in specs]
     for idx, spec in enumerate(pending):
-        r = len(spec) - 1
-        model_new = BundleRing(model, r, spec[1:])
+        model = BundleRing(model, len(spec) - 1, spec[1:])
         for later in pending[idx + 1:]:
-            for i in range(1, len(later)):
-                later[i] = model_new.lift(i, later[i])
-        # unit entries stay formal
-        model = model_new
+            later[1:] = [model.lift(i, v) for i, v in enumerate(later[1:], 1)]
     return model

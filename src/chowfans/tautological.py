@@ -1,13 +1,13 @@
-"""The named degree-one classes on the flag and biflag fans, and the
-symmetric-function machinery (Chern, Segre, twisted Chern) built on them.
+"""The named degree-one classes on the flag and biflag fans, and the Chern
+classes built on them as elementary symmetric products.  Segre and twisted
+Chern classes are computed on coordinate vectors, in rings.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb
 
 from .chow import (ChowElement, DivisorClass, multiply_by_divisor,
-                   multiply_elements, negation_relabel, unit_class)
+                   negation_relabel, unit_class)
 from .matroid import LoopyMatroid, popcount
 
 
@@ -114,34 +114,3 @@ def chern_classes(fan, M, via="identity"):
     elif via != "identity":
         raise ValueError("via must be 'identity' or 'negation'")
     return elementary_symmetric_products(ws)
-
-
-def segre_classes(cs, n):
-    """s_0..s_n from c_0..c_r via the inverse-series recursion."""
-    fan = cs[0].fan
-    r = len(cs) - 1
-    out = [unit_class(fan)]
-    for i in range(1, n + 1):
-        acc = ChowElement(fan, i)
-        for j in range(1, min(i, r) + 1):
-            acc = acc - multiply_elements(cs[j], out[i - j])
-        out.append(acc)
-    return out
-
-
-def twist_classes(cs, delta, lam):
-    """c_i' = sum_j (-1)^j C(r-i+j, j) c_{i-j} (lam*delta)^j."""
-    fan = cs[0].fan
-    r = len(cs) - 1
-    d = delta * lam
-    out = [unit_class(fan)]
-    for i in range(1, r + 1):
-        acc = ChowElement(fan, i)
-        for j in range(0, i + 1):
-            term = cs[i - j]
-            for _ in range(j):
-                term = multiply_by_divisor(term, d)
-            sign = -1 if j % 2 else 1
-            acc = acc + term * (sign * comb(r - i + j, j))
-        out.append(acc)
-    return out

@@ -15,14 +15,20 @@ pairing matrix built afresh in every degree; and the Fraction references
 for the two integer solves of the ring models, `FanRingModel.to_vector` and `QuotientRingModel.project`: these
 take the library's Gram matrices, pairings and multiplication matrices
 and replace only the solve, by `linalg.invert` and a plain mat-vec.
+
+Also the reference products of the ring models, built without
+`mult_matrix`: cone monomials multiplied by `chow.multiply_elements` for a
+fan model, and for a bundle ring the zeta polynomial of the products of
+the components, reduced by the relation from its highest power down.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from chowfans import linalg
-from chowfans.chow import ChowElement, graded_basis, pair, pair_all
-from chowfans.rings import mult_matrix
+from chowfans.chow import (ChowElement, graded_basis, multiply_elements, pair,
+                           pair_all)
+from chowfans.rings import BundleRing, QuotientRingModel
 
 
 def rref(rows):
@@ -235,7 +241,7 @@ def reference_projection(quotient, k):
     base = quotient.base
     D = base.dim(k)
     ker = functionals_vanishing_on(
-        mult_matrix(base, quotient.t, quotient.z, k), D)
+        base.mult_matrix(quotient.t, quotient.z, k), D)
     span, comp = list(ker), []
     for i in range(D):
         if _rank(span + [_unit(D, i)]) > len(span):
@@ -244,3 +250,61 @@ def reference_projection(quotient, k):
     cols = [_unit(D, i) for i in comp] + ker
     inv = linalg.invert([list(row) for row in zip(*cols)])[:len(comp)]
     return lambda w: _mat_vec(inv, w)
+
+
+def reference_multiply(model, k1, v1, k2, v2):
+    """v1 * v2 in degree k1 + k2 of a fan model, a bundle ring over one, or
+    an annihilator quotient of one, without any multiplication matrix."""
+    if k1 + k2 > model.top:
+        return []
+    if isinstance(model, BundleRing):
+        return _reference_bundle_multiply(model, k1, v1, k2, v2)
+    if isinstance(model, QuotientRingModel):
+        w = reference_multiply(model.base, k1, model._rep(k1, v1),
+                               k2, model._rep(k2, v2))
+        return model.project(k1 + k2, w)
+    e1, e2 = (ChowElement(model.fan, k, dict(zip(model.basis_cones(k), v)))
+              for k, v in ((k1, v1), (k2, v2)))
+    return model.to_vector(multiply_elements(e1, e2))
+
+
+def _reference_bundle_multiply(B, k1, v1, k2, v2):
+    c1 = B.split(k1, v1)
+    c2 = B.split(k2, v2)
+    poly = {}
+    for i in range(B.r):
+        if not any(c1[i]):
+            continue
+        for j in range(B.r):
+            if not any(c2[j]):
+                continue
+            prod = reference_multiply(B.base, k1 - i, c1[i], k2 - j, c2[j])
+            if not prod:
+                continue
+            m = i + j
+            cur = poly.get(m)
+            poly[m] = list(prod) if cur is None else [
+                u + x for u, x in zip(cur, prod)]
+    return _reference_reduce(B, k1 + k2, poly)
+
+
+def _reference_reduce(B, k, poly):
+    """Reduce a dict zeta-power -> base vector (of degree k - power) by
+    zeta^m = -sum_t c_t zeta^(m-t), from the highest power down, and
+    concatenate the components 0..r-1."""
+    work = dict(poly)
+    for m in range(max(poly, default=0), B.r - 1, -1):
+        a = work.pop(m, None)
+        if a is None or not any(a):
+            continue
+        for t in range(1, B.r + 1):
+            prod = reference_multiply(B.base, t, B.c[t], k - m, a)
+            if not prod:
+                continue
+            cur = work.get(m - t)
+            work[m - t] = [-x for x in prod] if not cur else [
+                u - x for u, x in zip(cur, prod)]
+    out = []
+    for i in range(B.r):
+        out.extend(work.get(i) or [Fraction(0)] * B.base.dim(k - i))
+    return out

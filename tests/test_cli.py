@@ -111,10 +111,11 @@ def test_output_is_deterministic(capsys):
     assert first == second
 
 
-def test_jobs_flag_accepted(capsys):
-    code, _, _ = run(capsys, ["--jobs", "4", "fan", "--kind",
-                              "permutohedral", "--N", "3"])
-    assert code == 0
+def test_jobs_option_and_variable_are_gone(capsys, monkeypatch):
+    monkeypatch.setenv("CHOWFANS_JOBS", "x")
+    argv = ["fan", "--kind", "permutohedral", "--N", "3"]
+    assert run(capsys, argv)[0] == 0
+    assert run(capsys, ["--jobs", "4"] + argv)[0] == 2
 
 
 def test_kahler_free_matroid_without_descriptor(capsys):
@@ -164,6 +165,9 @@ BAD_ARGUMENTS = {
     "quotient-ahk-N-mismatch": ["quotient-ahk", "--matroid", U24, "--N", "5"],
     "bloch-gieseker-N-mismatch": ["bloch-gieseker", "--matroid", U23,
                                   "--N", "4"],
+    "kahler-negative-samples": ["kahler", "--N", "3", "--samples", "-1"],
+    "verify-negative-max-first-len": ["verify", "--matroid", U23,
+                                      "--max-first-len", "-1"],
 }
 
 

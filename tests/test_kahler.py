@@ -15,11 +15,11 @@ from chowfans.kahler import (MissingConvexClass, base_convex_divisor,
                              sample_lefschetz_candidates)
 from chowfans.linalg import mat_mul
 from chowfans.matroid import matroid_uniform, pyramid_matroid
-from chowfans.rings import FanRingModel, model_gram, mult_matrix
+from chowfans.rings import FanRingModel, GradedModel, model_gram
 from naive_oracle import reference_kahler_report
 
 
-class PointModel:
+class PointModel(GradedModel):
     """The rational cohomology of a point: everything in degree 0."""
 
     top = 0
@@ -27,14 +27,12 @@ class PointModel:
     def dim(self, k):
         return 1 if k == 0 else 0
 
-    def multiply(self, k1, v1, k2, v2):
-        return [v1[0] * v2[0]] if k1 == k2 == 0 else []
+    def mult_matrix(self, d, w, k):
+        return [[w[0]]] if d == k == 0 else \
+            [[Fraction(0)] * self.dim(k) for _ in range(self.dim(k + d))]
 
     def deg(self, v):
         return v[0]
-
-    def unit(self):
-        return [Fraction(1)]
 
 
 def test_point_model_passes_trivially():
@@ -185,7 +183,7 @@ def test_lefschetz_form_composes_mult_matrices(candidate):
     for i, q in enumerate(forms):
         power = None
         for k in range(i, n - i):
-            step = mult_matrix(model, 1, ell, k)
+            step = model.mult_matrix(1, ell, k)
             power = step if power is None else mat_mul(step, power)
         gram = model_gram(model, i)
         assert q == (mat_mul(gram, power) if power else gram), i
@@ -202,19 +200,49 @@ def test_lefschetz_form_composes_mult_matrices(candidate):
 @pytest.mark.parametrize("candidate", [u23_candidate, pyramid_candidate],
                          ids=["U(2,3)", "pyramid"])
 def test_lefschetz_inertia_builds_each_step_once(monkeypatch, candidate):
-    """One multiplication matrix per degree i below the middle, that of
-    ell^(n-2i) from degree i; the middle form is the Gram matrix itself."""
+    """The model's multiplication matrices are one by ell per step of the
+    powers ell^2..ell^n and one by ell^(n-2i) from each degree i below the
+    middle; the middle form is the Gram matrix itself."""
     model, ell = candidate()
     n = model.top
+    lefschetz_inertia(model, ell)  # the Gram matrices are built once, here
     built = collections.Counter()
+    original = model.mult_matrix
 
-    def counting_mult_matrix(model, d, w, k):
+    def counting_mult_matrix(d, w, k):
         built[d, k] += 1
-        return mult_matrix(model, d, w, k)
+        return original(d, w, k)
 
-    monkeypatch.setattr(kahler, "mult_matrix", counting_mult_matrix)
+    monkeypatch.setattr(model, "mult_matrix", counting_mult_matrix)
     assert lefschetz_inertia(model, ell) is not None
-    assert built == {(n - 2 * i, i): 1 for i in range((n + 1) // 2)}
+    assert built == collections.Counter(
+        [(1, k) for k in range(1, n)]
+        + [(n - 2 * i, i) for i in range((n + 1) // 2)])
+
+
+def test_candidate_powers_are_computed_once(monkeypatch):
+    """One power table per candidate serves the orientation and the
+    report.  The powers of a flipped candidate are (-1)^k ell^k, so the
+    negated classes give the same verdicts, flipped."""
+    B, h, zetas = bundle_model(2, 3, "identity")
+    plain = sample_lefschetz_candidates(B, h, zetas, samples=8)
+    for rep in plain:
+        ell = [rep["s"] * a + rep["t"] * b for a, b in zip(h, zetas[0])]
+        assert not rep["flipped"]
+        verdict = {k: rep[k] for k in ("pd", "hl", "hr")}
+        assert kahler_report(B, ell) == verdict
+    calls = collections.Counter()
+    powers = kahler._powers
+
+    def counting_powers(model, ell):
+        calls[model] += 1
+        return powers(model, ell)
+
+    monkeypatch.setattr(kahler, "_powers", counting_powers)
+    neg_h, neg_zeta = [[-x for x in v] for v in (h, zetas[0])]
+    flipped = sample_lefschetz_candidates(B, neg_h, [neg_zeta], samples=8)
+    assert calls == {B: 8}
+    assert flipped == [dict(rep, flipped=True) for rep in plain]
 
 
 def test_corrupted_model_fails_pd():
@@ -224,17 +252,15 @@ def test_corrupted_model_fails_pd():
         def dim(self, k):
             return [1, 2, 1][k] if 0 <= k <= 2 else 0
 
-        def multiply(self, k1, v1, k2, v2):
-            k = k1 + k2
-            if k > 2:
-                return []
-            out = [Fraction(0)] * self.dim(k)
+        def mult_matrix(self, d, w, k):
             # everything multiplies to zero in positive degrees
-            if k1 == 0:
-                out = [v1[0] * x for x in v2]
-            elif k2 == 0:
-                out = [v2[0] * x for x in v1]
-            return out
+            rows, cols = self.dim(k + d), self.dim(k)
+            if d == 0:
+                return [[w[0] * int(i == j) for j in range(cols)]
+                        for i in range(rows)]
+            if k == 0:
+                return [[x] for x in w]
+            return [[Fraction(0)] * cols for _ in range(rows)]
 
         def deg(self, v):
             return v[0]

@@ -1,0 +1,103 @@
+"""mult_matrix, the one multiplication every ring model implements, against
+reference products that build no multiplication matrix: cone monomials
+multiplied in the fan's Chow ring and read back with to_vector, and for a
+bundle ring the zeta polynomial of the component products reduced by the
+relation from its highest power down."""
+
+import functools
+import random
+from fractions import Fraction
+
+import pytest
+
+from chowfans.fans import bergman_fan, permutohedral_fan
+from chowfans.kahler import (matroid_bundle_model,
+                             restricted_multi_bundle_model)
+from chowfans.matroid import matroid_uniform, pyramid_matroid
+from chowfans.rings import FanRingModel, quotient_by_ann_segre
+from chowfans.tautological import chern_classes
+from naive_oracle import reference_multiply
+
+
+def bundle(r, n):
+    return matroid_bundle_model(n, matroid_uniform(r, n))[0]
+
+
+def quotient(r, n):
+    base = FanRingModel(permutohedral_fan(n))
+    cs = chern_classes(base.fan, matroid_uniform(r, n), via="negation")
+    return quotient_by_ann_segre(
+        base, [base.unit()] + [base.to_vector(e) for e in cs[1:]])
+
+
+def two_bundles():
+    M = matroid_uniform(2, 3)
+    return restricted_multi_bundle_model(M, [M, M])[0]
+
+
+MODELS = {
+    "perm(3)": lambda: FanRingModel(permutohedral_fan(3)),
+    "pyramid": lambda: FanRingModel(bergman_fan(pyramid_matroid())),
+    "U(1,4)-bundle": lambda: bundle(1, 4),
+    "U(2,3)-bundle": lambda: bundle(2, 3),
+    "U(3,4)-bundle": lambda: bundle(3, 4),
+    "two-bundles": two_bundles,
+    "U(2,4)-quotient": lambda: quotient(2, 4),
+    "U(3,4)-quotient": lambda: quotient(3, 4),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def model(name):
+    return MODELS[name]()
+
+
+def unit(d, j):
+    return [Fraction(int(i == j)) for i in range(d)]
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_every_column_matches_reference(name):
+    m = model(name)
+    n = m.top
+    for d in range(n + 1):
+        for k in range(n + 1):
+            rows, cols = m.dim(k + d), m.dim(k)
+            for j in range(m.dim(d)):
+                mat = m.mult_matrix(d, unit(m.dim(d), j), k)
+                assert len(mat) == rows
+                assert all(len(row) == cols for row in mat)
+                for i in range(cols):
+                    want = reference_multiply(m, d, unit(m.dim(d), j),
+                                              k, unit(cols, i))
+                    assert [row[i] for row in mat] == want, \
+                        (d, j, k, i)
+
+
+def dense(rng, d):
+    return [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(d)]
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_multiply_on_dense_vectors_matches_reference(name):
+    m = model(name)
+    rng = random.Random(name)
+    for k1 in range(m.top + 1):
+        for k2 in range(m.top + 1 - k1):
+            v1, v2 = dense(rng, m.dim(k1)), dense(rng, m.dim(k2))
+            want = reference_multiply(m, k1, v1, k2, v2)
+            assert m.multiply(k1, v1, k2, v2) == want, (k1, k2)
+            assert m.multiply(k2, v2, k1, v1) == want, (k2, k1)
+    assert m.multiply(1, dense(rng, m.dim(1)), m.top, unit(m.dim(m.top), 0)) \
+        == []
+
+
+@pytest.mark.parametrize("name", [n for n in MODELS if "bundle" in n])
+def test_zeta_powers_match_reference(name):
+    """The companion recursion against repeated reference products by
+    zeta, up to one past the top degree, where the ring is zero."""
+    m = model(name)
+    power = m.unit()
+    for e in range(1, m.top + 2):
+        power = reference_multiply(m, 1, m.zeta(), e - 1, power)
+        assert m.zeta_power(e) == power, e

@@ -1,12 +1,13 @@
 from fractions import Fraction
 
-from chowfans.chow import (multiply_by_divisor, negation_relabel, pair_all,
-                           pullback_pi1, unit_class)
+from chowfans.chow import (multiply_by_divisor, multiply_elements,
+                           negation_relabel, pair_all, pullback_pi1,
+                           unit_class)
 from chowfans.fans import (bipermutohedral_fan, permutohedral_fan,
                            projective_bundle_fan)
 from chowfans.matroid import matroid_uniform
-from chowfans.tautological import (chern_classes, segre_classes,
-                                   structural_divisors, twist_classes,
+from chowfans.rings import FanRingModel, segre_vectors, twist_vectors
+from chowfans.tautological import (chern_classes, structural_divisors,
                                    w_divisors)
 
 
@@ -103,46 +104,47 @@ def test_elementary_symmetric_u_matches_pullback_chern():
         assert is_zero_by_pairing(diff)
 
 
+def perm3_chern():
+    """The perm(3) model, the Chern classes of U(2,3) on it, and their
+    coordinate vectors."""
+    base = FanRingModel(permutohedral_fan(3))
+    cs = chern_classes(base.fan, matroid_uniform(2, 3))
+    return base, cs, [base.unit()] + [base.to_vector(e) for e in cs[1:]]
+
+
+def alpha_vector(base):
+    alpha = w_divisors(base.fan, matroid_uniform(2, 3))["alpha"]
+    return base.to_vector(multiply_by_divisor(unit_class(base.fan), alpha))
+
+
 def test_segre_recursion_first_values():
-    fan = permutohedral_fan(3)
-    M = matroid_uniform(2, 3)
-    cs = chern_classes(fan, M)
-    ss = segre_classes(cs, fan.top_dim)
-    s1 = ss[1] + cs[1]
-    assert is_zero_by_pairing(s1)
-    from chowfans.chow import multiply_elements
-    want = multiply_elements(cs[1], cs[1]) - cs[2]
-    assert is_zero_by_pairing(ss[2] - want)
+    """s_1 = -c_1 and s_2 = c_1^2 - c_2, with the product taken in the
+    fan's Chow ring."""
+    base, cs, c = perm3_chern()
+    ss = segre_vectors(base, c, base.top)
+    assert ss[1] == [-x for x in c[1]]
+    assert ss[2] == base.to_vector(multiply_elements(cs[1], cs[1]) - cs[2])
 
 
 def test_segre_all_zero_when_chern_zero():
-    fan = permutohedral_fan(3)
-    from chowfans.chow import ChowElement
-    cs = [unit_class(fan)] + [ChowElement(fan, i) for i in (1, 2)]
-    ss = segre_classes(cs, 2)
-    assert all(not s.terms for s in ss[1:])
+    base = FanRingModel(permutohedral_fan(3))
+    c = [base.unit()] + [[Fraction(0)] * base.dim(i) for i in (1, 2)]
+    ss = segre_vectors(base, c, 2)
+    assert all(not any(s) for s in ss[1:])
 
 
 def test_twist_by_zero_is_identity():
-    fan = permutohedral_fan(3)
-    M = matroid_uniform(2, 3)
-    cs = chern_classes(fan, M)
-    alpha = w_divisors(fan, M)["alpha"]
-    out = twist_classes(cs, alpha, 0)
-    for i in range(1, M.r + 1):
-        assert is_zero_by_pairing(out[i] - cs[i])
+    base, _, c = perm3_chern()
+    assert twist_vectors(base, c, alpha_vector(base), 0)[1:] == c[1:]
 
 
 def test_twist_composes():
-    fan = permutohedral_fan(3)
-    M = matroid_uniform(2, 3)
-    cs = chern_classes(fan, M)
-    alpha = w_divisors(fan, M)["alpha"]
-    once = twist_classes(cs, alpha, 1)
-    twice = twist_classes(once, alpha, 1)
-    direct = twist_classes(cs, alpha, 2)
-    for i in range(1, M.r + 1):
-        assert is_zero_by_pairing(twice[i] - direct[i])
+    base, _, c = perm3_chern()
+    alpha = alpha_vector(base)
+    once = twist_vectors(base, c, alpha, 1)
+    assert once[1:] != c[1:]
+    twice = twist_vectors(base, once, alpha, 1)
+    assert twice[1:] == twist_vectors(base, c, alpha, 2)[1:]
 
 
 def test_chern_via_negation_differs_but_pairs_rationally():
