@@ -7,14 +7,15 @@ Everything before the verify_* helpers is pure biflag arithmetic on a
 matroid and never builds a fan, so large ground sets stay cheap.
 """
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 
 from .chow import (ChowElement, is_zero_class, multiply_by_divisor,
                    nonzero_pairing_witness, unit_class)
-from .fans import (bisubset_leq, gap_indices, is_chain, proper_biflats,
-                   projective_bundle_fan)
-from .matroid import mask_to_set, popcount
+from .fans import (biflat_poset, bisubset_leq, gap_indices, is_chain,
+                   projective_bundle_fan, walk_chains)
+from .matroid import mask_to_set
 from .tautological import elementary_symmetric_products, structural_divisors
 
 
@@ -38,8 +39,18 @@ class InvalidFirstComponent(BiflagError):
     pass
 
 
+class InvariantViolated(BiflagError):
+    """An identity of the calculus that a lemma guarantees does not hold."""
+
+
 def _minimum(mask):
     return (mask & -mask).bit_length()
+
+
+def _lex_holds(cSsc, gi, gnext):
+    """min(cSsc \\ gnext) lies in gi, or cSsc lies in gnext."""
+    rem = cSsc & ~gnext
+    return rem == 0 or bool(gi & rem & -rem)
 
 
 class SplitBiflag:
@@ -67,6 +78,12 @@ class SplitBiflag:
             return (self.M.full, 0)
         return self.second[i - 1]
 
+    def low_index(self, target):
+        """The smallest 1 <= i <= l+1 with rk(T_i^c) < target, or None."""
+        M = self.M
+        return next((i for i in range(1, self.l + 2)
+                     if M.rank(M.full & ~self.T(i)[0]) < target), None)
+
 
 def split_at_first_gap(M, chain):
     chain = list(chain)
@@ -86,18 +103,14 @@ def is_lex_decreasing(split, at=None):
     if at is not None:
         if not 0 <= at <= split.l:
             raise IndexOutOfRange("index %d outside 0..%d" % (at, split.l))
-        gi = split.T(at)[1]
-        gnext = split.T(at + 1)[1]
-        rem = split.closure_Ssc & ~gnext
-        if rem == 0:
-            return True
-        return bool(gi & (1 << (_minimum(rem) - 1)))
+        return _lex_holds(split.closure_Ssc, split.T(at)[1], split.T(at + 1)[1])
     return all(is_lex_decreasing(split, at=i) for i in range(split.l + 1))
 
 
 def dyck_profile(split):
     """Per index i = 1..l, the pair (rk(closure(S_s^c) & G_i), rk(T_i^c));
-    asserts the strict-decrease and sandwich inequalities."""
+    raises InvariantViolated unless the first entries strictly decrease
+    from a and rk(T_i^c) <= rk(closure(S_s^c) & G_i) <= a - i."""
     if not is_lex_decreasing(split):
         raise NotLexDecreasing("profile is only defined for lexicographically "
                                "decreasing biflags")
@@ -109,8 +122,10 @@ def dyck_profile(split):
         Ti, Gi = split.T(i)
         inter = M.rank(split.closure_Ssc & Gi)
         tci = M.rank(full & ~Ti)
-        assert inter < prev
-        assert tci <= inter <= a - i
+        if not (inter < prev and tci <= inter <= a - i):
+            raise InvariantViolated("Dyck profile fails at index %d: %d, %d "
+                                    "after %d with a = %d"
+                                    % (i, inter, tci, prev, a))
         out.append((inter, tci))
         prev = inter
     return out
@@ -119,30 +134,19 @@ def dyck_profile(split):
 def expansion_index(split):
     """The smallest 1 <= i <= l+1 with rk(T_i^c) < a - l, and the pivot
     element e = min(closure(S_s^c) \\ G_i)."""
-    M, full = split.M, split.M.full
-    target = split.a - split.l
-    for i in range(1, split.l + 2):
-        Ti, Gi = split.T(i)
-        if M.rank(full & ~Ti) < target:
-            rem = split.closure_Ssc & ~Gi
-            return i, _minimum(rem)
-    raise BiflagError("no expansion index; rk(T_{l+1}^c) = 0 should qualify")
+    i = split.low_index(split.a - split.l)
+    if i is None:
+        raise BiflagError("no expansion index; rk(T_{l+1}^c) = 0 should qualify")
+    return i, _minimum(split.closure_Ssc & ~split.T(i)[1])
 
 
 def _insertable(chain, p):
-    """Whether biflat p can be inserted into the strictly increasing chain,
-    and the resulting chain if so."""
-    out = []
-    placed = False
-    for q in chain:
-        if q == p:
-            return None
-        if not placed and bisubset_leq(p, q) and p != q:
-            out.append(p)
-            placed = True
-        out.append(q)
-    if not placed:
-        out.append(p)
+    """The strictly increasing chain with biflat p inserted after the
+    members below it, or None if there is none."""
+    if p in chain:
+        return None
+    out = list(chain)
+    out.insert(sum(bisubset_leq(q, p) for q in chain), p)
     return out if is_chain(out) else None
 
 
@@ -159,7 +163,7 @@ def canonical_expansion(split):
     ebit = 1 << (e - 1)
     chain = split.chain()
     pos, neg = set(), set()
-    for U, H in proper_biflats(M):
+    for U, H in biflat_poset(M)[0]:
         rkU = M.rank(full & ~U)
         if rkU < target and (H & ebit) and H != full:
             bucket = pos
@@ -179,7 +183,8 @@ def family_sets(M, first, l):
     """All the set-level data of the cancellation argument for the first
     component `first` and second components of length l: the family A of
     lexicographically decreasing biflags, its partition A_1..A_{l+1} by
-    first low-rank index, the length-(l+1) family A', the pos/neg images,
+    first low-rank index, the length-(l+1) family A' and its partition by
+    the same index (rk(T_j^c) < a - l), the pos/neg images,
     and the subfamily B of pos(A_1) whose inserted flat contains
     closure(S_s^c)."""
     first = list(first)
@@ -194,47 +199,35 @@ def family_sets(M, first, l):
     base = SplitBiflag(M, first, [])
     a = base.a
     full = M.full
-    Ss = first[-1][0] if first else 0
+    Ss, Fs = first[-1] if first else (0, full)
+    cSsc = base.closure_Ssc
+    labels, succ = biflat_poset(M)
 
-    rays = proper_biflats(M)
+    # second components: chains of biflats above S_s|F_s with the first gap
+    # at s and every internal index i (G_i against G_{i+1}) lexicographically
+    # decreasing; a failing index stays failing in every extension
+    def keep(chain):
+        prev = labels[chain[-2]][1] if len(chain) > 1 else Fs
+        return _lex_holds(cSsc, prev, labels[chain[-1]][1])
 
-    def seconds(length):
-        """Second components: chains of biflats above S_s|F_s keeping the
-        first gap at s and the whole biflag lexicographically decreasing."""
-        found = []
-        def extend(cur):
-            if len(cur) == length:
-                # the first gap must sit exactly at the end of `first`
-                if (Ss | (cur[0][1] if cur else 0)) == full:
-                    return
-                split = SplitBiflag(M, first, cur)
-                if is_lex_decreasing(split):
-                    found.append(split)
-                return
-            last = cur[-1] if cur else (first[-1] if first else None)
-            for p in rays:
-                if last is not None and (p == last or not bisubset_leq(last, p)):
-                    continue
-                if not cur:
-                    # gap at s: S_s union T_1 != [N]
-                    if (Ss | p[1]) == full:
-                        continue
-                extend(cur + [p])
-        extend([])
-        return found
-
-    A = seconds(l)
-    Aprime = seconds(l + 1)
-
-    def first_low_index(split):
-        for j in range(1, split.l + 2):
-            if M.rank(full & ~split.T(j)[0]) < a - l:
-                return j
-        return None
+    roots = succ[labels.index(first[-1])] if first else range(len(labels))
+    seconds = walk_chains(succ, [j for j in roots if (Ss | labels[j][1]) != full],
+                          keep, l + 1)
+    A, Aprime = [], []
+    # the empty second component has its gap at s exactly when S_s != [N]
+    for second in itertools.chain([()] if Ss != full else [], seconds):
+        # the last index, against the sentinel G_{l+1} = 0
+        if len(second) >= l and _lex_holds(
+                cSsc, labels[second[-1]][1] if second else Fs, 0):
+            split = SplitBiflag(M, first, [labels[i] for i in second])
+            (A if split.l == l else Aprime).append(split)
 
     parts = {j: [] for j in range(1, l + 2)}
     for split in A:
-        parts[first_low_index(split)].append(split)
+        parts[split.low_index(a - l)].append(split)
+    aprime_parts = {j: [] for j in range(1, l + 3)}
+    for split in Aprime:
+        aprime_parts[split.low_index(a - l)].append(split)
 
     pos_parts = {j: {} for j in range(1, l + 2)}
     neg_parts = {j: {} for j in range(1, l + 2)}
@@ -247,23 +240,18 @@ def family_sets(M, first, l):
     # B: in pos(A_1) the inserted biflat sits right after the first
     # component; it belongs to B when closure(S_s^c) lies in its flat
     B = set()
-    cSsc = base.closure_Ssc
     for chain, pos in pos_parts[1].items():
         for new in pos:
             inserted = [p for p in new if p not in chain]
-            assert len(inserted) == 1
+            if len(inserted) != 1:
+                raise InvariantViolated("pos term %r of %r does not insert "
+                                        "exactly one biflat" % (new, chain))
             if (cSsc & ~inserted[0][1]) == 0:
                 B.add(new)
 
-    return {
-        "a": a,
-        "A": A,
-        "parts": parts,
-        "Aprime": Aprime,
-        "pos_parts": pos_parts,
-        "neg_parts": neg_parts,
-        "B": B,
-    }
+    return {"a": a, "A": A, "parts": parts, "Aprime": Aprime,
+            "Aprime_parts": aprime_parts, "pos_parts": pos_parts,
+            "neg_parts": neg_parts, "B": B}
 
 
 def verify_cancellation(M, first, l):
@@ -296,33 +284,17 @@ def verify_cancellation(M, first, l):
         if neg:
             return fail("last-neg-empty", sorted(neg)[0])
 
-    pos_union = {j: set().union(*pos_parts[j].values()) if pos_parts[j] else set()
-                 for j in range(1, l1 + 1)}
-    neg_union = {j: set().union(*neg_parts[j].values()) if neg_parts[j] else set()
-                 for j in range(1, l1 + 1)}
+    pos_union = {j: set().union(*pos_parts[j].values()) for j in range(1, l1 + 1)}
+    neg_union = {j: set().union(*neg_parts[j].values()) for j in range(1, l1 + 1)}
 
     aprime_chains = {tuple(sp.chain()) for sp in data["Aprime"]}
 
     # the shifted containment and its characterized difference
-    full = M.full
-    a = data["a"]
-    def first_low_of_chain(new):
-        split = split_at_first_gap(M, list(new))
-        for j in range(1, split.l + 2):
-            if M.rank(full & ~split.T(j)[0]) < a - l:
-                return j, split
-        return None, split
     for j in range(1, l1):
         diff = pos_union[j + 1] - neg_union[j]
         if not neg_union[j] <= pos_union[j + 1]:
             return fail("neg-containment", sorted(neg_union[j] - pos_union[j + 1])[0])
-        for new in diff:
-            jj, split = first_low_of_chain(new)
-            if not (split.s == len(first) and is_lex_decreasing(split)
-                    and split.l == l + 1 and jj == j + 1):
-                return fail("neg-containment-difference", new)
-        expected = {tuple(sp.chain()) for sp in data["Aprime"]
-                    if first_low_of_chain(tuple(sp.chain()))[0] == j + 1}
+        expected = {tuple(sp.chain()) for sp in data["Aprime_parts"][j + 1]}
         if diff != expected:
             return fail("neg-containment-difference",
                         sorted(diff.symmetric_difference(expected))[0])
@@ -339,18 +311,10 @@ def verify_cancellation(M, first, l):
         return fail("partition-alt", sorted(alt.symmetric_difference(aprime_chains))[0])
 
     # the signed formal sum collapses onto A' plus B
-    signed = Counter()
-    for new in all_pos:
-        signed[new] += 1
-    for new in all_neg:
-        signed[new] -= 1
-    expected = Counter()
-    for new in aprime_chains:
-        expected[new] += 1
-    for new in B:
-        expected[new] += 1
+    signed = Counter(all_pos.keys())
+    signed.subtract(all_neg.keys())
     signed = {k: v for k, v in signed.items() if v}
-    expected = {k: v for k, v in expected.items() if v}
+    expected = dict(Counter(aprime_chains) + Counter(B))
     if signed != expected:
         bad = set(signed.items()).symmetric_difference(expected.items())
         return fail("signed-sum", sorted(bad)[0])
@@ -363,22 +327,16 @@ def gap_free_firsts(M, max_len=1):
     length, starting with the empty chain.  These are exactly the usable
     first components: the first gap of any completed biflag sits at the
     chain length or later."""
-    out = [()]
-    rays = proper_biflats(M)
-    frontier = [()]
-    for _ in range(max_len):
-        nxt = []
-        for cur in frontier:
-            last = cur[-1] if cur else None
-            for p in rays:
-                if last is not None and (p == last or not bisubset_leq(last, p)):
-                    continue
-                cand = cur + (p,)
-                if all(g >= len(cand) for g in gap_indices(M.n, list(cand))):
-                    nxt.append(cand)
-        out.extend(nxt)
-        frontier = nxt
-    return out
+    labels, succ = biflat_poset(M)
+    full = M.full
+
+    def keep(chain):
+        # the newest internal index, len - 1, is no gap
+        prev = labels[chain[-2]][0] if len(chain) > 1 else 0
+        return (prev | labels[chain[-1]][1]) == full
+
+    found = sorted(walk_chains(succ, range(len(labels)), keep, max_len), key=len)
+    return [()] + [tuple(labels[i] for i in chain) for chain in found]
 
 
 def lemma_suite(M, fan=None, max_first_len=1, with_min_dec=True):

@@ -369,7 +369,9 @@ def cap_product(weight, D):
         total = sum(coef * w.get(sigma, 0) for sigma, coef in pairs)
         if total:
             out[tau] = total
-    return MinkowskiWeight(fan, weight.dim - 1, out)
+    # the cap of a weight on the zero cone is the zero weight in dimension
+    # -1, which has no cones to balance
+    return MinkowskiWeight(fan, weight.dim - 1, out, check=weight.dim > 0)
 
 
 def restrict_to_subfan(elem, subfan):

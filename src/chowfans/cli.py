@@ -2,7 +2,7 @@
 
 Every command streams one JSON object per check to stdout and a short
 summary to stderr.  Exit codes: 0 all checks passed, 1 at least one check
-failed, 2 bad usage or malformed input.
+failed, 2 bad usage or malformed input, 3 an internal error.
 """
 
 import argparse
@@ -41,10 +41,14 @@ def emit(report):
 def load_matroid(arg):
     """Accept a path to a JSON file or an inline JSON string."""
     text = arg
-    if os.path.exists(arg):
-        with open(arg) as fh:
-            text = fh.read()
-    data = json.loads(text)
+    try:
+        if os.path.exists(arg):
+            with open(arg) as fh:
+                text = fh.read()
+        data = json.loads(text)
+    except (ValueError, OSError) as exc:
+        # json.JSONDecodeError is a ValueError
+        raise SystemExit2(str(exc))
     return matroid_from_json(data)
 
 
@@ -141,6 +145,8 @@ def cmd_bloch_gieseker(args):
         lams = [Fraction(x) for x in args.lams.split(",")] if args.lams else [0, 1]
     except ZeroDivisionError:
         raise SystemExit2("zero denominator in --lams %s" % args.lams)
+    except ValueError as exc:
+        raise SystemExit2(str(exc))
     base = FanRingModel(permutohedral_fan(N))
     from .kahler import base_convex_divisor, divisor_vector
     cs_elems = chern_classes(base.fan, M)
@@ -189,6 +195,8 @@ def cmd_fan(args):
                 if not args.simplify:
                     raise LoopyMatroid("matroid has loops; pass --simplify")
                 M, _ = M.delete_loops()
+                if M.n == 0:
+                    raise SystemExit2("every element is a loop")
             N = ground_set_size(args, M)
             if args.kind == "bergman":
                 fan = bergman_fan(M)
@@ -261,10 +269,14 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (MatroidError, SystemExit2, ValueError, KeyError,
-            json.JSONDecodeError, OSError) as exc:
+    except (MatroidError, SystemExit2) as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return 2
+    except Exception as exc:
+        message = " ".join(str(exc).splitlines())
+        print("internal error: %s: %s" % (type(exc).__name__, message),
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -55,15 +55,20 @@ def is_chain(pairs):
 def gap_indices(N, pairs):
     """Gap indices of a strictly increasing chain of proper bisubsets,
     computed with the sentinels 0|[N] below and [N]|0 above."""
-    full = (1 << N) - 1
     for S, T in pairs:
         if not is_proper_bisubset(N, S, T):
             raise NotAChain("not a proper bisubset: %s|%s"
                             % (mask_to_set(S), mask_to_set(T)))
     if not is_chain(pairs):
         raise NotAChain("not strictly increasing: %r" % (pairs,))
+    return set(_gaps((1 << N) - 1, pairs))
+
+
+def _gaps(full, pairs):
+    """The indices j with S_j | T_{j+1} != [N] of a chain of bisubsets,
+    with the sentinels 0|[N] below and [N]|0 above."""
     ext = [(0, full)] + list(pairs) + [(full, 0)]
-    return {j for j in range(len(pairs) + 1) if (ext[j][0] | ext[j + 1][1]) != full}
+    return [j for j in range(len(pairs) + 1) if (ext[j][0] | ext[j + 1][1]) != full]
 
 
 def matroid_gap_indices(M, pairs):
@@ -79,29 +84,65 @@ def matroid_gap_indices(M, pairs):
 
 
 def proper_biflats(M):
-    """All proper biflats S|F of M, sorted by (|S|, -|F|, S, F)."""
-    full = M.full
+    """All proper biflats S|F of M, sorted by (|S|, -|F|, S, F), as a
+    tuple.  Callers read them through `biflat_poset`, which builds them
+    once per matroid."""
     out = []
     for F in M.flats():
-        if F == 0:
-            continue
-        comp = full & ~F
-        # S must contain F^c; the rest of S is any subset of F, but S = [N]
-        # is excluded exactly when F = [N]
-        subsets = []
-        x = F
+        # S is F^c together with any subset of F
+        extra = F
         while True:
-            subsets.append(x)
-            if x == 0:
+            S = (M.full & ~F) | extra
+            if is_proper_bisubset(M.n, S, F):
+                out.append((S, F))
+            if extra == 0:
                 break
-            x = (x - 1) & F
-        for extra in subsets:
-            S = comp | extra
-            if S == 0 or not is_proper_bisubset(M.n, S, F):
-                continue
-            out.append((S, F))
+            extra = (extra - 1) & F
     out.sort(key=lambda p: (popcount(p[0]), -popcount(p[1]), p[0], p[1]))
-    return out
+    return tuple(out)
+
+
+def biflat_poset(M):
+    """(labels, succ): the proper biflats of M and their successor lists,
+    built once per matroid and cached on it.  succ[i] lists, in increasing
+    order, the j with labels[i] < labels[j]; the order of `proper_biflats`
+    is a linear extension of the bisubset order, so every j is above i."""
+    if M._biflat_poset is None:
+        labels = proper_biflats(M)
+        M._biflat_poset = (labels, _successors(labels, bisubset_leq))
+    return M._biflat_poset
+
+
+def _successors(labels, leq):
+    """succ[i]: the j > i with leq(labels[i], labels[j]), for distinct
+    labels listed along a linear extension of the partial order leq."""
+    # one shared int object per index: fresh ints take four times the memory
+    index = list(range(len(labels)))
+    return tuple(tuple(index[j] for j in range(i + 1, len(labels))
+                       if leq(p, labels[j])) for i, p in enumerate(labels))
+
+
+def walk_chains(succ, roots, keep, max_len):
+    """Every chain i_1 < ... < i_k with 1 <= k <= max_len, i_1 in roots and
+    each i_{t+1} in succ[i_t], whose every prefix passes keep(prefix), as
+    tuples in DFS pre-order: a chain comes right before its extensions, in
+    the order of its successor list.  keep sees the growing chain, whose
+    proper prefixes have passed, so it need only judge its newest element."""
+    chain = []
+    stack = [iter(roots)] if max_len > 0 else []
+    while stack:
+        for i in stack[-1]:
+            chain.append(i)
+            if keep(chain):
+                yield tuple(chain)
+                if len(chain) < max_len:
+                    stack.append(iter(succ[i]))
+                    break
+            chain.pop()
+        else:
+            stack.pop()
+            if chain:
+                chain.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -214,15 +255,9 @@ def bergman_fan(M):
     full = M.full
     labels = [F for F in M.flats() if F not in (0, full)]
     labels.sort(key=lambda F: (popcount(F), F))
-    index = {F: i for i, F in enumerate(labels)}
-    cones = set()
-    def extend(chain):
-        cones.add(tuple(sorted(index[F] for F in chain)))
-        last = chain[-1] if chain else 0
-        for F in labels:
-            if F != last and (last & ~F) == 0:
-                extend(chain + [F])
-    extend([])
+    succ = _successors(labels, lambda F, G: (F & ~G) == 0)
+    cones = [()] + list(walk_chains(succ, range(len(labels)),
+                                    lambda chain: True, len(labels)))
     rays = [_indicator(M.n, F) for F in labels]
     return Fan(M.n, [[1] * M.n], rays, labels, cones, "bergman")
 
@@ -235,21 +270,12 @@ def projective_bundle_fan(N, M, family="projective_bundle"):
     if M.loops():
         raise LoopyMatroid("projective bundle fan needs a loopless matroid")
     full = M.full
-    labels = proper_biflats(M)
-    index = {p: i for i, p in enumerate(labels)}
-    cones = set()
-    def extend(chain, last):
-        # every chain reached here is a biflag; gap-free chains are pruned
-        # because no extension of a gap-free chain can acquire a gap
-        cones.add(tuple(sorted(index[p] for p in chain)))
-        for p in labels:
-            if last is not None and (p == last or not bisubset_leq(last, p)):
-                continue
-            nxt = chain + [p]
-            ext = [(0, full)] + nxt + [(full, 0)]
-            if any((ext[j][0] | ext[j + 1][1]) != full for j in range(len(nxt) + 1)):
-                extend(nxt, p)
-    extend([], None)
+    labels, succ = biflat_poset(M)
+    # the cones are the chains with a gap; no extension of a gap-free
+    # chain acquires one, so the walk may stop at gap-free chains
+    cones = [()] + list(walk_chains(
+        succ, range(len(labels)),
+        lambda chain: _gaps(full, [labels[i] for i in chain]), len(labels)))
     rays = [_indicator(N, S) + _indicator(N, F) for S, F in labels]
     lin = [[0] * N + [1] * N, [1] * N + [0] * N]
     return Fan(2 * N, lin, rays, labels, cones, family)

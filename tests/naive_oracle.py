@@ -20,6 +20,11 @@ Also the reference products of the ring models, built without
 `mult_matrix`: cone monomials multiplied by `chow.multiply_elements` for a
 fan model, and for a bundle ring the zeta polynomial of the products of
 the components, reduced by the relation from its highest power down.
+
+Also the reference chain searches: the flag and biflag cones of the
+Bergman and bundle fans, the gap-free first components and the second
+components of the cancellation families, each found by scanning every
+label at every step and testing whole chains, with no successor lists.
 """
 
 from fractions import Fraction
@@ -28,6 +33,8 @@ from itertools import combinations_with_replacement
 from chowfans import linalg
 from chowfans.chow import (ChowElement, graded_basis, multiply_elements, pair,
                            pair_all)
+from chowfans.fans import proper_biflats
+from chowfans.matroid import popcount
 from chowfans.rings import BundleRing, QuotientRingModel
 
 
@@ -308,3 +315,99 @@ def _reference_reduce(B, k, poly):
     for i in range(B.r):
         out.extend(work.get(i) or [Fraction(0)] * B.base.dim(k - i))
     return out
+
+
+def _above(p, q):
+    """q is strictly above p in the bisubset order."""
+    return p != q and (p[0] & ~q[0]) == 0 and (q[1] & ~p[1]) == 0
+
+
+def _gaps(full, chain):
+    ext = [(0, full)] + list(chain) + [(full, 0)]
+    return [j for j in range(len(chain) + 1)
+            if (ext[j][0] | ext[j + 1][1]) != full]
+
+
+def reference_bergman_cones(M):
+    """The cones of the Bergman fan of M: flags of proper nonempty flats,
+    as index tuples into the flats sorted by (size, mask)."""
+    labels = sorted((F for F in M.flats() if F not in (0, M.full)),
+                    key=lambda F: (popcount(F), F))
+    index = {F: i for i, F in enumerate(labels)}
+    cones = set()
+
+    def extend(chain):
+        cones.add(tuple(sorted(index[F] for F in chain)))
+        last = chain[-1] if chain else 0
+        for F in labels:
+            if F != last and (last & ~F) == 0:
+                extend(chain + [F])
+    extend([])
+    return cones
+
+
+def reference_bundle_cones(M):
+    """The cones of the bundle fan of M: chains of proper biflats with a
+    gap, as index tuples into `proper_biflats(M)`."""
+    labels = proper_biflats(M)
+    index = {p: i for i, p in enumerate(labels)}
+    cones = set()
+
+    def extend(chain):
+        cones.add(tuple(sorted(index[p] for p in chain)))
+        for p in labels:
+            if chain and not _above(chain[-1], p):
+                continue
+            if _gaps(M.full, chain + [p]):
+                extend(chain + [p])
+    extend([])
+    return cones
+
+
+def reference_gap_free_firsts(M, max_len):
+    """Chains of proper biflats with no gap before their end, breadth
+    first: by length, each length in the order its parents were found."""
+    out, frontier = [()], [()]
+    for _ in range(max_len):
+        frontier = [cur + (p,) for cur in frontier for p in proper_biflats(M)
+                    if (not cur or _above(cur[-1], p))
+                    and all(g >= len(cur) + 1
+                            for g in _gaps(M.full, cur + (p,)))]
+        out += frontier
+    return out
+
+
+def reference_seconds(M, first, length):
+    """The biflags first + second with |second| = length, first gap at
+    len(first) and every index lexicographically decreasing, in the order
+    of a depth-first scan of `proper_biflats(M)` that tests whole chains."""
+    first = tuple(first)
+    full = M.full
+    Ss, Fs = first[-1] if first else (0, full)
+    cSsc = M.closure(full & ~Ss)
+    labels = proper_biflats(M)
+    found = []
+
+    def lex_decreasing(second):
+        G = [Fs] + [F for _, F in second] + [0]
+        for i in range(len(second) + 1):
+            rem = cSsc & ~G[i + 1]
+            if rem and not G[i] & rem & -rem:
+                return False
+        return True
+
+    def extend(second):
+        if len(second) == length:
+            if (Ss | (second[0][1] if second else 0)) != full \
+                    and lex_decreasing(second):
+                found.append(first + second)
+            return
+        S0, F0 = second[-1] if second else (first[-1] if first else (0, full))
+        for p in labels:
+            # p is strictly above S0|F0 (inlined: this loop is the cost),
+            # and the first gap sits at len(first): S_s | T_1 != [N]
+            if (p[0] & ~S0 or p[1] != F0) and not S0 & ~p[0] \
+                    and not p[1] & ~F0 and (second or (Ss | p[1]) != full):
+                extend(second + (p,))
+    extend(())
+    return found

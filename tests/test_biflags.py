@@ -3,9 +3,10 @@ import collections
 import pytest
 
 from chowfans import biflags
-from chowfans.biflags import (NotABiflag, SplitBiflag, canonical_expansion,
-                              dyck_profile, expansion_index, family_sets,
-                              gap_free_firsts, is_lex_decreasing, lemma_suite,
+from chowfans.biflags import (InvariantViolated, NotABiflag, SplitBiflag,
+                              canonical_expansion, dyck_profile,
+                              expansion_index, family_sets, gap_free_firsts,
+                              is_lex_decreasing, lemma_suite,
                               split_at_first_gap, verify_bundle_identity,
                               verify_cancellation, verify_min_dec)
 from chowfans.fans import projective_bundle_fan
@@ -65,6 +66,16 @@ def test_dyck_profile_inequalities():
     a = sp.a
     for i, (gi_rank, ti_rank) in enumerate(profile, start=1):
         assert ti_rank <= gi_rank <= a - i
+
+
+def test_dyck_profile_raises_when_a_is_too_low():
+    M = pyramid_matroid()
+    chain = [(m(1, 2, 6, 7), E), (m(1, 2, 5, 6, 7, 8), m(1, 2, 3, 4)),
+             (E, m(3))]
+    sp = split_at_first_gap(M, chain)
+    sp.a -= 1
+    with pytest.raises(InvariantViolated):
+        dyck_profile(sp)
 
 
 def test_expansion_index_pyramid():
@@ -139,6 +150,55 @@ def test_vanishing_products_u24():
         a = SplitBiflag(M, list(first), []).a
         for l in range(a):
             assert verify_min_dec(M, fan, list(first), l), (first, l)
+
+
+def tampered_expansion(monkeypatch, change):
+    """Apply change(split, pos) to the pos set of the first canonical
+    expansion whose split it selects and whose pos set is nonempty."""
+    real = biflags.canonical_expansion
+    done = []
+
+    def expansion(split):
+        e, pos, neg = real(split)
+        if pos and not done:
+            new = change(split, set(pos))
+            if new is not None:
+                done.append(split)
+                pos = new
+        return e, pos, neg
+    monkeypatch.setattr(biflags, "canonical_expansion", expansion)
+    return done
+
+
+def drop_least(split, pos):
+    return pos - {min(pos)}
+
+
+def add_own_chain(split, pos):
+    # a biflag of length s + l is no term of any length-(l+1) family; the
+    # members of A_1 are left alone, since B reads their inserted biflat
+    if expansion_index(split)[0] > 1:
+        return pos | {tuple(split.chain())}
+    return None
+
+
+@pytest.mark.parametrize("M, l, change, check, witness", [
+    (matroid_uniform(2, 4), 1, drop_least, "neg-containment",
+     ((14, 1), (15, 1))),
+    (matroid_uniform(2, 4), 1, add_own_chain, "neg-containment-difference",
+     ((14, 1),)),
+    (matroid_uniform(3, 4), 1, drop_least, "partition", ((14, 3), (14, 1))),
+    (matroid_uniform(3, 4), 1, add_own_chain, "neg-containment-difference",
+     ((6, 9),)),
+], ids=["U(2,4)-drop", "U(2,4)-foreign", "U(3,4)-drop", "U(3,4)-foreign"])
+def test_cancellation_fails_on_a_tampered_expansion(monkeypatch, M, l,
+                                                     change, check, witness):
+    assert verify_cancellation(M, [], l)["status"] == "pass"
+    done = tampered_expansion(monkeypatch, change)
+    rep = verify_cancellation(M, [], l)
+    assert done
+    assert (rep["status"], rep["check"], rep["witness"]) == \
+        ("fail", check, witness)
 
 
 def test_lemma_suite_reports_all_pass():

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -22,6 +23,26 @@ def test_verify_identity_passes(capsys):
     assert code == 0
     assert lines and all(line["status"] == "pass" for line in lines)
     assert "4/4 checks passed" in err
+
+
+def test_verify_rank_one_matroid_on_one_element(capsys):
+    # the fan is a point, so the cap of its fundamental weight is zero and
+    # the truncation, of rank 0, has nothing to compare it with
+    code, lines, err = run(capsys, ["verify", "--matroid", '{"uniform":[1,1]}'])
+    assert code == 0
+    assert lines[-1] == {"check": "truncation-recursion", "status": "pass"}
+    assert "Traceback" not in err
+
+
+def test_internal_error_is_one_line_and_exit_3(capsys, monkeypatch):
+    from chowfans import cli
+
+    def broken(*args, **kwargs):
+        raise KeyError("ray 7")
+    monkeypatch.setattr(cli, "check_balanced", broken)
+    code, _, err = run(capsys, ["fan", "--kind", "permutohedral", "--N", "3"])
+    assert code == 3
+    assert err == "internal error: KeyError: 'ray 7'\n"
 
 
 def test_verify_all_passes(capsys):
@@ -168,6 +189,11 @@ BAD_ARGUMENTS = {
     "kahler-negative-samples": ["kahler", "--N", "3", "--samples", "-1"],
     "verify-negative-max-first-len": ["verify", "--matroid", U23,
                                       "--max-first-len", "-1"],
+    "non-numeric-twist": ["bloch-gieseker", "--N", "3", "--lams", "1,x"],
+    "matroid-path-is-a-directory": ["verify", "--matroid",
+                                    os.path.dirname(__file__)],
+    "simplify-leaves-no-elements": ["fan", "--kind", "bergman", "--matroid",
+                                    '{"uniform": [0, 2]}', "--simplify"],
 }
 
 
