@@ -27,10 +27,11 @@ _GRAMS = weakref.WeakKeyDictionary()
 
 
 def _pd_grams(model):
-    """The Gram matrices G_0..G_{n//2} of a model, or None when Poincare
-    duality fails; once per model, which does not change after it is built.
-    The memo holds models weakly and sets no attribute on them, since a
-    model is any object with the graded ring interface."""
+    """The Gram matrices G_0..G_{n//2} of a model, each in the scaled form
+    (A, den) of linalg.scaled_integer, or None when Poincare duality fails;
+    once per model, which does not change after it is built.  The memo
+    holds models weakly and sets no attribute on them, since a model is any
+    object with the graded ring interface."""
     if model in _GRAMS:
         return _GRAMS[model]
     n = model.top
@@ -41,7 +42,7 @@ def _pd_grams(model):
         if d != model.dim(n - k) or (d and linalg.rank(g) != d):
             grams = None
             break
-        grams.append(g)
+        grams.append(linalg.scaled_integer(g))
     _GRAMS[model] = grams
     return grams
 
@@ -55,20 +56,23 @@ def _powers(model, ell):
 
 
 def _forms(model, powers):
-    """lefschetz_forms from the powers of ell."""
+    """lefschetz_forms from the powers of ell, each Q_i in the scaled form
+    (A, den) with den > 0: one integer product of the scaled G_i and P_i."""
     grams = _pd_grams(model)
     if grams is None:
         return None
     n = model.top
-    return [g if 2 * i == n else linalg.mat_mul(
-                g, model.mult_matrix(n - 2 * i, powers[n - 2 * i], i))
+    return [g if 2 * i == n else linalg.scaled_mat_mul(
+                g, linalg.scaled_integer(
+                    model.mult_matrix(n - 2 * i, powers[n - 2 * i], i)))
             for i, g in enumerate(grams)]
 
 
 def _inertias(model, powers):
-    """lefschetz_inertia from the powers of ell."""
+    """lefschetz_inertia from the powers of ell; a positive den does not
+    change the inertia of A / den, so the integer A is eliminated."""
     forms = _forms(model, powers)
-    return None if forms is None else [linalg.inertia(q) for q in forms]
+    return None if forms is None else [linalg.inertia(a) for a, _ in forms]
 
 
 def _report(model, powers):
@@ -87,7 +91,9 @@ def lefschetz_forms(model, ell):
     """The matrices Q_i = G_i P_i of the forms (x, y) -> deg(ell^(n-2i) x y)
     on degree i, for i = 0..n//2, where P_i is multiplication by
     ell^(n-2i) from degree i; None when Poincare duality fails."""
-    return _forms(model, _powers(model, ell))
+    forms = _forms(model, _powers(model, ell))
+    return None if forms is None else [
+        [[Fraction(x, den) for x in row] for row in a] for a, den in forms]
 
 
 def lefschetz_inertia(model, ell):

@@ -3,8 +3,11 @@
 Everything here works over ``fractions.Fraction`` and plain ints.
 Elimination keeps an entry an int as long as every division it meets is
 exact, and takes a Fraction otherwise, so integer input that stays
-integral is never promoted.  Matrices are lists of lists, rows first.
-No floating point is used anywhere in the package.
+integral is never promoted.  A rational matrix m can also be carried as
+its scaled form (A, den), with A an integer matrix and m = A / den: the
+products and mat-vecs of scaled forms run over ints alone, and so does
+the inertia, which is fraction-free.  Matrices are lists of lists, rows
+first.  No floating point is used anywhere in the package.
 """
 
 from fractions import Fraction
@@ -88,15 +91,6 @@ def invert(m):
     return pivot_inverse(m)[1]
 
 
-def mat_mul(a, b):
-    if not a or not b:
-        return []
-    rows, inner, cols = len(a), len(b), len(b[0])
-    bt = list(zip(*b))
-    return [[sum(a[i][k] * bt[j][k] for k in range(inner)) for j in range(cols)]
-            for i in range(rows)]
-
-
 def _lcd(values):
     return lcm(1, *(x.denominator for x in values))
 
@@ -121,36 +115,73 @@ def scaled_mat_vec(scaled, v):
     return [Fraction(sum(row[j] * x for j, x in w), den) for row in a]
 
 
+def scaled_mat_mul(sa, sb):
+    """The scaled form (C, den_a den_b) of the product of the matrices
+    with scaled forms sa = (A, den_a) and sb = (B, den_b): C = A B over
+    ints, one row of B added per nonzero entry of A."""
+    a, den_a = sa
+    b, den_b = sb
+    cols = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * cols
+        for k, x in enumerate(row):
+            if x:
+                acc = [u + x * v for u, v in zip(acc, b[k])]
+        out.append(acc)
+    return out, den_a * den_b
+
+
 def inertia(m):
     """(positive, negative, zero) eigenvalue counts of a symmetric matrix,
-    exactly, by symmetric elimination.  Each step is a congruence, which
-    keeps the counts (Sylvester's law of inertia), and splits off one
-    nonzero pivot.  When the remaining diagonal is zero but some a_pq is
-    not, adding row and column q to row and column p makes it 2*a_pq."""
-    w = mat_copy(m)
-    live = list(range(len(w)))
-    positive = []
-    while live:
-        p = next((i for i in live if w[i][i] != 0), None)
+    exactly, by fraction-free symmetric elimination (Bareiss).  A rational
+    m is first scaled by its positive common denominator, which keeps the
+    counts.  A step on pivot a, after the previous pivot prev, replaces
+    each remaining w_ij by (a w_ij - w_ip w_pj) / prev, an exact division,
+    and splits off the pivot a / prev of the rational elimination; it is
+    positive when a and prev have the same sign.  Each step is a
+    congruence, which keeps the counts (Sylvester's law of inertia).  When
+    the remaining diagonal is zero but some w_pq is not, adding row and
+    column q to row and column p, a unimodular congruence, makes the pivot
+    2 w_pq and keeps the divisions exact.  By symmetry only the upper
+    triangle is kept: w[i] holds row i from its diagonal on."""
+    w = [row[i:] for i, row in enumerate(scaled_integer(m)[0])]
+    prev = 1
+    pos = neg = 0
+
+    def full_row(r):
+        return [w[k][r - k] for k in range(r)] + w[r]
+
+    while w:
+        p = next((i for i, row in enumerate(w) if row[0]), None)
         if p is None:
-            pq = next(((i, j) for i in live for j in live if w[i][j] != 0), None)
+            pq = next(((i, i + j) for i, row in enumerate(w)
+                       for j, x in enumerate(row) if x), None)
             if pq is None:
                 break
             p, q = pq
-            for j in live:
-                w[p][j] += w[q][j]
-            w[p][p] += w[p][q]
-        # only row p is read from here on, so column p may go stale
-        live.remove(p)
-        wp = w[p]
-        for i in live:
-            if wp[i] != 0:
-                f, wi = _div(wp[i], wp[p]), w[i]
-                for j in live:
-                    wi[j] -= f * wp[j]
-        positive.append(wp[p] > 0)
-    pos = sum(positive)
-    return pos, len(positive) - pos, len(w) - len(positive)
+            # column p is read from wp alone, so its stored entries go stale
+            wp = [x + y for x, y in zip(full_row(p), full_row(q))]
+            wp[p] += wp[q]
+        else:
+            wp = full_row(p)
+        a = wp[p]
+        rows = []
+        for i, row in enumerate(w):
+            if i != p:
+                f = wp[i]
+                new = ([(a * x - f * y) // prev for x, y in zip(row, wp[i:])]
+                       if f else [a * x // prev for x in row])
+                if i < p:
+                    del new[p - i]
+                rows.append(new)
+        w = rows
+        if (a > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        prev = a
+    return pos, neg, len(m) - pos - neg
 
 
 def lattice_index(rows):

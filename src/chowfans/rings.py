@@ -360,10 +360,11 @@ class QuotientRingModel(GradedModel):
             chosen = linalg.row_echelon(linalg.mat_copy(mat))
             rows, inv_t = linalg.pivot_inverse(
                 [[row[i] for row in mat] for i in chosen])
-            proj = linalg.mat_mul([list(col) for col in zip(*inv_t)],
-                                  [mat[r] for r in rows])
+            proj = linalg.scaled_mat_mul(
+                linalg.scaled_integer([list(col) for col in zip(*inv_t)]),
+                linalg.scaled_integer([mat[r] for r in rows]))
             self._comp[k] = chosen
-            self._proj[k] = (linalg.scaled_integer(proj), len(chosen))
+            self._proj[k] = (proj, len(chosen))
         # deg(a z) for the top basis, read off the last mat
         raw = [base.deg([row[i] for row in mat]) for i in chosen]
         if raw and raw[0] == 0:

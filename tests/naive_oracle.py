@@ -21,6 +21,10 @@ Also the reference products of the ring models, built without
 fan model, and for a bundle ring the zeta polynomial of the products of
 the components, reduced by the relation from its highest power down.
 
+Also the Fraction references for the integer kernels of `linalg`, the
+product of scaled forms and the fraction-free inertia: the plain matrix
+product and the inertia by symmetric elimination over `Fraction`.
+
 Also the reference chain searches: the flag and biflag cones of the
 Bergman and bundle fans, the gap-free first components and the second
 components of the cancellation families, each found by scanning every
@@ -230,6 +234,48 @@ def reference_graded_basis(fan, k):
 
 def _mat_vec(m, v):
     return [sum(a * b for a, b in zip(row, v)) for row in m]
+
+
+def mat_mul(a, b):
+    """The product of two matrices, entry by entry, with no zero skipping."""
+    if not a or not b:
+        return []
+    rows, inner, cols = len(a), len(b), len(b[0])
+    bt = list(zip(*b))
+    return [[sum(a[i][k] * bt[j][k] for k in range(inner)) for j in range(cols)]
+            for i in range(rows)]
+
+
+def reference_inertia(m):
+    """(positive, negative, zero) eigenvalue counts of a symmetric matrix
+    by symmetric elimination over Fraction.  Each step is a congruence and
+    splits off one nonzero pivot; when the remaining diagonal is zero but
+    some a_pq is not, adding row and column q to row and column p makes it
+    2*a_pq."""
+    w = [[Fraction(x) for x in row] for row in m]
+    live = list(range(len(w)))
+    positive = []
+    while live:
+        p = next((i for i in live if w[i][i] != 0), None)
+        if p is None:
+            pq = next(((i, j) for i in live for j in live if w[i][j] != 0), None)
+            if pq is None:
+                break
+            p, q = pq
+            for j in live:
+                w[p][j] += w[q][j]
+            w[p][p] += w[p][q]
+        # only row p is read from here on, so column p may go stale
+        live.remove(p)
+        wp = w[p]
+        for i in live:
+            if wp[i] != 0:
+                f, wi = wp[i] / wp[p], w[i]
+                for j in live:
+                    wi[j] -= f * wp[j]
+        positive.append(wp[p] > 0)
+    pos = sum(positive)
+    return pos, len(positive) - pos, len(w) - len(positive)
 
 
 def reference_coordinates(model, k):

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -194,6 +195,15 @@ BAD_ARGUMENTS = {
                                     os.path.dirname(__file__)],
     "simplify-leaves-no-elements": ["fan", "--kind", "bergman", "--matroid",
                                     '{"uniform": [0, 2]}', "--simplify"],
+    "permutohedral-above-size-budget": ["fan", "--kind", "permutohedral",
+                                        "--N", "8"],
+    "bipermutohedral-above-size-budget": ["fan", "--kind", "bipermutohedral",
+                                          "--N", "5"],
+    "huge-N": ["fan", "--kind", "permutohedral", "--N", "1000000000"],
+    "kahler-above-size-budget": ["kahler", "--N", "8"],
+    "bloch-gieseker-above-size-budget": ["bloch-gieseker", "--N", "8"],
+    "quotient-ahk-above-size-budget": ["quotient-ahk", "--matroid",
+                                       '{"uniform": [2, 8]}'],
 }
 
 
@@ -215,3 +225,37 @@ def test_bad_arguments_fail_before_any_work(capsys, monkeypatch, argv):
     assert lines == []
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_size_budget_fails_fast(capsys):
+    start = time.perf_counter()
+    code, lines, err = run(capsys, ["fan", "--kind", "permutohedral",
+                                    "--N", "9"])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert lines == []
+    assert err == ("error: the permutohedral fan on N = 9 has more than "
+                   "10000 maximal cones\n")
+
+
+@pytest.mark.parametrize("kind, largest", [
+    ("permutohedral", 7), ("bipermutohedral", 4)])
+def test_size_budget_counts_maximal_cones(monkeypatch, kind, largest):
+    """With the limit set to a small fan's number of maximal cones, that
+    fan passes the budget and a limit one lower rejects it; at the fixed
+    limit, perm(7) and bipermutohedral(4) are the largest that pass."""
+    from chowfans import cli
+    from chowfans.fans import bipermutohedral_fan, permutohedral_fan
+    build = {"permutohedral": permutohedral_fan,
+             "bipermutohedral": bipermutohedral_fan}[kind]
+    for n in range(1, 5):
+        count = len(build(n).maximal_cones)
+        monkeypatch.setattr(cli, "MAX_CONES", count)
+        cli.check_size(kind, n)
+        monkeypatch.setattr(cli, "MAX_CONES", count - 1)
+        with pytest.raises(cli.SystemExit2):
+            cli.check_size(kind, n)
+    monkeypatch.undo()
+    cli.check_size(kind, largest)
+    with pytest.raises(cli.SystemExit2):
+        cli.check_size(kind, largest + 1)

@@ -13,10 +13,9 @@ from chowfans.kahler import (MissingConvexClass, base_convex_divisor,
                              oriented_degree_one,
                              restricted_multi_bundle_model,
                              sample_lefschetz_candidates)
-from chowfans.linalg import mat_mul
 from chowfans.matroid import matroid_uniform, pyramid_matroid
 from chowfans.rings import FanRingModel, GradedModel, model_gram
-from naive_oracle import reference_kahler_report
+from naive_oracle import mat_mul, reference_kahler_report
 
 
 class PointModel(GradedModel):
@@ -197,6 +196,40 @@ def test_lefschetz_form_composes_mult_matrices(candidate):
                 assert q[a][c] == model.deg(x), (i, a, c)
 
 
+FORM_MODELS = {
+    "U(2,3)-identity": lambda: bundle_model(2, 3, "identity"),
+    "U(1,4)-negation": lambda: bundle_model(1, 4, "negation"),
+    "pyramid": lambda: pyramid_candidate() + ([],),
+}
+
+
+@pytest.mark.parametrize("name", list(FORM_MODELS))
+def test_lefschetz_forms_match_the_fraction_product(name):
+    """The integer product of the scaled G_i and P_i, turned back into
+    Fractions, is the Fraction product G_i P_i for every scheduled
+    candidate, with P_i multiplication by ell^(n-2i) and ell^(n-2i) built
+    one multiplication by ell at a time."""
+    model, h, zetas = FORM_MODELS[name]()
+    n = model.top
+    for s, t in candidate_schedule(8):
+        vec = [s * a for a in h]
+        for z in zetas:
+            vec = [a + t * b for a, b in zip(vec, z)]
+        ell, _ = oriented_degree_one(model, vec)
+        forms = lefschetz_forms(model, ell)
+        power = model.unit()
+        powers = [power]
+        for k in range(n):
+            power = model.multiply(1, ell, k, power)
+            powers.append(power)
+        for i, q in enumerate(forms):
+            gram = model_gram(model, i)
+            want = gram if 2 * i == n else mat_mul(
+                gram, model.mult_matrix(n - 2 * i, powers[n - 2 * i], i))
+            assert q == want, (s, t, i)
+            assert all(type(x) is Fraction for row in q for x in row)
+
+
 @pytest.mark.parametrize("candidate", [u23_candidate, pyramid_candidate],
                          ids=["U(2,3)", "pyramid"])
 def test_lefschetz_inertia_builds_each_step_once(monkeypatch, candidate):
@@ -275,3 +308,12 @@ def test_multi_bundle_smoke_instance():
     reports = sample_lefschetz_candidates(model, h, zetas, samples=3)
     for rep in reports:
         assert rep["pd"] and rep["hl"] and rep["hr"]
+
+
+def test_u25_bundle_model_passes_one_candidate():
+    """The U(2,5) bundle ring over perm(5), the first rung past the
+    benchmark's models: one scheduled candidate passes PD, HL and HR."""
+    B, h, zetas = matroid_bundle_model(5, matroid_uniform(2, 5))
+    assert [B.dim(k) for k in range(B.top + 1)] == [1, 27, 92, 92, 27, 1]
+    (rep,) = sample_lefschetz_candidates(B, h, zetas, samples=1)
+    assert rep["pd"] and rep["hl"] and rep["hr"]

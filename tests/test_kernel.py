@@ -1,12 +1,16 @@
 """Differential tests for the per-cone dual basis and everything derived
 from it: representatives, balancing, divisor and ray products, and the
 pairing walk; for the integer solves of the ring models against their
-Fraction references; plus the exact inverse and inertia in `linalg`."""
+Fraction references; plus the exact inverse in `linalg`, and its integer
+product of scaled forms and fraction-free inertia against their Fraction
+references."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chowfans import chow, linalg, rings
 from chowfans.chow import (ChowElement, DivisorClass, multiply_by_divisor,
@@ -16,7 +20,8 @@ from chowfans.fans import (bergman_fan, check_balanced, permutohedral_fan,
 from chowfans.matroid import matroid_uniform, pyramid_matroid
 from chowfans.rings import FanRingModel, quotient_by_ann_segre
 from chowfans.tautological import chern_classes
-from naive_oracle import reference_coordinates, reference_projection
+from naive_oracle import (mat_mul, reference_coordinates, reference_inertia,
+                          reference_projection)
 
 
 def kernel_fans():
@@ -231,3 +236,93 @@ def test_inertia(m, expected):
     before = [list(row) for row in m]
     assert linalg.inertia(m) == expected
     assert m == before
+
+
+@st.composite
+def symmetric_matrices(draw, entries=st.integers(-4, 4)):
+    """Symmetric matrices up to 8x8; some with a forced zero diagonal,
+    which only the 2*a_pq step can start eliminating."""
+    n = draw(st.integers(0, 8))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(entries)
+    if draw(st.booleans()):
+        for i in range(n):
+            m[i][i] = 0
+    return m
+
+
+@st.composite
+def signed_congruences(draw):
+    """(B diag(signs) B^T, signs) for an integer n x k matrix B, k <= n:
+    singular whenever k < n, and of inertia (pos, neg, n - k) when B has
+    rank k."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(0, n))
+    b = [[draw(st.integers(-3, 3)) for _ in range(k)] for _ in range(n)]
+    signs = [draw(st.sampled_from([1, -1])) for _ in range(k)]
+    m = [[sum(x * s * y for x, s, y in zip(bi, signs, bj)) for bj in b]
+         for bi in b]
+    return m, b, signs
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_matrices())
+def test_inertia_matches_fraction_elimination(m):
+    assert linalg.inertia(m) == reference_inertia(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_matrices(st.fractions(-3, 3, max_denominator=4)))
+def test_inertia_of_rational_matrices_matches_fraction_elimination(m):
+    assert linalg.inertia(m) == reference_inertia(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_congruences())
+def test_inertia_of_congruences_matches_fraction_elimination(case):
+    m, b, signs = case
+    got = linalg.inertia(m)
+    assert got == reference_inertia(m)
+    if b and b[0] and linalg.rank(b) == len(signs):
+        assert got == (signs.count(1), signs.count(-1), len(m) - len(signs))
+
+
+def test_integer_kernels_run_no_fraction_arithmetic():
+    """On integer input the inertia and the product of scaled forms call
+    nothing in the fractions module."""
+    rng = random.Random(0)
+    a = [[rng.randint(-5, 5) for _ in range(6)] for _ in range(6)]
+    m = [[x + y for x, y in zip(row, col)] for row, col in zip(a, zip(*a))]
+    m[0][0] = m[1][1] = 0
+    called = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename.endswith("fractions.py"):
+            called.append(code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        counts = linalg.inertia(m)
+        product = linalg.scaled_mat_mul((a, 1), (m, 1))
+    finally:
+        sys.setprofile(None)
+    assert called == []
+    assert counts == reference_inertia(m)
+    assert product == (mat_mul(a, m), 1)
+
+
+def test_scaled_mat_mul_matches_the_fraction_product():
+    rng = random.Random(1)
+    for rows, inner, cols in [(3, 4, 2), (1, 1, 1), (4, 3, 5), (2, 0, 0)]:
+        a = [[rng.choice(COEFFS + [0, 0]) for _ in range(inner)]
+             for _ in range(rows)]
+        b = [[rng.choice(COEFFS + [0, 0]) for _ in range(cols)]
+             for _ in range(inner)]
+        got, den = linalg.scaled_mat_mul(linalg.scaled_integer(a),
+                                         linalg.scaled_integer(b))
+        assert all(type(x) is int for row in got for x in row)
+        want = mat_mul(a, b) or [[0] * cols for _ in range(rows)]
+        assert [[Fraction(x, den) for x in row] for row in got] == want
