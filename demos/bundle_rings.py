@@ -9,11 +9,10 @@ Run: python3 demos/bundle_rings.py
 """
 
 from chowfans.fans import permutohedral_fan
-from chowfans.kahler import base_convex_divisor, divisor_vector
+from chowfans.kahler import base_convex_divisor, chern_vectors
 from chowfans.matroid import matroid_uniform
 from chowfans.rings import (BundleRing, FanRingModel, bloch_gieseker,
                             segre_vectors)
-from chowfans.tautological import chern_classes
 
 
 def main():
@@ -22,8 +21,7 @@ def main():
     base = FanRingModel(permutohedral_fan(N))
     print("base dims:", [base.dim(k) for k in range(base.top + 1)])
 
-    cs = chern_classes(base.fan, M)
-    c = [base.unit()] + [base.to_vector(e) for e in cs[1:]]
+    c = chern_vectors(base, M)
     B = BundleRing(base, M.r, c[1:])
     print("bundle dims:", [B.dim(k) for k in range(B.top + 1)])
 
@@ -40,7 +38,7 @@ def main():
         print("pushforward of zeta^%d equals s_%d:" % (k, k - M.r + 1),
               push == s[k - M.r + 1])
 
-    h = divisor_vector(base, base_convex_divisor(base.fan, N))
+    h = base.to_vector(base_convex_divisor(base.fan, N))
     print()
     for entry in bloch_gieseker(base, c, h, lams=(0, 1, 10)):
         print("twist lam = %s: zeta full rank %s, sign value %s"

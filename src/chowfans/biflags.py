@@ -431,8 +431,7 @@ def verify_bundle_identity(N, M, fan=None):
     checks["delta-u-product-difference"] = nonzero_pairing_witness(e1 - e2)
     checks["v-minus-product-difference"] = nonzero_pairing_witness(e2 - e3)
     vr = sd["vminus"][r]
-    bad_ray = next((i for i, c in enumerate(vr.coeffs) if c != 0), None)
     checks["v-r-minus-restricts-to-zero"] = (
-        None if bad_ray is None else fan.ray_labels[bad_ray])
+        fan.ray_labels[min(vr.terms)[0]] if vr.terms else None)
     status = "pass" if all(w is None for w in checks.values()) else "fail"
     return {"status": status, "checks": checks, "fan": fan}

@@ -89,35 +89,6 @@ class ChowElement:
         return "ChowElement(deg=%d, %d terms)" % (self.degree, len(self.terms))
 
 
-class DivisorClass:
-    """Degree-1 class given by a rational coefficient per ray."""
-
-    def __init__(self, fan, coeffs):
-        self.fan = fan
-        self.coeffs = [Fraction(c) for c in coeffs]
-        if len(self.coeffs) != len(fan.rays):
-            raise FanMismatch("coefficient vector has wrong length")
-
-    def __add__(self, other):
-        if self.fan is not other.fan:
-            raise FanMismatch("divisors on different fans")
-        return DivisorClass(self.fan, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        if self.fan is not other.fan:
-            raise FanMismatch("divisors on different fans")
-        return DivisorClass(self.fan, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __mul__(self, scalar):
-        s = Fraction(scalar)
-        return DivisorClass(self.fan, [a * s for a in self.coeffs])
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1
-
-
 class MinkowskiWeight:
     """Rational function on the dim-cones of a fan, assumed balanced."""
 
@@ -133,6 +104,23 @@ class MinkowskiWeight:
     def __eq__(self, other):
         return (isinstance(other, MinkowskiWeight) and self.fan is other.fan
                 and self.dim == other.dim and self.values == other.values)
+
+
+def divisor(fan, coeffs):
+    """The degree-1 class sum_rho a_rho x_rho of a coefficient per ray."""
+    if len(coeffs) != len(fan.rays):
+        raise FanMismatch("coefficient vector has wrong length")
+    return ChowElement(fan, 1, {(rho,): a for rho, a in enumerate(coeffs)})
+
+
+def ray_coefficients(D):
+    """The coefficient of each ray in a degree-1 class, as a list."""
+    if D.degree != 1:
+        raise DegreeMismatch("degree %d class is not a divisor" % D.degree)
+    a = [Fraction(0)] * len(D.fan.rays)
+    for (rho,), c in D.terms.items():
+        a[rho] = c
+    return a
 
 
 def unit_class(fan):
@@ -153,13 +141,11 @@ def linear_relation_class(fan, m):
     for v in fan.lineality:
         if sum(a * b for a, b in zip(m, v)) != 0:
             raise NonzeroOnLineality("functional does not vanish on the lineality space")
-    return DivisorClass(fan, [sum(a * b for a, b in zip(m, ray)) for ray in fan.rays])
+    return divisor(fan, [sum(a * b for a, b in zip(m, ray)) for ray in fan.rays])
 
 
 def ray_class(fan, rho):
-    coeffs = [Fraction(0)] * len(fan.rays)
-    coeffs[rho] = Fraction(1)
-    return DivisorClass(fan, coeffs)
+    return ChowElement(fan, 1, {(rho,): 1})
 
 
 def _fan_out(fan, cone, values, a=None):
@@ -199,7 +185,7 @@ def multiply_by_divisor(elem, D):
     if elem.fan is not D.fan:
         raise FanMismatch("element and divisor live on different fans")
     fan = elem.fan
-    a = D.coeffs
+    a = ray_coefficients(D)
     out = {}
     for cone, c in elem.terms.items():
         _accumulate(out, c, _fan_out(fan, cone, [a[i] for i in cone], a))
@@ -361,7 +347,7 @@ def cap_product(weight, D):
     fan = weight.fan
     if D.fan is not fan:
         raise FanMismatch("weight and divisor on different fans")
-    a = D.coeffs
+    a = ray_coefficients(D)
     w = weight.values
     out = {}
     for tau in fan.cones_of_dim(weight.dim - 1):
@@ -396,6 +382,7 @@ def pullback_pi1(D, target):
     """Pull a divisor on the flag fan of [N] back along the first projection
     of a biflag fan: b_{S|T} = a_S."""
     fan = D.fan
+    a = ray_coefficients(D)
     out = []
     for S, T in target.ray_labels:
         full = (1 << (fan.ambient_dim)) - 1
@@ -403,8 +390,8 @@ def pullback_pi1(D, target):
             # e_{[N]|T} maps to the lineality of the base fan
             out.append(Fraction(0))
         else:
-            out.append(D.coeffs[fan.ray_index[S]])
-    return DivisorClass(target, out)
+            out.append(a[fan.ray_index[S]])
+    return divisor(target, out)
 
 
 def negation_relabel(D):
@@ -412,7 +399,8 @@ def negation_relabel(D):
     by negating the ambient space)."""
     fan = D.fan
     full = (1 << fan.ambient_dim) - 1
+    a = ray_coefficients(D)
     out = [Fraction(0)] * len(fan.rays)
     for i, S in enumerate(fan.ray_labels):
-        out[fan.ray_index[full & ~S]] = D.coeffs[i]
-    return DivisorClass(fan, out)
+        out[fan.ray_index[full & ~S]] = a[i]
+    return divisor(fan, out)

@@ -2,7 +2,9 @@
 
 Every command streams one JSON object per check to stdout and a short
 summary to stderr.  Exit codes: 0 all checks passed, 1 at least one check
-failed, 2 bad usage or malformed input, 3 an internal error.
+failed, 2 bad usage or malformed input, 3 an internal error.  Each cmd_*
+is a generator of (report, verdicts) pairs, and main alone prints the
+reports, counts the verdicts and maps them to the summary and exit code.
 """
 
 import argparse
@@ -15,11 +17,12 @@ from .biflags import lemma_suite, verify_bundle_identity
 from .chow import cap_product, fundamental_weight
 from .fans import bergman_fan, bipermutohedral_fan, check_balanced, \
     permutohedral_fan, projective_bundle_fan
-from .kahler import sample_lefschetz_candidates
+from .kahler import base_convex_divisor, check_pd, chern_vectors, \
+    sample_lefschetz_candidates
 from .matroid import LoopyMatroid, MatroidError, matroid_from_json, \
     matroid_uniform
 from .rings import FanRingModel, bloch_gieseker, quotient_by_ann_segre
-from .tautological import chern_classes, structural_divisors
+from .tautological import structural_divisors
 
 
 def _jsonable(x):
@@ -84,33 +87,23 @@ def check_size(kind, N):
                               "cones" % (kind, N, MAX_CONES))
 
 
-def finish(failures, total):
-    print("%d/%d checks passed" % (total - failures, total), file=sys.stderr)
-    return 1 if failures else 0
-
-
 def cmd_verify(args):
     if args.max_first_len < 0:
         raise SystemExit2("--max-first-len must be non-negative")
     M = load_matroid(args.matroid)
     N = M.n
-    failures = total = 0
     fan = None
     if args.which in ("identity", "truncation", "all"):
         fan = projective_bundle_fan(N, M)
     if args.which in ("identity", "all"):
         rep = verify_bundle_identity(N, M, fan=fan)
         for name, witness in rep["checks"].items():
-            total += 1
             ok = witness is None
-            failures += not ok
-            emit({"check": name, "status": "pass" if ok else "fail",
-                  "witness": witness})
+            yield ({"check": name, "status": "pass" if ok else "fail",
+                    "witness": witness}, [ok])
     if args.which in ("lemmas", "all"):
         for rep in lemma_suite(M, fan=fan, max_first_len=args.max_first_len):
-            total += 1
-            failures += rep["status"] != "pass"
-            emit(rep)
+            yield rep, [rep["status"] == "pass"]
     if args.which in ("truncation", "all"):
         sd = structural_divisors(fan, M)
         w = cap_product(fundamental_weight(fan), sd["gammabar"])
@@ -122,10 +115,8 @@ def cmd_verify(args):
         else:
             want = {}
         ok = got == want
-        total += 1
-        failures += not ok
-        emit({"check": "truncation-recursion", "status": "pass" if ok else "fail"})
-    return finish(failures, total)
+        yield ({"check": "truncation-recursion",
+                "status": "pass" if ok else "fail"}, [ok])
 
 
 def cmd_kahler(args):
@@ -138,22 +129,14 @@ def cmd_kahler(args):
         M = matroid_uniform(N, N)
     from .kahler import matroid_bundle_model
     B, h, zetas = matroid_bundle_model(N, M, phi=args.phi)
-    failures = total = 0
     if args.samples == 0:
-        from .kahler import check_pd
         ok = check_pd(B)
-        total += 1
-        failures += not ok
-        emit({"check": "pd", "status": "pass" if ok else "fail"})
-        return finish(failures, total)
+        yield {"check": "pd", "status": "pass" if ok else "fail"}, [ok]
+        return
     for rep in sample_lefschetz_candidates(B, h, zetas,
                                            samples=args.samples,
                                            seed=args.seed):
-        for name in ("pd", "hl", "hr"):
-            total += 1
-            failures += not rep[name]
-        emit(rep)
-    return finish(failures, total)
+        yield rep, [rep["pd"], rep["hl"], rep["hr"]]
 
 
 def cmd_bloch_gieseker(args):
@@ -169,20 +152,13 @@ def cmd_bloch_gieseker(args):
     except ValueError as exc:
         raise SystemExit2(str(exc))
     base = FanRingModel(permutohedral_fan(N))
-    from .kahler import base_convex_divisor, divisor_vector
-    cs_elems = chern_classes(base.fan, M)
-    c = [base.unit()] + [base.to_vector(e) for e in cs_elems[1:]]
-    h = divisor_vector(base, base_convex_divisor(base.fan, N))
-    failures = total = 0
-    for entry in bloch_gieseker(base, c, h, lams=lams):
-        total += 1
+    h = base.to_vector(base_convex_divisor(base.fan, N))
+    for entry in bloch_gieseker(base, chern_vectors(base, M), h, lams=lams):
         ok = entry["zeta_full_rank"] and entry.get("cd_rank_conditions", True)
         if "sign_value" in entry and entry["sign_value"] < 0:
             ok = False
-        failures += not ok
         entry["status"] = "pass" if ok else "fail"
-        emit(entry)
-    return finish(failures, total)
+        yield entry, [ok]
 
 
 def cmd_quotient_ahk(args):
@@ -190,53 +166,44 @@ def cmd_quotient_ahk(args):
     N = ground_set_size(args, M)
     check_size("permutohedral", N)
     base = FanRingModel(permutohedral_fan(N))
-    cs_elems = chern_classes(base.fan, M, via="negation")
-    c = [base.unit()] + [base.to_vector(e) for e in cs_elems[1:]]
-    quo = quotient_by_ann_segre(base, c)
+    quo = quotient_by_ann_segre(base, chern_vectors(base, M, via="negation"))
     target = FanRingModel(bergman_fan(M))
     dims_q = [quo.dim(k) for k in range(quo.top + 1)]
     dims_b = [target.dim(k) for k in range(target.top + 1)]
     ok = dims_q == dims_b
-    emit({"check": "hilbert-function", "status": "pass" if ok else "fail",
-          "quotient": dims_q, "bergman": dims_b, "t": quo.t})
-    return finish(0 if ok else 1, 1)
+    yield ({"check": "hilbert-function", "status": "pass" if ok else "fail",
+            "quotient": dims_q, "bergman": dims_b, "t": quo.t}, [ok])
 
 
 def cmd_fan(args):
-    try:
-        if args.kind in ("permutohedral", "bipermutohedral"):
-            if not args.N or args.N < 1:
-                raise SystemExit2("--kind %s needs a positive --N" % args.kind)
-            check_size(args.kind, args.N)
-            fan = (permutohedral_fan if args.kind == "permutohedral"
-                   else bipermutohedral_fan)(args.N)
+    if args.kind in ("permutohedral", "bipermutohedral"):
+        if not args.N or args.N < 1:
+            raise SystemExit2("--kind %s needs a positive --N" % args.kind)
+        check_size(args.kind, args.N)
+        fan = (permutohedral_fan if args.kind == "permutohedral"
+               else bipermutohedral_fan)(args.N)
+    else:
+        if not args.matroid:
+            raise SystemExit2("--kind %s needs --matroid" % args.kind)
+        M = load_matroid(args.matroid)
+        if M.loops():
+            if not args.simplify:
+                raise LoopyMatroid("matroid has loops; pass --simplify")
+            M, _ = M.delete_loops()
+            if M.n == 0:
+                raise SystemExit2("every element is a loop")
+        N = ground_set_size(args, M)
+        if args.kind == "bergman":
+            fan = bergman_fan(M)
         else:
-            if not args.matroid:
-                raise SystemExit2("--kind %s needs --matroid" % args.kind)
-            M = load_matroid(args.matroid)
-            if M.loops():
-                if not args.simplify:
-                    raise LoopyMatroid("matroid has loops; pass --simplify")
-                M, _ = M.delete_loops()
-                if M.n == 0:
-                    raise SystemExit2("every element is a loop")
-            N = ground_set_size(args, M)
-            if args.kind == "bergman":
-                fan = bergman_fan(M)
-            else:
-                fan = projective_bundle_fan(N, M)
-    except LoopyMatroid as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+            fan = projective_bundle_fan(N, M)
     report = fan.to_json()
     report["unimodular"] = all(
         fan.cone_multiplicity(c) == 1 for c in fan.maximal_cones)
     report["balanced"] = not check_balanced(
         fan, fan.top_dim,
         {c: Fraction(1) for c in fan.maximal_cones})
-    emit(report)
-    ok = report["unimodular"] and report["balanced"]
-    return finish(0 if ok else 1, 1)
+    yield report, [report["unimodular"] and report["balanced"]]
 
 
 class SystemExit2(Exception):
@@ -290,8 +257,12 @@ def main(argv=None):
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    passed = total = 0
     try:
-        return args.func(args)
+        for report, verdicts in args.func(args):
+            emit(report)
+            total += len(verdicts)
+            passed += sum(map(bool, verdicts))
     except (MatroidError, SystemExit2) as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return 2
@@ -300,6 +271,8 @@ def main(argv=None):
         print("internal error: %s: %s" % (type(exc).__name__, message),
               file=sys.stderr)
         return 3
+    print("%d/%d checks passed" % (passed, total), file=sys.stderr)
+    return 0 if passed == total else 1
 
 
 if __name__ == "__main__":

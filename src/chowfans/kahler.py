@@ -11,8 +11,9 @@ from fractions import Fraction
 from itertools import accumulate
 
 from . import linalg
-from .chow import DivisorClass
+from .chow import divisor
 from .rings import model_gram, multi_bundle_ring
+from .tautological import chern_classes
 
 
 class KahlerError(Exception):
@@ -141,7 +142,7 @@ def base_convex_divisor(fan, N):
     for label in fan.ray_labels:
         S = label[0] if isinstance(label, tuple) else label
         vals.append(permutohedral_support_values(N, S))
-    return DivisorClass(fan, vals)
+    return divisor(fan, vals)
 
 
 def candidate_schedule(samples, seed=0):
@@ -160,25 +161,25 @@ def candidate_schedule(samples, seed=0):
 
 def divisor_vector(model, D):
     """Coordinates of a divisor class in the degree-1 basis of a fan model."""
-    from .chow import ChowElement
-    elem = ChowElement(model.fan, 1,
-                       {(rho,): a for rho, a in enumerate(D.coeffs) if a != 0})
-    return model.to_vector(elem)
+    return model.to_vector(D)
 
 
-def matroid_bundle_model(N, M, phi="identity", base=None):
+def chern_vectors(base, M, via="identity"):
+    """c_0..c_r of M as coordinate vectors of base, a model of the Chow
+    ring of a flag fan of subsets; above its top degree they are empty."""
+    cs = chern_classes(base.fan, M, via=via)
+    return [base.unit()] + [base.to_vector(e) for e in cs[1:]]
+
+
+def matroid_bundle_model(N, M, phi="identity"):
     """The bundle ring over the permutohedral Chow ring whose coefficients
     are the tautological Chern classes of M, together with the convex base
     class h and the relative hyperplane class, both as degree-1 vectors."""
     from .fans import permutohedral_fan
     from .rings import BundleRing, FanRingModel
-    from .tautological import chern_classes
-    if base is None:
-        base = FanRingModel(permutohedral_fan(N))
-    cs = chern_classes(base.fan, M, via=phi)
-    c = [base.to_vector(e) for e in cs[1:]]
-    B = BundleRing(base, M.r, c)
-    h = B.lift(1, divisor_vector(base, base_convex_divisor(base.fan, N)))
+    base = FanRingModel(permutohedral_fan(N))
+    B = BundleRing(base, M.r, chern_vectors(base, M, via=phi)[1:])
+    h = B.lift(1, base.to_vector(base_convex_divisor(base.fan, N)))
     return B, h, [B.zeta()]
 
 
@@ -189,7 +190,6 @@ def restricted_multi_bundle_model(base_matroid, bundle_matroids):
     from .chow import restrict_to_subfan
     from .fans import bergman_fan, permutohedral_fan
     from .rings import FanRingModel
-    from .tautological import chern_classes
     N = base_matroid.n
     ambient = permutohedral_fan(N)
     base = FanRingModel(bergman_fan(base_matroid))
@@ -204,7 +204,7 @@ def restricted_multi_bundle_model(base_matroid, bundle_matroids):
         chain.insert(0, ring)
         ring = ring.base
     zetas = []
-    h = divisor_vector(base, base_convex_divisor(base.fan, N))
+    h = base.to_vector(base_convex_divisor(base.fan, N))
     for ring in chain:
         zetas = [ring.lift(1, z) for z in zetas] + [ring.zeta()]
         h = ring.lift(1, h)

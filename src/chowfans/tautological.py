@@ -6,7 +6,7 @@ Chern classes are computed on coordinate vectors, in rings.
 from fractions import Fraction
 from itertools import combinations
 
-from .chow import (ChowElement, DivisorClass, multiply_by_divisor,
+from .chow import (ChowElement, divisor, multiply_by_divisor,
                    negation_relabel, unit_class)
 from .matroid import LoopyMatroid, popcount
 
@@ -49,17 +49,17 @@ def structural_divisors(fan, M, j=1):
                     vplus[i][idx] = Fraction(1)
             if s_proper and f_proper and rk >= i:
                 vminus[i][idx] = Fraction(1)
-    g = DivisorClass(fan, gamma)
-    gb = DivisorClass(fan, gammabar)
-    delta = DivisorClass(fan, [gamma[i] + gammabar[i] - both_proper[i]
-                               for i in range(nrays)])
+    g = divisor(fan, gamma)
+    gb = divisor(fan, gammabar)
+    delta = divisor(fan, [gamma[i] + gammabar[i] - both_proper[i]
+                          for i in range(nrays)])
     out = {
         "gamma": g,
         "gammabar": gb,
         "delta": delta,
-        "u": [None] + [DivisorClass(fan, low_rank[i]) - g for i in range(1, M.r + 1)],
-        "vplus": [None] + [DivisorClass(fan, vplus[i]) for i in range(1, M.r + 1)],
-        "vminus": [None] + [DivisorClass(fan, vminus[i]) for i in range(1, M.r + 1)],
+        "u": [None] + [divisor(fan, low_rank[i]) - g for i in range(1, M.r + 1)],
+        "vplus": [None] + [divisor(fan, vplus[i]) for i in range(1, M.r + 1)],
+        "vminus": [None] + [divisor(fan, vminus[i]) for i in range(1, M.r + 1)],
     }
     return out
 
@@ -74,15 +74,14 @@ def w_divisors(fan, M):
     if M.loops():
         raise LoopyMatroid("w classes need a loopless matroid")
     full = M.full
-    nrays = len(fan.rays)
     alpha = [Fraction(1) if (S & 1) and S != full else Fraction(0)
              for S in fan.ray_labels]
-    alpha = DivisorClass(fan, alpha)
+    alpha = divisor(fan, alpha)
     ws = [None]
     for i in range(1, M.r + 1):
         coeffs = [Fraction(1) if S != full and M.rank(full & ~S) < i else Fraction(0)
                   for S in fan.ray_labels]
-        ws.append(DivisorClass(fan, coeffs) - alpha)
+        ws.append(divisor(fan, coeffs) - alpha)
     return {"alpha": alpha, "w": ws}
 
 

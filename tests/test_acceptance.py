@@ -12,14 +12,13 @@ from chowfans.chow import cap_product, chow_dim, fundamental_weight
 from chowfans.fans import (bergman_fan, bipermutohedral_fan, check_balanced,
                            matroid_gap_indices, permutohedral_fan,
                            projective_bundle_fan)
-from chowfans.kahler import (matroid_bundle_model,
+from chowfans.kahler import (chern_vectors, matroid_bundle_model,
                              restricted_multi_bundle_model,
                              sample_lefschetz_candidates)
 from chowfans.matroid import (matroid_from_bases, matroid_uniform,
                               pyramid_matroid, set_to_mask)
 from chowfans.rings import (FanRingModel, bloch_gieseker,
                             quotient_by_ann_segre)
-from chowfans.tautological import chern_classes
 from naive_oracle import NaiveQuotient
 
 
@@ -128,13 +127,12 @@ def test_criterion_5_multi_bundle_smoke(capsys):
 
 
 def test_criterion_6_bloch_gieseker(capsys):
-    from chowfans.kahler import base_convex_divisor, divisor_vector
+    from chowfans.kahler import base_convex_divisor
     ok = True
     for N, M in KAHLER_INSTANCES:
         base = FanRingModel(permutohedral_fan(N))
-        cs = chern_classes(base.fan, M)
-        c = [base.unit()] + [base.to_vector(ci) for ci in cs[1:]]
-        delta = divisor_vector(base, base_convex_divisor(base.fan, N))
+        c = chern_vectors(base, M)
+        delta = base.to_vector(base_convex_divisor(base.fan, N))
         for entry in bloch_gieseker(base, c, delta, lams=(1, 10)):
             ok = ok and entry["zeta_full_rank"]
             ok = ok and entry.get("cd_rank_conditions", False)
@@ -148,8 +146,7 @@ def test_criterion_7_annihilator_quotient(capsys):
     ok = True
     for M, want_t in ((matroid_uniform(2, 4), 2), (matroid_uniform(3, 4), 1)):
         base = FanRingModel(permutohedral_fan(4))
-        cs = chern_classes(base.fan, M, via="negation")
-        c = [base.unit()] + [base.to_vector(ci) for ci in cs[1:]]
+        c = chern_vectors(base, M, via="negation")
         quot = quotient_by_ann_segre(base, c)
         other = FanRingModel(bergman_fan(M))
         ok = ok and quot.t == want_t

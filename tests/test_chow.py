@@ -2,12 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from chowfans.chow import (ChowElement, DegreeMismatch, MinkowskiWeight,
-                           UnbalancedInput, cap_product, chow_dim, degree,
-                           fundamental_weight, graded_basis,
-                           linear_relation_class, multiply_by_divisor,
-                           multiply_by_monomial, pair, pair_all, ray_class,
-                           unit_class)
+from chowfans.chow import (ChowElement, DegreeMismatch, FanMismatch,
+                           MinkowskiWeight, UnbalancedInput, cap_product,
+                           chow_dim, degree, divisor, fundamental_weight,
+                           graded_basis, linear_relation_class,
+                           multiply_by_divisor, multiply_by_monomial, pair,
+                           pair_all, ray_class, ray_coefficients, unit_class)
 from chowfans import linalg
 from chowfans.fans import (bergman_fan, bipermutohedral_fan, permutohedral_fan,
                            projective_bundle_fan)
@@ -79,6 +79,19 @@ def test_linear_relation_classes_pair_to_zero():
     elem = multiply_by_divisor(unit_class(fan), D)
     for tau in fan.cones_of_dim(fan.top_dim - 1):
         assert pair(elem, tau) == 0
+
+
+def test_divisor_is_a_degree_one_element():
+    fan = permutohedral_fan(3)
+    a = [Fraction(i % 3 - 1, 2) for i in range(len(fan.rays))]
+    D = divisor(fan, a)
+    assert D.degree == 1 and len(D.terms) == len(a) - a.count(0)
+    assert ray_coefficients(D) == a
+    assert ray_coefficients(D - D) == [0] * len(a)
+    with pytest.raises(FanMismatch):
+        divisor(fan, a[:-1])
+    with pytest.raises(DegreeMismatch):
+        ray_coefficients(unit_class(fan))
 
 
 def test_multiplication_is_commutative_under_pairing():

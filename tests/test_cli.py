@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -204,6 +206,8 @@ BAD_ARGUMENTS = {
     "bloch-gieseker-above-size-budget": ["bloch-gieseker", "--N", "8"],
     "quotient-ahk-above-size-budget": ["quotient-ahk", "--matroid",
                                        '{"uniform": [2, 8]}'],
+    "loopy-matroid-without-simplify": ["fan", "--kind", "bergman",
+                                       "--matroid", LOOPY],
 }
 
 
@@ -259,3 +263,111 @@ def test_size_budget_counts_maximal_cones(monkeypatch, kind, largest):
     cli.check_size(kind, largest)
     with pytest.raises(cli.SystemExit2):
         cli.check_size(kind, largest + 1)
+
+
+def test_identity_witness_fails_the_command(capsys, monkeypatch):
+    from chowfans import cli
+    monkeypatch.setattr(cli, "verify_bundle_identity", lambda *a, **k: {
+        "status": "fail", "checks": {"first": None, "second": [3, 1]}})
+    code, lines, err = run(capsys, ["verify", "--matroid", U23,
+                                    "--which", "identity"])
+    assert code == 1
+    assert [line["status"] for line in lines] == ["pass", "fail"]
+    assert lines[1]["witness"] == [3, 1]
+    assert err == "1/2 checks passed\n"
+
+
+def test_failing_lemma_fails_the_command(capsys, monkeypatch):
+    from chowfans import cli
+    monkeypatch.setattr(cli, "lemma_suite", lambda *a, **k: iter([
+        {"check": "cancellation", "status": "pass"},
+        {"check": "cancellation", "status": "fail"}]))
+    code, lines, err = run(capsys, ["verify", "--matroid", U23,
+                                    "--which", "lemmas"])
+    assert code == 1
+    assert [line["status"] for line in lines] == ["pass", "fail"]
+    assert err == "1/2 checks passed\n"
+
+
+def test_failing_lefschetz_candidate_fails_the_command(capsys, monkeypatch):
+    from chowfans import cli
+    monkeypatch.setattr(cli, "sample_lefschetz_candidates", lambda *a, **k: [
+        {"pd": True, "hl": False, "hr": False, "s": 1, "t": 1,
+         "flipped": False}])
+    code, lines, err = run(capsys, ["kahler", "--matroid", U23,
+                                    "--samples", "1"])
+    assert code == 1
+    assert [(line["pd"], line["hl"], line["hr"]) for line in lines] == [
+        (True, False, False)]
+    assert err == "1/3 checks passed\n"
+
+
+def test_negative_sign_value_fails_the_command(capsys, monkeypatch):
+    from chowfans import cli
+    monkeypatch.setattr(cli, "bloch_gieseker", lambda *a, **k: [
+        {"lam": 0, "zeta_full_rank": True, "cd_rank_conditions": True,
+         "sign_value": -1}])
+    code, lines, err = run(capsys, ["bloch-gieseker", "--matroid", U23])
+    assert code == 1
+    assert [line["status"] for line in lines] == ["fail"]
+    assert err == "0/1 checks passed\n"
+
+
+def test_hilbert_function_mismatch_fails_the_command(capsys, monkeypatch):
+    from chowfans import cli
+
+    class Quotient:
+        top, t = 1, 1
+
+        def dim(self, k):
+            return 2
+
+    monkeypatch.setattr(cli, "quotient_by_ann_segre",
+                        lambda *a, **k: Quotient())
+    code, lines, err = run(capsys, ["quotient-ahk", "--matroid", U23])
+    assert code == 1
+    assert [line["status"] for line in lines] == ["fail"]
+    assert (lines[0]["quotient"], lines[0]["bergman"]) == ([2, 2], [1, 1])
+    assert err == "0/1 checks passed\n"
+
+
+def test_unbalanced_fan_fails_the_command(capsys, monkeypatch):
+    from chowfans import cli
+    monkeypatch.setattr(cli, "check_balanced", lambda *a, **k: [(0,)])
+    code, lines, err = run(capsys, ["fan", "--kind", "permutohedral",
+                                    "--N", "3"])
+    assert code == 1
+    assert (lines[0]["unimodular"], lines[0]["balanced"]) == (True, False)
+    assert err == "0/1 checks passed\n"
+
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+
+def run_process(*argv):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-m", "chowfans.cli"] + list(argv),
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+def test_process_exit_codes():
+    done = run_process("fan", "--kind", "permutohedral", "--N", "3")
+    assert done.returncode == 0
+    assert done.stderr == "1/1 checks passed\n"
+    done = run_process("fan", "--kind", "permutohedral", "--N", "9")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ")
+    assert done.stderr.count("\n") == 1
+    done = run_process("frobnicate")
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+
+
+def test_console_script_names_main():
+    tomllib = pytest.importorskip("tomllib")
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    with open(path, "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"chowfans": "chowfans.cli:main"}

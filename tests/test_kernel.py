@@ -13,13 +13,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chowfans import chow, linalg, rings
-from chowfans.chow import (ChowElement, DivisorClass, multiply_by_divisor,
+from chowfans.chow import (ChowElement, divisor, multiply_by_divisor,
                            multiply_by_ray, nonzero_pairing_witness, pair_all)
 from chowfans.fans import (bergman_fan, check_balanced, permutohedral_fan,
                            projective_bundle_fan)
+from chowfans.kahler import chern_vectors
 from chowfans.matroid import matroid_uniform, pyramid_matroid
 from chowfans.rings import FanRingModel, quotient_by_ann_segre
-from chowfans.tautological import chern_classes
 from naive_oracle import (mat_mul, reference_coordinates, reference_inertia,
                           reference_projection)
 
@@ -97,7 +97,7 @@ def test_balancing_matches_rank_reference(name, fan):
 def test_divisor_product_is_sum_of_ray_products(name, fan):
     rng = random.Random(name)
     a = [Fraction(rng.randint(-2, 2)) for _ in fan.rays]
-    D = DivisorClass(fan, a)
+    D = divisor(fan, a)
     for cone in sorted(fan.cones):
         if len(cone) == fan.top_dim:
             continue
@@ -182,9 +182,8 @@ def test_coordinates_and_degrees_need_no_pairing_walk(monkeypatch, name, fan):
 @pytest.mark.parametrize("r", [2, 3], ids=["U(2,4)", "U(3,4)"])
 def test_project_matches_fraction_solve(r):
     base = FanRingModel(permutohedral_fan(4))
-    cs = chern_classes(base.fan, matroid_uniform(r, 4), via="negation")
     quotient = quotient_by_ann_segre(
-        base, [base.unit()] + [base.to_vector(e) for e in cs[1:]])
+        base, chern_vectors(base, matroid_uniform(r, 4), via="negation"))
     rng = random.Random(r)
     for k in range(quotient.top + 1):
         solve = reference_projection(quotient, k)

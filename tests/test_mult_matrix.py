@@ -11,11 +11,10 @@ from fractions import Fraction
 import pytest
 
 from chowfans.fans import bergman_fan, permutohedral_fan
-from chowfans.kahler import (matroid_bundle_model,
+from chowfans.kahler import (chern_vectors, matroid_bundle_model,
                              restricted_multi_bundle_model)
 from chowfans.matroid import matroid_uniform, pyramid_matroid
 from chowfans.rings import FanRingModel, quotient_by_ann_segre
-from chowfans.tautological import chern_classes
 from naive_oracle import reference_multiply
 
 
@@ -25,9 +24,8 @@ def bundle(r, n):
 
 def quotient(r, n):
     base = FanRingModel(permutohedral_fan(n))
-    cs = chern_classes(base.fan, matroid_uniform(r, n), via="negation")
     return quotient_by_ann_segre(
-        base, [base.unit()] + [base.to_vector(e) for e in cs[1:]])
+        base, chern_vectors(base, matroid_uniform(r, n), via="negation"))
 
 
 def two_bundles():

@@ -1,4 +1,5 @@
-"""The README's command-line examples keep byte-identical stdout.
+"""The README's command-line examples keep byte-identical stdout and the
+same stderr summary line.
 
 The digests were recorded from the examples' output before the per-cone
 linear algebra was rewritten; a change to any of them is a change in what
@@ -33,6 +34,22 @@ STDOUT_SHA256 = {
 }
 
 
+STDERR = {
+    """chowfans verify --matroid '{"uniform": [2, 3]}'""":
+        "27/27 checks passed\n",
+    """chowfans verify --matroid '{"uniform": [2, 4]}' --which lemmas --max-first-len 2""":
+        "156/156 checks passed\n",
+    """chowfans kahler --matroid '{"uniform": [2, 3]}' --N 3 --phi negation --samples 3""":
+        "9/9 checks passed\n",
+    """chowfans bloch-gieseker --matroid '{"uniform": [2, 3]}' --N 3 --lams 0,1,10""":
+        "3/3 checks passed\n",
+    """chowfans quotient-ahk --matroid '{"uniform": [2, 4]}' --N 4""":
+        "1/1 checks passed\n",
+    """chowfans fan --kind bundle --matroid '{"uniform": [2, 3]}' --N 3""":
+        "1/1 checks passed\n",
+}
+
+
 def readme_commands():
     with open(README) as fh:
         return [line.strip() for line in fh if line.startswith("chowfans ")]
@@ -44,8 +61,9 @@ def test_readme_lists_the_pinned_commands():
 
 @pytest.mark.parametrize("command", list(STDOUT_SHA256))
 def test_readme_command_stdout_is_unchanged(command):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(shlex.split(command)[1:])
     assert code == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == STDOUT_SHA256[command]
+    assert err.getvalue() == STDERR[command]

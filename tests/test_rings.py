@@ -4,21 +4,16 @@ import pytest
 
 from chowfans.chow import DegreeTooLow
 from chowfans.fans import bergman_fan, permutohedral_fan
+from chowfans.kahler import chern_vectors
 from chowfans.matroid import matroid_uniform
 from chowfans.rings import (AllSegreZero, BundleRing, FanRingModel,
                             bloch_gieseker, model_gram, multi_bundle_ring,
                             quotient_by_ann_segre, segre_vectors,
                             twist_vectors)
-from chowfans.tautological import chern_classes
 
 
 def perm_model(N):
     return FanRingModel(permutohedral_fan(N))
-
-
-def chern_vectors(base, M, via="identity"):
-    cs = chern_classes(base.fan, M, via=via)
-    return [base.unit()] + [base.to_vector(e) for e in cs[1:]]
 
 
 def test_fan_model_dims_and_degree():
@@ -138,8 +133,8 @@ def test_model_gram_square_and_symmetric_dims():
 def test_bloch_gieseker_u23():
     base = perm_model(3)
     c = chern_vectors(base, matroid_uniform(2, 3))
-    from chowfans.kahler import base_convex_divisor, divisor_vector
-    h = divisor_vector(base, base_convex_divisor(base.fan, 3))
+    from chowfans.kahler import base_convex_divisor
+    h = base.to_vector(base_convex_divisor(base.fan, 3))
     out = bloch_gieseker(base, c, h, lams=[0, 1, 10])
     for entry in out:
         assert entry["zeta_full_rank"]
