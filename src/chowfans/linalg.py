@@ -1,17 +1,18 @@
 """Exact rational linear algebra helpers.
 
-Everything here works over ``fractions.Fraction`` and plain ints.
-Elimination keeps an entry an int as long as every division it meets is
-exact, and takes a Fraction otherwise, so integer input that stays
-integral is never promoted.  A rational matrix m can also be carried as
-its scaled form (A, den), with A an integer matrix and m = A / den: the
-products and mat-vecs of scaled forms run over ints alone, and so does
-the inertia, which is fraction-free.  Matrices are lists of lists, rows
-first.  No floating point is used anywhere in the package.
+Everything here works over ``fractions.Fraction`` and plain ints.  A
+rational matrix m can be carried as its scaled form (A, den), with A an
+integer matrix and m = A / den: the products and mat-vecs of scaled forms
+run over ints alone.  Elimination never promotes to Fraction: row_echelon
+scales each row to integers and eliminates fraction-free (Bareiss),
+scaled_inverse returns the inverse in scaled form from the same
+elimination run as Gauss-Jordan, and the inertia is fraction-free too.
+Matrices are lists of lists, rows first.  No floating point is used
+anywhere in the package.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 def mat_copy(m):
@@ -23,32 +24,47 @@ def _div(a, b):
     return a // b if a % b == 0 else Fraction(a) / b
 
 
-def row_echelon(m):
-    """In-place row echelon form.  Returns the list of pivot columns."""
-    if not m:
-        return []
-    rows, cols = len(m), len(m[0])
+def _bareiss(m, cols, above):
+    """Fraction-free elimination in place on the first cols columns of m;
+    returns the pivot columns and the last pivot.  Each row is first
+    scaled to integers by its least common denominator.  A step on pivot
+    pv, after the previous pivot prev, replaces every row x below the pivot
+    row y, and above it too when above is set, by (pv x - f y) / prev, for
+    f the entry of x in the pivot column, from that column on.  Every entry
+    is then a minor of the scaled m, so the division is exact (Bareiss),
+    and it applies to the rows with f = 0 too."""
+    for i, row in enumerate(m):
+        s = _lcd(row)
+        m[i] = [x.numerator * (s // x.denominator) for x in row]
+    rows = len(m)
     pivots = []
-    r = 0
+    prev = 1
     for c in range(cols):
-        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        r = len(pivots)
+        pr = next((i for i in range(r, rows) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        for i in range(r + 1, rows):
-            f = m[i][c]
-            if f == 0:
-                continue
-            ratio = _div(f, pv)
-            mi, mr = m[i], m[r]
-            for j in range(c, cols):
-                mi[j] -= mr[j] * ratio
+        y = m[r][c:]
+        pv = y[0]
+        for i in range(0 if above else r + 1, rows):
+            if i != r:
+                x = m[i]
+                f = x[c]
+                x[c:] = ([(pv * a - f * b) // prev for a, b in zip(x[c:], y)]
+                         if f else [pv * a // prev for a in x[c:]])
         pivots.append(c)
-        r += 1
-        if r == rows:
+        prev = pv
+        if r + 1 == rows:
             break
-    return pivots
+    return pivots, prev
+
+
+def row_echelon(m):
+    """In-place row echelon form: m is overwritten with the integer echelon
+    form of fraction-free elimination.  Returns the list of pivot columns,
+    the greedy independent columns, which no row scaling changes."""
+    return _bareiss(m, len(m[0]) if m else 0, False)[0]
 
 
 def rank(m):
@@ -86,13 +102,24 @@ def pivot_inverse(rows):
     return pivots, [row[cols:] for row in aug]
 
 
-def invert(m):
-    """Exact inverse of a square matrix; raises ValueError if singular."""
-    return pivot_inverse(m)[1]
-
-
 def _lcd(values):
     return lcm(1, *(x.denominator for x in values))
+
+
+def scaled_inverse(m):
+    """The inverse of a square rational matrix in the scaled form (A, den)
+    that scaled_integer gives.  Fraction-free Gauss-Jordan on [m | I]
+    leaves d m^-1 in the right half, for d the last pivot; A and den are
+    it and d, divided by their gcd.  Raises ValueError if m is singular."""
+    n = len(m)
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m)]
+    pivots, d = _bareiss(aug, n, True)
+    if len(pivots) < n:
+        raise ValueError("singular matrix")
+    g = gcd(d, *(a for row in aug for a in row[n:]))
+    if d < 0:
+        g = -g
+    return [[a // g for a in row[n:]] for row in aug], d // g
 
 
 def scaled_integer(m):
@@ -189,8 +216,11 @@ def lattice_index(rows):
 
     Computed as the product of the invariant factors of the integer matrix,
     i.e. the gcd of its maximal minors, via a Smith-style reduction.  Rows
-    must be linearly independent integer vectors.
+    must be linearly independent integer vectors; a non-integral entry
+    raises ValueError.
     """
+    if any(x.denominator != 1 for r in rows for x in r):
+        raise ValueError("lattice_index needs integer rows")
     m = [list(map(int, r)) for r in rows]
     if not m:
         return 1

@@ -10,6 +10,7 @@ written against this interface only.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .chow import (ChowElement, DegreeTooLow, _pairing_matrix, graded_basis,
@@ -28,8 +29,11 @@ class AllSegreZero(RingError):
     pass
 
 
+_ZERO = Fraction(0)
+
+
 def _zeros(n):
-    return [Fraction(0)] * n
+    return [_ZERO] * n
 
 
 class GradedModel:
@@ -38,9 +42,8 @@ class GradedModel:
 
     def multiply(self, k1, v1, k2, v2):
         """v1 * v2 in degree k1 + k2: multiplication by v1 applied to v2."""
-        nonzero = [(j, b) for j, b in enumerate(v2) if b]
-        return [sum((row[j] * b for j, b in nonzero), Fraction(0))
-                for row in self.mult_matrix(k1, v1, k2)]
+        return linalg.scaled_mat_vec(
+            linalg.scaled_integer(self.mult_matrix(k1, v1, k2)), v2)
 
     def unit(self):
         return [Fraction(1)]
@@ -50,11 +53,11 @@ class FanRingModel(GradedModel):
     """Graded ring model of the Chow ring of a supported fan.  Basis
     elements are cone monomials; an element is expressed in the basis by
     reading its pairings with the complementary basis cones off the fan's
-    pairing matrix and solving against the Gram inverse, kept per degree
-    as an integer matrix over one common denominator, so each solve is an
-    integer mat-vec.  Multiplication by w is the sum of w_j T_j, where T_j
-    multiplies by the j-th basis monomial; each T_j is built on first use,
-    one product of basis monomials per column."""
+    pairing matrix and solving against the Gram inverse, both kept per
+    degree as ints over one denominator.  Multiplication by w is the sum
+    of w_j T_j, where T_j multiplies by the j-th basis monomial; each T_j
+    is built on first use, one product of basis monomials per column, and
+    kept as integer columns over one denominator."""
 
     def __init__(self, fan):
         self.fan = fan
@@ -67,13 +70,16 @@ class FanRingModel(GradedModel):
             cones, cols, mat = _pairing_matrix(fan, k)
             at = {c: j for j, c in enumerate(cols)}
             pick = [at[c] for c in basis_cols]
-            self._pairing_rows[k] = {s: [row[j] for j in pick]
-                                 for s, row in zip(cones, mat)}
+            rows, den = linalg.scaled_integer(
+                [[row[j] for j in pick] for row in mat])
+            self._pairing_rows[k] = {s: [(j, x) for j, x in enumerate(r) if x]
+                                     for s, r in zip(cones, rows)}
             try:
-                self._solve[k] = linalg.scaled_integer(linalg.invert(
-                    [list(col) for col in zip(*gram)]))
+                inv, inv_den = linalg.scaled_inverse(
+                    [list(col) for col in zip(*gram)])
             except ValueError:
                 raise SingularGram("pairing degenerate in degree %d" % k)
+            self._solve[k] = [list(col) for col in zip(*inv)], den * inv_den
 
     def dim(self, k):
         if not 0 <= k <= self.top:
@@ -83,52 +89,76 @@ class FanRingModel(GradedModel):
     def basis_cones(self, k):
         return graded_basis(self.fan, k)[0]
 
+    def _coords(self, elem):
+        """(x, den): the coordinates of elem are the ints x over den; only
+        the columns of the Gram inverse its sparse pairings reach are read."""
+        k = elem.degree
+        rows = self._pairing_rows[k]
+        (coeffs,), scale = linalg.scaled_integer([list(elem.terms.values())])
+        p = {}
+        for sigma, c in zip(elem.terms, coeffs):
+            for j, y in rows[sigma]:
+                p[j] = p.get(j, 0) + c * y
+        inv_cols, den = self._solve[k]
+        x = [0] * len(inv_cols)
+        for j, y in p.items():
+            if y:
+                x = [a + y * b for a, b in zip(x, inv_cols[j])]
+        return x, den * scale
+
     def to_vector(self, elem):
         """Coordinates of a ChowElement in the degree-k basis; above the
         top degree the ring is zero and the coordinates are empty."""
-        k = elem.degree
-        if k > self.top:
+        if elem.degree > self.top:
             return []
-        rows = self._pairing_rows[k]
-        p = [0] * self.dim(k)
-        for sigma, c in elem.terms.items():
-            p = [x + c * y for x, y in zip(p, rows[sigma])]
-        return linalg.scaled_mat_vec(self._solve[k], p)
+        x, den = self._coords(elem)
+        return [Fraction(a, den) for a in x]
 
     def mult_matrix(self, d, w, k):
-        """The sum of w_j T_j over the nonzero w_j."""
+        """The sum of w_j T_j over the nonzero w_j, accumulated over ints
+        with the denominators of w and of the T_j cleared once."""
         rows, cols = self.dim(k + d), self.dim(k)
-        out = [_zeros(cols) for _ in range(rows)]
         if not (rows and cols):
-            return out
-        for j, a in enumerate(w):
-            if a:
-                for i, col in enumerate(self._monomial_columns(d, j, k)):
-                    for t, x in col:
-                        out[t][i] += a * x
-        return out
+            return [_zeros(cols) for _ in range(rows)]
+        (nums,), scale = linalg.scaled_integer([w])
+        terms = [(a, self._monomial_columns(d, j, k))
+                 for j, a in enumerate(nums) if a]
+        den = lcm(1, *(t_den for _, (_, t_den) in terms))
+        out = [[0] * rows for _ in range(cols)]
+        for a, (t_cols, t_den) in terms:
+            a *= den // t_den
+            for acc, col in zip(out, t_cols):
+                for t, x in col:
+                    acc[t] += a * x
+        den *= scale
+        return [[Fraction(x, den) if x else _ZERO for x in row]
+                for row in zip(*out)]
 
     def _monomial_columns(self, d, j, k):
-        """The columns of T_j from degree k: column i holds the nonzero
-        coordinates, as (row, value) pairs, of x_tau x_sigma, for tau the
-        j-th degree-d and sigma the i-th degree-k basis cone.  Column i is
-        column j of the twin matrix of sigma from degree d, and is shared
-        with it when that is built."""
+        """T_j from degree k as (columns, den): column i holds the nonzero
+        coordinates of x_tau x_sigma, as (row, integer) pairs over den, for
+        tau the j-th degree-d and sigma the i-th degree-k basis cone.
+        Column i is column j of the twin matrix of sigma from degree d, and
+        is shared with it when that is built and has the same den."""
         key = d, j, k
-        cols = self._monomials.get(key)
-        if cols is None:
-            tau = self.basis_cones(d)[j]
-            cols = []
-            for i, sigma in enumerate(self.basis_cones(k)):
-                twin = self._monomials.get((k, i, d))
-                if twin is None:
-                    prod = self.to_vector(multiply_by_monomial(
-                        ChowElement(self.fan, k, {sigma: Fraction(1)}), tau))
-                    cols.append([(t, x) for t, x in enumerate(prod) if x])
-                else:
-                    cols.append(twin[j])
-            self._monomials[key] = cols
-        return cols
+        hit = self._monomials.get(key)
+        if hit is not None:
+            return hit
+        tau = self.basis_cones(d)[j]
+        cols = []
+        for i, sigma in enumerate(self.basis_cones(k)):
+            twin = self._monomials.get((k, i, d))
+            if twin is None:
+                x, den = self._coords(multiply_by_monomial(
+                    ChowElement(self.fan, k, {sigma: 1}), tau))
+                cols.append(([(t, a) for t, a in enumerate(x) if a], den))
+            else:
+                cols.append((twin[0][j], twin[1]))
+        den = lcm(1, *(c_den for _, c_den in cols))
+        hit = self._monomials[key] = (
+            [col if c_den == den else [(t, a * (den // c_den)) for t, a in col]
+             for col, c_den in cols], den)
+        return hit
 
     def deg(self, v):
         # the degree-top Gram matrix pairs the basis with the unit class

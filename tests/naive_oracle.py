@@ -12,9 +12,10 @@ using nothing of a ring model but its graded ring interface.
 
 Also the graded basis of a fan the long way, by two eliminations of a
 pairing matrix built afresh in every degree; and the Fraction references
-for the two integer solves of the ring models, `FanRingModel.to_vector` and `QuotientRingModel.project`: these
-take the library's Gram matrices, pairings and multiplication matrices
-and replace only the solve, by `linalg.invert` and a plain mat-vec.
+for the two integer solves of the ring models, `FanRingModel.to_vector`
+and `QuotientRingModel.project`: these take the library's Gram matrices,
+pairings and multiplication matrices and replace only the solve, by
+`reference_invert` and a plain mat-vec.
 
 Also the reference products of the ring models, built without
 `mult_matrix`: cone monomials multiplied by `chow.multiply_elements` for a
@@ -22,8 +23,10 @@ fan model, and for a bundle ring the zeta polynomial of the products of
 the components, reduced by the relation from its highest power down.
 
 Also the Fraction references for the integer kernels of `linalg`, the
-product of scaled forms and the fraction-free inertia: the plain matrix
-product and the inertia by symmetric elimination over `Fraction`.
+fraction-free echelon form and inverse, the product of scaled forms and
+the fraction-free inertia: row echelon form and Gauss-Jordan inverse over
+`Fraction`, the plain matrix product and the inertia by symmetric
+elimination over `Fraction`.
 
 Also the reference chain searches: the flag and biflag cones of the
 Bergman and bundle fans, the gap-free first components and the second
@@ -34,7 +37,6 @@ label at every step and testing whole chains, with no successor lists.
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from chowfans import linalg
 from chowfans.chow import (ChowElement, graded_basis, multiply_elements, pair,
                            pair_all)
 from chowfans.fans import proper_biflats
@@ -226,10 +228,56 @@ def reference_graded_basis(fan, k):
     for sigma in rows:
         pairings = pair_all(ChowElement(fan, k, {sigma: 1}))
         mat.append([pairings[c] for c in cols])
-    basis_rows = linalg.row_echelon([list(col) for col in zip(*mat)])
-    basis_cols = linalg.row_echelon(linalg.mat_copy(mat))
+    basis_rows = reference_row_echelon([list(col) for col in zip(*mat)])
+    basis_cols = reference_row_echelon([list(row) for row in mat])
     gram = [[mat[i][j] for j in basis_cols] for i in basis_rows]
     return [rows[i] for i in basis_rows], [cols[j] for j in basis_cols], gram
+
+
+def reference_row_echelon(m):
+    """In-place row echelon form over Fraction; returns the pivot columns."""
+    if not m:
+        return []
+    rows, cols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = Fraction(m[r][c])
+        for i in range(r + 1, rows):
+            f = m[i][c]
+            if f != 0:
+                ratio = f / pv
+                m[i] = [x - y * ratio for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return pivots
+
+
+def reference_invert(m):
+    """The inverse of a square matrix by Gauss-Jordan over Fraction on
+    [m | I]; raises ValueError if m is singular."""
+    n = len(m)
+    aug = [[Fraction(x) for x in row] + [Fraction(0)] * n for row in m]
+    for i in range(n):
+        aug[i][n + i] = Fraction(1)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if aug[i][c] != 0), None)
+        if pr is None:
+            raise ValueError("singular matrix")
+        aug[c], aug[pr] = aug[pr], aug[c]
+        pv = aug[c][c]
+        aug[c] = [x / pv for x in aug[c]]
+        for i in range(n):
+            f = aug[i][c]
+            if i != c and f != 0:
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+    return [row[n:] for row in aug]
 
 
 def _mat_vec(m, v):
@@ -283,7 +331,7 @@ def reference_coordinates(model, k):
     complementary basis cones, times the inverse of the transposed Gram
     matrix."""
     _, cols, gram = graded_basis(model.fan, k)
-    inv = linalg.invert([list(col) for col in zip(*gram)])
+    inv = reference_invert([list(col) for col in zip(*gram)])
     return lambda elem: _mat_vec(inv, [pair(elem, tau) for tau in cols])
 
 
@@ -301,7 +349,7 @@ def reference_projection(quotient, k):
             span.append(_unit(D, i))
             comp.append(i)
     cols = [_unit(D, i) for i in comp] + ker
-    inv = linalg.invert([list(row) for row in zip(*cols)])[:len(comp)]
+    inv = reference_invert([list(row) for row in zip(*cols)])[:len(comp)]
     return lambda w: _mat_vec(inv, w)
 
 

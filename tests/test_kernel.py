@@ -1,9 +1,9 @@
 """Differential tests for the per-cone dual basis and everything derived
 from it: representatives, balancing, divisor and ray products, and the
 pairing walk; for the integer solves of the ring models against their
-Fraction references; plus the exact inverse in `linalg`, and its integer
-product of scaled forms and fraction-free inertia against their Fraction
-references."""
+Fraction references; plus the fraction-free echelon form and inverse of
+`linalg`, its integer product of scaled forms and fraction-free inertia
+against their Fraction references, and its lattice index."""
 
 import random
 import sys
@@ -21,7 +21,8 @@ from chowfans.kahler import chern_vectors
 from chowfans.matroid import matroid_uniform, pyramid_matroid
 from chowfans.rings import FanRingModel, quotient_by_ann_segre
 from naive_oracle import (mat_mul, reference_coordinates, reference_inertia,
-                          reference_projection)
+                          reference_invert, reference_projection,
+                          reference_row_echelon)
 
 
 def kernel_fans():
@@ -212,13 +213,89 @@ def test_scaled_integer_keeps_the_rationals():
 
 
 def test_invert_is_exact_on_integers():
-    inv = linalg.invert([[3, 1], [1, 1]])
-    assert inv == [[Fraction(1, 2), Fraction(-1, 2)],
-                   [Fraction(-1, 2), Fraction(3, 2)]]
-    assert all(type(x) in (int, Fraction) for row in inv for x in row)
-    unimodular = linalg.invert([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
-    assert unimodular == [[1, -1, 1], [0, 1, -1], [0, 0, 1]]
-    assert all(type(x) is int for row in unimodular for x in row)
+    inv = linalg.scaled_inverse([[3, 1], [1, 1]])
+    assert inv == ([[1, -1], [-1, 3]], 2)
+    assert all(type(x) is int for row in inv[0] for x in row)
+    unimodular = linalg.scaled_inverse([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    assert unimodular == ([[1, -1, 1], [0, 1, -1], [0, 0, 1]], 1)
+    assert all(type(x) is int for row in unimodular[0] for x in row)
+
+
+@st.composite
+def rational_matrices(draw, square=False,
+                      entries=st.fractions(-3, 3, max_denominator=4)):
+    """Matrices up to 8x8 with some rows repeated or summed from earlier
+    ones, and some columns zero, so that the rank falls short."""
+    rows = draw(st.integers(1, 8))
+    cols = rows if square else draw(st.integers(1, 8))
+    zero = draw(st.sets(st.integers(0, cols - 1), max_size=cols // 2))
+    m = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(["fresh", "fresh", "repeat", "sum"]))
+        if kind == "repeat" and m:
+            row = [draw(entries) * x for x in draw(st.sampled_from(m))]
+        elif kind == "sum" and len(m) > 1:
+            a, b = draw(st.sampled_from(m)), draw(st.sampled_from(m))
+            row = [x + y for x, y in zip(a, b)]
+        else:
+            row = [draw(entries) for _ in range(cols)]
+        m.append([0 if j in zero else x for j, x in enumerate(row)])
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices())
+def test_row_echelon_pivots_match_fraction_elimination(m):
+    want = reference_row_echelon([list(row) for row in m])
+    echelon = [list(row) for row in m]
+    assert linalg.row_echelon(echelon) == want
+    assert linalg.rank(m) == len(want)
+    # the echelon form is integral, zero below its rank, and spans the
+    # row space of m
+    assert all(type(x) is int for row in echelon for x in row)
+    assert not any(x for row in echelon[len(want):] for x in row)
+    stacked = [list(row) for row in m] + echelon[:len(want)]
+    assert len(reference_row_echelon(stacked)) == len(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_row_echelon_ends_in_the_determinant(m):
+    """Bareiss keeps every entry a minor: on a nonsingular integer matrix
+    the last pivot is the determinant, up to sign."""
+    ref = [list(row) for row in m]
+    if len(reference_row_echelon(ref)) < len(m):
+        return
+    det = 1
+    for i, row in enumerate(ref):
+        det *= row[i]
+    echelon = [list(row) for row in m]
+    linalg.row_echelon(echelon)
+    assert abs(echelon[-1][-1]) == abs(det)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices(square=True) | st.just([]))
+def test_scaled_inverse_matches_fraction_inverse(m):
+    try:
+        want = reference_invert(m)
+    except ValueError:
+        with pytest.raises(ValueError):
+            linalg.scaled_inverse(m)
+        return
+    got = linalg.scaled_inverse(m)
+    assert got == linalg.scaled_integer(want)
+    assert all(type(x) is int for row in got[0] for x in row)
+
+
+def test_lattice_index_needs_integer_rows():
+    assert linalg.lattice_index([[2, 0], [0, 3]]) == 6
+    assert linalg.lattice_index([[Fraction(2), 0], [1, 1]]) == 2
+    for rows in ([[Fraction(3, 2), 0]], [[Fraction(1, 2), 1], [0, 1]]):
+        with pytest.raises(ValueError, match="needs integer rows"):
+            linalg.lattice_index(rows)
 
 
 @pytest.mark.parametrize("m, expected", [
@@ -289,8 +366,9 @@ def test_inertia_of_congruences_matches_fraction_elimination(case):
 
 
 def test_integer_kernels_run_no_fraction_arithmetic():
-    """On integer input the inertia and the product of scaled forms call
-    nothing in the fractions module."""
+    """On integer input the inertia, the product of scaled forms, the
+    echelon form, the rank and the scaled inverse call nothing in the
+    fractions module."""
     rng = random.Random(0)
     a = [[rng.randint(-5, 5) for _ in range(6)] for _ in range(6)]
     m = [[x + y for x, y in zip(row, col)] for row, col in zip(a, zip(*a))]
@@ -306,11 +384,18 @@ def test_integer_kernels_run_no_fraction_arithmetic():
     try:
         counts = linalg.inertia(m)
         product = linalg.scaled_mat_mul((a, 1), (m, 1))
+        echelon = linalg.mat_copy(a)
+        pivots = linalg.row_echelon(echelon)
+        rank = linalg.rank(m)
+        inverse = linalg.scaled_inverse(m)
     finally:
         sys.setprofile(None)
     assert called == []
     assert counts == reference_inertia(m)
     assert product == (mat_mul(a, m), 1)
+    assert pivots == reference_row_echelon(linalg.mat_copy(a))
+    assert rank == len(reference_row_echelon(linalg.mat_copy(m)))
+    assert inverse == linalg.scaled_integer(reference_invert(m))
 
 
 def test_scaled_mat_mul_matches_the_fraction_product():

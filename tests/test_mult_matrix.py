@@ -11,7 +11,8 @@ from fractions import Fraction
 import pytest
 
 from chowfans.fans import bergman_fan, permutohedral_fan
-from chowfans.kahler import (chern_vectors, matroid_bundle_model,
+from chowfans.kahler import (candidate_schedule, chern_vectors,
+                             matroid_bundle_model,
                              restricted_multi_bundle_model)
 from chowfans.matroid import matroid_uniform, pyramid_matroid
 from chowfans.rings import FanRingModel, quotient_by_ann_segre
@@ -88,6 +89,48 @@ def test_multiply_on_dense_vectors_matches_reference(name):
             assert m.multiply(k2, v2, k1, v1) == want, (k2, k1)
     assert m.multiply(1, dense(rng, m.dim(1)), m.top, unit(m.dim(m.top), 0)) \
         == []
+
+
+# the weights of the Kahler candidates, with denominators 7, 3 and 2
+WEIGHTS = sorted({w for pair in candidate_schedule(8) for w in pair})
+
+
+def scheduled(rng, d):
+    """A vector of signed candidate weights and zeros, led by t = 1/7."""
+    v = [rng.choice([-1, 1]) * rng.choice(WEIGHTS + [0]) for _ in range(d)]
+    return [Fraction(1, 7)] + v[1:] if v else v
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_products_with_the_schedule_denominators_match_reference(name):
+    m = model(name)
+    rng = random.Random(name)
+    for k1 in range(m.top + 1):
+        for k2 in range(m.top + 1 - k1):
+            v1, v2 = scheduled(rng, m.dim(k1)), scheduled(rng, m.dim(k2))
+            assert m.multiply(k1, v1, k2, v2) == \
+                reference_multiply(m, k1, v1, k2, v2), (k1, k2)
+            mat = m.mult_matrix(k1, v1, k2)
+            for i in range(m.dim(k2)):
+                assert [row[i] for row in mat] == reference_multiply(
+                    m, k1, v1, k2, unit(m.dim(k2), i)), (k1, k2, i)
+
+
+@pytest.mark.parametrize("name", ["perm(3)", "pyramid", "U(2,3)-bundle"])
+def test_basis_products_are_integer_columns(name):
+    """Every T_j a fan model caches, here or under a bundle ring, holds
+    integers over one denominator."""
+    m = model(name)
+    for d in range(m.top + 1):
+        for k in range(m.top + 1 - d):
+            for j in range(m.dim(d)):
+                m.mult_matrix(d, unit(m.dim(d), j), k)
+    fan_model = getattr(m, "base", m)
+    assert fan_model._monomials
+    for cols, den in fan_model._monomials.values():
+        assert type(den) is int and den > 0
+        assert all(type(t) is int and type(x) is int
+                   for col in cols for t, x in col)
 
 
 @pytest.mark.parametrize("name", [n for n in MODELS if "bundle" in n])
