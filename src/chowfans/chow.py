@@ -214,15 +214,6 @@ def multiply_by_monomial(elem, cone):
     return elem
 
 
-def multiply_elements(e1, e2):
-    if e1.fan is not e2.fan:
-        raise FanMismatch("elements on different fans")
-    out = ChowElement(e1.fan, e1.degree + e2.degree)
-    for cone, c in e2.terms.items():
-        out = out + multiply_by_monomial(e1, cone) * c
-    return out
-
-
 def degree(elem):
     fan = elem.fan
     if elem.degree != fan.top_dim:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg
-from .matroid import LoopyMatroid, mask_to_set, matroid_uniform, popcount
+from .matroid import LoopyMatroid, mask_to_set, matroid_uniform
 
 
 class FanError(Exception):
@@ -98,7 +98,7 @@ def proper_biflats(M):
             if extra == 0:
                 break
             extra = (extra - 1) & F
-    out.sort(key=lambda p: (popcount(p[0]), -popcount(p[1]), p[0], p[1]))
+    out.sort(key=lambda p: (p[0].bit_count(), -p[1].bit_count(), p[0], p[1]))
     return tuple(out)
 
 
@@ -170,9 +170,9 @@ class Fan:
         """Ray labels of a cone in chain order (for flag/biflag fans)."""
         labels = [self.ray_labels[i] for i in cone]
         if labels and isinstance(labels[0], tuple):
-            labels.sort(key=lambda p: (popcount(p[0]), -popcount(p[1])))
+            labels.sort(key=lambda p: (p[0].bit_count(), -p[1].bit_count()))
         else:
-            labels.sort(key=popcount)
+            labels.sort(key=int.bit_count)
         return tuple(labels)
 
     def cone_extensions(self, cone):
@@ -254,7 +254,7 @@ def bergman_fan(M):
         raise LoopyMatroid("bergman fan needs a loopless matroid")
     full = M.full
     labels = [F for F in M.flats() if F not in (0, full)]
-    labels.sort(key=lambda F: (popcount(F), F))
+    labels.sort(key=lambda F: (F.bit_count(), F))
     succ = _successors(labels, lambda F, G: (F & ~G) == 0)
     cones = [()] + list(walk_chains(succ, range(len(labels)),
                                     lambda chain: True, len(labels)))

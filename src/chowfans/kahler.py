@@ -58,14 +58,14 @@ def _powers(model, ell):
 
 def _forms(model, powers):
     """lefschetz_forms from the powers of ell, each Q_i in the scaled form
-    (A, den) with den > 0: one integer product of the scaled G_i and P_i."""
+    (A, den) with den > 0: one integer product of the scaled G_i and the
+    scaled P_i that mult_matrix returns."""
     grams = _pd_grams(model)
     if grams is None:
         return None
     n = model.top
     return [g if 2 * i == n else linalg.scaled_mat_mul(
-                g, linalg.scaled_integer(
-                    model.mult_matrix(n - 2 * i, powers[n - 2 * i], i)))
+                g, model.mult_matrix(n - 2 * i, powers[n - 2 * i], i))
             for i, g in enumerate(grams)]
 
 
@@ -132,7 +132,7 @@ def kahler_report(model, ell):
 def permutohedral_support_values(N, S):
     """Value of the standard permutohedron support function on e_S: the sum
     of the |S| largest of 1..N."""
-    k = bin(S).count("1")
+    k = S.bit_count()
     return Fraction(sum(range(N - k + 1, N + 1)))
 
 

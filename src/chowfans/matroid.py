@@ -54,10 +54,6 @@ def mask_to_set(mask):
     return tuple(out)
 
 
-def popcount(mask):
-    return bin(mask).count("1")
-
-
 class Matroid:
     def __init__(self, n, bases, _validated=False):
         self.n = n
@@ -65,7 +61,7 @@ class Matroid:
         self.bases = frozenset(bases)
         if not self.bases:
             raise EmptyBases("a matroid needs at least one basis")
-        sizes = {popcount(b) for b in self.bases}
+        sizes = {b.bit_count() for b in self.bases}
         if len(sizes) != 1:
             raise UnequalCardinality("bases of different sizes: %s" % sorted(sizes))
         self.r = sizes.pop()
@@ -104,7 +100,7 @@ class Matroid:
     def rank(self, mask):
         if mask in self._rank_cache:
             return self._rank_cache[mask]
-        rk = max(popcount(b & mask) for b in self.bases)
+        rk = max((b & mask).bit_count() for b in self.bases)
         self._rank_cache[mask] = rk
         return rk
 

@@ -3,13 +3,17 @@
 A model exposes: top (the socle degree), dim(k), mult_matrix(d, w, k),
 the matrix of multiplication by the degree-d element w from degree k to
 degree k+d (rows first, one column per degree-k basis element), and deg(v)
-on top-degree vectors.  Every model derives from GradedModel, which reads
+on top-degree vectors.  mult_matrix returns the scaled form (A, den) of
+linalg: A a list of int rows and den a positive int, the matrix being
+A / den.  Element vectors (w, v and everything multiply returns) are
+Fractions.  Every model derives from GradedModel, which reads
 multiply(k1, v1, k2, v2) and unit() off mult_matrix.  Everything
 downstream (bundle rings, annihilator quotients, the Kahler checks) is
-written against this interface only.
+written against this interface only, and reads the scaled form as it is.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 from . import linalg
@@ -42,8 +46,7 @@ class GradedModel:
 
     def multiply(self, k1, v1, k2, v2):
         """v1 * v2 in degree k1 + k2: multiplication by v1 applied to v2."""
-        return linalg.scaled_mat_vec(
-            linalg.scaled_integer(self.mult_matrix(k1, v1, k2)), v2)
+        return linalg.scaled_mat_vec(self.mult_matrix(k1, v1, k2), v2)
 
     def unit(self):
         return [Fraction(1)]
@@ -119,7 +122,7 @@ class FanRingModel(GradedModel):
         with the denominators of w and of the T_j cleared once."""
         rows, cols = self.dim(k + d), self.dim(k)
         if not (rows and cols):
-            return [_zeros(cols) for _ in range(rows)]
+            return [[0] * cols for _ in range(rows)], 1
         (nums,), scale = linalg.scaled_integer([w])
         terms = [(a, self._monomial_columns(d, j, k))
                  for j, a in enumerate(nums) if a]
@@ -130,9 +133,7 @@ class FanRingModel(GradedModel):
             for acc, col in zip(out, t_cols):
                 for t, x in col:
                     acc[t] += a * x
-        den *= scale
-        return [[Fraction(x, den) if x else _ZERO for x in row]
-                for row in zip(*out)]
+        return [list(row) for row in zip(*out)], den * scale
 
     def _monomial_columns(self, d, j, k):
         """T_j from degree k as (columns, den): column i holds the nonzero
@@ -169,12 +170,15 @@ class FanRingModel(GradedModel):
 def model_gram(model, k):
     """Pairing matrix of the degree-k basis against the complementary one:
     column j holds the degrees of the columns of multiplication by the
-    j-th degree-(n-k) basis element from degree k."""
+    j-th degree-(n-k) basis element from degree k.  The degree of an int
+    column of A is divided by den exactly, as a Fraction."""
     n = model.top
     d = model.dim(n - k)
-    cols = [[model.deg(list(c)) for c in zip(*model.mult_matrix(
-                n - k, [Fraction(int(i == j)) for i in range(d)], k))]
-            for j in range(d)]
+    cols = []
+    for j in range(d):
+        a, den = model.mult_matrix(
+            n - k, [Fraction(int(i == j)) for i in range(d)], k)
+        cols.append([Fraction(model.deg(list(c)), den) for c in zip(*a)])
     return [list(row) for row in zip(*cols)]
 
 
@@ -248,23 +252,26 @@ class BundleRing(GradedModel):
         return u
 
     def mult_matrix(self, d, w, k):
+        """The r x r blocks of multiplication by w, each the base's scaled
+        matrix of u_ij, put over the lcm of the block denominators."""
         ws = self.split(d, w)
         rows = [self.base.dim(k + d - i) for i in range(self.r)]
         cols = [self.base.dim(k - j) for j in range(self.r)]
-        out = [_zeros(sum(cols)) for _ in range(sum(rows))]
-        r0 = 0
+        blocks = {}
         for i in range(self.r):
-            c0 = 0
             for j in range(self.r):
                 u = self._block_class(ws, d, i, j) \
                     if rows[i] and cols[j] else None
                 if u is not None:
-                    block = self.base.mult_matrix(d + j - i, u, k - j)
-                    for row, b in zip(out[r0:r0 + rows[i]], block):
-                        row[c0:c0 + cols[j]] = b
-                c0 += cols[j]
-            r0 += rows[i]
-        return out
+                    blocks[i, j] = self.base.mult_matrix(d + j - i, u, k - j)
+        den = lcm(1, *(b_den for _, b_den in blocks.values()))
+        row0, col0 = (list(accumulate(x, initial=0)) for x in (rows, cols))
+        out = [[0] * col0[-1] for _ in range(row0[-1])]
+        for (i, j), (block, b_den) in blocks.items():
+            f = den // b_den
+            for row, b in zip(out[row0[i]:], block):
+                row[col0[j]:col0[j + 1]] = b if f == 1 else [f * x for x in b]
+        return out, den
 
     def deg(self, v):
         comps = self.split(self.top, v)
@@ -336,7 +343,7 @@ def bloch_gieseker(base, c, delta, lams=(0,)):
         zeta = B.zeta()
         full_rank = True
         for i in range(B.top):
-            mat = B.mult_matrix(1, zeta, i)
+            mat, _ = B.mult_matrix(1, zeta, i)
             rk = linalg.rank(mat) if mat else 0
             if rk != min(B.dim(i), B.dim(i + 1)):
                 full_rank = False
@@ -345,7 +352,7 @@ def bloch_gieseker(base, c, delta, lams=(0,)):
         if full_rank:
             ok = True
             for i in range(0, n - d + 1):
-                mat = base.mult_matrix(d, cl[d], i)
+                mat, _ = base.mult_matrix(d, cl[d], i)
                 rk = linalg.rank(mat) if mat else 0
                 inj = rk == base.dim(i)
                 surj = rk == base.dim(i + d)
@@ -385,21 +392,23 @@ class QuotientRingModel(GradedModel):
             # the complement of ker(mat) takes the greedy independent columns
             # C of mat, and w projects along ker(mat) to the c with
             # mat_C c = mat w; on independent rows R of mat_C that is
-            # c = mat_C[R]^-1 mat[R] w, one matrix formed once per degree
-            mat = base.mult_matrix(t, self.z, k)
+            # c = mat_C[R]^-1 mat[R] w, one matrix formed once per degree.
+            # mat = A / den, and den cancels from mat_C[R]^-1 mat[R]
+            mat, _ = base.mult_matrix(t, self.z, k)
             chosen = linalg.row_echelon(linalg.mat_copy(mat))
             rows, inv_t = linalg.pivot_inverse(
                 [[row[i] for row in mat] for i in chosen])
             proj = linalg.scaled_mat_mul(
                 linalg.scaled_integer([list(col) for col in zip(*inv_t)]),
-                linalg.scaled_integer([mat[r] for r in rows]))
+                ([mat[r] for r in rows], 1))
             self._comp[k] = chosen
             self._proj[k] = (proj, len(chosen))
-        # deg(a z) for the top basis, read off the last mat
+        # deg(a z) for the top basis, read off the last mat; the ratios
+        # do not see its den
         raw = [base.deg([row[i] for row in mat]) for i in chosen]
         if raw and raw[0] == 0:
             raise SingularGram("degenerate degree map on the quotient")
-        self._degrees = [x / raw[0] for x in raw]
+        self._degrees = [Fraction(x, raw[0]) for x in raw]
 
     def dim(self, k):
         if not 0 <= k <= self.top:
@@ -418,14 +427,14 @@ class QuotientRingModel(GradedModel):
 
     def mult_matrix(self, d, w, k):
         """The projection of multiplication by a representative of w on
-        the base, restricted to the complement columns C_k."""
+        the base, restricted to the complement columns C_k: one product of
+        scaled forms."""
         rows, cols = self.dim(k + d), self.dim(k)
         if not (rows and cols):
-            return [_zeros(cols) for _ in range(rows)]
-        full = self.base.mult_matrix(d, self._rep(d, w), k)
-        images = [self.project(k + d, [row[i] for row in full])
-                  for i in self._comp[k]]
-        return [list(row) for row in zip(*images)]
+            return [[0] * cols for _ in range(rows)], 1
+        full, den = self.base.mult_matrix(d, self._rep(d, w), k)
+        restricted = [[row[i] for i in self._comp[k]] for row in full]
+        return linalg.scaled_mat_mul(self._proj[k + d][0], (restricted, den))
 
     def deg(self, v):
         return sum((a * b for a, b in zip(v, self._degrees)), Fraction(0))

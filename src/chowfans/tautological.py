@@ -8,7 +8,7 @@ from itertools import combinations
 
 from .chow import (ChowElement, divisor, multiply_by_divisor,
                    negation_relabel, unit_class)
-from .matroid import LoopyMatroid, popcount
+from .matroid import LoopyMatroid
 
 
 def structural_divisors(fan, M, j=1):

@@ -18,9 +18,10 @@ pairings and multiplication matrices and replace only the solve, by
 `reference_invert` and a plain mat-vec.
 
 Also the reference products of the ring models, built without
-`mult_matrix`: cone monomials multiplied by `chow.multiply_elements` for a
-fan model, and for a bundle ring the zeta polynomial of the products of
-the components, reduced by the relation from its highest power down.
+`mult_matrix`: cone monomials multiplied by `multiply_elements`, one
+monomial of the second factor at a time, for a fan model, and for a
+bundle ring the zeta polynomial of the products of the components,
+reduced by the relation from its highest power down.
 
 Also the Fraction references for the integer kernels of `linalg`, the
 fraction-free echelon form and inverse, the product of scaled forms and
@@ -37,10 +38,9 @@ label at every step and testing whole chains, with no successor lists.
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from chowfans.chow import (ChowElement, graded_basis, multiply_elements, pair,
-                           pair_all)
+from chowfans.chow import (ChowElement, FanMismatch, graded_basis,
+                           multiply_by_monomial, pair, pair_all)
 from chowfans.fans import proper_biflats
-from chowfans.matroid import popcount
 from chowfans.rings import BundleRing, QuotientRingModel
 
 
@@ -284,6 +284,12 @@ def _mat_vec(m, v):
     return [sum(a * b for a, b in zip(row, v)) for row in m]
 
 
+def unscaled(scaled):
+    """The Fraction matrix A / den of a scaled form (A, den)."""
+    a, den = scaled
+    return [[Fraction(x, den) for x in row] for row in a]
+
+
 def mat_mul(a, b):
     """The product of two matrices, entry by entry, with no zero skipping."""
     if not a or not b:
@@ -342,7 +348,7 @@ def reference_projection(quotient, k):
     base = quotient.base
     D = base.dim(k)
     ker = functionals_vanishing_on(
-        base.mult_matrix(quotient.t, quotient.z, k), D)
+        unscaled(base.mult_matrix(quotient.t, quotient.z, k)), D)
     span, comp = list(ker), []
     for i in range(D):
         if _rank(span + [_unit(D, i)]) > len(span):
@@ -351,6 +357,17 @@ def reference_projection(quotient, k):
     cols = [_unit(D, i) for i in comp] + ker
     inv = reference_invert([list(row) for row in zip(*cols)])[:len(comp)]
     return lambda w: _mat_vec(inv, w)
+
+
+def multiply_elements(e1, e2):
+    """The product of two ChowElements of one fan: e1 times each cone
+    monomial of e2, by chow.multiply_by_monomial, summed."""
+    if e1.fan is not e2.fan:
+        raise FanMismatch("elements on different fans")
+    out = ChowElement(e1.fan, e1.degree + e2.degree)
+    for cone, c in e2.terms.items():
+        out = out + multiply_by_monomial(e1, cone) * c
+    return out
 
 
 def reference_multiply(model, k1, v1, k2, v2):
@@ -426,7 +443,7 @@ def reference_bergman_cones(M):
     """The cones of the Bergman fan of M: flags of proper nonempty flats,
     as index tuples into the flats sorted by (size, mask)."""
     labels = sorted((F for F in M.flats() if F not in (0, M.full)),
-                    key=lambda F: (popcount(F), F))
+                    key=lambda F: (F.bit_count(), F))
     index = {F: i for i, F in enumerate(labels)}
     cones = set()
 

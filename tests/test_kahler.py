@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from chowfans import kahler
+from chowfans import kahler, linalg
 from chowfans.fans import bergman_fan, permutohedral_fan
 from chowfans.kahler import (MissingConvexClass, base_convex_divisor,
                              candidate_schedule, check_hl, check_hr, check_pd,
@@ -15,7 +15,7 @@ from chowfans.kahler import (MissingConvexClass, base_convex_divisor,
                              sample_lefschetz_candidates)
 from chowfans.matroid import matroid_uniform, pyramid_matroid
 from chowfans.rings import FanRingModel, GradedModel, model_gram
-from naive_oracle import mat_mul, reference_kahler_report
+from naive_oracle import mat_mul, reference_kahler_report, unscaled
 
 
 class PointModel(GradedModel):
@@ -27,8 +27,8 @@ class PointModel(GradedModel):
         return 1 if k == 0 else 0
 
     def mult_matrix(self, d, w, k):
-        return [[w[0]]] if d == k == 0 else \
-            [[Fraction(0)] * self.dim(k) for _ in range(self.dim(k + d))]
+        return linalg.scaled_integer([[w[0]]]) if d == k == 0 else \
+            ([[0] * self.dim(k) for _ in range(self.dim(k + d))], 1)
 
     def deg(self, v):
         return v[0]
@@ -182,7 +182,7 @@ def test_lefschetz_form_composes_mult_matrices(candidate):
     for i, q in enumerate(forms):
         power = None
         for k in range(i, n - i):
-            step = model.mult_matrix(1, ell, k)
+            step = unscaled(model.mult_matrix(1, ell, k))
             power = step if power is None else mat_mul(step, power)
         gram = model_gram(model, i)
         assert q == (mat_mul(gram, power) if power else gram), i
@@ -225,7 +225,8 @@ def test_lefschetz_forms_match_the_fraction_product(name):
         for i, q in enumerate(forms):
             gram = model_gram(model, i)
             want = gram if 2 * i == n else mat_mul(
-                gram, model.mult_matrix(n - 2 * i, powers[n - 2 * i], i))
+                gram, unscaled(
+                    model.mult_matrix(n - 2 * i, powers[n - 2 * i], i)))
             assert q == want, (s, t, i)
             assert all(type(x) is Fraction for row in q for x in row)
 
@@ -289,11 +290,12 @@ def test_corrupted_model_fails_pd():
             # everything multiplies to zero in positive degrees
             rows, cols = self.dim(k + d), self.dim(k)
             if d == 0:
-                return [[w[0] * int(i == j) for j in range(cols)]
-                        for i in range(rows)]
+                return linalg.scaled_integer(
+                    [[w[0] * int(i == j) for j in range(cols)]
+                     for i in range(rows)])
             if k == 0:
-                return [[x] for x in w]
-            return [[Fraction(0)] * cols for _ in range(rows)]
+                return linalg.scaled_integer([[x] for x in w])
+            return [[0] * cols for _ in range(rows)], 1
 
         def deg(self, v):
             return v[0]

@@ -2,7 +2,8 @@
 reference products that build no multiplication matrix: cone monomials
 multiplied in the fan's Chow ring and read back with to_vector, and for a
 bundle ring the zeta polynomial of the component products reduced by the
-relation from its highest power down."""
+relation from its highest power down.  Every model returns the scaled form
+(A, den), int rows over a positive int."""
 
 import functools
 import random
@@ -10,13 +11,15 @@ from fractions import Fraction
 
 import pytest
 
+from chowfans import linalg
 from chowfans.fans import bergman_fan, permutohedral_fan
 from chowfans.kahler import (candidate_schedule, chern_vectors,
                              matroid_bundle_model,
                              restricted_multi_bundle_model)
 from chowfans.matroid import matroid_uniform, pyramid_matroid
-from chowfans.rings import FanRingModel, quotient_by_ann_segre
-from naive_oracle import reference_multiply
+from chowfans.rings import (FanRingModel, GradedModel, QuotientRingModel,
+                            model_gram, quotient_by_ann_segre)
+from naive_oracle import reference_multiply, unscaled
 
 
 def bundle(r, n):
@@ -63,7 +66,10 @@ def test_every_column_matches_reference(name):
         for k in range(n + 1):
             rows, cols = m.dim(k + d), m.dim(k)
             for j in range(m.dim(d)):
-                mat = m.mult_matrix(d, unit(m.dim(d), j), k)
+                a, den = m.mult_matrix(d, unit(m.dim(d), j), k)
+                assert type(den) is int and den > 0
+                assert all(type(x) is int for row in a for x in row)
+                mat = unscaled((a, den))
                 assert len(mat) == rows
                 assert all(len(row) == cols for row in mat)
                 for i in range(cols):
@@ -110,7 +116,7 @@ def test_products_with_the_schedule_denominators_match_reference(name):
             v1, v2 = scheduled(rng, m.dim(k1)), scheduled(rng, m.dim(k2))
             assert m.multiply(k1, v1, k2, v2) == \
                 reference_multiply(m, k1, v1, k2, v2), (k1, k2)
-            mat = m.mult_matrix(k1, v1, k2)
+            mat = unscaled(m.mult_matrix(k1, v1, k2))
             for i in range(m.dim(k2)):
                 assert [row[i] for row in mat] == reference_multiply(
                     m, k1, v1, k2, unit(m.dim(k2), i)), (k1, k2, i)
@@ -142,3 +148,49 @@ def test_zeta_powers_match_reference(name):
     for e in range(1, m.top + 2):
         power = reference_multiply(m, 1, m.zeta(), e - 1, power)
         assert m.zeta_power(e) == power, e
+
+
+class IntDegreeModel(GradedModel):
+    """Q[x, y] / (x^2, y^2), a duck-typed model whose deg returns a plain
+    int on int vectors: deg(xy) = 2."""
+
+    top = 2
+
+    def dim(self, k):
+        return [1, 2, 1][k] if 0 <= k <= 2 else 0
+
+    def mult_matrix(self, d, w, k):
+        rows, cols = self.dim(k + d), self.dim(k)
+        if d == 0:
+            mat = [[w[0] * int(i == j) for j in range(cols)]
+                   for i in range(rows)]
+        elif d == 1 and k == 0:
+            mat = [[x] for x in w]
+        elif d == 1 and k == 1:
+            mat = [[w[1], w[0]]]  # w x = w_1 xy and w y = w_0 xy
+        elif d == 2 and k == 0:
+            mat = [[w[0]]]
+        else:
+            mat = [[0] * cols for _ in range(rows)]
+        return linalg.scaled_integer(mat)
+
+    def deg(self, v):
+        return 2 * v[0]
+
+
+def test_int_degrees_stay_fractions():
+    """An int degree of an int column is divided by den, or by the first
+    quotient degree, as a Fraction; int / int would make a float."""
+    base = IntDegreeModel()
+    assert type(base.deg([1])) is int
+    quotient = QuotientRingModel(base, 1, [Fraction(1), Fraction(2)])
+    assert quotient._degrees
+    assert all(type(x) is Fraction for x in quotient._degrees)
+    for m in (base, quotient):
+        for k in range(m.top + 1):
+            gram = model_gram(m, k)
+            assert gram and all(type(x) is Fraction
+                                for row in gram for x in row), k
+        a, den = m.mult_matrix(1, unit(m.dim(1), 0), 0)
+        assert type(den) is int and den > 0
+        assert all(type(x) is int for row in a for x in row)
