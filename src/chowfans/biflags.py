@@ -9,7 +9,6 @@ matroid and never builds a fan, so large ground sets stay cheap.
 
 import itertools
 from collections import Counter
-from fractions import Fraction
 
 from .chow import (ChowElement, is_zero_class, multiply_by_divisor,
                    nonzero_pairing_witness, unit_class)
@@ -378,7 +377,7 @@ def _min_dec_vanishes(fan, sd, A, degree, steps):
     for sp in A:
         cone = chain_to_cone(fan, sp.chain())
         if cone is not None:
-            terms[cone] = Fraction(1)
+            terms[cone] = 1
     elem = ChowElement(fan, degree, terms)
     for i in range(1, steps + 1):
         elem = multiply_by_divisor(elem, sd["gammabar"] - sd["vminus"][i])

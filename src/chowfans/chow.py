@@ -2,10 +2,15 @@
 monomials, divisor multiplication through per-cone linear representatives,
 degrees, pairings, graded bases, and transport maps.
 
-Everything is exact; coefficients are fractions.Fraction throughout.
+Everything is exact.  A coefficient is an int whenever it is integral and
+a fractions.Fraction only where a denominator appears: a rational input,
+or a non-unimodular cone, whose degree divides by its multiplicity.  On
+the unimodular flag and biflag fans every product, pairing and cap stays
+in ints.  degree, pair and pair_all return Fractions.
 """
 
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .fans import check_balanced
@@ -47,6 +52,15 @@ class DegreeTooLow(ChowError):
     pass
 
 
+def _exact(c):
+    """c as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class ChowElement:
     """Degree-k class written as a sum of square-free cone monomials."""
 
@@ -56,8 +70,8 @@ class ChowElement:
         self.terms = {}
         if terms:
             for cone, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
+                c = _exact(c)
+                if c:
                     self.terms[cone] = c
 
     def __add__(self, other):
@@ -65,7 +79,7 @@ class ChowElement:
             raise FanMismatch("cannot add classes of different fans or degrees")
         out = dict(self.terms)
         for cone, c in other.terms.items():
-            v = out.get(cone, Fraction(0)) + c
+            v = out.get(cone, 0) + c
             if v:
                 out[cone] = v
             elif cone in out:
@@ -76,7 +90,7 @@ class ChowElement:
         return self + (other * -1)
 
     def __mul__(self, scalar):
-        s = Fraction(scalar)
+        s = _exact(scalar)
         return ChowElement(self.fan, self.degree,
                            {c: v * s for c, v in self.terms.items()})
 
@@ -95,7 +109,7 @@ class MinkowskiWeight:
     def __init__(self, fan, dim, values, check=True):
         self.fan = fan
         self.dim = dim
-        self.values = {c: Fraction(v) for c, v in values.items() if v != 0}
+        self.values = {c: _exact(v) for c, v in values.items() if v != 0}
         if check:
             bad = check_balanced(fan, dim, self.values)
             if bad:
@@ -117,14 +131,14 @@ def ray_coefficients(D):
     """The coefficient of each ray in a degree-1 class, as a list."""
     if D.degree != 1:
         raise DegreeMismatch("degree %d class is not a divisor" % D.degree)
-    a = [Fraction(0)] * len(D.fan.rays)
+    a = [0] * len(D.fan.rays)
     for (rho,), c in D.terms.items():
         a[rho] = c
     return a
 
 
 def unit_class(fan):
-    return ChowElement(fan, 0, {(): Fraction(1)})
+    return ChowElement(fan, 0, {(): 1})
 
 
 def fundamental_weight(fan):
@@ -135,7 +149,7 @@ def fundamental_weight(fan):
 def linear_relation_class(fan, m):
     """Divisor a_rho = m(u_rho) for a functional m vanishing on lineality.
     Such classes are zero in the Chow ring."""
-    m = [Fraction(x) for x in m]
+    m = [_exact(x) for x in m]
     if len(m) != fan.ambient_dim:
         raise FanMismatch("functional has wrong length")
     for v in fan.lineality:
@@ -160,21 +174,23 @@ def _fan_out(fan, cone, values, a=None):
     for f, v in zip(dual[lin:], values):
         if v:
             m = [x + v * y for x, y in zip(m, f)]
+    # m spread over the ambient space, 0 off the pivot coordinates
+    spread = [0] * fan.ambient_dim
+    for p, x in zip(pivots, m):
+        spread[p] = x
     rays = fan.rays
     out = []
-    for rho in fan.cone_extensions(cone):
-        u = rays[rho]
-        coef = (0 if a is None else a[rho]) - sum(
-            x * u[p] for x, p in zip(m, pivots))
+    for rho, sigma in fan._extension_map(cone).items():
+        coef = (0 if a is None else a[rho]) - sum(map(mul, spread, rays[rho]))
         if coef:
-            out.append((tuple(sorted(cone + (rho,))), coef))
+            out.append((sigma, coef))
     return out
 
 
 def _accumulate(out, c, pairs):
     """out += c * pairs, deleting terms that cancel."""
     for key, coef in pairs:
-        v = out.get(key, Fraction(0)) + c * coef
+        v = out.get(key, 0) + c * coef
         if v:
             out[key] = v
         elif key in out:
@@ -195,16 +211,15 @@ def multiply_by_divisor(elem, D):
 def multiply_by_ray(elem, rho):
     """elem * x_rho, with the cheap path for cones not containing rho."""
     fan = elem.fan
-    cones = fan.cones
     out = {}
     for cone, c in elem.terms.items():
         if rho in cone:
             indicator = [int(i == rho) for i in cone]
             _accumulate(out, c, _fan_out(fan, cone, indicator))
         else:
-            key = tuple(sorted(cone + (rho,)))
-            if key in cones:
-                _accumulate(out, c, [(key, 1)])
+            sigma = fan._extension_map(cone).get(rho)
+            if sigma is not None:
+                _accumulate(out, c, [(sigma, 1)])
     return ChowElement(fan, elem.degree + 1, out)
 
 
@@ -214,15 +229,25 @@ def multiply_by_monomial(elem, cone):
     return elem
 
 
-def degree(elem):
+def _degree(elem):
+    """The degree of a top-dimensional class, an int when it is integral:
+    a cone of multiplicity 1 adds its coefficient times its weight, and
+    only another multiplicity divides, as a Fraction."""
     fan = elem.fan
     if elem.degree != fan.top_dim:
         raise DegreeMismatch("degree %d element on a top-dimension-%d fan"
                              % (elem.degree, fan.top_dim))
-    total = Fraction(0)
+    total = 0
     for cone, c in elem.terms.items():
-        total += c * fan.weight[cone] / fan.cone_multiplicity(cone)
-    return total
+        mult = fan.cone_multiplicity(cone)
+        c *= fan.weight[cone]
+        total += c if mult == 1 else Fraction(c, mult)
+    return _exact(total)
+
+
+def degree(elem):
+    """The degree of a top-dimensional class, as a Fraction."""
+    return Fraction(_degree(elem))
 
 
 def pair(elem, tau):
@@ -237,8 +262,10 @@ def pair(elem, tau):
 def _pairings(elem):
     """Walk the complementary-dimension cones in ray order, sharing the
     products of a common prefix of rays, and yield (cone, pairing) for each
-    cone reached.  A prefix whose product vanishes is cut off, so the
-    cones below it, which pair to 0, are never yielded."""
+    cone reached, the pairing an int when it is integral.  A prefix whose
+    product vanishes is cut off, so the cones below it, which pair to 0,
+    are never yielded.  x_sigma x_rho vanishes unless rho lies in sigma or
+    extends it, so only those rays of the terms are tried."""
     fan = elem.fan
     k = fan.top_dim - elem.degree
     if k < 0:
@@ -248,9 +275,14 @@ def _pairings(elem):
         depth = len(prefix)
         if depth == k:
             if prefix in fan.cones:
-                yield prefix, degree(cur_elem)
+                yield prefix, _degree(cur_elem)
             return
-        for rho in range(next_ray, nrays - (k - depth - 1)):
+        reach = set()
+        for cone in cur_elem.terms:
+            reach.update(cone)
+            reach.update(fan._extension_map(cone))
+        stop = nrays - (k - depth - 1)
+        for rho in sorted(r for r in reach if next_ray <= r < stop):
             nxt = multiply_by_ray(cur_elem, rho)
             if not nxt.is_empty():
                 yield from walk(nxt, prefix + (rho,), rho + 1)
@@ -259,8 +291,8 @@ def _pairings(elem):
 
 def pair_all(elem):
     """Pairings of elem against every complementary-dimension cone, as a
-    dict cone -> value."""
-    out = dict(_pairings(elem))
+    dict cone -> Fraction."""
+    out = {tau: Fraction(v) for tau, v in _pairings(elem)}
     for tau in elem.fan.cones_of_dim(elem.fan.top_dim - elem.degree):
         out.setdefault(tau, Fraction(0))
     return out
@@ -283,9 +315,9 @@ def nonzero_pairing_witness(elem):
 
 
 def _pairing_matrix(fan, k):
-    """Matrix of deg(x_sigma x_tau) over (k-cones) x ((top-k)-cones),
-    cached on the fan; above the middle degree it is the transpose of the
-    complementary one."""
+    """Matrix of deg(x_sigma x_tau) over (k-cones) x ((top-k)-cones), its
+    entries ints where integral, cached on the fan; above the middle degree
+    it is the transpose of the complementary one."""
     cache = getattr(fan, "_pairing_cache", None)
     if cache is None:
         cache = fan._pairing_cache = {}
@@ -297,8 +329,8 @@ def _pairing_matrix(fan, k):
         else:
             rows, cols, mat = fan.cones_of_dim(k), fan.cones_of_dim(n - k), []
             for sigma in rows:
-                pairings = pair_all(ChowElement(fan, k, {sigma: 1}))
-                mat.append([pairings[c] for c in cols])
+                pairings = dict(_pairings(ChowElement(fan, k, {sigma: 1})))
+                mat.append([pairings.get(c, 0) for c in cols])
             cache[k] = (rows, cols, mat)
     return cache[k]
 
@@ -379,7 +411,7 @@ def pullback_pi1(D, target):
         full = (1 << (fan.ambient_dim)) - 1
         if S == full:
             # e_{[N]|T} maps to the lineality of the base fan
-            out.append(Fraction(0))
+            out.append(0)
         else:
             out.append(a[fan.ray_index[S]])
     return divisor(target, out)
@@ -391,7 +423,7 @@ def negation_relabel(D):
     fan = D.fan
     full = (1 << fan.ambient_dim) - 1
     a = ray_coefficients(D)
-    out = [Fraction(0)] * len(fan.rays)
+    out = [0] * len(fan.rays)
     for i, S in enumerate(fan.ray_labels):
         out[fan.ray_index[full & ~S]] = a[i]
     return divisor(fan, out)

@@ -200,9 +200,7 @@ def cmd_fan(args):
     report = fan.to_json()
     report["unimodular"] = all(
         fan.cone_multiplicity(c) == 1 for c in fan.maximal_cones)
-    report["balanced"] = not check_balanced(
-        fan, fan.top_dim,
-        {c: Fraction(1) for c in fan.maximal_cones})
+    report["balanced"] = not check_balanced(fan, fan.top_dim, fan.weight)
     yield report, [report["unimodular"] and report["balanced"]]
 
 

@@ -8,6 +8,7 @@ tuple standing for the lineality cone.
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from . import linalg
 from .matroid import LoopyMatroid, mask_to_set, matroid_uniform
@@ -158,7 +159,7 @@ class Fan:
         self.family = family
         self.top_dim = max((len(c) for c in self.cones), default=0)
         self.maximal_cones = sorted(c for c in self.cones if len(c) == self.top_dim)
-        self.weight = {c: Fraction(1) for c in self.maximal_cones}
+        self.weight = {c: 1 for c in self.maximal_cones}
         self._extensions = None
         self._mult_cache = {}
         self._dual_cache = {}
@@ -176,16 +177,25 @@ class Fan:
         return tuple(labels)
 
     def cone_extensions(self, cone):
-        cone = tuple(sorted(cone))
-        if cone not in self.cones:
-            raise ConeNotInFan("not a cone of this fan: %r" % (cone,))
+        """The rays i with cone + {i} a cone, in ascending order."""
+        return list(self._extension_map(cone))
+
+    def _extension_map(self, cone):
+        """{i: sorted cone + {i}} over the rays i extending cone, in
+        ascending order of i, built for every cone at once on first use."""
         if self._extensions is None:
             # sorted order of the cones tau+{i} is ascending order of i
             self._extensions = {}
             for c in sorted(self.cones):
                 for j, i in enumerate(c):
-                    self._extensions.setdefault(c[:j] + c[j + 1:], []).append(i)
-        return self._extensions.get(cone, [])
+                    self._extensions.setdefault(c[:j] + c[j + 1:], {})[i] = c
+        hit = self._extensions.get(cone)
+        if hit is None:
+            cone = tuple(sorted(cone))
+            if cone not in self.cones:
+                raise ConeNotInFan("not a cone of this fan: %r" % (cone,))
+            hit = self._extensions.get(cone, {})
+        return hit
 
     def cone_multiplicity(self, cone):
         cone = tuple(sorted(cone))
@@ -296,25 +306,32 @@ def check_balanced(fan, dim, values):
         raise DimensionMismatch("no cones of dimension %d" % dim)
     # balancing is invariant under scaling, so clear the denominators once
     # and add up integer vectors
-    scale = lcm(*(Fraction(v).denominator for v in values.values()))
-    weights = {c: int(Fraction(v) * scale) for c, v in values.items() if v}
+    values = {c: v if type(v) is int else Fraction(v)
+              for c, v in values.items() if v}
+    scale = lcm(1, *(v.denominator for v in values.values()))
+    weights = {c: v.numerator * (scale // v.denominator)
+               for c, v in values.items()}
     violations = []
     for tau in fan.cones_of_dim(dim - 1):
         total = [0] * fan.ambient_dim
-        for rho in fan.cone_extensions(tau):
-            w = weights.get(tuple(sorted(tau + (rho,))))
+        for rho, sigma in fan._extension_map(tau).items():
+            w = weights.get(sigma)
             if w is not None:
                 for i, x in enumerate(fan.rays[rho]):
                     total[i] += w * x
         if not any(total):
             continue
         # coordinates of total against [lineality; rays of tau]; total lies
-        # in their span exactly when those coordinates reproduce it, which
-        # they do on the pivot coordinates by construction
+        # in their span exactly when those coordinates reproduce it, so when
+        # the residual vanishes; it does on the pivot coordinates by
+        # construction
         pivots, dual = fan.dual_basis(tau)
-        coords = [sum(f * total[p] for f, p in zip(fi, pivots)) for fi in dual]
-        rows = fan.lineality + [fan.rays[i] for i in tau]
-        if any(sum(c * row[q] for c, row in zip(coords, rows)) != total[q]
-               for q in range(fan.ambient_dim) if q not in pivots):
+        at_pivots = [total[p] for p in pivots]
+        rest = total
+        for fi, row in zip(dual, fan.lineality + [fan.rays[i] for i in tau]):
+            c = sum(map(mul, fi, at_pivots))
+            if c:
+                rest = [x - c * y for x, y in zip(rest, row)]
+        if any(rest):
             violations.append(tau)
     return violations

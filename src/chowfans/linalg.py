@@ -75,28 +75,37 @@ def pivot_inverse(rows):
     """(pivots, inv) for a matrix with linearly independent rows: pivots
     are its pivot columns, and inv is the inverse of the square block they
     cut out.  Gauss-Jordan on [rows | I]: once the pivot block is reduced
-    to I, the right half is its inverse.  Raises ValueError if the rows
-    are dependent."""
+    to I, the right half is its inverse.  A pivot of 1 or -1 keeps integer
+    rows integer, and a step adds the pivot row to the others only at its
+    nonzero entries.  Raises ValueError if the rows are dependent."""
     n = len(rows)
     cols = len(rows[0]) if rows else 0
-    aug = [list(rows[i]) + [int(i == j) for j in range(n)] for i in range(n)]
+    aug = [list(row) + [0] * n for row in rows]
+    for i, row in enumerate(aug):
+        row[cols + i] = 1
     pivots = []
     for c in range(cols):
         r = len(pivots)
-        if r == n:
-            break
-        pr = next((i for i in range(r, n) if aug[i][c] != 0), None)
-        if pr is None:
+        for pr in range(r, n):
+            if aug[pr][c]:
+                break
+        else:
             continue
         aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
+        y = aug[r]
+        pv = y[c]
         if pv != 1:
-            aug[r] = [_div(v, pv) for v in aug[r]]
-        for i in range(n):
-            f = aug[i][c]
-            if i != r and f != 0:
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+            y = aug[r] = ([-v for v in y] if pv == -1
+                          else [_div(v, pv) for v in y])
+        nonzero = [(j, v) for j, v in enumerate(y) if v]
+        for i, x in enumerate(aug):
+            f = x[c]
+            if f and i != r:
+                for j, v in nonzero:
+                    x[j] -= f * v
         pivots.append(c)
+        if r + 1 == n:
+            break
     if len(pivots) < n:
         raise ValueError("singular matrix")
     return pivots, [row[cols:] for row in aug]

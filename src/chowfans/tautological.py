@@ -3,7 +3,6 @@ classes built on them as elementary symmetric products.  Segre and twisted
 Chern classes are computed on coordinate vectors, in rings.
 """
 
-from fractions import Fraction
 from itertools import combinations
 
 from .chow import (ChowElement, divisor, multiply_by_divisor,
@@ -26,29 +25,29 @@ def structural_divisors(fan, M, j=1):
     full = M.full
     nrays = len(fan.rays)
     jbit = 1 << (j - 1)
-    gamma = [Fraction(0)] * nrays
-    gammabar = [Fraction(0)] * nrays
-    both_proper = [Fraction(0)] * nrays
-    low_rank = [[Fraction(0)] * nrays for _ in range(M.r + 1)]
-    vplus = [[Fraction(0)] * nrays for _ in range(M.r + 1)]
-    vminus = [[Fraction(0)] * nrays for _ in range(M.r + 1)]
+    gamma = [0] * nrays
+    gammabar = [0] * nrays
+    both_proper = [0] * nrays
+    low_rank = [[0] * nrays for _ in range(M.r + 1)]
+    vplus = [[0] * nrays for _ in range(M.r + 1)]
+    vminus = [[0] * nrays for _ in range(M.r + 1)]
     for idx, (S, F) in enumerate(fan.ray_labels):
         s_proper = S != full
         f_proper = F != full
         if s_proper and (S & jbit):
-            gamma[idx] = Fraction(1)
+            gamma[idx] = 1
         if f_proper and (F & jbit):
-            gammabar[idx] = Fraction(1)
+            gammabar[idx] = 1
         if s_proper and f_proper:
-            both_proper[idx] = Fraction(1)
+            both_proper[idx] = 1
         rk = M.rank(full & ~S)
         for i in range(1, M.r + 1):
             if s_proper and rk < i:
-                low_rank[i][idx] = Fraction(1)
+                low_rank[i][idx] = 1
                 if not f_proper:
-                    vplus[i][idx] = Fraction(1)
+                    vplus[i][idx] = 1
             if s_proper and f_proper and rk >= i:
-                vminus[i][idx] = Fraction(1)
+                vminus[i][idx] = 1
     g = divisor(fan, gamma)
     gb = divisor(fan, gammabar)
     delta = divisor(fan, [gamma[i] + gammabar[i] - both_proper[i]
@@ -74,12 +73,11 @@ def w_divisors(fan, M):
     if M.loops():
         raise LoopyMatroid("w classes need a loopless matroid")
     full = M.full
-    alpha = [Fraction(1) if (S & 1) and S != full else Fraction(0)
-             for S in fan.ray_labels]
-    alpha = divisor(fan, alpha)
+    alpha = divisor(fan, [1 if (S & 1) and S != full else 0
+                          for S in fan.ray_labels])
     ws = [None]
     for i in range(1, M.r + 1):
-        coeffs = [Fraction(1) if S != full and M.rank(full & ~S) < i else Fraction(0)
+        coeffs = [1 if S != full and M.rank(full & ~S) < i else 0
                   for S in fan.ray_labels]
         ws.append(divisor(fan, coeffs) - alpha)
     return {"alpha": alpha, "w": ws}

@@ -29,6 +29,15 @@ the fraction-free inertia: row echelon form and Gauss-Jordan inverse over
 `Fraction`, the plain matrix product and the inertia by symmetric
 elimination over `Fraction`.
 
+Also the Fraction reference of the per-cone kernel of `chow`: the
+Adiprasito-Huh-Katz fan-out of a cone monomial times a divisor, the ray
+and divisor products, the degree, the pairing walk and the cap product,
+all over `Fraction` with classes as plain dicts
+cone -> coefficient.  Each cone's dual basis comes from a Gauss-Jordan
+over `Fraction` and its extensions from a scan of every ray, so the
+kernel's integer arithmetic, its cached extension maps and
+`linalg.pivot_inverse` are all checked against it.
+
 Also the reference chain searches: the flag and biflag cones of the
 Bergman and bundle fans, the gap-free first components and the second
 components of the cancellation families, each found by scanning every
@@ -36,6 +45,7 @@ label at every step and testing whole chains, with no successor lists.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from chowfans.chow import (ChowElement, FanMismatch, graded_basis,
@@ -367,6 +377,141 @@ def multiply_elements(e1, e2):
     out = ChowElement(e1.fan, e1.degree + e2.degree)
     for cone, c in e2.terms.items():
         out = out + multiply_by_monomial(e1, cone) * c
+    return out
+
+
+def reference_pivot_inverse(rows):
+    """linalg.pivot_inverse over Fraction: Gauss-Jordan on [rows | I],
+    each pivot row divided by its pivot."""
+    n = len(rows)
+    cols = len(rows[0]) if rows else 0
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(rows)]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == n:
+            break
+        pr = next((i for i in range(r, n) if aug[i][c] != 0), None)
+        if pr is None:
+            continue
+        aug[r], aug[pr] = aug[pr], aug[r]
+        pv = aug[r][c]
+        aug[r] = [x / pv for x in aug[r]]
+        for i in range(n):
+            f = aug[i][c]
+            if i != r and f != 0:
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+    if len(pivots) < n:
+        raise ValueError("singular matrix")
+    return pivots, [row[cols:] for row in aug]
+
+
+@lru_cache(maxsize=None)
+def _reference_dual_basis(fan, cone):
+    """(pivots, the functionals dual to the rays of cone), by Gauss-Jordan
+    over Fraction, kept per fan and cone for the life of the tests."""
+    pivots, inv = reference_pivot_inverse(
+        fan.lineality + [fan.rays[i] for i in cone])
+    return pivots, list(zip(*inv))[len(fan.lineality):]
+
+
+def reference_fan_out(fan, cone, values, a=None):
+    """x_cone * D over Fraction, as (cone + rho, a_rho - m(u_rho)) pairs,
+    for m the functional vanishing on the lineality with m(u_j) = values[j]
+    on the rays of cone, and the rays rho extending cone found by a scan."""
+    pivots, dual = _reference_dual_basis(fan, cone)
+    m = [Fraction(0)] * len(pivots)
+    for f, v in zip(dual, values):
+        m = [x + Fraction(v) * y for x, y in zip(m, f)]
+    out = []
+    for rho, u in enumerate(fan.rays):
+        key = tuple(sorted(cone + (rho,)))
+        if rho in cone or key not in fan.cones:
+            continue
+        coef = Fraction(0 if a is None else a[rho]) - sum(
+            x * u[p] for x, p in zip(m, pivots))
+        if coef:
+            out.append((key, coef))
+    return out
+
+
+def _reference_accumulate(out, c, pairs):
+    for key, coef in pairs:
+        v = out.get(key, Fraction(0)) + Fraction(c) * coef
+        if v:
+            out[key] = v
+        else:
+            out.pop(key, None)
+
+
+def reference_multiply_by_ray(fan, terms, rho):
+    """The terms of x_rho times the class with the given terms."""
+    out = {}
+    for cone, c in terms.items():
+        if rho in cone:
+            _reference_accumulate(out, c, reference_fan_out(
+                fan, cone, [int(i == rho) for i in cone]))
+        else:
+            key = tuple(sorted(cone + (rho,)))
+            if key in fan.cones:
+                _reference_accumulate(out, c, [(key, Fraction(1))])
+    return out
+
+
+def reference_multiply_by_divisor(fan, terms, a):
+    """The terms of the divisor with ray coefficients a times the class."""
+    out = {}
+    for cone, c in terms.items():
+        _reference_accumulate(out, c, reference_fan_out(
+            fan, cone, [a[i] for i in cone], a))
+    return out
+
+
+def reference_degree(fan, terms):
+    """The degree of a top-dimensional class, as a Fraction."""
+    total = Fraction(0)
+    for cone, c in terms.items():
+        total += Fraction(c) * fan.weight[cone] / fan.cone_multiplicity(cone)
+    return total
+
+
+def reference_pairings(fan, k, terms):
+    """(cone, pairing) for the complementary cones the walk over every
+    ray reaches from a degree-k class, in the order of the walk."""
+    depth = fan.top_dim - k
+    nrays = len(fan.rays)
+
+    def walk(cur, prefix, next_ray):
+        if len(prefix) == depth:
+            if prefix in fan.cones:
+                yield prefix, reference_degree(fan, cur)
+            return
+        for rho in range(next_ray, nrays):
+            nxt = reference_multiply_by_ray(fan, cur, rho)
+            if nxt:
+                yield from walk(nxt, prefix + (rho,), rho + 1)
+    return walk(dict(terms), (), 0)
+
+
+def reference_pair_all(fan, k, terms):
+    """Pairings of a degree-k class with every complementary cone."""
+    out = {tau: Fraction(0) for tau in fan.cones_of_dim(fan.top_dim - k)}
+    out.update(reference_pairings(fan, k, terms))
+    return out
+
+
+def reference_cap_product(fan, dim, values, a):
+    """The values of the divisor with ray coefficients a capped with the
+    weight with the given values on the dim-cones."""
+    out = {}
+    for tau in fan.cones_of_dim(dim - 1):
+        total = sum((coef * Fraction(values.get(sigma, 0)) for sigma, coef
+                     in reference_fan_out(fan, tau, [a[i] for i in tau], a)),
+                    Fraction(0))
+        if total:
+            out[tau] = total
     return out
 
 
