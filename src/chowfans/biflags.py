@@ -12,7 +12,7 @@ from collections import Counter
 
 from .chow import (ChowElement, is_zero_class, multiply_by_divisor,
                    nonzero_pairing_witness, unit_class)
-from .fans import (biflat_poset, bisubset_leq, gap_indices, is_chain,
+from .fans import (_gaps, biflat_poset, bisubset_leq, gap_indices,
                    projective_bundle_fan, walk_chains)
 from .matroid import mask_to_set
 from .tautological import elementary_symmetric_products, structural_divisors
@@ -139,20 +139,13 @@ def expansion_index(split):
     return i, _minimum(split.closure_Ssc & ~split.T(i)[1])
 
 
-def _insertable(chain, p):
-    """The strictly increasing chain with biflat p inserted after the
-    members below it, or None if there is none."""
-    if p in chain:
-        return None
-    out = list(chain)
-    out.insert(sum(bisubset_leq(q, p) for q in chain), p)
-    return out if is_chain(out) else None
-
-
 def canonical_expansion(split):
     """The signed square-free rewriting of x_chain * (gammabar - v_{a-l}^-)
     with the representative gammabar_e: returns (e, pos, neg) where pos and
-    neg are sets of chains (tuples of biflats)."""
+    neg are sets of chains (tuples of biflats).  Each term inserts one
+    proper biflat p into the chain, in the slot t with chain[t-1] < p <
+    chain[t]: a successor of chain[t-1] (any biflat for t = 0) listed
+    before chain[t] and below it, so the new chain needs only a gap."""
     if not is_lex_decreasing(split):
         raise NotLexDecreasing("canonical expansion needs a lexicographically "
                                "decreasing biflag")
@@ -161,20 +154,33 @@ def canonical_expansion(split):
     i, e = expansion_index(split)
     ebit = 1 << (e - 1)
     chain = split.chain()
+    labels, succ = biflat_poset(M)
+    at = []
+    for S, F in chain:
+        try:
+            at.append(labels.index((S, F)))
+        except ValueError:
+            raise NotABiflag("%s|%s is not a proper biflat of M"
+                             % (mask_to_set(S), mask_to_set(F))) from None
     pos, neg = set(), set()
-    for U, H in biflat_poset(M)[0]:
-        rkU = M.rank(full & ~U)
-        if rkU < target and (H & ebit) and H != full:
-            bucket = pos
-        elif rkU >= target and not (H & ebit):
-            bucket = neg
-        else:
-            continue
-        new = _insertable(chain, (U, H))
-        if new is None:
-            continue
-        if gap_indices(M.n, new):
-            bucket.add(tuple(new))
+    for t in range(len(chain) + 1):
+        upper = at[t] if t < len(chain) else len(labels)
+        for j in succ[at[t - 1]] if t else range(upper):
+            if j >= upper:
+                break
+            U, H = p = labels[j]
+            if t < len(chain) and not bisubset_leq(p, chain[t]):
+                continue
+            rkU = M.rank(full & ~U)
+            if rkU < target and (H & ebit) and H != full:
+                bucket = pos
+            elif rkU >= target and not (H & ebit):
+                bucket = neg
+            else:
+                continue
+            new = chain[:t] + [p] + chain[t:]
+            if _gaps(full, new):
+                bucket.add(tuple(new))
     return e, pos, neg
 
 

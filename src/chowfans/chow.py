@@ -40,10 +40,6 @@ class UnsupportedFan(ChowError):
     pass
 
 
-class NotASubfan(ChowError):
-    pass
-
-
 class UnbalancedInput(ChowError):
     pass
 
@@ -381,24 +377,6 @@ def cap_product(weight, D):
     # the cap of a weight on the zero cone is the zero weight in dimension
     # -1, which has no cones to balance
     return MinkowskiWeight(fan, weight.dim - 1, out, check=weight.dim > 0)
-
-
-def restrict_to_subfan(elem, subfan):
-    """Restriction along an inclusion of fans, matching cones by ray label."""
-    fan = elem.fan
-    for lab in subfan.ray_labels:
-        if lab not in fan.ray_index:
-            raise NotASubfan("ray %r missing from the ambient fan" % (lab,))
-    out = {}
-    for cone, c in elem.terms.items():
-        labs = [fan.ray_labels[i] for i in cone]
-        try:
-            target = tuple(sorted(subfan.ray_index[l] for l in labs))
-        except KeyError:
-            continue
-        if target in subfan.cones:
-            out[target] = c
-    return ChowElement(subfan, elem.degree, out)
 
 
 def pullback_pi1(D, target):

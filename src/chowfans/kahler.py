@@ -12,7 +12,7 @@ from itertools import accumulate
 
 from . import linalg
 from .chow import divisor
-from .rings import model_gram, multi_bundle_ring
+from .rings import multi_bundle_ring
 from .tautological import chern_classes
 
 
@@ -29,7 +29,7 @@ _GRAMS = weakref.WeakKeyDictionary()
 
 def _pd_grams(model):
     """The Gram matrices G_0..G_{n//2} of a model, each in the scaled form
-    (A, den) of linalg.scaled_integer, or None when Poincare duality fails;
+    (A, den) that model.gram returns, or None when Poincare duality fails;
     once per model, which does not change after it is built.  The memo
     holds models weakly and sets no attribute on them, since a model is any
     object with the graded ring interface."""
@@ -39,11 +39,11 @@ def _pd_grams(model):
     grams = []
     for k in range(n // 2 + 1):
         d = model.dim(k)
-        g = model_gram(model, k)
-        if d != model.dim(n - k) or (d and linalg.rank(g) != d):
+        g = model.gram(k)
+        if d != model.dim(n - k) or (d and linalg.rank(g[0]) != d):
             grams = None
             break
-        grams.append(linalg.scaled_integer(g))
+        grams.append(g)
     _GRAMS[model] = grams
     return grams
 
@@ -185,19 +185,16 @@ def matroid_bundle_model(N, M, phi="identity"):
 
 def restricted_multi_bundle_model(base_matroid, bundle_matroids):
     """Iterated bundle ring over the Chow ring of a Bergman fan, with each
-    bundle's Chern classes restricted from the ambient permutohedral fan,
-    plus the restricted convex class h and the relative hyperplane classes."""
-    from .chow import restrict_to_subfan
-    from .fans import bergman_fan, permutohedral_fan
+    bundle's Chern classes and the convex class h built on the Bergman fan
+    itself, which is their restriction from the ambient permutohedral fan
+    since restriction to a subfan is a ring map; plus the relative
+    hyperplane classes."""
+    from .fans import bergman_fan
     from .rings import FanRingModel
     N = base_matroid.n
-    ambient = permutohedral_fan(N)
     base = FanRingModel(bergman_fan(base_matroid))
-    specs = [[base.unit()] + [
-        base.to_vector(restrict_to_subfan(e, base.fan)) if i <= base.top
-        else [] for i, e in enumerate(chern_classes(ambient, M)[1:], 1)]
-        for M in bundle_matroids]
-    model = multi_bundle_ring(base, specs)
+    model = multi_bundle_ring(base, [chern_vectors(base, M)
+                                     for M in bundle_matroids])
     chain = []
     ring = model
     while ring is not base:

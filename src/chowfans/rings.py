@@ -7,9 +7,11 @@ on top-degree vectors.  mult_matrix returns the scaled form (A, den) of
 linalg: A a list of int rows and den a positive int, the matrix being
 A / den.  Element vectors (w, v and everything multiply returns) are
 Fractions.  Every model derives from GradedModel, which reads
-multiply(k1, v1, k2, v2) and unit() off mult_matrix.  Everything
-downstream (bundle rings, annihilator quotients, the Kahler checks) is
-written against this interface only, and reads the scaled form as it is.
+multiply(k1, v1, k2, v2), unit() and the Gram matrices gram(k), in the
+same scaled form, off mult_matrix; a fan model reads its Grams off its
+graded basis instead.  Everything downstream (bundle rings, annihilator
+quotients, the Kahler checks) is written against this interface only,
+and reads the scaled form as it is.
 """
 
 from fractions import Fraction
@@ -50,6 +52,25 @@ class GradedModel:
 
     def unit(self):
         return [Fraction(1)]
+
+    def gram(self, k):
+        """The Gram matrix G_k of the degree-k basis against the
+        complementary one, in the scaled form (A, den): column j holds the
+        degrees of the columns of multiplication by the j-th degree-(n-k)
+        basis element from degree k, each int column of that matrix's A
+        put over its den."""
+        n = self.top
+        d = self.dim(n - k)
+        cols = []
+        for j in range(d):
+            a, den = self.mult_matrix(
+                n - k, [Fraction(int(i == j)) for i in range(d)], k)
+            (col,), col_den = linalg.scaled_integer(
+                [[self.deg(list(c)) for c in zip(*a)]])
+            cols.append((col, den * col_den))
+        den = lcm(1, *(col_den for _, col_den in cols))
+        return [list(row) for row in zip(*(
+            [x * (den // col_den) for x in col] for col, col_den in cols))], den
 
 
 class FanRingModel(GradedModel):
@@ -161,25 +182,15 @@ class FanRingModel(GradedModel):
              for col, c_den in cols], den)
         return hit
 
+    def gram(self, k):
+        """G_k in the scaled form (A, den), from the Gram matrix that
+        graded_basis holds."""
+        return linalg.scaled_integer(graded_basis(self.fan, k)[2])
+
     def deg(self, v):
         # the degree-top Gram matrix pairs the basis with the unit class
         gram = graded_basis(self.fan, self.top)[2]
         return sum(a * row[0] for a, row in zip(v, gram))
-
-
-def model_gram(model, k):
-    """Pairing matrix of the degree-k basis against the complementary one:
-    column j holds the degrees of the columns of multiplication by the
-    j-th degree-(n-k) basis element from degree k.  The degree of an int
-    column of A is divided by den exactly, as a Fraction."""
-    n = model.top
-    d = model.dim(n - k)
-    cols = []
-    for j in range(d):
-        a, den = model.mult_matrix(
-            n - k, [Fraction(int(i == j)) for i in range(d)], k)
-        cols.append([Fraction(model.deg(list(c)), den) for c in zip(*a)])
-    return [list(row) for row in zip(*cols)]
 
 
 class BundleRing(GradedModel):

@@ -41,7 +41,14 @@ kernel's integer arithmetic, its cached extension maps and
 Also the reference chain searches: the flag and biflag cones of the
 Bergman and bundle fans, the gap-free first components and the second
 components of the cancellation families, each found by scanning every
-label at every step and testing whole chains, with no successor lists.
+label at every step and testing whole chains, with no successor lists;
+and the canonical expansion by the same full scan, every proper biflat
+inserted where it fits and the whole new chain validated.
+
+Also the Gram matrices of a ring model read off its multiplication
+matrices as Fractions, one whole `mult_matrix` per complementary basis
+element, and the Chern vectors of a matroid on a Bergman fan model by the
+ambient route: computed on perm(N) and restricted cone by cone.
 """
 
 from fractions import Fraction
@@ -50,8 +57,11 @@ from itertools import combinations_with_replacement
 
 from chowfans.chow import (ChowElement, FanMismatch, graded_basis,
                            multiply_by_monomial, pair, pair_all)
-from chowfans.fans import proper_biflats
+from chowfans.biflags import expansion_index, is_lex_decreasing
+from chowfans.fans import (bisubset_leq, gap_indices, is_chain,
+                           permutohedral_fan, proper_biflats)
 from chowfans.rings import BundleRing, QuotientRingModel
+from chowfans.tautological import chern_classes
 
 
 def rref(rows):
@@ -667,3 +677,78 @@ def reference_seconds(M, first, length):
                 extend(second + (p,))
     extend(())
     return found
+
+
+def _insertable(chain, p):
+    """The strictly increasing chain with biflat p inserted after the
+    members below it, or None if there is none."""
+    if p in chain:
+        return None
+    out = list(chain)
+    out.insert(sum(bisubset_leq(q, p) for q in chain), p)
+    return out if is_chain(out) else None
+
+
+def reference_canonical_expansion(split):
+    """(e, pos, neg) of `canonical_expansion`, by scanning every proper
+    biflat of M, inserting it where it fits and validating the whole new
+    chain with `is_chain` and `gap_indices`."""
+    assert is_lex_decreasing(split)
+    M, full = split.M, split.M.full
+    target = split.a - split.l
+    _, e = expansion_index(split)
+    ebit = 1 << (e - 1)
+    chain = split.chain()
+    pos, neg = set(), set()
+    for U, H in proper_biflats(M):
+        rkU = M.rank(full & ~U)
+        if rkU < target and (H & ebit) and H != full:
+            bucket = pos
+        elif rkU >= target and not (H & ebit):
+            bucket = neg
+        else:
+            continue
+        new = _insertable(chain, (U, H))
+        if new is not None and gap_indices(M.n, new):
+            bucket.add(tuple(new))
+    return e, pos, neg
+
+
+def reference_gram(model, k):
+    """Pairing matrix of the degree-k basis against the complementary one:
+    column j holds the degrees of the columns of multiplication by the
+    j-th degree-(n-k) basis element from degree k.  The degree of an int
+    column of A is divided by den exactly, as a Fraction."""
+    n = model.top
+    d = model.dim(n - k)
+    cols = []
+    for j in range(d):
+        a, den = model.mult_matrix(n - k, _unit(d, j), k)
+        cols.append([Fraction(model.deg(list(c)), den) for c in zip(*a)])
+    return [list(row) for row in zip(*cols)]
+
+
+def restrict_to_subfan(elem, subfan):
+    """Restriction along an inclusion of fans, matching cones by ray label."""
+    fan = elem.fan
+    assert all(lab in fan.ray_index for lab in subfan.ray_labels)
+    out = {}
+    for cone, c in elem.terms.items():
+        labs = [fan.ray_labels[i] for i in cone]
+        try:
+            target = tuple(sorted(subfan.ray_index[l] for l in labs))
+        except KeyError:
+            continue
+        if target in subfan.cones:
+            out[target] = c
+    return ChowElement(subfan, elem.degree, out)
+
+
+def reference_restricted_chern_vectors(base, M):
+    """c_0..c_r of M as coordinate vectors of base, a model of the Chow
+    ring of a Bergman fan: computed on the ambient perm(N) and restricted
+    to the Bergman fan; above its top degree they are empty."""
+    ambient = permutohedral_fan(M.n)
+    return [base.unit()] + [
+        base.to_vector(restrict_to_subfan(e, base.fan)) if i <= base.top
+        else [] for i, e in enumerate(chern_classes(ambient, M)[1:], 1)]

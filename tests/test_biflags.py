@@ -122,6 +122,16 @@ def test_split_rejects_gap_free_chain():
         split_at_first_gap(M, chain)
 
 
+def test_canonical_expansion_names_a_member_that_is_no_biflat():
+    """34|12 is a lexicographically decreasing biflag of U(2,4) in shape,
+    but 12 is no flat, so no insertion can be read off its successors."""
+    M = matroid_uniform(2, 4)
+    sp = SplitBiflag(M, [], [(m(3, 4), m(1, 2))])
+    assert is_lex_decreasing(sp)
+    with pytest.raises(NotABiflag, match=r"^\(3, 4\)\|\(1, 2\) "):
+        canonical_expansion(sp)
+
+
 def test_cancellation_sweep_u24_exhaustive():
     M = matroid_uniform(2, 4)
     count = 0

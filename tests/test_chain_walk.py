@@ -1,20 +1,22 @@
 """The one chain walk over successor lists against the label scans it
 replaced (`naive_oracle`): the same cones, the same gap-free first
-components and the same cancellation families, in the same order."""
+components and the same cancellation families, in the same order, and
+the same canonical expansions."""
 
 import collections
 
 import pytest
 
 from chowfans import fans
-from chowfans.biflags import (SplitBiflag, family_sets, gap_free_firsts,
-                              lemma_suite)
+from chowfans.biflags import (SplitBiflag, canonical_expansion, family_sets,
+                              gap_free_firsts, lemma_suite)
 from chowfans.fans import (bergman_fan, bipermutohedral_fan,
                            permutohedral_fan, projective_bundle_fan,
                            walk_chains)
 from chowfans.matroid import (matroid_from_bases, matroid_from_graph,
                               matroid_uniform, pyramid_matroid)
 from naive_oracle import (reference_bergman_cones, reference_bundle_cones,
+                          reference_canonical_expansion,
                           reference_gap_free_firsts, reference_seconds)
 
 K4_EDGES = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
@@ -73,6 +75,27 @@ def test_family_sets_match_the_label_scan(name):
             assert got == low_index_parts(M, first, l, scans[l + 1])
             cases += 1
     assert cases > depth
+
+
+@pytest.mark.parametrize("name", list(FAMILY_CASES))
+def test_canonical_expansion_matches_the_full_scan(name):
+    """Every member of A and A' for every first component and l: the
+    insertions read off the successor lists are the biflats the full scan
+    finds insertable with a gap."""
+    make, depth, up_to_a = FAMILY_CASES[name]
+    M = make()
+    seen = set()
+    for first in gap_free_firsts(M, depth):
+        a = SplitBiflag(M, list(first), []).a
+        for l in range(a + 1 if up_to_a else a):
+            data = family_sets(M, first, l)
+            for split in data["A"] + data["Aprime"]:
+                chain = tuple(split.chain())
+                if chain not in seen:
+                    seen.add(chain)
+                    assert canonical_expansion(split) == \
+                        reference_canonical_expansion(split), chain
+    assert seen
 
 
 @pytest.mark.parametrize("name", ["U(2,4)", "U(3,4)", "K4", "parallel-pair"])

@@ -8,14 +8,19 @@ from chowfans import kahler, linalg
 from chowfans.fans import bergman_fan, permutohedral_fan
 from chowfans.kahler import (MissingConvexClass, base_convex_divisor,
                              candidate_schedule, check_hl, check_hr, check_pd,
-                             divisor_vector, kahler_report, lefschetz_forms,
+                             chern_vectors, divisor_vector, kahler_report,
+                             lefschetz_forms,
                              lefschetz_inertia, matroid_bundle_model,
                              oriented_degree_one,
                              restricted_multi_bundle_model,
                              sample_lefschetz_candidates)
-from chowfans.matroid import matroid_uniform, pyramid_matroid
-from chowfans.rings import FanRingModel, GradedModel, model_gram
-from naive_oracle import mat_mul, reference_kahler_report, unscaled
+from chowfans.matroid import (matroid_from_graph, matroid_uniform,
+                              pyramid_matroid)
+from chowfans.rings import FanRingModel, GradedModel
+from naive_oracle import (mat_mul, reference_gram, reference_kahler_report,
+                          reference_restricted_chern_vectors, unscaled)
+
+K4_EDGES = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 
 
 class PointModel(GradedModel):
@@ -139,11 +144,13 @@ def test_named_kahler_verdicts(case):
 def test_gram_matrices_are_built_once_per_model(monkeypatch):
     built = collections.Counter()
 
+    real = GradedModel.gram
+
     def counting_gram(model, k):
         built[k] += 1
-        return model_gram(model, k)
+        return real(model, k)
 
-    monkeypatch.setattr(kahler, "model_gram", counting_gram)
+    monkeypatch.setattr(GradedModel, "gram", counting_gram)
     B, h, zetas = matroid_bundle_model(3, matroid_uniform(2, 3))
     assert len(sample_lefschetz_candidates(B, h, zetas, samples=3)) == 3
     assert built == {k: 1 for k in range(B.top // 2 + 1)}
@@ -184,7 +191,7 @@ def test_lefschetz_form_composes_mult_matrices(candidate):
         for k in range(i, n - i):
             step = unscaled(model.mult_matrix(1, ell, k))
             power = step if power is None else mat_mul(step, power)
-        gram = model_gram(model, i)
+        gram = reference_gram(model, i)
         assert q == (mat_mul(gram, power) if power else gram), i
         d = model.dim(i)
         for c in range(d):
@@ -223,7 +230,7 @@ def test_lefschetz_forms_match_the_fraction_product(name):
             power = model.multiply(1, ell, k, power)
             powers.append(power)
         for i, q in enumerate(forms):
-            gram = model_gram(model, i)
+            gram = reference_gram(model, i)
             want = gram if 2 * i == n else mat_mul(
                 gram, unscaled(
                     model.mult_matrix(n - 2 * i, powers[n - 2 * i], i)))
@@ -310,6 +317,28 @@ def test_multi_bundle_smoke_instance():
     reports = sample_lefschetz_candidates(model, h, zetas, samples=3)
     for rep in reports:
         assert rep["pd"] and rep["hl"] and rep["hr"]
+
+
+RESTRICTED_CASES = {
+    "pyramid": (pyramid_matroid, pyramid_matroid),
+    "U(2,4)": (lambda: matroid_uniform(2, 4), lambda: matroid_uniform(2, 4)),
+    "K4": (lambda: matroid_from_graph(4, K4_EDGES),
+           lambda: matroid_from_graph(4, K4_EDGES)),
+    "U(3,4)-with-U(2,4)": (lambda: matroid_uniform(3, 4),
+                           lambda: matroid_uniform(2, 4)),
+}
+
+
+@pytest.mark.parametrize("name", list(RESTRICTED_CASES))
+def test_bergman_chern_vectors_match_the_restriction(name):
+    """The Chern vectors built on the Bergman fan are those built on the
+    ambient perm(N) and restricted to it, and they are the coefficients
+    of the bundle ring restricted_multi_bundle_model builds."""
+    base_matroid, bundle_matroid = (make() for make in RESTRICTED_CASES[name])
+    model = restricted_multi_bundle_model(base_matroid, [bundle_matroid])[0]
+    want = reference_restricted_chern_vectors(model.base, bundle_matroid)
+    assert chern_vectors(model.base, bundle_matroid) == want
+    assert model.c[1:] == want[1:]
 
 
 def test_u25_bundle_model_passes_one_candidate():

@@ -3,7 +3,8 @@ reference products that build no multiplication matrix: cone monomials
 multiplied in the fan's Chow ring and read back with to_vector, and for a
 bundle ring the zeta polynomial of the component products reduced by the
 relation from its highest power down.  Every model returns the scaled form
-(A, den), int rows over a positive int."""
+(A, den), int rows over a positive int, and so does its gram, checked
+against the Gram read off mult_matrix as Fractions."""
 
 import functools
 import random
@@ -18,8 +19,8 @@ from chowfans.kahler import (candidate_schedule, chern_vectors,
                              restricted_multi_bundle_model)
 from chowfans.matroid import matroid_uniform, pyramid_matroid
 from chowfans.rings import (FanRingModel, GradedModel, QuotientRingModel,
-                            model_gram, quotient_by_ann_segre)
-from naive_oracle import reference_multiply, unscaled
+                            quotient_by_ann_segre)
+from naive_oracle import reference_gram, reference_multiply, unscaled
 
 
 def bundle(r, n):
@@ -180,7 +181,8 @@ class IntDegreeModel(GradedModel):
 
 def test_int_degrees_stay_fractions():
     """An int degree of an int column is divided by den, or by the first
-    quotient degree, as a Fraction; int / int would make a float."""
+    quotient degree, exactly: the reference Gram holds Fractions, since
+    int / int would make a float, and gram holds ints over one den."""
     base = IntDegreeModel()
     assert type(base.deg([1])) is int
     quotient = QuotientRingModel(base, 1, [Fraction(1), Fraction(2)])
@@ -188,9 +190,40 @@ def test_int_degrees_stay_fractions():
     assert all(type(x) is Fraction for x in quotient._degrees)
     for m in (base, quotient):
         for k in range(m.top + 1):
-            gram = model_gram(m, k)
+            gram = reference_gram(m, k)
             assert gram and all(type(x) is Fraction
                                 for row in gram for x in row), k
+            a, den = m.gram(k)
+            assert type(den) is int and den > 0
+            assert all(type(x) is int for row in a for x in row)
+            assert unscaled((a, den)) == gram, k
         a, den = m.mult_matrix(1, unit(m.dim(1), 0), 0)
         assert type(den) is int and den > 0
         assert all(type(x) is int for row in a for x in row)
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_gram_matches_reference(name):
+    """gram(k) is the Gram read off mult_matrix, as int rows over a
+    positive int, in every degree."""
+    m = model(name)
+    for k in range(m.top + 1):
+        a, den = m.gram(k)
+        assert type(den) is int and den > 0
+        assert all(type(x) is int for row in a for x in row)
+        assert unscaled((a, den)) == reference_gram(m, k), k
+
+
+def test_fan_model_gram_builds_no_basis_products(monkeypatch):
+    """A fan model's gram is the Gram of its graded basis: no T_j."""
+    m = FanRingModel(bergman_fan(pyramid_matroid()))
+
+    def refuse(*args):
+        raise AssertionError("gram built a basis product")
+
+    monkeypatch.setattr(m, "_monomial_columns", refuse)
+    grams = [m.gram(k) for k in range(m.top + 1)]
+    monkeypatch.undo()
+    assert not m._monomials
+    assert [unscaled(g) for g in grams] == \
+        [reference_gram(m, k) for k in range(m.top + 1)]
