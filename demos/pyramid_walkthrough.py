@@ -10,7 +10,7 @@ Run: python3 demos/pyramid_walkthrough.py
 
 from chowfans.biflags import (canonical_expansion, split_at_first_gap,
                               is_lex_decreasing, verify_cancellation)
-from chowfans.fans import matroid_gap_indices
+from chowfans.fans import gap_indices
 from chowfans.matroid import mask_to_set, pyramid_matroid, set_to_mask
 
 
@@ -34,7 +34,7 @@ def main():
     print("running chain:")
     for p in chain:
         print("  ", show(p))
-    print("gap indices:", sorted(matroid_gap_indices(M, chain)))
+    print("gap indices:", sorted(gap_indices(M.n, chain)))
 
     sp = split_at_first_gap(M, chain)
     print("split at first gap: s =", sp.s, " l =", sp.l, " a =", sp.a)

@@ -10,8 +10,7 @@ from .chow import (ChowElement, MinkowskiWeight, cap_product, chow_dim,
                    pullback_pi1, ray_coefficients, unit_class)
 from .tautological import chern_classes, structural_divisors, w_divisors
 from .rings import (BundleRing, FanRingModel, bloch_gieseker,
-                    multi_bundle_ring, quotient_by_ann_segre, segre_vectors,
-                    twist_vectors)
+                    quotient_by_ann_segre, segre_vectors, twist_vectors)
 from .kahler import (check_hl, check_hr, check_pd, kahler_report,
                      lefschetz_inertia, sample_lefschetz_candidates)
 from .biflags import (SplitBiflag, canonical_expansion, dyck_profile,

@@ -348,10 +348,9 @@ def graded_basis(fan, k):
         cache[k] = (cols, rows, [list(col) for col in zip(*gram)])
         return cache[k]
     rows, cols, mat = _pairing_matrix(fan, k)
-    # pivot columns are the greedy independent columns, in order; rows are
-    # independent exactly when their restrictions to those columns are
-    basis_cols = linalg.row_echelon(linalg.mat_copy(mat))
-    basis_rows = linalg.row_echelon([[row[j] for row in mat] for j in basis_cols])
+    # rows are independent exactly when their restrictions to the greedy
+    # independent columns are
+    basis_rows, basis_cols = linalg.basis_minor(mat)
     gram = [[mat[i][j] for j in basis_cols] for i in basis_rows]
     cache[k] = ([rows[i] for i in basis_rows], [cols[j] for j in basis_cols], gram)
     return cache[k]

@@ -72,18 +72,6 @@ def _gaps(full, pairs):
     return [j for j in range(len(pairs) + 1) if (ext[j][0] | ext[j + 1][1]) != full]
 
 
-def matroid_gap_indices(M, pairs):
-    """Same gap set, via the closure criterion for chains of biflats:
-    j is a gap iff closure(S_j^c) is not contained in F_{j+1}."""
-    full = M.full
-    ext = [(0, full)] + list(pairs) + [(full, 0)]
-    out = set()
-    for j in range(len(pairs) + 1):
-        if M.closure(full & ~ext[j][0]) & ~ext[j + 1][1]:
-            out.add(j)
-    return out
-
-
 def proper_biflats(M):
     """All proper biflats S|F of M, sorted by (|S|, -|F|, S, F), as a
     tuple.  Callers read them through `biflat_poset`, which builds them

@@ -12,7 +12,8 @@ from itertools import accumulate
 
 from . import linalg
 from .chow import divisor
-from .rings import multi_bundle_ring
+from .fans import bergman_fan, permutohedral_fan
+from .rings import BundleRing, FanRingModel
 from .tautological import chern_classes
 
 
@@ -171,16 +172,32 @@ def chern_vectors(base, M, via="identity"):
     return [base.unit()] + [base.to_vector(e) for e in cs[1:]]
 
 
+def _bundle_tower(base, specs):
+    """The iterated bundle ring over base with one storey per coefficient
+    list c in specs (c[i] a base vector of degree i; c[0] is not read),
+    the convex base class h and the relative hyperplane classes zeta of
+    the storeys, bottom first, all as degree-1 vectors of the top storey.
+    Each storey lifts through itself the coefficient lists still pending,
+    h and the zetas below it."""
+    model = base
+    h = base.to_vector(base_convex_divisor(base.fan, base.fan.ambient_dim))
+    zetas = []
+    pending = [list(spec) for spec in specs]
+    for idx, spec in enumerate(pending):
+        model = BundleRing(model, len(spec) - 1, spec[1:])
+        for later in pending[idx + 1:]:
+            later[1:] = [model.lift(i, v) for i, v in enumerate(later[1:], 1)]
+        h = model.lift(1, h)
+        zetas = [model.lift(1, z) for z in zetas] + [model.zeta()]
+    return model, h, zetas
+
+
 def matroid_bundle_model(N, M, phi="identity"):
     """The bundle ring over the permutohedral Chow ring whose coefficients
     are the tautological Chern classes of M, together with the convex base
     class h and the relative hyperplane class, both as degree-1 vectors."""
-    from .fans import permutohedral_fan
-    from .rings import BundleRing, FanRingModel
     base = FanRingModel(permutohedral_fan(N))
-    B = BundleRing(base, M.r, chern_vectors(base, M, via=phi)[1:])
-    h = B.lift(1, base.to_vector(base_convex_divisor(base.fan, N)))
-    return B, h, [B.zeta()]
+    return _bundle_tower(base, [chern_vectors(base, M, via=phi)])
 
 
 def restricted_multi_bundle_model(base_matroid, bundle_matroids):
@@ -189,23 +206,9 @@ def restricted_multi_bundle_model(base_matroid, bundle_matroids):
     itself, which is their restriction from the ambient permutohedral fan
     since restriction to a subfan is a ring map; plus the relative
     hyperplane classes."""
-    from .fans import bergman_fan
-    from .rings import FanRingModel
-    N = base_matroid.n
     base = FanRingModel(bergman_fan(base_matroid))
-    model = multi_bundle_ring(base, [chern_vectors(base, M)
-                                     for M in bundle_matroids])
-    chain = []
-    ring = model
-    while ring is not base:
-        chain.insert(0, ring)
-        ring = ring.base
-    zetas = []
-    h = base.to_vector(base_convex_divisor(base.fan, N))
-    for ring in chain:
-        zetas = [ring.lift(1, z) for z in zetas] + [ring.zeta()]
-        h = ring.lift(1, h)
-    return model, h, zetas
+    return _bundle_tower(base, [chern_vectors(base, M)
+                                for M in bundle_matroids])
 
 
 def sample_lefschetz_candidates(model, h, zetas, samples=3, seed=0):

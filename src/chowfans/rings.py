@@ -355,7 +355,7 @@ def bloch_gieseker(base, c, delta, lams=(0,)):
         full_rank = True
         for i in range(B.top):
             mat, _ = B.mult_matrix(1, zeta, i)
-            rk = linalg.rank(mat) if mat else 0
+            rk = linalg.rank(mat)
             if rk != min(B.dim(i), B.dim(i + 1)):
                 full_rank = False
                 break
@@ -364,7 +364,7 @@ def bloch_gieseker(base, c, delta, lams=(0,)):
             ok = True
             for i in range(0, n - d + 1):
                 mat, _ = base.mult_matrix(d, cl[d], i)
-                rk = linalg.rank(mat) if mat else 0
+                rk = linalg.rank(mat)
                 inj = rk == base.dim(i)
                 surj = rk == base.dim(i + d)
                 if 2 * i <= n - r and not inj:
@@ -406,11 +406,10 @@ class QuotientRingModel(GradedModel):
             # c = mat_C[R]^-1 mat[R] w, one matrix formed once per degree.
             # mat = A / den, and den cancels from mat_C[R]^-1 mat[R]
             mat, _ = base.mult_matrix(t, self.z, k)
-            chosen = linalg.row_echelon(linalg.mat_copy(mat))
-            rows, inv_t = linalg.pivot_inverse(
-                [[row[i] for row in mat] for i in chosen])
+            rows, chosen = linalg.basis_minor(mat)
             proj = linalg.scaled_mat_mul(
-                linalg.scaled_integer([list(col) for col in zip(*inv_t)]),
+                linalg.scaled_inverse([[mat[r][i] for i in chosen]
+                                       for r in rows]),
                 ([mat[r] for r in rows], 1))
             self._comp[k] = chosen
             self._proj[k] = (proj, len(chosen))
@@ -450,15 +449,3 @@ class QuotientRingModel(GradedModel):
     def deg(self, v):
         return sum((a * b for a, b in zip(v, self._degrees)), Fraction(0))
 
-
-def multi_bundle_ring(base, specs):
-    """Iterated bundle ring: specs is a list of coefficient lists c with
-    c[i] a base-ring vector of degree i (c[0] is not read); each round
-    lifts the remaining coefficient lists through the ring just built."""
-    model = base
-    pending = [list(spec) for spec in specs]
-    for idx, spec in enumerate(pending):
-        model = BundleRing(model, len(spec) - 1, spec[1:])
-        for later in pending[idx + 1:]:
-            later[1:] = [model.lift(i, v) for i, v in enumerate(later[1:], 1)]
-    return model

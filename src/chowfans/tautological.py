@@ -7,6 +7,7 @@ from itertools import combinations
 
 from .chow import (ChowElement, divisor, multiply_by_divisor,
                    negation_relabel, unit_class)
+from .fans import DimensionMismatch
 from .matroid import LoopyMatroid
 
 
@@ -20,6 +21,9 @@ def structural_divisors(fan, M, j=1):
     gamma; v_i^+/v_i^- split delta + u_i - gammabar into its F = [N] and
     F proper parts.
     """
+    if 2 * M.n != fan.ambient_dim:
+        raise DimensionMismatch("matroid on [%d], biflag fan in dimension %d"
+                                % (M.n, fan.ambient_dim))
     if M.loops():
         raise LoopyMatroid("structural divisors need a loopless matroid")
     full = M.full
@@ -70,6 +74,9 @@ def w_divisors(fan, M):
     the rays whose subset contains 1, which pulls back to gamma under the
     first projection at the level of coefficient vectors.
     """
+    if M.n != fan.ambient_dim:
+        raise DimensionMismatch("matroid on [%d], flag fan in dimension %d"
+                                % (M.n, fan.ambient_dim))
     if M.loops():
         raise LoopyMatroid("w classes need a loopless matroid")
     full = M.full

@@ -49,6 +49,12 @@ Also the Gram matrices of a ring model read off its multiplication
 matrices as Fractions, one whole `mult_matrix` per complementary basis
 element, and the Chern vectors of a matroid on a Bergman fan model by the
 ambient route: computed on perm(N) and restricted cone by cone.
+
+Also the gap set of a chain of biflats by the closure criterion, and the
+bundle tower as it was built before one loop served every caller: a
+single storey by hand, and more storeys by lifting the later coefficient
+lists while the tower is built, then walking `.base` back down and
+lifting h and the zetas up again.
 """
 
 from fractions import Fraction
@@ -60,6 +66,7 @@ from chowfans.chow import (ChowElement, FanMismatch, graded_basis,
 from chowfans.biflags import expansion_index, is_lex_decreasing
 from chowfans.fans import (bisubset_leq, gap_indices, is_chain,
                            permutohedral_fan, proper_biflats)
+from chowfans.kahler import base_convex_divisor
 from chowfans.rings import BundleRing, QuotientRingModel
 from chowfans.tautological import chern_classes
 
@@ -752,3 +759,45 @@ def reference_restricted_chern_vectors(base, M):
     return [base.unit()] + [
         base.to_vector(restrict_to_subfan(e, base.fan)) if i <= base.top
         else [] for i, e in enumerate(chern_classes(ambient, M)[1:], 1)]
+
+
+def reference_gap_indices(M, pairs):
+    """The gap set of a chain of biflats of M by the closure criterion:
+    j is a gap iff closure(S_j^c) is not contained in F_{j+1}, with the
+    sentinels 0|[N] below and [N]|0 above."""
+    full = M.full
+    ext = [(0, full)] + list(pairs) + [(full, 0)]
+    out = set()
+    for j in range(len(pairs) + 1):
+        if M.closure(full & ~ext[j][0]) & ~ext[j + 1][1]:
+            out.add(j)
+    return out
+
+
+def reference_bundle_model(base, specs):
+    """(model, h, zetas) of the iterated bundle ring over base with one
+    storey per coefficient list in specs, c[0] not read: one storey built
+    by hand, several by lifting the later lists through each storey as it
+    is built, then walking the finished tower down through `.base` and
+    lifting h and the zetas up it again."""
+    h = base.to_vector(base_convex_divisor(base.fan, base.fan.ambient_dim))
+    if len(specs) == 1:
+        (c,) = specs
+        B = BundleRing(base, len(c) - 1, c[1:])
+        return B, B.lift(1, h), [B.zeta()]
+    model = base
+    pending = [list(spec) for spec in specs]
+    for idx, spec in enumerate(pending):
+        model = BundleRing(model, len(spec) - 1, spec[1:])
+        for later in pending[idx + 1:]:
+            later[1:] = [model.lift(i, v) for i, v in enumerate(later[1:], 1)]
+    chain = []
+    ring = model
+    while ring is not base:
+        chain.insert(0, ring)
+        ring = ring.base
+    zetas = []
+    for ring in chain:
+        zetas = [ring.lift(1, z) for z in zetas] + [ring.zeta()]
+        h = ring.lift(1, h)
+    return model, h, zetas

@@ -4,11 +4,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chowfans.fans import (ConeNotInFan, Fan, NotAChain, bergman_fan,
-                           bipermutohedral_fan, check_balanced, gap_indices,
-                           is_bisubset, is_chain, is_proper_bisubset,
-                           matroid_gap_indices, permutohedral_fan,
-                           projective_bundle_fan, proper_biflats)
-from chowfans.matroid import matroid_uniform, pyramid_matroid, set_to_mask
+                           biflat_poset, bipermutohedral_fan, check_balanced,
+                           gap_indices, is_bisubset, is_chain,
+                           is_proper_bisubset, permutohedral_fan,
+                           projective_bundle_fan, proper_biflats,
+                           walk_chains)
+from chowfans.matroid import (matroid_from_graph, matroid_uniform,
+                              pyramid_matroid, set_to_mask)
+from naive_oracle import reference_gap_indices
+
+K4_EDGES = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 
 
 def test_permutohedral_3_counts():
@@ -120,7 +125,30 @@ def test_gap_indices_pyramid_example():
              (m(1, 2, 4, 5, 6), m(3, 7, 8)),
              (m(1, 2, 4, 5, 6, 7), m(3, 7, 8))]
     assert gap_indices(M.n, chain) == {3, 5}
-    assert matroid_gap_indices(M, chain) == {3, 5}
+    assert reference_gap_indices(M, chain) == {3, 5}
+
+
+GAP_CASES = {
+    "pyramid": (pyramid_matroid, 2),
+    "K4": (lambda: matroid_from_graph(4, K4_EDGES), 2),
+    "U(2,4)": (lambda: matroid_uniform(2, 4), None),
+    "U(3,4)": (lambda: matroid_uniform(3, 4), None),
+}
+
+
+@pytest.mark.parametrize("name", list(GAP_CASES))
+def test_gap_indices_match_the_closure_criterion(name):
+    """The bisubset gap set against the closure criterion on every chain
+    of biflats up to the length given, or of any length."""
+    make, max_len = GAP_CASES[name]
+    M = make()
+    labels, succ = biflat_poset(M)
+    chains = [()] + list(walk_chains(succ, range(len(labels)),
+                                     lambda chain: True,
+                                     max_len or len(labels)))
+    for chain in chains:
+        pairs = [labels[i] for i in chain]
+        assert gap_indices(M.n, pairs) == reference_gap_indices(M, pairs)
 
 
 def test_gap_indices_rejects_non_chain():

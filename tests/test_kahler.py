@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from chowfans import kahler, linalg
-from chowfans.fans import bergman_fan, permutohedral_fan
+from chowfans.fans import DimensionMismatch, bergman_fan, permutohedral_fan
 from chowfans.kahler import (MissingConvexClass, base_convex_divisor,
                              candidate_schedule, check_hl, check_hr, check_pd,
                              chern_vectors, divisor_vector, kahler_report,
@@ -16,8 +16,9 @@ from chowfans.kahler import (MissingConvexClass, base_convex_divisor,
                              sample_lefschetz_candidates)
 from chowfans.matroid import (matroid_from_graph, matroid_uniform,
                               pyramid_matroid)
-from chowfans.rings import FanRingModel, GradedModel
-from naive_oracle import (mat_mul, reference_gram, reference_kahler_report,
+from chowfans.rings import BundleRing, FanRingModel, GradedModel
+from naive_oracle import (mat_mul, reference_bundle_model, reference_gram,
+                          reference_kahler_report,
                           reference_restricted_chern_vectors, unscaled)
 
 K4_EDGES = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
@@ -339,6 +340,73 @@ def test_bergman_chern_vectors_match_the_restriction(name):
     want = reference_restricted_chern_vectors(model.base, bundle_matroid)
     assert chern_vectors(model.base, bundle_matroid) == want
     assert model.c[1:] == want[1:]
+
+
+def _storeys(model):
+    """The bundle rings of a tower, bottom first, and the base below."""
+    out = []
+    while isinstance(model, BundleRing):
+        out.insert(0, model)
+        model = model.base
+    return out, model
+
+
+def _assert_same_tower(got, want):
+    """Two (model, h, zetas) towers agree on every storey's coefficients
+    and dimensions, on h and on the zetas."""
+    (model, h, zetas), (ref, ref_h, ref_zetas) = got, want
+    storeys, _ = _storeys(model)
+    ref_storeys, _ = _storeys(ref)
+    assert len(storeys) == len(ref_storeys) == len(zetas)
+    for ring, ref_ring in zip(storeys, ref_storeys):
+        assert ring.r == ref_ring.r and ring.c == ref_ring.c
+        assert [ring.dim(k) for k in range(ring.top + 1)] == \
+            [ref_ring.dim(k) for k in range(ref_ring.top + 1)]
+    assert h == ref_h
+    assert zetas == ref_zetas
+
+
+@pytest.mark.parametrize("phi", ["identity", "negation"])
+@pytest.mark.parametrize("r,n", [(2, 3), (2, 4), (1, 4)],
+                         ids=["U(2,3)", "U(2,4)", "U(1,4)"])
+def test_bundle_model_matches_the_hand_built_storey(r, n, phi):
+    M = matroid_uniform(r, n)
+    got = matroid_bundle_model(n, M, phi=phi)
+    base = _storeys(got[0])[1]
+    _assert_same_tower(got, reference_bundle_model(
+        base, [chern_vectors(base, M, via=phi)]))
+
+
+TOWER_CASES = {
+    "U(2,3)-[U(2,3)]*2": (lambda: matroid_uniform(2, 3),
+                          lambda: [matroid_uniform(2, 3)] * 2),
+    "U(3,4)-[U(2,4)]*2": (lambda: matroid_uniform(3, 4),
+                          lambda: [matroid_uniform(2, 4)] * 2),
+    "pyramid": (pyramid_matroid, lambda: [pyramid_matroid()]),
+    "U(3,3)-three-storeys": (lambda: matroid_uniform(3, 3), lambda: [
+        matroid_uniform(2, 3), matroid_uniform(1, 3), matroid_uniform(2, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", list(TOWER_CASES))
+def test_restricted_tower_matches_the_walk_back(name):
+    make_base, make_bundles = TOWER_CASES[name]
+    bundles = make_bundles()
+    got = restricted_multi_bundle_model(make_base(), bundles)
+    base = _storeys(got[0])[1]
+    _assert_same_tower(got, reference_bundle_model(
+        base, [chern_vectors(base, M) for M in bundles]))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: matroid_bundle_model(4, matroid_uniform(2, 3)),
+    lambda: matroid_bundle_model(3, matroid_uniform(2, 4)),
+    lambda: restricted_multi_bundle_model(matroid_uniform(3, 4),
+                                          [matroid_uniform(2, 3)]),
+], ids=["perm4-U(2,3)", "perm3-U(2,4)", "bergman-U(3,4)-U(2,3)"])
+def test_bundle_models_reject_a_matroid_on_another_ground_set(build):
+    with pytest.raises(DimensionMismatch):
+        build()
 
 
 def test_u25_bundle_model_passes_one_candidate():

@@ -4,12 +4,11 @@ import pytest
 
 from chowfans.chow import DegreeTooLow
 from chowfans.fans import bergman_fan, permutohedral_fan
-from chowfans.kahler import chern_vectors
+from chowfans.kahler import chern_vectors, restricted_multi_bundle_model
 from chowfans.matroid import matroid_uniform
 from chowfans.rings import (AllSegreZero, BundleRing, FanRingModel,
-                            bloch_gieseker, multi_bundle_ring,
-                            quotient_by_ann_segre, segre_vectors,
-                            twist_vectors)
+                            bloch_gieseker, quotient_by_ann_segre,
+                            segre_vectors, twist_vectors)
 from naive_oracle import reference_gram
 
 
@@ -168,10 +167,8 @@ def test_quotient_t_detection_trivial_bundle():
 
 
 def test_multi_bundle_dims():
-    base = perm_model(3)
     M = matroid_uniform(2, 3)
-    c = chern_vectors(base, M)
-    model = multi_bundle_ring(base, [c, c])
-    assert model.top == base.top + 2
+    model = restricted_multi_bundle_model(matroid_uniform(3, 3), [M, M])[0]
+    assert model.top == perm_model(3).top + 2
     dims = [model.dim(k) for k in range(model.top + 1)]
     assert dims == dims[::-1]

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
+import pytest
+
 from chowfans.chow import (multiply_by_divisor, negation_relabel, pair_all,
                            pullback_pi1, ray_coefficients, unit_class)
-from chowfans.fans import (bipermutohedral_fan, permutohedral_fan,
-                           projective_bundle_fan)
+from chowfans.fans import (DimensionMismatch, bipermutohedral_fan,
+                           permutohedral_fan, projective_bundle_fan)
 from chowfans.matroid import matroid_uniform
 from chowfans.rings import FanRingModel, segre_vectors, twist_vectors
 from chowfans.tautological import (chern_classes, structural_divisors,
@@ -25,6 +27,21 @@ def test_delta_u_identity_coefficientwise():
         left = sd["delta"] + sd["u"][i]
         right = sd["gammabar"] + sd["vplus"][i] - sd["vminus"][i]
         assert ray_coefficients(left) == ray_coefficients(right)
+
+
+def test_structural_divisors_reject_a_matroid_on_another_ground_set():
+    """U(2,3) on the biflag fan of U(2,4): masking each ray with the
+    smaller ground set would drop element 4 and build the classes."""
+    fan = projective_bundle_fan(4, matroid_uniform(2, 4))
+    with pytest.raises(DimensionMismatch,
+                       match=r"\[3\], biflag fan in dimension 8"):
+        structural_divisors(fan, matroid_uniform(2, 3))
+
+
+def test_w_divisors_reject_a_matroid_on_another_ground_set():
+    with pytest.raises(DimensionMismatch,
+                       match=r"\[4\], flag fan in dimension 3"):
+        w_divisors(permutohedral_fan(3), matroid_uniform(2, 4))
 
 
 def test_v1_plus_vanishes_for_loopless():
