@@ -192,7 +192,12 @@ class Fan:
         hit = self._mult_cache.get(cone)
         if hit is None:
             rows = self.lineality + [self.rays[i] for i in cone]
-            hit = linalg.lattice_index(rows)
+            # an int inverse of an int pivot block makes that maximal minor
+            # +-1, so the gcd of the maximal minors is 1
+            _, dual = self.dual_basis(cone)
+            integral = all(type(x) is int for row in rows for x in row) \
+                and all(type(x) is int for col in dual for x in col)
+            hit = 1 if integral else linalg.lattice_index(rows)
             self._mult_cache[cone] = hit
         return hit
 

@@ -1,7 +1,10 @@
 """Poincare duality, hard Lefschetz, and Hodge-Riemann checks.
 
 All three properties are tested exactly, over the rationals, against any
-graded ring model.  Candidate Lefschetz elements for bundle fans are taken
+graded ring model, from one Lefschetz form per degree up to the middle:
+the middle form is read off the middle Gram matrix, and each lower one is
+its pullback by multiplication by ell, so no degree above the middle is
+multiplied into.  Candidate Lefschetz elements for bundle fans are taken
 from a small deterministic family of combinations of the pulled-back
 permutohedral support class and the relative hyperplane class.
 """
@@ -25,61 +28,80 @@ class MissingConvexClass(KahlerError):
     pass
 
 
-_GRAMS = weakref.WeakKeyDictionary()
+_MIDDLE = weakref.WeakKeyDictionary()
 
 
 def _pd_grams(model):
-    """The Gram matrices G_0..G_{n//2} of a model, each in the scaled form
-    (A, den) that model.gram returns, or None when Poincare duality fails;
-    once per model, which does not change after it is built.  The memo
-    holds models weakly and sets no attribute on them, since a model is any
-    object with the graded ring interface."""
-    if model in _GRAMS:
-        return _GRAMS[model]
+    """(pd, G_m, inertia) for m = n//2, once per model, which does not
+    change after it is built: whether Poincare duality holds, that is
+    whether each Gram matrix G_0..G_m is square and nonsingular; the middle
+    Gram G_m in the scaled form (A, den) that model.gram returns; and for
+    even n its inertia, which is that of every candidate's middle form
+    (None for odd n).  The memo holds models weakly and sets no attribute
+    on them, since a model is any object with the graded ring interface."""
+    if model in _MIDDLE:
+        return _MIDDLE[model]
     n = model.top
-    grams = []
-    for k in range(n // 2 + 1):
-        d = model.dim(k)
-        g = model.gram(k)
-        if d != model.dim(n - k) or (d and linalg.rank(g[0]) != d):
-            grams = None
+    m = n // 2
+    pd = all(model.dim(k) == model.dim(n - k) for k in range(m + 1))
+    for k in range(m):
+        if not pd:
             break
-        grams.append(g)
-    _GRAMS[model] = grams
-    return grams
+        pd = linalg.rank(model.gram(k)[0]) == model.dim(k)
+    middle = model.gram(m)
+    inertia = None
+    if n % 2:
+        pd = pd and linalg.rank(middle[0]) == model.dim(m)
+    elif pd:
+        inertia = linalg.inertia(middle[0])
+        pd = inertia[2] == 0
+    hit = _MIDDLE[model] = pd, middle, inertia
+    return hit
 
 
-def _powers(model, ell):
-    """ell^0, ..., ell^n as coordinate vectors."""
-    out = [model.unit()]
-    for k in range(model.top):
-        out.append(model.multiply(1, ell, k, out[k]) if k else list(ell))
-    return out
+def _forms(model, ell):
+    """Q_0..Q_m of lefschetz_forms for m = n//2, each in the scaled form
+    (A, den) with den > 0, whether or not Poincare duality holds.  The
+    middle form Q_m is G_m for even n and G_m L_m for odd n, L_k being
+    multiplication by ell from degree k; below it Q_i = L_i^T Q_(i+1) L_i,
+    since deg(ell^(n-2i) x y) = deg(ell^(n-2i-2) (ell x) (ell y)).  So Q_i
+    is Q_m pulled back along N_i = L_(m-1)...L_i, and only the degrees up
+    to the middle are read.  Each product is one scaled_mat_mul, with the
+    sparse transpose on the left."""
+    _, middle, _ = _pd_grams(model)
+    n = model.top
+    m = n // 2
+    q = middle if n % 2 == 0 else linalg.scaled_mat_mul(
+        middle, model.mult_matrix(1, ell, m))
+    forms = [q]
+    for i in reversed(range(m)):
+        step = model.mult_matrix(1, ell, i)
+        q = linalg.scaled_mat_mul(
+            linalg.scaled_mat_mul(_transpose(step), q), step)
+        forms.append(q)
+    return forms[::-1]
 
 
-def _forms(model, powers):
-    """lefschetz_forms from the powers of ell, each Q_i in the scaled form
-    (A, den) with den > 0: one integer product of the scaled G_i and the
-    scaled P_i that mult_matrix returns."""
-    grams = _pd_grams(model)
-    if grams is None:
+def _transpose(scaled):
+    a, den = scaled
+    return [list(col) for col in zip(*a)], den
+
+
+def _inertias(model, forms):
+    """lefschetz_inertia from the forms; a positive den does not change the
+    inertia of A / den, so the integer A is eliminated.  The middle form of
+    an even-degree model is its Gram, whose inertia is memoized."""
+    pd, _, middle = _pd_grams(model)
+    if not pd:
         return None
     n = model.top
-    return [g if 2 * i == n else linalg.scaled_mat_mul(
-                g, model.mult_matrix(n - 2 * i, powers[n - 2 * i], i))
-            for i, g in enumerate(grams)]
+    return [middle if 2 * i == n else linalg.inertia(a)
+            for i, (a, _) in enumerate(forms)]
 
 
-def _inertias(model, powers):
-    """lefschetz_inertia from the powers of ell; a positive den does not
-    change the inertia of A / den, so the integer A is eliminated."""
-    forms = _forms(model, powers)
-    return None if forms is None else [linalg.inertia(a) for a, _ in forms]
-
-
-def _report(model, powers):
-    """kahler_report from the powers of ell."""
-    inertias = _inertias(model, powers)
+def _report(model, forms):
+    """kahler_report from the forms."""
+    inertias = _inertias(model, forms)
     pd = inertias is not None
     hl = pd and all(zero == 0 for _, _, zero in inertias)
     steps = [(-1) ** i * (model.dim(i) - (model.dim(i - 1) if i else 0))
@@ -90,12 +112,14 @@ def _report(model, powers):
 
 
 def lefschetz_forms(model, ell):
-    """The matrices Q_i = G_i P_i of the forms (x, y) -> deg(ell^(n-2i) x y)
-    on degree i, for i = 0..n//2, where P_i is multiplication by
-    ell^(n-2i) from degree i; None when Poincare duality fails."""
-    forms = _forms(model, _powers(model, ell))
-    return None if forms is None else [
-        [[Fraction(x, den) for x in row] for row in a] for a, den in forms]
+    """The matrices Q_i of the forms (x, y) -> deg(ell^(n-2i) x y) on
+    degree i, for i = 0..n//2, as Fractions; None when Poincare duality
+    fails.  Each is the middle form pulled back along multiplication by
+    powers of ell (see _forms)."""
+    if not check_pd(model):
+        return None
+    return [[[Fraction(x, den) for x in row] for row in a]
+            for a, den in _forms(model, ell)]
 
 
 def lefschetz_inertia(model, ell):
@@ -105,12 +129,14 @@ def lefschetz_inertia(model, ell):
     degrees j <= i exactly when each Q_j has signature
     sum_{k<=j} (-1)^k (d_k - d_{k-1}) (Adiprasito-Huh-Katz, Ann. Math.
     2018, section 7)."""
-    return _inertias(model, _powers(model, ell))
+    if not check_pd(model):
+        return None
+    return _inertias(model, _forms(model, ell))
 
 
 def check_pd(model):
     """Every graded pairing matrix must be square and invertible."""
-    return _pd_grams(model) is not None
+    return _pd_grams(model)[0]
 
 
 def check_hl(model, ell):
@@ -127,7 +153,9 @@ def check_hr(model, ell):
 def kahler_report(model, ell):
     """PD, HL and HR verdicts for ell, all read off lefschetz_inertia:
     d_i - d_{i-1} is the dimension of the primitive part in degree i."""
-    return _report(model, _powers(model, ell))
+    if not check_pd(model):
+        return {"pd": False, "hl": False, "hr": False}
+    return _report(model, _forms(model, ell))
 
 
 def permutohedral_support_values(N, S):
@@ -216,7 +244,7 @@ def sample_lefschetz_candidates(model, h, zetas, samples=3, seed=0):
 
     h and the zetas are degree-1 coefficient vectors of the model.  Returns
     one report per sample, each tagged with the weights used and whether a
-    sign flip was needed.  The powers of each candidate are computed once,
+    sign flip was needed.  The forms of each candidate are computed once,
     for the orientation and the report alike.
     """
     reports = []
@@ -224,8 +252,8 @@ def sample_lefschetz_candidates(model, h, zetas, samples=3, seed=0):
         vec = [s * a for a in h]
         for z in zetas:
             vec = [a + t * b for a, b in zip(vec, z)]
-        _, powers, flipped = _oriented(model, vec)
-        rep = _report(model, powers)
+        _, forms, flipped = _oriented(model, vec)
+        rep = _report(model, forms)
         rep["s"] = s
         rep["t"] = t
         rep["flipped"] = flipped
@@ -234,18 +262,20 @@ def sample_lefschetz_candidates(model, h, zetas, samples=3, seed=0):
 
 
 def _oriented(model, vec):
-    """(ell, its powers, flipped) for ell = vec or -vec, whichever has a
-    top power of positive degree; the powers of -vec are (-1)^k vec^k."""
-    powers = _powers(model, vec)
-    d = model.deg(powers[-1])
+    """(ell, its forms, flipped) for ell = vec or -vec, whichever has a top
+    power of positive degree.  deg(ell^n) is the one entry of Q_0, over a
+    positive den.  A flip is allowed only for odd n, where each Q_i, of
+    degree n-2i in ell, changes sign with ell."""
+    forms = _forms(model, vec)
+    (d,), = forms[0][0]
     if d == 0:
         raise MissingConvexClass("candidate has degenerate top power")
     if d > 0:
-        return list(vec), powers, False
+        return list(vec), forms, False
     if model.top % 2 == 0:
         raise MissingConvexClass("top power negative in even degree")
-    return [-x for x in vec], [[-x for x in p] if k % 2 else p
-                               for k, p in enumerate(powers)], True
+    return [-x for x in vec], [([[-x for x in row] for row in a], den)
+                               for a, den in forms], True
 
 
 def oriented_degree_one(model, vec):

@@ -9,7 +9,8 @@ A / den.  Element vectors (w, v and everything multiply returns) are
 Fractions.  Every model derives from GradedModel, which reads
 multiply(k1, v1, k2, v2), unit() and the Gram matrices gram(k), in the
 same scaled form, off mult_matrix; a fan model reads its Grams off its
-graded basis instead.  Everything downstream (bundle rings, annihilator
+graded basis instead, and a bundle ring assembles them from the Grams of
+its base.  Everything downstream (bundle rings, annihilator
 quotients, the Kahler checks) is written against this interface only,
 and reads the scaled form as it is.
 """
@@ -89,6 +90,7 @@ class FanRingModel(GradedModel):
         self._solve = {}
         self._pairing_rows = {}
         self._monomials = {}
+        inverses = {}
         for k in range(self.top + 1):
             _, basis_cols, gram = graded_basis(fan, k)
             cones, cols, mat = _pairing_matrix(fan, k)
@@ -98,12 +100,18 @@ class FanRingModel(GradedModel):
                 [[row[j] for j in pick] for row in mat])
             self._pairing_rows[k] = {s: [(j, x) for j, x in enumerate(r) if x]
                                      for s, r in zip(cones, rows)}
-            try:
-                inv, inv_den = linalg.scaled_inverse(
-                    [list(col) for col in zip(*gram)])
-            except ValueError:
-                raise SingularGram("pairing degenerate in degree %d" % k)
-            self._solve[k] = [list(col) for col in zip(*inv)], den * inv_den
+            if 2 * k > self.top:
+                # G_k is the transpose of G_(top-k), so the columns of the
+                # inverse of G_k^T are the rows of the one inverted there
+                inv_cols, inv_den = inverses[self.top - k]
+            else:
+                try:
+                    inv, inv_den = inverses[k] = linalg.scaled_inverse(
+                        [list(col) for col in zip(*gram)])
+                except ValueError:
+                    raise SingularGram("pairing degenerate in degree %d" % k)
+                inv_cols = [list(col) for col in zip(*inv)]
+            self._solve[k] = inv_cols, den * inv_den
 
     def dim(self, k):
         if not 0 <= k <= self.top:
@@ -193,6 +201,20 @@ class FanRingModel(GradedModel):
         return sum(a * row[0] for a, row in zip(v, gram))
 
 
+def _block_matrix(rows, cols, blocks):
+    """The scaled form of the block matrix with row and column block sizes
+    rows and cols whose block (i, j) is the scaled blocks[i, j], zero where
+    absent, put over the lcm of the block denominators."""
+    den = lcm(1, *(b_den for _, b_den in blocks.values()))
+    row0, col0 = (list(accumulate(x, initial=0)) for x in (rows, cols))
+    out = [[0] * col0[-1] for _ in range(row0[-1])]
+    for (i, j), (block, b_den) in blocks.items():
+        f = den // b_den
+        for row, b in zip(out[row0[i]:], block):
+            row[col0[j]:col0[j + 1]] = b if f == 1 else [f * x for x in b]
+    return out, den
+
+
 class BundleRing(GradedModel):
     """A[zeta] modulo the monic degree-r relation with coefficients c_i.
 
@@ -264,7 +286,7 @@ class BundleRing(GradedModel):
 
     def mult_matrix(self, d, w, k):
         """The r x r blocks of multiplication by w, each the base's scaled
-        matrix of u_ij, put over the lcm of the block denominators."""
+        matrix of u_ij."""
         ws = self.split(d, w)
         rows = [self.base.dim(k + d - i) for i in range(self.r)]
         cols = [self.base.dim(k - j) for j in range(self.r)]
@@ -275,14 +297,33 @@ class BundleRing(GradedModel):
                     if rows[i] and cols[j] else None
                 if u is not None:
                     blocks[i, j] = self.base.mult_matrix(d + j - i, u, k - j)
-        den = lcm(1, *(b_den for _, b_den in blocks.values()))
-        row0, col0 = (list(accumulate(x, initial=0)) for x in (rows, cols))
-        out = [[0] * col0[-1] for _ in range(row0[-1])]
-        for (i, j), (block, b_den) in blocks.items():
-            f = den // b_den
-            for row, b in zip(out[row0[i]:], block):
-                row[col0[j]:col0[j + 1]] = b if f == 1 else [f * x for x in b]
-        return out, den
+        return _block_matrix(rows, cols, blocks)
+
+    def gram(self, k):
+        """G_k from the base Grams: block (i, j) pairs b zeta^i against
+        b' zeta^j, and deg(b b' zeta^(i+j)) = deg_B(b b' z) for z the
+        zeta^(r-1) coefficient of the reduced zeta^(i+j), of base degree
+        e = i+j-r+1.  So the block is zero for e < 0, the base Gram of
+        degree k-i for e = 0, and that Gram times the base's multiplication
+        by z from degree n-k-j above."""
+        r, base, n = self.r, self.base, self.top
+        rows = [base.dim(k - i) for i in range(r)]
+        cols = [base.dim(n - k - j) for j in range(r)]
+        blocks = {}
+        for i in range(r):
+            if not rows[i]:
+                continue
+            g = None
+            for j in range(r - 1 - i, r):
+                e = i + j - r + 1
+                z = self._reduced_power(i + j)[r - 1]
+                if not (cols[j] and any(z)):
+                    continue
+                if g is None:
+                    g = base.gram(k - i)
+                blocks[i, j] = g if e == 0 else linalg.scaled_mat_mul(
+                    g, base.mult_matrix(e, z, n - k - j))
+        return _block_matrix(rows, cols, blocks)
 
     def deg(self, v):
         comps = self.split(self.top, v)

@@ -50,6 +50,11 @@ matrices as Fractions, one whole `mult_matrix` per complementary basis
 element, and the Chern vectors of a matroid on a Bergman fan model by the
 ambient route: computed on perm(N) and restricted cone by cone.
 
+Also the Lefschetz forms as they were built before the forms were pulled
+back from the middle one: the powers ell^0..ell^n one multiplication by
+ell at a time, and Q_i = G_i P_i for P_i the multiplication by
+ell^(n-2i) from degree i, as Fractions.
+
 Also the gap set of a chain of biflats by the closure criterion, and the
 bundle tower as it was built before one loop served every caller: a
 single storey by hand, and more storeys by lifting the later coefficient
@@ -733,6 +738,27 @@ def reference_gram(model, k):
         a, den = model.mult_matrix(n - k, _unit(d, j), k)
         cols.append([Fraction(model.deg(list(c)), den) for c in zip(*a)])
     return [list(row) for row in zip(*cols)]
+
+
+def reference_powers(model, ell):
+    """ell^0, ..., ell^n as coordinate vectors."""
+    out = [model.unit()]
+    for k in range(model.top):
+        out.append(model.multiply(1, ell, k, out[k]) if k else list(ell))
+    return out
+
+
+def reference_lefschetz_forms(model, ell):
+    """Q_i = G_i P_i for i = 0..n//2, G_i the reference Gram and P_i the
+    matrix of multiplication by ell^(n-2i) from degree i, as Fractions."""
+    n = model.top
+    powers = reference_powers(model, ell)
+    forms = []
+    for i in range(n // 2 + 1):
+        gram = reference_gram(model, i)
+        forms.append(gram if 2 * i == n else mat_mul(gram, unscaled(
+            model.mult_matrix(n - 2 * i, powers[n - 2 * i], i))))
+    return forms
 
 
 def restrict_to_subfan(elem, subfan):

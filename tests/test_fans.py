@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from chowfans import linalg
 from chowfans.fans import (ConeNotInFan, Fan, NotAChain, bergman_fan,
                            biflat_poset, bipermutohedral_fan, check_balanced,
                            gap_indices, is_bisubset, is_chain,
@@ -86,6 +87,26 @@ def test_all_suite_fans_unimodular():
     for fan in fans:
         for cone in fan.maximal_cones:
             assert fan.cone_multiplicity(cone) == 1
+
+
+def test_multiplicity_from_the_dual_basis_matches_lattice_index():
+    """A cone whose dual basis is integral has multiplicity 1 without the
+    Smith reduction; on every cone of five fans, and on the custom fan
+    with a cone of multiplicity 2, the result is lattice_index's."""
+    fans = [permutohedral_fan(4), bipermutohedral_fan(3),
+            bergman_fan(pyramid_matroid()),
+            projective_bundle_fan(4, matroid_uniform(3, 4)),
+            projective_bundle_fan(5, matroid_uniform(2, 5)),
+            Fan(2, [], [[1, 0], [1, 2], [-1, -1]], ["a", "b", "c"],
+                [(), (0,), (1,), (2,), (0, 1), (1, 2), (0, 2)], "custom")]
+    seen = 0
+    for fan in fans:
+        for cone in fan.cones:
+            rows = fan.lineality + [fan.rays[i] for i in cone]
+            assert fan.cone_multiplicity(cone) == linalg.lattice_index(rows)
+            seen += 1
+    assert seen == 8349 + 7
+    assert fans[-1].cone_multiplicity((0, 1)) == 2
 
 
 def test_weight_one_balancing():

@@ -18,7 +18,8 @@ from chowfans.matroid import (matroid_from_graph, matroid_uniform,
                               pyramid_matroid)
 from chowfans.rings import BundleRing, FanRingModel, GradedModel
 from naive_oracle import (mat_mul, reference_bundle_model, reference_gram,
-                          reference_kahler_report,
+                          reference_kahler_report, reference_lefschetz_forms,
+                          reference_powers,
                           reference_restricted_chern_vectors, unscaled)
 
 K4_EDGES = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
@@ -143,16 +144,17 @@ def test_named_kahler_verdicts(case):
 
 
 def test_gram_matrices_are_built_once_per_model(monkeypatch):
+    """The PD check and the middle form of every candidate read the model's
+    Grams G_0..G_(n//2), each built once per model."""
     built = collections.Counter()
-
-    real = GradedModel.gram
-
-    def counting_gram(model, k):
-        built[k] += 1
-        return real(model, k)
-
-    monkeypatch.setattr(GradedModel, "gram", counting_gram)
     B, h, zetas = matroid_bundle_model(3, matroid_uniform(2, 3))
+    real = B.gram
+
+    def counting_gram(k):
+        built[k] += 1
+        return real(k)
+
+    monkeypatch.setattr(B, "gram", counting_gram)
     assert len(sample_lefschetz_candidates(B, h, zetas, samples=3)) == 3
     assert built == {k: 1 for k in range(B.top // 2 + 1)}
 
@@ -211,40 +213,59 @@ FORM_MODELS = {
 }
 
 
-@pytest.mark.parametrize("name", list(FORM_MODELS))
-def test_lefschetz_forms_match_the_fraction_product(name):
-    """The integer product of the scaled G_i and P_i, turned back into
-    Fractions, is the Fraction product G_i P_i for every scheduled
-    candidate, with P_i multiplication by ell^(n-2i) and ell^(n-2i) built
-    one multiplication by ell at a time."""
-    model, h, zetas = FORM_MODELS[name]()
-    n = model.top
+def scheduled_classes(model, h, zetas):
+    """The s*h + t*(sum of zetas) of candidate_schedule(8)."""
     for s, t in candidate_schedule(8):
         vec = [s * a for a in h]
         for z in zetas:
             vec = [a + t * b for a, b in zip(vec, z)]
+        yield s, t, vec
+
+
+@pytest.mark.parametrize("name", list(FORM_MODELS))
+def test_lefschetz_forms_match_the_fraction_product(name):
+    """The forms pulled back from the middle one, turned back into
+    Fractions, are the Fraction products G_i P_i for every scheduled
+    candidate, with P_i multiplication by ell^(n-2i) and ell^(n-2i) built
+    one multiplication by ell at a time."""
+    model, h, zetas = FORM_MODELS[name]()
+    for s, t, vec in scheduled_classes(model, h, zetas):
         ell, _ = oriented_degree_one(model, vec)
         forms = lefschetz_forms(model, ell)
-        power = model.unit()
-        powers = [power]
-        for k in range(n):
-            power = model.multiply(1, ell, k, power)
-            powers.append(power)
-        for i, q in enumerate(forms):
-            gram = reference_gram(model, i)
-            want = gram if 2 * i == n else mat_mul(
-                gram, unscaled(
-                    model.mult_matrix(n - 2 * i, powers[n - 2 * i], i)))
-            assert q == want, (s, t, i)
-            assert all(type(x) is Fraction for row in q for x in row)
+        assert forms == reference_lefschetz_forms(model, ell), (s, t)
+        assert all(type(x) is Fraction for q in forms for row in q
+                   for x in row)
+
+
+@pytest.mark.parametrize("name", list(FORM_MODELS))
+def test_orientation_reads_the_top_power_off_q0(name):
+    """The one entry of Q_0 is deg(ell^n) of the reference powers, for
+    every scheduled candidate and its negation, and it alone decides the
+    flip; a flipped candidate's forms are the negated forms."""
+    model, h, zetas = FORM_MODELS[name]()
+    n = model.top
+    for s, t, vec in scheduled_classes(model, h, zetas):
+        for v in (vec, [-x for x in vec]):
+            forms = kahler._forms(model, v)
+            ([top],), den = forms[0]
+            want = model.deg(reference_powers(model, v)[-1])
+            assert Fraction(top, den) == want != 0, (s, t)
+            if want < 0 and n % 2 == 0:
+                with pytest.raises(MissingConvexClass):
+                    kahler._oriented(model, v)
+                continue
+            ell, oriented, flipped = kahler._oriented(model, v)
+            assert flipped == (want < 0)
+            assert ell == ([-x for x in v] if flipped else v)
+            assert oriented == kahler._forms(model, ell)
 
 
 @pytest.mark.parametrize("candidate", [u23_candidate, pyramid_candidate],
                          ids=["U(2,3)", "pyramid"])
 def test_lefschetz_inertia_builds_each_step_once(monkeypatch, candidate):
-    """The model's multiplication matrices are one by ell per step of the
-    powers ell^2..ell^n and one by ell^(n-2i) from each degree i below the
-    middle; the middle form is the Gram matrix itself."""
+    """The model's multiplication matrices are one by ell from each degree
+    below the middle, L_0..L_(m-1) for m = n//2, and L_m for odd n, where
+    the middle form is G_m L_m; no degree above the middle is read."""
     model, ell = candidate()
     n = model.top
     lefschetz_inertia(model, ell)  # the Gram matrices are built once, here
@@ -258,14 +279,13 @@ def test_lefschetz_inertia_builds_each_step_once(monkeypatch, candidate):
     monkeypatch.setattr(model, "mult_matrix", counting_mult_matrix)
     assert lefschetz_inertia(model, ell) is not None
     assert built == collections.Counter(
-        [(1, k) for k in range(1, n)]
-        + [(n - 2 * i, i) for i in range((n + 1) // 2)])
+        [(1, k) for k in range((n + 1) // 2)])
 
 
-def test_candidate_powers_are_computed_once(monkeypatch):
-    """One power table per candidate serves the orientation and the
-    report.  The powers of a flipped candidate are (-1)^k ell^k, so the
-    negated classes give the same verdicts, flipped."""
+def test_candidate_forms_are_computed_once(monkeypatch):
+    """One list of forms per candidate serves the orientation and the
+    report.  The forms of a flipped candidate are -Q_i, n being odd, so
+    the negated classes give the same verdicts, flipped."""
     B, h, zetas = bundle_model(2, 3, "identity")
     plain = sample_lefschetz_candidates(B, h, zetas, samples=8)
     for rep in plain:
@@ -274,13 +294,13 @@ def test_candidate_powers_are_computed_once(monkeypatch):
         verdict = {k: rep[k] for k in ("pd", "hl", "hr")}
         assert kahler_report(B, ell) == verdict
     calls = collections.Counter()
-    powers = kahler._powers
+    forms = kahler._forms
 
-    def counting_powers(model, ell):
+    def counting_forms(model, ell):
         calls[model] += 1
-        return powers(model, ell)
+        return forms(model, ell)
 
-    monkeypatch.setattr(kahler, "_powers", counting_powers)
+    monkeypatch.setattr(kahler, "_forms", counting_forms)
     neg_h, neg_zeta = [[-x for x in v] for v in (h, zetas[0])]
     flipped = sample_lefschetz_candidates(B, neg_h, [neg_zeta], samples=8)
     assert calls == {B: 8}
@@ -308,7 +328,17 @@ def test_corrupted_model_fails_pd():
         def deg(self, v):
             return v[0]
 
-    assert not check_pd(Broken())
+    broken = Broken()
+    assert not check_pd(broken)
+    ell = [Fraction(1), Fraction(2)]
+    assert kahler_report(broken, ell) == {"pd": False, "hl": False,
+                                          "hr": False}
+    assert lefschetz_forms(broken, ell) is None
+    assert lefschetz_inertia(broken, ell) is None
+    # the forms, and so the orientation, do not need PD: ell^2 = 0 here
+    assert kahler._forms(broken, ell)[0] == ([[0]], 1)
+    with pytest.raises(MissingConvexClass):
+        oriented_degree_one(broken, ell)
 
 
 def test_multi_bundle_smoke_instance():

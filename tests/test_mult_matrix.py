@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from chowfans import linalg
+from chowfans.chow import _pairing_matrix, graded_basis
 from chowfans.fans import bergman_fan, permutohedral_fan
 from chowfans.kahler import (candidate_schedule, chern_vectors,
                              matroid_bundle_model,
@@ -212,6 +213,65 @@ def test_gram_matches_reference(name):
         assert type(den) is int and den > 0
         assert all(type(x) is int for row in a for x in row)
         assert unscaled((a, den)) == reference_gram(m, k), k
+
+
+TOWERS = {
+    "U(1,4)": lambda: bundle(1, 4),
+    "U(2,3)": lambda: bundle(2, 3),
+    "U(3,4)": lambda: bundle(3, 4),
+    "U(3,3)-three-storeys": lambda: restricted_multi_bundle_model(
+        matroid_uniform(3, 3), [matroid_uniform(3, 3)] * 3)[0],
+    "U(3,4)-with-U(2,4)x2": lambda: restricted_multi_bundle_model(
+        matroid_uniform(3, 4), [matroid_uniform(2, 4)] * 2)[0],
+}
+
+
+@pytest.mark.parametrize("name", list(TOWERS))
+def test_bundle_gram_is_built_from_base_grams(name, monkeypatch):
+    """A bundle ring's G_k, for storeys of rank r = 1, 2 and 3 and towers
+    of two and three storeys, is assembled from the base Grams: the walk
+    of one mult_matrix per complementary basis element never runs, and
+    the result is the reference Gram in every degree."""
+    m = TOWERS[name]()
+
+    def refuse(*args):
+        raise AssertionError("gram walked the complementary basis")
+
+    monkeypatch.setattr(GradedModel, "gram", refuse)
+    grams = [m.gram(k) for k in range(m.top + 1)]
+    monkeypatch.undo()
+    for k, (a, den) in enumerate(grams):
+        assert type(den) is int and den > 0
+        assert all(type(x) is int for row in a for x in row)
+        assert unscaled((a, den)) == reference_gram(m, k), k
+
+
+def fan_models():
+    """Every FanRingModel of MODELS, bundle and quotient bases included."""
+    out = {}
+    for name in MODELS:
+        ring = model(name)
+        while not isinstance(ring, FanRingModel):
+            ring = ring.base
+        out[id(ring)] = ring
+    return list(out.values())
+
+
+def test_gram_inverse_is_shared_by_complementary_degrees():
+    """Above the middle the solve reuses the transposed inverse of the
+    complementary degree; it equals the inverse of G_k^T taken in every
+    degree on its own, over the den of the pairing rows."""
+    for m in fan_models():
+        for k in range(m.top + 1):
+            _, basis_cols, gram = graded_basis(m.fan, k)
+            _, cols, mat = _pairing_matrix(m.fan, k)
+            at = {c: j for j, c in enumerate(cols)}
+            _, den = linalg.scaled_integer(
+                [[row[at[c]] for c in basis_cols] for row in mat])
+            inv, inv_den = linalg.scaled_inverse(
+                [list(col) for col in zip(*gram)])
+            assert m._solve[k] == (
+                [list(col) for col in zip(*inv)], den * inv_den), k
 
 
 def test_fan_model_gram_builds_no_basis_products(monkeypatch):
