@@ -11,8 +11,7 @@ from .chow import (ChowElement, MinkowskiWeight, cap_product, chow_dim,
 from .tautological import chern_classes, structural_divisors, w_divisors
 from .rings import (BundleRing, FanRingModel, bloch_gieseker,
                     quotient_by_ann_segre, segre_vectors, twist_vectors)
-from .kahler import (check_hl, check_hr, check_pd, kahler_report,
-                     lefschetz_inertia, sample_lefschetz_candidates)
+from .kahler import check_pd, kahler_report, sample_lefschetz_candidates
 from .biflags import (SplitBiflag, canonical_expansion, dyck_profile,
                       family_sets, is_lex_decreasing, lemma_suite,
                       split_at_first_gap, verify_bundle_identity,

@@ -17,8 +17,8 @@ from .biflags import lemma_suite, verify_bundle_identity
 from .chow import cap_product, fundamental_weight
 from .fans import bergman_fan, bipermutohedral_fan, check_balanced, \
     permutohedral_fan, projective_bundle_fan
-from .kahler import base_convex_divisor, check_pd, chern_vectors, \
-    sample_lefschetz_candidates
+from .kahler import SCHEDULE, base_convex_divisor, check_pd, \
+    chern_vectors, sample_lefschetz_candidates
 from .matroid import LoopyMatroid, MatroidError, matroid_from_json, \
     matroid_uniform
 from .rings import FanRingModel, bloch_gieseker, quotient_by_ann_segre
@@ -120,8 +120,10 @@ def cmd_verify(args):
 
 
 def cmd_kahler(args):
-    if args.samples < 0:
-        raise SystemExit2("--samples must be non-negative")
+    # past the cycle of the schedule every report repeats an earlier one
+    if not 0 <= args.samples <= len(SCHEDULE):
+        raise SystemExit2("--samples must be between 0 and %d"
+                          % len(SCHEDULE))
     M = load_matroid(args.matroid) if args.matroid else None
     N = ground_set_size(args, M)
     check_size("permutohedral", N)

@@ -15,7 +15,7 @@ from itertools import accumulate
 
 from . import linalg
 from .chow import divisor
-from .fans import bergman_fan, permutohedral_fan
+from .fans import DimensionMismatch, bergman_fan, permutohedral_fan
 from .rings import BundleRing, FanRingModel
 from .tautological import chern_classes
 
@@ -60,14 +60,17 @@ def _pd_grams(model):
 
 
 def _forms(model, ell):
-    """Q_0..Q_m of lefschetz_forms for m = n//2, each in the scaled form
-    (A, den) with den > 0, whether or not Poincare duality holds.  The
-    middle form Q_m is G_m for even n and G_m L_m for odd n, L_k being
-    multiplication by ell from degree k; below it Q_i = L_i^T Q_(i+1) L_i,
-    since deg(ell^(n-2i) x y) = deg(ell^(n-2i-2) (ell x) (ell y)).  So Q_i
-    is Q_m pulled back along N_i = L_(m-1)...L_i, and only the degrees up
-    to the middle are read.  Each product is one scaled_mat_mul, with the
-    sparse transpose on the left."""
+    """Q_0..Q_m for m = n//2, Q_i the matrix of the form (x, y) ->
+    deg(ell^(n-2i) x y) on degree i, each in the scaled form (A, den) with
+    den > 0, whether or not Poincare duality holds.  The middle form Q_m is
+    G_m for even n and G_m L_m for odd n, L_k being multiplication by ell
+    from degree k; below it Q_i = L_i^T Q_(i+1) L_i, since
+    deg(ell^(n-2i) x y) = deg(ell^(n-2i-2) (ell x) (ell y)).  So Q_i is Q_m
+    pulled back along N_i = L_(m-1)...L_i, and only the degrees up to the
+    middle are read.  Each product is one scaled_mat_mul, with the sparse
+    transpose on the left.  An ell of another length than dim A^1 raises
+    DimensionMismatch."""
+    _check_degree_one(model, ell, "ell")
     _, middle, _ = _pd_grams(model)
     n = model.top
     m = n // 2
@@ -82,56 +85,41 @@ def _forms(model, ell):
     return forms[::-1]
 
 
+def _check_degree_one(model, vec, name):
+    if len(vec) != model.dim(1):
+        raise DimensionMismatch("%s has %d coordinates, but A^1 has "
+                                "dimension %d"
+                                % (name, len(vec), model.dim(1)))
+
+
 def _transpose(scaled):
     a, den = scaled
     return [list(col) for col in zip(*a)], den
 
 
-def _inertias(model, forms):
-    """lefschetz_inertia from the forms; a positive den does not change the
-    inertia of A / den, so the integer A is eliminated.  The middle form of
-    an even-degree model is its Gram, whose inertia is memoized."""
+def _report(model, forms):
+    """PD, HL and HR verdicts from the exact inertia (pos, neg, zero) of
+    each form of _forms; all false, the forms unread, without Poincare
+    duality.  A positive den does not change the inertia of A / den, so
+    the integer A is eliminated; the middle form of an even-degree model
+    is its Gram, whose inertia is memoized.  Given PD, HL holds in degree i
+    exactly when Q_i is nonsingular, and by the Lefschetz decomposition HR
+    holds in degrees j <= i exactly when each Q_j has signature
+    sum_{k<=j} (-1)^k (d_k - d_{k-1}), d_k - d_{k-1} being the dimension
+    of the primitive part in degree k (Adiprasito-Huh-Katz, Ann. Math.
+    2018, section 7)."""
     pd, _, middle = _pd_grams(model)
     if not pd:
-        return None
+        return {"pd": False, "hl": False, "hr": False}
     n = model.top
-    return [middle if 2 * i == n else linalg.inertia(a)
-            for i, (a, _) in enumerate(forms)]
-
-
-def _report(model, forms):
-    """kahler_report from the forms."""
-    inertias = _inertias(model, forms)
-    pd = inertias is not None
-    hl = pd and all(zero == 0 for _, _, zero in inertias)
+    inertias = [middle if 2 * i == n else linalg.inertia(a)
+                for i, (a, _) in enumerate(forms)]
+    hl = all(zero == 0 for _, _, zero in inertias)
     steps = [(-1) ** i * (model.dim(i) - (model.dim(i - 1) if i else 0))
-             for i in range(model.top // 2 + 1)]
+             for i in range(n // 2 + 1)]
     hr = hl and all(pos - neg == sig for (pos, neg, _), sig
                     in zip(inertias, accumulate(steps)))
-    return {"pd": pd, "hl": hl, "hr": hr}
-
-
-def lefschetz_forms(model, ell):
-    """The matrices Q_i of the forms (x, y) -> deg(ell^(n-2i) x y) on
-    degree i, for i = 0..n//2, as Fractions; None when Poincare duality
-    fails.  Each is the middle form pulled back along multiplication by
-    powers of ell (see _forms)."""
-    if not check_pd(model):
-        return None
-    return [[[Fraction(x, den) for x in row] for row in a]
-            for a, den in _forms(model, ell)]
-
-
-def lefschetz_inertia(model, ell):
-    """Inertia (pos, neg, zero) of each Q_i of lefschetz_forms; None when
-    Poincare duality fails.  Given PD, HL holds in degree i exactly when
-    Q_i is nonsingular, and by the Lefschetz decomposition HR holds in
-    degrees j <= i exactly when each Q_j has signature
-    sum_{k<=j} (-1)^k (d_k - d_{k-1}) (Adiprasito-Huh-Katz, Ann. Math.
-    2018, section 7)."""
-    if not check_pd(model):
-        return None
-    return _inertias(model, _forms(model, ell))
+    return {"pd": True, "hl": hl, "hr": hr}
 
 
 def check_pd(model):
@@ -139,23 +127,10 @@ def check_pd(model):
     return _pd_grams(model)[0]
 
 
-def check_hl(model, ell):
-    """Given PD, ell^(n-2i) must be a bijection from degree i to n-i."""
-    return kahler_report(model, ell)["hl"]
-
-
-def check_hr(model, ell):
-    """Given Hard Lefschetz, (-1)^i deg(ell^(n-2i) x y) must be positive
-    definite on the primitive part in each degree i up to the middle."""
-    return kahler_report(model, ell)["hr"]
-
-
 def kahler_report(model, ell):
-    """PD, HL and HR verdicts for ell, all read off lefschetz_inertia:
-    d_i - d_{i-1} is the dimension of the primitive part in degree i."""
-    if not check_pd(model):
-        return {"pd": False, "hl": False, "hr": False}
-    return _report(model, _forms(model, ell))
+    """PD, HL and HR verdicts for ell (see _report).  The forms of a model
+    without Poincare duality are not built."""
+    return _report(model, _forms(model, ell) if check_pd(model) else None)
 
 
 def permutohedral_support_values(N, S):
@@ -174,18 +149,17 @@ def base_convex_divisor(fan, N):
     return divisor(fan, vals)
 
 
-def candidate_schedule(samples, seed=0):
-    """Deterministic (s, t) weights for s*h + t*zeta candidates."""
-    base = [(Fraction(1), Fraction(1)), (Fraction(1), Fraction(1, 7)),
+# The (s, t) weights of s*h + t*zeta candidates, in schedule order.
+SCHEDULE = ((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1, 7)),
             (Fraction(1), Fraction(13)), (Fraction(2), Fraction(1)),
             (Fraction(1), Fraction(1, 3)), (Fraction(3), Fraction(2)),
-            (Fraction(1), Fraction(5)), (Fraction(5), Fraction(1, 2))]
-    out = []
-    i = seed
-    while len(out) < samples:
-        out.append(base[i % len(base)])
-        i += 1
-    return out
+            (Fraction(1), Fraction(5)), (Fraction(5), Fraction(1, 2)))
+
+
+def candidate_schedule(samples, seed=0):
+    """The first samples weights of SCHEDULE from position seed on, cycling
+    past its end."""
+    return [SCHEDULE[i % len(SCHEDULE)] for i in range(seed, seed + samples)]
 
 
 def divisor_vector(model, D):
@@ -247,6 +221,9 @@ def sample_lefschetz_candidates(model, h, zetas, samples=3, seed=0):
     sign flip was needed.  The forms of each candidate are computed once,
     for the orientation and the report alike.
     """
+    _check_degree_one(model, h, "h")
+    for z in zetas:
+        _check_degree_one(model, z, "zeta")
     reports = []
     for s, t in candidate_schedule(samples, seed):
         vec = [s * a for a in h]

@@ -190,6 +190,10 @@ BAD_ARGUMENTS = {
     "bloch-gieseker-N-mismatch": ["bloch-gieseker", "--matroid", U23,
                                   "--N", "4"],
     "kahler-negative-samples": ["kahler", "--N", "3", "--samples", "-1"],
+    "kahler-samples-past-the-schedule": ["kahler", "--N", "3",
+                                         "--samples", "9"],
+    "kahler-huge-samples": ["kahler", "--N", "3",
+                            "--samples", "100000000000"],
     "verify-negative-max-first-len": ["verify", "--matroid", U23,
                                       "--max-first-len", "-1"],
     "non-numeric-twist": ["bloch-gieseker", "--N", "3", "--lams", "1,x"],
@@ -224,7 +228,9 @@ def test_bad_arguments_fail_before_any_work(capsys, monkeypatch, argv):
                          (cli, "projective_bundle_fan"),
                          (kahler, "matroid_bundle_model")]:
         monkeypatch.setattr(module, name, work)
+    start = time.perf_counter()
     code, lines, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1
     assert code == 2
     assert lines == []
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,5 +1,6 @@
 import collections
 import functools
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,11 +8,9 @@ import pytest
 from chowfans import kahler, linalg
 from chowfans.fans import DimensionMismatch, bergman_fan, permutohedral_fan
 from chowfans.kahler import (MissingConvexClass, base_convex_divisor,
-                             candidate_schedule, check_hl, check_hr, check_pd,
-                             chern_vectors, divisor_vector, kahler_report,
-                             lefschetz_forms,
-                             lefschetz_inertia, matroid_bundle_model,
-                             oriented_degree_one,
+                             candidate_schedule, check_pd, chern_vectors,
+                             divisor_vector, kahler_report,
+                             matroid_bundle_model, oriented_degree_one,
                              restricted_multi_bundle_model,
                              sample_lefschetz_candidates)
 from chowfans.matroid import (matroid_from_graph, matroid_uniform,
@@ -51,8 +50,7 @@ def test_permutohedral_model_kahler_with_support_class():
     model = FanRingModel(permutohedral_fan(3))
     h = divisor_vector(model, base_convex_divisor(model.fan, 3))
     assert check_pd(model)
-    assert check_hl(model, h)
-    assert check_hr(model, h)
+    assert kahler_report(model, h) == {"pd": True, "hl": True, "hr": True}
 
 
 def test_hr_at_zero_gives_positive_top_power():
@@ -124,14 +122,63 @@ def oriented_candidate(bundle, s, t):
         B, [s * a + t * b for a, b in zip(h, zetas[0])])
 
 
-@pytest.mark.parametrize("bundle", BUNDLES,
-                         ids=["U(%d,%d)-%s" % b for b in BUNDLES])
-def test_kahler_report_matches_reference(bundle):
-    weights = candidate_schedule(8) + [
-        (s, t) for b, s, t, _, _ in NAMED.values() if b == bundle]
-    for s, t in weights:
-        B, (ell, _) = oriented_candidate(bundle, s, t)
-        assert kahler_report(B, ell) == reference_kahler_report(B, ell), (s, t)
+def perm3_candidate():
+    model = FanRingModel(permutohedral_fan(3))
+    return model, divisor_vector(model, base_convex_divisor(model.fan, 3))
+
+
+def pyramid_candidate():
+    P = pyramid_matroid()
+    model = FanRingModel(bergman_fan(P))
+    return model, divisor_vector(model, base_convex_divisor(model.fan, P.n))
+
+
+def u23_candidate():
+    B, h, zetas = bundle_model(2, 3, "identity")
+    return B, [a + b for a, b in zip(h, zetas[0])]
+
+
+def perm4_candidate():
+    model = FanRingModel(permutohedral_fan(4))
+    return model, model.to_vector(base_convex_divisor(model.fan, 4))
+
+
+# fan models with the support class h, the maker and the signs of h to
+# check; -h only where the top degree is odd, so that it can be flipped, and
+# h alone on the pyramid, whose reference report takes about 0.9 s a class
+FAN_CASES = {
+    "perm3": (perm3_candidate, [1]),
+    "perm4": (perm4_candidate, [1, -1]),
+    "pyramid": (pyramid_candidate, [1]),
+}
+
+
+@pytest.mark.parametrize("case", BUNDLES + list(FAN_CASES),
+                         ids=["U(%d,%d)-%s" % b for b in BUNDLES]
+                         + list(FAN_CASES))
+def test_kahler_report_matches_reference(case):
+    """kahler_report agrees with the reference on every scheduled and named
+    candidate of the bundle rings, and on the fan models' h and -h.  On a
+    fan model the one sampled candidate of h alone (or -h), oriented, gets
+    the report of the oriented class."""
+    if case in FAN_CASES:
+        make, signs = FAN_CASES[case]
+        model, h = make()
+        classes = [[sign * x for x in h] for sign in signs]
+    else:
+        model = bundle_model(*case)[0]
+        weights = candidate_schedule(8) + [
+            (s, t) for b, s, t, _, _ in NAMED.values() if b == case]
+        classes = [oriented_candidate(case, s, t)[1][0] for s, t in weights]
+    for ell in classes:
+        assert kahler_report(model, ell) == \
+            reference_kahler_report(model, ell), ell
+        if case in FAN_CASES:
+            (sampled,) = sample_lefschetz_candidates(model, ell, [], samples=1)
+            for key in ("s", "t", "flipped"):
+                del sampled[key]
+            oriented, _ = oriented_degree_one(model, ell)
+            assert sampled == kahler_report(model, oriented), ell
 
 
 @pytest.mark.parametrize("case", list(NAMED))
@@ -140,7 +187,6 @@ def test_named_kahler_verdicts(case):
     B, (ell, was_flipped) = oriented_candidate(bundle, s, t)
     assert was_flipped == flipped
     assert kahler_report(B, ell) == verdict
-    assert (check_hl(B, ell), check_hr(B, ell)) == (verdict["hl"], verdict["hr"])
 
 
 def test_gram_matrices_are_built_once_per_model(monkeypatch):
@@ -159,22 +205,6 @@ def test_gram_matrices_are_built_once_per_model(monkeypatch):
     assert built == {k: 1 for k in range(B.top // 2 + 1)}
 
 
-def perm3_candidate():
-    model = FanRingModel(permutohedral_fan(3))
-    return model, divisor_vector(model, base_convex_divisor(model.fan, 3))
-
-
-def pyramid_candidate():
-    P = pyramid_matroid()
-    model = FanRingModel(bergman_fan(P))
-    return model, divisor_vector(model, base_convex_divisor(model.fan, P.n))
-
-
-def u23_candidate():
-    B, h, zetas = bundle_model(2, 3, "identity")
-    return B, [a + b for a, b in zip(h, zetas[0])]
-
-
 def unit(d, j):
     return [Fraction(int(i == j)) for i in range(d)]
 
@@ -187,7 +217,7 @@ def test_lefschetz_form_composes_mult_matrices(candidate):
     the degree-i basis."""
     model, ell = candidate()
     n = model.top
-    forms = lefschetz_forms(model, ell)
+    forms = [unscaled(q) for q in kahler._forms(model, ell)]
     assert len(forms) == n // 2 + 1
     for i, q in enumerate(forms):
         power = None
@@ -224,16 +254,18 @@ def scheduled_classes(model, h, zetas):
 
 @pytest.mark.parametrize("name", list(FORM_MODELS))
 def test_lefschetz_forms_match_the_fraction_product(name):
-    """The forms pulled back from the middle one, turned back into
-    Fractions, are the Fraction products G_i P_i for every scheduled
-    candidate, with P_i multiplication by ell^(n-2i) and ell^(n-2i) built
-    one multiplication by ell at a time."""
+    """The forms pulled back from the middle one, int rows over a positive
+    den, are the Fraction products G_i P_i for every scheduled candidate,
+    with P_i multiplication by ell^(n-2i) and ell^(n-2i) built one
+    multiplication by ell at a time."""
     model, h, zetas = FORM_MODELS[name]()
     for s, t, vec in scheduled_classes(model, h, zetas):
         ell, _ = oriented_degree_one(model, vec)
-        forms = lefschetz_forms(model, ell)
-        assert forms == reference_lefschetz_forms(model, ell), (s, t)
-        assert all(type(x) is Fraction for q in forms for row in q
+        forms = kahler._forms(model, ell)
+        assert [unscaled(q) for q in forms] == \
+            reference_lefschetz_forms(model, ell), (s, t)
+        assert all(type(den) is int and den > 0 for _, den in forms)
+        assert all(type(x) is int for a, _ in forms for row in a
                    for x in row)
 
 
@@ -262,13 +294,13 @@ def test_orientation_reads_the_top_power_off_q0(name):
 
 @pytest.mark.parametrize("candidate", [u23_candidate, pyramid_candidate],
                          ids=["U(2,3)", "pyramid"])
-def test_lefschetz_inertia_builds_each_step_once(monkeypatch, candidate):
+def test_kahler_report_builds_each_step_once(monkeypatch, candidate):
     """The model's multiplication matrices are one by ell from each degree
     below the middle, L_0..L_(m-1) for m = n//2, and L_m for odd n, where
     the middle form is G_m L_m; no degree above the middle is read."""
     model, ell = candidate()
     n = model.top
-    lefschetz_inertia(model, ell)  # the Gram matrices are built once, here
+    kahler_report(model, ell)  # the Gram matrices are built once, here
     built = collections.Counter()
     original = model.mult_matrix
 
@@ -277,7 +309,7 @@ def test_lefschetz_inertia_builds_each_step_once(monkeypatch, candidate):
         return original(d, w, k)
 
     monkeypatch.setattr(model, "mult_matrix", counting_mult_matrix)
-    assert lefschetz_inertia(model, ell) is not None
+    assert kahler_report(model, ell)["pd"]
     assert built == collections.Counter(
         [(1, k) for k in range((n + 1) // 2)])
 
@@ -307,6 +339,25 @@ def test_candidate_forms_are_computed_once(monkeypatch):
     assert flipped == [dict(rep, flipped=True) for rep in plain]
 
 
+@pytest.mark.parametrize("candidate", [perm3_candidate, u23_candidate],
+                         ids=["perm3", "U(2,3)"])
+def test_degree_one_vector_of_another_length_is_rejected(candidate):
+    """A too short or too long ell, h or zeta raises DimensionMismatch
+    naming both lengths, and gets no verdict about the class it would be
+    cut or padded to."""
+    model, ell = candidate()
+    d = model.dim(1)
+    for bad in (ell[:-1], ell + [Fraction(1)]):
+        message = re.escape("%d coordinates, but A^1 has dimension %d"
+                            % (len(bad), d))
+        for check in (lambda: kahler_report(model, bad),
+                      lambda: oriented_degree_one(model, bad),
+                      lambda: sample_lefschetz_candidates(model, bad, []),
+                      lambda: sample_lefschetz_candidates(model, ell, [bad])):
+            with pytest.raises(DimensionMismatch, match=message):
+                check()
+
+
 def test_corrupted_model_fails_pd():
     class Broken(PointModel):
         top = 2
@@ -333,8 +384,6 @@ def test_corrupted_model_fails_pd():
     ell = [Fraction(1), Fraction(2)]
     assert kahler_report(broken, ell) == {"pd": False, "hl": False,
                                           "hr": False}
-    assert lefschetz_forms(broken, ell) is None
-    assert lefschetz_inertia(broken, ell) is None
     # the forms, and so the orientation, do not need PD: ell^2 = 0 here
     assert kahler._forms(broken, ell)[0] == ([[0]], 1)
     with pytest.raises(MissingConvexClass):
