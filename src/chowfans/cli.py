@@ -192,8 +192,6 @@ def cmd_fan(args):
             if not args.simplify:
                 raise LoopyMatroid("matroid has loops; pass --simplify")
             M, _ = M.delete_loops()
-            if M.n == 0:
-                raise SystemExit2("every element is a loop")
         N = ground_set_size(args, M)
         if args.kind == "bergman":
             fan = bergman_fan(M)

@@ -3,15 +3,17 @@
 Everything here works over ``fractions.Fraction`` and plain ints.  A
 rational matrix m can be carried as its scaled form (A, den), with A an
 integer matrix and m = A / den: the products and mat-vecs of scaled forms
-run over ints alone.  Elimination never promotes to Fraction: row_echelon
-scales each row to integers and eliminates fraction-free (Bareiss),
-scaled_inverse returns the inverse in scaled form from the same
-elimination run as Gauss-Jordan, and the inertia is fraction-free too.
-Matrices are lists of lists, rows first.  No floating point is used
-anywhere in the package.
+run over ints alone.  Elimination never promotes to Fraction: one
+fraction-free kernel (Bareiss) scales each row to integers and gives
+row_echelon, basis_minor (its pivot columns and pivot rows, from one
+pass), lattice_index (a gcd of last pivots, each a maximal minor) and,
+run as Gauss-Jordan, the scaled form of the inverse; the inertia is
+fraction-free too.  Matrices are lists of lists, rows first.  No floating
+point is used anywhere in the package.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
 
@@ -26,17 +28,25 @@ def _div(a, b):
 
 def _bareiss(m, cols, above):
     """Fraction-free elimination in place on the first cols columns of m;
-    returns the pivot columns and the last pivot.  Each row is first
-    scaled to integers by its least common denominator.  A step on pivot
-    pv, after the previous pivot prev, replaces every row x below the pivot
-    row y, and above it too when above is set, by (pv x - f y) / prev, for
-    f the entry of x in the pivot column, from that column on.  Every entry
-    is then a minor of the scaled m, so the division is exact (Bareiss),
-    and it applies to the rows with f = 0 too."""
+    returns the pivot columns, the last pivot and the indices in m of the
+    pivot rows.  Each row is first scaled to integers by its least common
+    denominator.  The first remaining row with a nonzero entry in a column
+    is moved up to be its pivot row, the others keeping their order.  A
+    step on pivot pv, after the previous pivot prev, replaces every row x
+    below the pivot row y, and above it too when above is set, by
+    (pv x - f y) / prev, for f the entry of x in the pivot column, from
+    that column on.  Every entry is then a minor of the scaled m, so the
+    division is exact (Bareiss), and it applies to the rows with f = 0 too.
+
+    A row below the pivot row has f = 0 unless it comes after the pivot
+    row in m, so every row stays itself plus a combination of the rows
+    before it in m; a row that never becomes a pivot ends at zero, so the
+    pivot rows are the greedy independent rows of m."""
     for i, row in enumerate(m):
         s = _lcd(row)
         m[i] = [x.numerator * (s // x.denominator) for x in row]
     rows = len(m)
+    order = list(range(rows))
     pivots = []
     prev = 1
     for c in range(cols):
@@ -44,7 +54,9 @@ def _bareiss(m, cols, above):
         pr = next((i for i in range(r, rows) if m[i][c]), None)
         if pr is None:
             continue
-        m[r], m[pr] = m[pr], m[r]
+        if pr != r:
+            m.insert(r, m.pop(pr))
+            order.insert(r, order.pop(pr))
         y = m[r][c:]
         pv = y[0]
         for i in range(0 if above else r + 1, rows):
@@ -57,7 +69,7 @@ def _bareiss(m, cols, above):
         prev = pv
         if r + 1 == rows:
             break
-    return pivots, prev
+    return pivots, prev, order[:len(pivots)]
 
 
 def row_echelon(m):
@@ -72,12 +84,11 @@ def rank(m):
 
 
 def basis_minor(m):
-    """(rows, cols) of a maximal nonsingular minor of m: cols are the
-    greedy independent columns of m, and rows the greedy independent rows
-    of the submatrix those columns cut out."""
-    cols = row_echelon(mat_copy(m))
-    rows = row_echelon([[row[j] for row in m] for j in cols])
-    return rows, cols
+    """(rows, cols) of a maximal nonsingular minor of m: the greedy
+    independent rows and columns of m, both ascending, from one
+    elimination."""
+    cols, _, rows = _bareiss(mat_copy(m), len(m[0]) if m else 0, False)
+    return sorted(rows), cols
 
 
 def pivot_inverse(rows):
@@ -136,7 +147,7 @@ def scaled_inverse(m):
     it and d, divided by their gcd.  Raises ValueError if m is singular."""
     n = len(m)
     aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m)]
-    pivots, d = _bareiss(aug, n, True)
+    pivots, d, _ = _bareiss(aug, n, True)
     if len(pivots) < n:
         raise ValueError("singular matrix")
     g = gcd(d, *(a for row in aug for a in row[n:]))
@@ -235,53 +246,26 @@ def inertia(m):
 
 
 def lattice_index(rows):
-    """Index of the integer lattice spanned by ``rows`` inside its saturation.
-
-    Computed as the product of the invariant factors of the integer matrix,
-    i.e. the gcd of its maximal minors, via a Smith-style reduction.  Rows
-    must be linearly independent integer vectors; a non-integral entry
-    raises ValueError.
-    """
+    """Index of the integer lattice spanned by ``rows`` inside its
+    saturation: the gcd of the maximal minors of the integer matrix.  Each
+    minor is the last pivot of one elimination of the columns it cuts out,
+    or 0 when that elimination finds fewer pivots than rows.  The pivot
+    columns of the rows come first, and the scan stops once the gcd is 1.
+    Rows must be linearly independent integer vectors; a non-integral
+    entry, or dependent rows, raise ValueError."""
     if any(x.denominator != 1 for r in rows for x in r):
         raise ValueError("lattice_index needs integer rows")
-    m = [list(map(int, r)) for r in rows]
-    if not m:
+    k = len(rows)
+    if not k:
         return 1
-    nrows, ncols = len(m), len(m[0])
-    index = 1
-    r = c = 0
-    while r < nrows and c < ncols:
-        pr = min(
-            ((i, j) for i in range(r, nrows) for j in range(c, ncols) if m[i][j] != 0),
-            key=lambda ij: abs(m[ij[0]][ij[1]]),
-            default=None,
-        )
-        if pr is None:
-            break
-        i0, j0 = pr
-        m[r], m[i0] = m[i0], m[r]
-        for row in m:
-            row[c], row[j0] = row[j0], row[c]
-        pivot = m[r][c]
-        dirty = False
-        for i in range(r + 1, nrows):
-            if m[i][c] != 0:
-                q = m[i][c] // pivot
-                m[i] = [m[i][j] - q * m[r][j] for j in range(ncols)]
-                if m[i][c] != 0:
-                    dirty = True
-        for j in range(c + 1, ncols):
-            if m[r][j] != 0:
-                q = m[r][j] // pivot
-                for i in range(r, nrows):
-                    m[i][j] -= q * m[i][c]
-                if m[r][j] != 0:
-                    dirty = True
-        if dirty:
-            continue
-        index *= abs(pivot)
-        r += 1
-        c += 1
-    if r < nrows:
+    pivots, index, _ = _bareiss(mat_copy(rows), len(rows[0]), False)
+    if len(pivots) < k:
         raise ValueError("rows are linearly dependent")
+    index = abs(index)
+    for cols in combinations(range(len(rows[0])), k):
+        if index == 1:
+            break
+        found, d, _ = _bareiss([[r[j] for j in cols] for r in rows], k, False)
+        if len(found) == k:
+            index = gcd(index, d)
     return index

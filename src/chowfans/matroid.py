@@ -56,6 +56,8 @@ def mask_to_set(mask):
 
 class Matroid:
     def __init__(self, n, bases, _validated=False):
+        if n < 1:
+            raise MatroidError("ground set must be nonempty")
         self.n = n
         self.full = (1 << n) - 1
         self.bases = frozenset(bases)
@@ -147,8 +149,6 @@ class Matroid:
     def truncate(self):
         if self.r == 0:
             raise RankZero("cannot truncate a rank-0 matroid")
-        if self.r == 1:
-            return Matroid(self.n, [0], _validated=True)
         sub = set()
         for b in self.bases:
             m = b
@@ -185,8 +185,6 @@ class Matroid:
 
 
 def matroid_from_bases(n, bases):
-    if n < 1:
-        raise MatroidError("ground set must be nonempty")
     masks = []
     for b in bases:
         m = b if isinstance(b, int) else set_to_mask(b)
@@ -206,14 +204,14 @@ def matroid_uniform(r, n):
 def matroid_from_graph(vertices, edges):
     """Graphic matroid; edges are (u, v) pairs labeled 1..len(edges) in order."""
     n = len(edges)
-    # maximal forests via all subsets, fine at desk scale
-    for size in range(min(n, vertices - 1), -1, -1):
+    # maximal forests via all subsets, fine at desk scale; size 0 always
+    # finds the empty forest
+    for size in range(min(n, max(vertices - 1, 0)), -1, -1):
         found = [set_to_mask([i + 1 for i in combo])
                  for combo in combinations(range(n), size)
                  if _is_forest(vertices, [edges[i] for i in combo])]
         if found:
             return Matroid(n, found, _validated=True)
-    return Matroid(max(n, 1), [0], _validated=True)
 
 
 def _is_forest(vertices, edge_list):

@@ -24,10 +24,11 @@ bundle ring the zeta polynomial of the products of the components,
 reduced by the relation from its highest power down.
 
 Also the Fraction references for the integer kernels of `linalg`, the
-fraction-free echelon form and inverse, the product of scaled forms and
-the fraction-free inertia: row echelon form and Gauss-Jordan inverse over
-`Fraction`, the plain matrix product and the inertia by symmetric
-elimination over `Fraction`.
+fraction-free echelon form, basis minor and inverse, the lattice index,
+the product of scaled forms and the fraction-free inertia: row echelon
+form, two eliminations for the basis minor and Gauss-Jordan inverse over
+`Fraction`, the gcd of every maximal minor, the plain matrix product and
+the inertia by symmetric elimination over `Fraction`.
 
 Also the Fraction reference of the per-cone kernel of `chow`: the
 Adiprasito-Huh-Katz fan-out of a cone monomial times a divisor, the ray
@@ -64,7 +65,8 @@ lifting h and the zetas up again.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
+from math import gcd
 
 from chowfans.chow import (ChowElement, FanMismatch, graded_basis,
                            multiply_by_monomial, pair, pair_all)
@@ -260,10 +262,34 @@ def reference_graded_basis(fan, k):
     for sigma in rows:
         pairings = pair_all(ChowElement(fan, k, {sigma: 1}))
         mat.append([pairings[c] for c in cols])
-    basis_rows = reference_row_echelon([list(col) for col in zip(*mat)])
-    basis_cols = reference_row_echelon([list(row) for row in mat])
+    basis_rows, basis_cols = reference_basis_minor(mat)
     gram = [[mat[i][j] for j in basis_cols] for i in basis_rows]
     return [rows[i] for i in basis_rows], [cols[j] for j in basis_cols], gram
+
+
+def reference_basis_minor(m):
+    """(rows, cols) for linalg.basis_minor by two separate eliminations:
+    the pivot columns of m and the pivot columns of its transpose."""
+    return (reference_row_echelon([list(col) for col in zip(*m)]),
+            reference_row_echelon([list(row) for row in m]))
+
+
+def reference_lattice_index(rows):
+    """The gcd of all maximal minors of the integer rows, each a Fraction
+    determinant, with no early stop; ValueError when they are all zero,
+    which is when the rows are dependent."""
+    k = len(rows)
+    index = 0
+    for cols in combinations(range(len(rows[0]) if rows else 0), k):
+        minor = [[Fraction(r[j]) for j in cols] for r in rows]
+        if len(reference_row_echelon(minor)) == k:
+            det = 1
+            for i, row in enumerate(minor):
+                det *= row[i]
+            index = gcd(index, int(det))
+    if index == 0:
+        raise ValueError("rows are linearly dependent")
+    return index
 
 
 def reference_row_echelon(m):

@@ -212,6 +212,9 @@ BAD_ARGUMENTS = {
                                        '{"uniform": [2, 8]}'],
     "loopy-matroid-without-simplify": ["fan", "--kind", "bergman",
                                        "--matroid", LOOPY],
+    "empty-uniform-matroid": ["verify", "--matroid", '{"uniform": [0, 0]}'],
+    "edgeless-graph-matroid": ["verify", "--matroid",
+                               '{"graph": {"vertices": 1, "edges": []}}'],
 }
 
 

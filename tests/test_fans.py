@@ -90,9 +90,10 @@ def test_all_suite_fans_unimodular():
 
 
 def test_multiplicity_from_the_dual_basis_matches_lattice_index():
-    """A cone whose dual basis is integral has multiplicity 1 without the
-    Smith reduction; on every cone of five fans, and on the custom fan
-    with a cone of multiplicity 2, the result is lattice_index's."""
+    """A cone whose dual basis is integral has multiplicity 1 without
+    lattice_index's gcd of maximal minors; on every cone of five fans, and
+    on the custom fan with a cone of multiplicity 2, the result is
+    lattice_index's."""
     fans = [permutohedral_fan(4), bipermutohedral_fan(3),
             bergman_fan(pyramid_matroid()),
             projective_bundle_fan(4, matroid_uniform(3, 4)),

@@ -3,7 +3,9 @@ from it: representatives, balancing, divisor and ray products, and the
 pairing walk; for the integer solves of the ring models against their
 Fraction references; plus the fraction-free echelon form and inverse of
 `linalg`, its integer product of scaled forms and fraction-free inertia
-against their Fraction references, and its lattice index."""
+against their Fraction references, its one-pass basis minor against two
+eliminations, and its lattice index against the gcd of every maximal
+minor."""
 
 import random
 import sys
@@ -21,9 +23,10 @@ from chowfans.kahler import chern_vectors
 from chowfans.matroid import matroid_uniform, pyramid_matroid
 from chowfans.rings import (FanRingModel, QuotientRingModel,
                             quotient_by_ann_segre)
-from naive_oracle import (mat_mul, reference_coordinates, reference_inertia,
-                          reference_invert, reference_projection,
-                          reference_row_echelon)
+from naive_oracle import (mat_mul, reference_basis_minor,
+                          reference_coordinates, reference_inertia,
+                          reference_invert, reference_lattice_index,
+                          reference_projection, reference_row_echelon)
 
 
 def kernel_fans():
@@ -309,6 +312,56 @@ def test_scaled_inverse_matches_fraction_inverse(m):
     got = linalg.scaled_inverse(m)
     assert got == linalg.scaled_integer(want)
     assert all(type(x) is int for row in got[0] for x in row)
+
+
+@st.composite
+def deficient_matrices(draw, entries):
+    """rational_matrices with up to two more rows, each zero or a copy of
+    a row, put in at drawn places."""
+    m = draw(rational_matrices(entries=entries))
+    extra = [[0] * len(m[0])] + m
+    for row in draw(st.lists(st.sampled_from(extra), max_size=2)):
+        m.insert(draw(st.integers(0, len(m))), list(row))
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(deficient_matrices(st.integers(-3, 3))
+       | deficient_matrices(st.fractions(-3, 3, max_denominator=4))
+       | st.sampled_from([[], [[]], [[], []]]))
+def test_basis_minor_matches_two_fraction_eliminations(m):
+    """One elimination, pivot rows moved up in place, gives the greedy
+    independent rows and columns of two separate eliminations."""
+    before = linalg.mat_copy(m)
+    assert linalg.basis_minor(m) == reference_basis_minor(m)
+    assert m == before
+
+
+def test_basis_minor_rows_are_the_first_independent_rows():
+    # swapping the pivot row into place instead of moving it up would put
+    # row 0 below row 1 and pick rows [1, 2]
+    assert linalg.basis_minor([[0, 1], [0, 1], [1, 0]]) == ([0, 2], [0, 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda k: st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                       min_size=k, max_size=k)))
+       | deficient_matrices(st.integers(-3, 3)))
+def test_lattice_index_is_the_gcd_of_the_maximal_minors(rows):
+    try:
+        want = reference_lattice_index(rows)
+    except ValueError:
+        with pytest.raises(ValueError, match="dependent"):
+            linalg.lattice_index(rows)
+        return
+    assert linalg.lattice_index(rows) == want
+
+
+def test_lattice_index_skips_singular_minors():
+    # the pivot columns give minor 2, and columns 1, 2 a singular minor
+    # whose elimination stops at its first pivot, 3
+    assert linalg.lattice_index([[2, 3, -3], [0, -1, 1]]) == 2
 
 
 def test_lattice_index_needs_integer_rows():

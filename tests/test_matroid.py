@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chowfans.matroid import (EmptyBases, ExchangeAxiomViolated, LoopyMatroid,
-                              Matroid, RankZero, UnequalCardinality,
+                              Matroid, MatroidError, RankZero,
+                              UnequalCardinality,
                               mask_to_set, matroid_from_bases,
                               matroid_from_graph, matroid_from_json,
                               matroid_uniform, pyramid_matroid, set_to_mask)
@@ -51,6 +52,20 @@ def test_invalid_bases_rejected():
         matroid_from_bases(3, [{1}, {1, 2}])
     with pytest.raises(ExchangeAxiomViolated):
         matroid_from_bases(4, [{1, 2}, {3, 4}])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: matroid_uniform(0, 0),
+    lambda: matroid_from_graph(1, []),
+    lambda: matroid_from_graph(0, []),
+    lambda: matroid_from_bases(0, [[]]),
+    lambda: Matroid(0, [0]),
+    lambda: matroid_uniform(0, 2).delete_loops(),
+], ids=["uniform-0-0", "edgeless-graph", "empty-graph", "bases-n-0",
+        "Matroid-n-0", "all-loops-deleted"])
+def test_empty_ground_set_rejected(build):
+    with pytest.raises(MatroidError, match="ground set must be nonempty"):
+        build()
 
 
 def test_exchange_axiom_brute_force():
@@ -110,7 +125,7 @@ def test_truncation_rank_identity():
 def test_truncate_to_rank_zero():
     M = matroid_uniform(1, 3)
     T = M.truncate()
-    assert T.r == 0
+    assert T.r == 0 and T.bases == {0}
     with pytest.raises(RankZero):
         T.truncate()
 
