@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import comb
 
 from .biflags import lemma_suite, verify_bundle_identity
 from .chow import cap_product, fundamental_weight
@@ -87,6 +88,31 @@ def check_size(kind, N):
                               "cones" % (kind, N, MAX_CONES))
 
 
+# The largest pairing matrix, by entries, of the ring model of perm(N)
+# that a command builds.  Its degree-k pairing matrix pairs the k-cones
+# with the (N-1-k)-cones: at N = 6 the largest is 540 x 1,560, and the
+# model builds in about 2.5 s on a 2-core machine; at N = 7 it is
+# 8,400 x 8,400.
+MAX_PAIRING_ENTRIES = 10 ** 6
+
+
+def check_model_size(N):
+    """Exit 2 before building perm(N) and its ring model when the fan is
+    above MAX_CONES or its largest pairing matrix above
+    MAX_PAIRING_ENTRIES.  perm(N) has (k+1)! S(N, k+1) cones of dimension
+    k, the surjections of the N elements onto k+1 ordered blocks."""
+    check_size("permutohedral", N)
+    n = N - 1
+    cones = [sum((-1) ** i * comb(j, i) * (j - i) ** N for i in range(j + 1))
+             for j in range(1, N + 1)]
+    rows, cols = max(((cones[k], cones[n - k]) for k in range(n // 2 + 1)),
+                     key=lambda size: size[0] * size[1])
+    if rows * cols > MAX_PAIRING_ENTRIES:
+        raise SystemExit2("the ring model of the permutohedral fan on N = %d "
+                          "pairs %d x %d cones, more than %d entries"
+                          % (N, rows, cols, MAX_PAIRING_ENTRIES))
+
+
 def cmd_verify(args):
     if args.max_first_len < 0:
         raise SystemExit2("--max-first-len must be non-negative")
@@ -126,7 +152,7 @@ def cmd_kahler(args):
                           % len(SCHEDULE))
     M = load_matroid(args.matroid) if args.matroid else None
     N = ground_set_size(args, M)
-    check_size("permutohedral", N)
+    check_model_size(N)
     if M is None:
         M = matroid_uniform(N, N)
     from .kahler import matroid_bundle_model
@@ -144,7 +170,7 @@ def cmd_kahler(args):
 def cmd_bloch_gieseker(args):
     M = load_matroid(args.matroid) if args.matroid else None
     N = ground_set_size(args, M)
-    check_size("permutohedral", N)
+    check_model_size(N)
     if M is None:
         M = matroid_uniform(2, N)
     try:
@@ -166,7 +192,7 @@ def cmd_bloch_gieseker(args):
 def cmd_quotient_ahk(args):
     M = load_matroid(args.matroid)
     N = ground_set_size(args, M)
-    check_size("permutohedral", N)
+    check_model_size(N)
     base = FanRingModel(permutohedral_fan(N))
     quo = quotient_by_ann_segre(base, chern_vectors(base, M, via="negation"))
     target = FanRingModel(bergman_fan(M))

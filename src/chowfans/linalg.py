@@ -8,8 +8,15 @@ fraction-free kernel (Bareiss) scales each row to integers and gives
 row_echelon, basis_minor (its pivot columns and pivot rows, from one
 pass), lattice_index (a gcd of last pivots, each a maximal minor) and,
 run as Gauss-Jordan, the scaled form of the inverse; the inertia is
-fraction-free too.  Matrices are lists of lists, rows first.  No floating
-point is used anywhere in the package.
+fraction-free too.  Both eliminations rewrite, at each step, only the
+rows with a nonzero entry in the pivot column.  Any other row would only
+be multiplied by pv / prev, the step's pivot over the one before; it owes
+that factor instead, and the factors of consecutive skipped steps
+telescope to one ratio of pivots, multiplied out when the row is next
+read.  That division is exact because the true entry is a minor
+(Bareiss, "Sylvester's identity and multistep integer-preserving
+Gaussian elimination", Math. Comp. 1968).  Matrices are lists of lists,
+rows first.  No floating point is used anywhere in the package.
 """
 
 from fractions import Fraction
@@ -36,7 +43,21 @@ def _bareiss(m, cols, above):
     below the pivot row y, and above it too when above is set, by
     (pv x - f y) / prev, for f the entry of x in the pivot column, from
     that column on.  Every entry is then a minor of the scaled m, so the
-    division is exact (Bareiss), and it applies to the rows with f = 0 too.
+    division is exact (Bareiss).
+
+    A row with f = 0 would only be multiplied by pv / prev, so it is left
+    as it is and owes that factor.  With hist the pivots so far after a
+    leading 1, the factors of the steps a row skips telescope: a row last
+    rewritten by step s owes hist[t] / hist[s] after step t.  Such a row
+    is next rewritten as (pv x - f y) / hist[s] from its stored entries,
+    which is the step on its true entries, and its debt is multiplied out
+    before it becomes a pivot row and, at the end, in every row a step
+    would still have reached.  Each result is a true entry, a minor, so
+    each division is exact.  A debt applies from the pivot column of the
+    first skipped step on, as the skipped steps would have; from there to
+    the current column the row is zero, since in Gauss-Jordan mode a
+    column with no pivot makes the rows above pay their debts, and left of
+    it the skipped steps would not have touched the row.
 
     A row below the pivot row has f = 0 unless it comes after the pivot
     row in m, so every row stays itself plus a combination of the rows
@@ -47,29 +68,48 @@ def _bareiss(m, cols, above):
         m[i] = [x.numerator * (s // x.denominator) for x in row]
     rows = len(m)
     order = list(range(rows))
+    done = [0] * rows  # the number of steps each row is current through
+    hist = [1]
     pivots = []
-    prev = 1
+
+    def settle(i):
+        d = done[i]
+        if d < len(pivots):
+            x, h, lo = m[i], hist[d], pivots[d]
+            x[lo:] = [a * hist[-1] // h for a in x[lo:]]
+            done[i] = len(pivots)
+
     for c in range(cols):
         r = len(pivots)
         pr = next((i for i in range(r, rows) if m[i][c]), None)
         if pr is None:
+            if above:
+                for i in range(r):
+                    settle(i)
             continue
         if pr != r:
             m.insert(r, m.pop(pr))
             order.insert(r, order.pop(pr))
+            done.insert(r, done.pop(pr))
+        settle(r)
+        # the step on its own pivot does not change the pivot row
+        done[r] = r + 1
         y = m[r][c:]
         pv = y[0]
         for i in range(0 if above else r + 1, rows):
-            if i != r:
-                x = m[i]
-                f = x[c]
-                x[c:] = ([(pv * a - f * b) // prev for a, b in zip(x[c:], y)]
-                         if f else [pv * a // prev for a in x[c:]])
+            x = m[i]
+            f = x[c]
+            if f and i != r:
+                h = hist[done[i]]
+                x[c:] = [(pv * a - f * b) // h for a, b in zip(x[c:], y)]
+                done[i] = r + 1
         pivots.append(c)
-        prev = pv
+        hist.append(pv)
         if r + 1 == rows:
             break
-    return pivots, prev, order[:len(pivots)]
+    for i in range(0 if above else len(pivots), rows):
+        settle(i)
+    return pivots, hist[-1], order[:len(pivots)]
 
 
 def row_echelon(m):
@@ -205,13 +245,27 @@ def inertia(m):
     the remaining diagonal is zero but some w_pq is not, adding row and
     column q to row and column p, a unimodular congruence, makes the pivot
     2 w_pq and keeps the divisions exact.  By symmetry only the upper
-    triangle is kept: w[i] holds row i from its diagonal on."""
+    triangle is kept: w[i] holds row i from its diagonal on.
+
+    A row i with w_ip = 0 would only be multiplied by a / prev, so it is
+    left as it is and owes that factor.  With hist the pivots so far after
+    a leading 1, a row last rewritten by step s owes hist[t] / hist[s]
+    after step t, on the whole of row i, the entries kept in the rows
+    above it too, so the pivot row's reads from other rows multiply out
+    their debts first.  Such a row is next rewritten from its stored
+    entries x as (a x - f' y) / hist[s], for y the pivot row and
+    f' = f hist[s] / hist[t] the value its true entry f = w_ip had when
+    the row was last rewritten.  Both divisions give entries of the
+    elimination, integers, so they are exact."""
     w = [row[i:] for i, row in enumerate(scaled_integer(m)[0])]
-    prev = 1
+    done = [0] * len(w)  # the number of steps each row is current through
+    hist = [1]
     pos = neg = 0
 
     def full_row(r):
-        return [w[k][r - k] for k in range(r)] + w[r]
+        g = hist[-1]
+        return ([w[k][r - k] * g // hist[done[k]] for k in range(r)]
+                + [x * g // hist[done[r]] for x in w[r]])
 
     while w:
         p = next((i for i, row in enumerate(w) if row[0]), None)
@@ -226,22 +280,27 @@ def inertia(m):
             wp[p] += wp[q]
         else:
             wp = full_row(p)
-        a = wp[p]
-        rows = []
+        a, prev, step = wp[p], hist[-1], len(hist)
+        rows, steps = [], []
         for i, row in enumerate(w):
             if i != p:
                 f = wp[i]
-                new = ([(a * x - f * y) // prev for x, y in zip(row, wp[i:])]
-                       if f else [a * x // prev for x in row])
+                if f:
+                    h = hist[done[i]]
+                    f = f * h // prev
+                    row = [(a * x - f * y) // h for x, y in zip(row, wp[i:])]
+                    steps.append(step)
+                else:
+                    steps.append(done[i])
                 if i < p:
-                    del new[p - i]
-                rows.append(new)
-        w = rows
+                    del row[p - i]
+                rows.append(row)
+        w, done = rows, steps
         if (a > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-        prev = a
+        hist.append(a)
     return pos, neg, len(m) - pos - neg
 
 

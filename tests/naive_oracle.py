@@ -30,6 +30,12 @@ form, two eliminations for the basis minor and Gauss-Jordan inverse over
 `Fraction`, the gcd of every maximal minor, the plain matrix product and
 the inertia by symmetric elimination over `Fraction`.
 
+Also the two fraction-free kernels of `linalg` as they were before each
+step rewrote only the rows with a nonzero entry in its pivot column: the
+dense Bareiss elimination behind the echelon form, basis minor, lattice
+index and scaled inverse, and the dense symmetric elimination behind the
+inertia, both multiplying every other row by pv / prev at every step.
+
 Also the Fraction reference of the per-cone kernel of `chow`: the
 Adiprasito-Huh-Katz fan-out of a cone monomial times a divisor, the ray
 and divisor products, the degree, the pairing walk and the cap product,
@@ -66,7 +72,7 @@ lifting h and the zetas up again.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import gcd
+from math import gcd, lcm
 
 from chowfans.chow import (ChowElement, FanMismatch, graded_basis,
                            multiply_by_monomial, pair, pair_all)
@@ -74,6 +80,7 @@ from chowfans.biflags import expansion_index, is_lex_decreasing
 from chowfans.fans import (bisubset_leq, gap_indices, is_chain,
                            permutohedral_fan, proper_biflats)
 from chowfans.kahler import base_convex_divisor
+from chowfans.linalg import scaled_integer
 from chowfans.rings import BundleRing, QuotientRingModel
 from chowfans.tautological import chern_classes
 
@@ -388,6 +395,81 @@ def reference_inertia(m):
         positive.append(wp[p] > 0)
     pos = sum(positive)
     return pos, len(positive) - pos, len(w) - len(positive)
+
+
+def reference_dense_bareiss(m, cols, above):
+    """linalg._bareiss with every row rewritten at every step: in place on
+    the first cols columns of m, the pivot columns, the last pivot and the
+    indices in m of the pivot rows."""
+    for i, row in enumerate(m):
+        s = lcm(1, *(x.denominator for x in row))
+        m[i] = [x.numerator * (s // x.denominator) for x in row]
+    rows = len(m)
+    order = list(range(rows))
+    pivots = []
+    prev = 1
+    for c in range(cols):
+        r = len(pivots)
+        pr = next((i for i in range(r, rows) if m[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            m.insert(r, m.pop(pr))
+            order.insert(r, order.pop(pr))
+        y = m[r][c:]
+        pv = y[0]
+        for i in range(0 if above else r + 1, rows):
+            if i != r:
+                x = m[i]
+                f = x[c]
+                x[c:] = ([(pv * a - f * b) // prev for a, b in zip(x[c:], y)]
+                         if f else [pv * a // prev for a in x[c:]])
+        pivots.append(c)
+        prev = pv
+        if r + 1 == rows:
+            break
+    return pivots, prev, order[:len(pivots)]
+
+
+def reference_dense_inertia(m):
+    """linalg.inertia with every remaining row rewritten at every step."""
+    w = [row[i:] for i, row in enumerate(scaled_integer(m)[0])]
+    prev = 1
+    pos = neg = 0
+
+    def full_row(r):
+        return [w[k][r - k] for k in range(r)] + w[r]
+
+    while w:
+        p = next((i for i, row in enumerate(w) if row[0]), None)
+        if p is None:
+            pq = next(((i, i + j) for i, row in enumerate(w)
+                       for j, x in enumerate(row) if x), None)
+            if pq is None:
+                break
+            p, q = pq
+            # column p is read from wp alone, so its stored entries go stale
+            wp = [x + y for x, y in zip(full_row(p), full_row(q))]
+            wp[p] += wp[q]
+        else:
+            wp = full_row(p)
+        a = wp[p]
+        rows = []
+        for i, row in enumerate(w):
+            if i != p:
+                f = wp[i]
+                new = ([(a * x - f * y) // prev for x, y in zip(row, wp[i:])]
+                       if f else [a * x // prev for x in row])
+                if i < p:
+                    del new[p - i]
+                rows.append(new)
+        w = rows
+        if (a > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        prev = a
+    return pos, neg, len(m) - pos - neg
 
 
 def reference_coordinates(model, k):

@@ -210,6 +210,11 @@ BAD_ARGUMENTS = {
     "bloch-gieseker-above-size-budget": ["bloch-gieseker", "--N", "8"],
     "quotient-ahk-above-size-budget": ["quotient-ahk", "--matroid",
                                        '{"uniform": [2, 8]}'],
+    "kahler-above-model-budget": ["kahler", "--matroid", '{"uniform": [2, 7]}',
+                                  "--N", "7", "--samples", "1"],
+    "bloch-gieseker-above-model-budget": ["bloch-gieseker", "--N", "7"],
+    "quotient-ahk-above-model-budget": ["quotient-ahk", "--matroid",
+                                        '{"uniform": [2, 7]}'],
     "loopy-matroid-without-simplify": ["fan", "--kind", "bergman",
                                        "--matroid", LOOPY],
     "empty-uniform-matroid": ["verify", "--matroid", '{"uniform": [0, 0]}'],
@@ -272,6 +277,39 @@ def test_size_budget_counts_maximal_cones(monkeypatch, kind, largest):
     cli.check_size(kind, largest)
     with pytest.raises(cli.SystemExit2):
         cli.check_size(kind, largest + 1)
+
+
+def test_model_budget_names_the_largest_pairing_matrix(capsys):
+    start = time.perf_counter()
+    code, lines, err = run(capsys, ["bloch-gieseker", "--N", "7"])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert lines == []
+    assert err == ("error: the ring model of the permutohedral fan on N = 7 "
+                   "pairs 8400 x 8400 cones, more than 1000000 entries\n")
+
+
+def test_model_budget_counts_pairing_matrices(monkeypatch):
+    """With the limit set to the entries of the largest pairing matrix of a
+    small perm(N), counted on the fan, that model passes the budget and a
+    limit one lower rejects it; at the fixed limit, N = 6 is the largest
+    that passes."""
+    from chowfans import cli
+    from chowfans.fans import permutohedral_fan
+    for N in range(1, 6):
+        fan = permutohedral_fan(N)
+        n = fan.top_dim
+        largest = max(len(fan.cones_of_dim(k)) * len(fan.cones_of_dim(n - k))
+                      for k in range(n // 2 + 1))
+        monkeypatch.setattr(cli, "MAX_PAIRING_ENTRIES", largest)
+        cli.check_model_size(N)
+        monkeypatch.setattr(cli, "MAX_PAIRING_ENTRIES", largest - 1)
+        with pytest.raises(cli.SystemExit2):
+            cli.check_model_size(N)
+    monkeypatch.undo()
+    cli.check_model_size(6)
+    with pytest.raises(cli.SystemExit2):
+        cli.check_model_size(7)
 
 
 def test_identity_witness_fails_the_command(capsys, monkeypatch):

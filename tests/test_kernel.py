@@ -5,7 +5,9 @@ Fraction references; plus the fraction-free echelon form and inverse of
 `linalg`, its integer product of scaled forms and fraction-free inertia
 against their Fraction references, its one-pass basis minor against two
 eliminations, and its lattice index against the gcd of every maximal
-minor."""
+minor; and its two fraction-free kernels, which rewrite only the rows a
+pivot reaches, against the dense eliminations that rewrite every row,
+byte for byte."""
 
 import random
 import sys
@@ -24,9 +26,11 @@ from chowfans.matroid import matroid_uniform, pyramid_matroid
 from chowfans.rings import (FanRingModel, QuotientRingModel,
                             quotient_by_ann_segre)
 from naive_oracle import (mat_mul, reference_basis_minor,
-                          reference_coordinates, reference_inertia,
+                          reference_coordinates, reference_dense_bareiss,
+                          reference_dense_inertia, reference_inertia,
                           reference_invert, reference_lattice_index,
                           reference_projection, reference_row_echelon)
+from test_chow import BASIS_FANS
 
 
 def kernel_fans():
@@ -484,3 +488,88 @@ def test_scaled_mat_mul_matches_the_fraction_product():
         assert all(type(x) is int for row in got for x in row)
         want = mat_mul(a, b) or [[0] * cols for _ in range(rows)]
         assert [[Fraction(x, den) for x in row] for row in got] == want
+
+
+# mostly zeros, so that most rows skip most steps and owe their factors
+SPARSE = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3])
+
+
+def outcome(fn, *args):
+    """fn(*args), or the ValueError it raises as (ValueError, message)."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+def dense_outcome(fn, *args):
+    """outcome(fn, *args) with the dense elimination in place of
+    linalg._bareiss."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_bareiss", reference_dense_bareiss)
+        return outcome(fn, *args)
+
+
+def assert_bareiss_matches_dense(m, cols, above):
+    want_m, got_m = linalg.mat_copy(m), linalg.mat_copy(m)
+    want = reference_dense_bareiss(want_m, cols, above)
+    assert linalg._bareiss(got_m, cols, above) == want
+    # repr tells an int from an equal Fraction
+    assert repr(got_m) == repr(want_m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), deficient_matrices(SPARSE)
+       | deficient_matrices(st.integers(-3, 3))
+       | deficient_matrices(st.fractions(-3, 3, max_denominator=4))
+       | st.sampled_from([[], [[]], [[], []]]))
+def test_bareiss_matches_the_dense_elimination(data, m):
+    """The pivot columns, last pivot, pivot rows and the matrix left in
+    place, in both modes, on the full width and on a drawn prefix."""
+    width = len(m[0]) if m else 0
+    for cols in (width, data.draw(st.integers(0, width))):
+        for above in (False, True):
+            assert_bareiss_matches_dense(m, cols, above)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices(square=True, entries=SPARSE)
+       | rational_matrices(square=True)
+       | st.sampled_from([[], [[]]]))
+def test_scaled_inverse_matches_the_dense_elimination(m):
+    assert outcome(linalg.scaled_inverse, m) == \
+        dense_outcome(linalg.scaled_inverse, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(deficient_matrices(SPARSE) | deficient_matrices(st.integers(-3, 3))
+       | st.sampled_from([[], [[]]]))
+def test_lattice_index_matches_the_dense_elimination(rows):
+    assert outcome(linalg.lattice_index, rows) == \
+        dense_outcome(linalg.lattice_index, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_matrices(SPARSE) | symmetric_matrices()
+       | symmetric_matrices(st.fractions(-3, 3, max_denominator=4))
+       | signed_congruences().map(lambda case: case[0]))
+def test_inertia_matches_the_dense_elimination(m):
+    assert linalg.inertia(m) == reference_dense_inertia(m)
+
+
+@pytest.mark.parametrize("name", list(BASIS_FANS))
+def test_kernels_on_pairing_matrices_match_the_dense_elimination(name):
+    """Every lower-half pairing matrix and its Gram matrix; in the middle
+    degree both are symmetric, and the greedy rows and columns agree."""
+    fan = BASIS_FANS[name]()
+    n = fan.top_dim
+    for k in range(n // 2 + 1):
+        mat = chow._pairing_matrix(fan, k)[2]
+        gram = chow.graded_basis(fan, k)[2]
+        for above in (False, True):
+            assert_bareiss_matches_dense(mat, len(mat[0]), above)
+        for fn in (linalg.scaled_inverse, linalg.lattice_index):
+            assert outcome(fn, gram) == dense_outcome(fn, gram)
+        if 2 * k == n:
+            assert linalg.inertia(mat) == reference_dense_inertia(mat)
+            assert linalg.inertia(gram) == reference_dense_inertia(gram)
