@@ -53,6 +53,7 @@ def load_matroid(arg):
     except (ValueError, OSError) as exc:
         # json.JSONDecodeError is a ValueError
         raise SystemExit2(str(exc))
+    check_descriptor_size(data)
     return matroid_from_json(data)
 
 
@@ -86,6 +87,51 @@ def check_size(kind, N):
         if cones > MAX_CONES:
             raise SystemExit2("the %s fan on N = %d has more than %d maximal "
                               "cones" % (kind, N, MAX_CONES))
+
+
+# The most subsets a matroid descriptor may make matroid_from_json list:
+# the bases of U(r, n) and the edge subsets a graph tests for a spanning
+# forest.  K7 tests 54,264 in about 0.2 s and K8 1,184,040 in about 5 s.
+MAX_SUBSETS = 10 ** 5
+
+
+def _is_pair(value):
+    return (isinstance(value, list) and len(value) == 2
+            and all(type(x) is int for x in value))
+
+
+def check_descriptor_size(data):
+    """Exit 2 before matroid_from_json lists more than MAX_SUBSETS subsets
+    for the descriptor data: the C(n, r) bases of U(r, n), or the
+    C(|E|, min(|E|, |V| - 1)) edge subsets of a graph, the first size its
+    forest search tries.  A malformed descriptor passes, to get the error
+    matroid_from_json gives it."""
+    if not isinstance(data, dict):
+        return
+    u, g = data.get("uniform"), data.get("graph")
+    if "uniform" in data:
+        if not (_is_pair(u) and 0 <= u[0] <= u[1]):
+            return
+        n, k, what = u[1], u[0], "U(%d,%d) has %%s bases" % tuple(u)
+    elif (isinstance(g, dict) and type(g.get("vertices")) is int
+          and isinstance(g.get("edges"), list)
+          and all(_is_pair(e) and 1 <= min(e) and max(e) <= g["vertices"]
+                  for e in g["edges"])):
+        v, n = g["vertices"], len(g["edges"])
+        k = min(n, max(v - 1, 0))
+        what = ("the graph on %d vertices and %d edges has %%s edge subsets "
+                "to test" % (v, n))
+    else:
+        return
+    # for n > 10,000 and 2 <= k <= n - 2, C(n, k) > C(10001, 2) is over the
+    # limit, and its digits are left uncomputed
+    if n > 10 ** 4 and 2 <= k <= n - 2:
+        count = "C(%d, %d)" % (n, k)
+    elif comb(n, k) > MAX_SUBSETS:
+        count = comb(n, k)
+    else:
+        return
+    raise SystemExit2((what + ", more than %d") % (count, MAX_SUBSETS))
 
 
 # The largest pairing matrix, by entries, of the ring model of perm(N)

@@ -8,7 +8,7 @@ tuple standing for the lineality cone.
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import mul, sub
 
 from . import linalg
 from .matroid import LoopyMatroid, mask_to_set, matroid_uniform
@@ -208,18 +208,32 @@ class Fan:
         that is 1 on row i and 0 on every other row, given by its values on
         the pivot coordinates and 0 elsewhere.  So the functional vanishing
         on the lineality with values v_j on the rays u_j of the cone is
-        sum_j v_j dual[L + j], L the number of lineality rows."""
+        sum_j v_j dual[L + j], L the number of lineality rows.  Flag and
+        biflag fans read it off the chain of a cone of the fan, which lists
+        the chain in order; other fans, and rays in another order, solve it
+        by elimination."""
         hit = self._dual_cache.get(cone)
         if hit is None:
-            rows = self.lineality + [self.rays[i] for i in cone]
-            try:
-                pivots, inv = linalg.pivot_inverse(rows)
-            except ValueError:
-                raise FanError("cone %r is not simplicial modulo the "
-                               "lineality" % (cone,))
-            hit = (tuple(pivots), tuple(zip(*inv)))
+            if cone in self.cones:
+                pivots, dual = self._solve_dual(cone)
+            else:
+                pivots, dual = Fan._solve_dual(self, cone)
+            hit = (tuple(pivots), tuple(map(tuple, dual)))
             self._dual_cache[cone] = hit
         return hit
+
+    def _solve_dual(self, cone):
+        """dual_basis by elimination: basis_minor picks the pivot columns
+        and scaled_inverse inverts the pivot block."""
+        rows = self.lineality + [self.rays[i] for i in cone]
+        found, pivots = linalg.basis_minor(rows)
+        if len(found) < len(rows):
+            raise FanError("cone %r is not simplicial modulo the "
+                           "lineality" % (cone,))
+        inv, den = linalg.scaled_inverse([[row[p] for p in pivots]
+                                          for row in rows])
+        return pivots, [[a // den if a % den == 0 else Fraction(a, den)
+                         for a in col] for col in zip(*inv)]
 
     def to_json(self):
         def fmt_label(lab):
@@ -236,6 +250,80 @@ class Fan:
             "maximal_cones": [list(c) for c in self.maximal_cones],
             "weights": [str(self.weight[c]) for c in self.maximal_cones],
         }
+
+
+def _low(mask):
+    """The index of the lowest set bit of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
+
+
+class FlagFan(Fan):
+    """A fan of bergman_fan: it lists its flats by size, so a cone lists
+    its flag in chain order."""
+
+    def _solve_dual(self, cone):
+        """The dual basis of F_1 < ... < F_k read off the blocks
+        B_j = F_{j+1} minus F_j, for F_0 empty and F_{k+1} = [n]: each
+        block's columns are equal, a 1 then j zeros then ones, so the
+        pivots are the m_j = min B_j.  The lineality's functional is
+        v[m_k], and that of e_{F_j} is v[m_{j-1}] - v[m_j]."""
+        chain = [self.ray_labels[i] for i in cone]
+        low = [_low(F & ~E) for E, F in
+               zip([0] + chain, chain + [(1 << self.ambient_dim) - 1])]
+        pivots = sorted(low)
+        at = [pivots.index(m) for m in low]
+        dual = []
+        for j, p in enumerate(at):
+            f = [0] * len(at)
+            f[p] = 1
+            if j:
+                dual[-1][p] = -1
+            dual.append(f)
+        return pivots, [dual.pop()] + dual
+
+
+class BiflagFan(Fan):
+    """A fan of projective_bundle_fan: it lists its biflats by
+    (|S|, -|F|), so a cone lists its biflag in chain order."""
+
+    def _solve_dual(self, cone):
+        """The dual basis of S_1|F_1 < ... < S_k|F_k read off the blocks
+        A_j = S_j minus S_{j-1} and B_j = F_{j-1} minus F_j, for the
+        sentinels 0|[N] and [N]|0.  A vector v = a e_{0|[N]} + b e_{[N]|0}
+        + sum_i g_i e_{S_i|F_i} reads c_j = b + sum_{i>=j} g_i on A_j and
+        c_0 - c_j on N + B_j, for c_0 = a + b + sum_i g_i.  So c_j is
+        v[min A_j] where A_j is nonempty, c_0 = v[q] + c_{j(q)} for q the
+        first column N + B_j with A_j nonempty, in block j(q), and
+        c_j = c_0 - v[N + min B_j] where A_j is empty; these are the pivots.
+        Then a = c_0 - c_1, b = c_{k+1} and g_i = c_i - c_{i+1}."""
+        N = self.ambient_dim // 2
+        full = (1 << N) - 1
+        chain = ([(0, full)] + [self.ray_labels[i] for i in cone]
+                 + [(full, 0)])
+        blocks = [(S & ~S0, F0 & ~F)
+                  for (S0, F0), (S, F) in zip(chain, chain[1:])]
+        reached = 0
+        for A, B in blocks:
+            if A:
+                reached |= B
+        if not reached:
+            raise FanError("cone %r is not simplicial modulo the "
+                           "lineality" % (cone,))
+        q = N + _low(reached)
+        aq = next(_low(A) for A, B in blocks if B & reached & -reached)
+        # the pivot read by each c_j, j = 1..k+1, then q
+        read = [_low(A) if A else N + _low(B) for A, B in blocks] + [q]
+        pivots = sorted(read)
+        at = {p: i for i, p in enumerate(pivots)}
+        c0 = [0] * len(pivots)
+        c0[at[q]] = c0[at[aq]] = 1
+        c = [c0]
+        for (A, _), p in zip(blocks, read):
+            cj = [0] * len(pivots) if A else c0[:]
+            cj[at[p]] = 1 if A else -1
+            c.append(cj)
+        return pivots, [list(map(sub, c0, c[1])), c[-1]] + [
+            list(map(sub, c[i], c[i + 1])) for i in range(1, len(c) - 1)]
 
 
 def _indicator(N, mask):
@@ -262,7 +350,7 @@ def bergman_fan(M):
     cones = [()] + list(walk_chains(succ, range(len(labels)),
                                     lambda chain: True, len(labels)))
     rays = [_indicator(M.n, F) for F in labels]
-    return Fan(M.n, [[1] * M.n], rays, labels, cones, "bergman")
+    return FlagFan(M.n, [[1] * M.n], rays, labels, cones, "bergman")
 
 
 def projective_bundle_fan(N, M, family="projective_bundle"):
@@ -281,7 +369,7 @@ def projective_bundle_fan(N, M, family="projective_bundle"):
         lambda chain: _gaps(full, [labels[i] for i in chain]), len(labels)))
     rays = [_indicator(N, S) + _indicator(N, F) for S, F in labels]
     lin = [[0] * N + [1] * N, [1] * N + [0] * N]
-    return Fan(2 * N, lin, rays, labels, cones, family)
+    return BiflagFan(2 * N, lin, rays, labels, cones, family)
 
 
 def bipermutohedral_fan(N):

@@ -15,8 +15,11 @@ that factor instead, and the factors of consecutive skipped steps
 telescope to one ratio of pivots, multiplied out when the row is next
 read.  That division is exact because the true entry is a minor
 (Bareiss, "Sylvester's identity and multistep integer-preserving
-Gaussian elimination", Math. Comp. 1968).  Matrices are lists of lists,
-rows first.  No floating point is used anywhere in the package.
+Gaussian elimination", Math. Comp. 1968).  The dual bases of the cones
+of a fan built from explicit rays come from basis_minor and
+scaled_inverse; flag and biflag fans read theirs off their chains, with
+no elimination.  Matrices are lists of lists, rows first.  No floating
+point is used anywhere in the package.
 """
 
 from fractions import Fraction
@@ -28,16 +31,11 @@ def mat_copy(m):
     return [list(row) for row in m]
 
 
-def _div(a, b):
-    """Exact quotient: an int when b divides a, a Fraction otherwise."""
-    return a // b if a % b == 0 else Fraction(a) / b
-
-
 def _bareiss(m, cols, above):
     """Fraction-free elimination in place on the first cols columns of m;
     returns the pivot columns, the last pivot and the indices in m of the
-    pivot rows.  Each row is first scaled to integers by its least common
-    denominator.  The first remaining row with a nonzero entry in a column
+    pivot rows.  Each row with a Fraction entry is first scaled to
+    integers by its least common denominator.  The first remaining row with a nonzero entry in a column
     is moved up to be its pivot row, the others keeping their order.  A
     step on pivot pv, after the previous pivot prev, replaces every row x
     below the pivot row y, and above it too when above is set, by
@@ -64,8 +62,9 @@ def _bareiss(m, cols, above):
     before it in m; a row that never becomes a pivot ends at zero, so the
     pivot rows are the greedy independent rows of m."""
     for i, row in enumerate(m):
-        s = _lcd(row)
-        m[i] = [x.numerator * (s // x.denominator) for x in row]
+        if not _all_int(row):
+            s = _lcd(row)
+            m[i] = [x.numerator * (s // x.denominator) for x in row]
     rows = len(m)
     order = list(range(rows))
     done = [0] * rows  # the number of steps each row is current through
@@ -131,53 +130,12 @@ def basis_minor(m):
     return sorted(rows), cols
 
 
-def pivot_inverse(rows):
-    """(pivots, inv) for a matrix with linearly independent rows: pivots
-    are its pivot columns, and inv is the inverse of the square block they
-    cut out.  Gauss-Jordan on [rows | I]: once the pivot block is reduced
-    to I, the right half is its inverse.  A pivot of 1 or -1 keeps integer
-    rows integer, and a step adds the pivot row to the others only at its
-    nonzero entries.  Raises ValueError if the rows are dependent.
-
-    Fan.dual_basis is the one caller: the rows of a cone's rays and
-    lineality are 0/1 vectors whose pivots are nearly all 1 or -1, and on
-    them this sparse Gauss-Jordan runs several times faster than the dense
-    fraction-free scaled_inverse."""
-    n = len(rows)
-    cols = len(rows[0]) if rows else 0
-    aug = [list(row) + [0] * n for row in rows]
-    for i, row in enumerate(aug):
-        row[cols + i] = 1
-    pivots = []
-    for c in range(cols):
-        r = len(pivots)
-        for pr in range(r, n):
-            if aug[pr][c]:
-                break
-        else:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        y = aug[r]
-        pv = y[c]
-        if pv != 1:
-            y = aug[r] = ([-v for v in y] if pv == -1
-                          else [_div(v, pv) for v in y])
-        nonzero = [(j, v) for j, v in enumerate(y) if v]
-        for i, x in enumerate(aug):
-            f = x[c]
-            if f and i != r:
-                for j, v in nonzero:
-                    x[j] -= f * v
-        pivots.append(c)
-        if r + 1 == n:
-            break
-    if len(pivots) < n:
-        raise ValueError("singular matrix")
-    return pivots, [row[cols:] for row in aug]
-
-
 def _lcd(values):
     return lcm(1, *(x.denominator for x in values))
+
+
+def _all_int(row):
+    return all(type(x) is int for x in row)
 
 
 def scaled_inverse(m):
@@ -198,10 +156,13 @@ def scaled_inverse(m):
 
 def scaled_integer(m):
     """(A, den) with A an integer matrix and den the least common
-    denominator of the rational matrix m, so that m = A / den."""
-    den = _lcd(x for row in m for x in row)
-    return [[x.numerator * (den // x.denominator) for x in row]
-            for row in m], den
+    denominator of the rational matrix m, so that m = A / den.  Rows of
+    ints take no part in den."""
+    ints = [_all_int(row) for row in m]
+    den = _lcd(x for row, i in zip(m, ints) if not i for x in row)
+    return [[x * den for x in row] if i
+            else [x.numerator * (den // x.denominator) for x in row]
+            for row, i in zip(m, ints)], den
 
 
 def scaled_mat_vec(scaled, v):

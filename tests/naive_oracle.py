@@ -43,7 +43,8 @@ all over `Fraction` with classes as plain dicts
 cone -> coefficient.  Each cone's dual basis comes from a Gauss-Jordan
 over `Fraction` and its extensions from a scan of every ray, so the
 kernel's integer arithmetic, its cached extension maps and
-`linalg.pivot_inverse` are all checked against it.
+`Fan.dual_basis`, read off the chain on flag and biflag fans and
+eliminated on the others, are all checked against it.
 
 Also the reference chain searches: the flag and biflag cones of the
 Bergman and bundle fans, the gap-free first components and the second
@@ -511,8 +512,10 @@ def multiply_elements(e1, e2):
 
 
 def reference_pivot_inverse(rows):
-    """linalg.pivot_inverse over Fraction: Gauss-Jordan on [rows | I],
-    each pivot row divided by its pivot."""
+    """(pivots, inv) for linearly independent rows: their pivot columns
+    and the inverse of the block those cut out, by Gauss-Jordan over
+    Fraction on [rows | I], each pivot row divided by its pivot.  The
+    reference of Fan.dual_basis, whose functionals are the columns of inv."""
     n = len(rows)
     cols = len(rows[0]) if rows else 0
     aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]

@@ -1,7 +1,7 @@
 """Differential tests for the integer per-cone kernel of `chow` against its
 Fraction reference in `naive_oracle`: ray and divisor products, pairings
 and the pairing walk's witness, the pairing matrix, the cap product and
-the dual bases of `linalg.pivot_inverse`, on hypothesis-drawn classes with
+the dual bases of `Fan.dual_basis`, on hypothesis-drawn classes with
 int and rational coefficients.  Also the int-only run on unimodular fans,
 and a non-unimodular fan on which degrees are halves."""
 
@@ -12,18 +12,19 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chowfans import chow, linalg
+from chowfans import chow
 from chowfans.chow import (ChowElement, MinkowskiWeight, cap_product, degree,
                            divisor, fundamental_weight, multiply_by_divisor,
                            multiply_by_ray, nonzero_pairing_witness, pair,
                            pair_all, ray_coefficients)
-from chowfans.fans import (Fan, bergman_fan, permutohedral_fan,
+from chowfans.fans import (Fan, FanError, bergman_fan, permutohedral_fan,
                            projective_bundle_fan)
 from chowfans.matroid import matroid_uniform, pyramid_matroid
 from naive_oracle import (reference_cap_product, reference_degree,
                           reference_multiply_by_divisor,
                           reference_multiply_by_ray, reference_pair_all,
                           reference_pairings, reference_pivot_inverse)
+from test_fans import assert_dual_bases_match_the_elimination
 
 FAN_BUILDERS = {
     "perm3": lambda: permutohedral_fan(3),
@@ -138,26 +139,26 @@ def test_cap_products_match_fraction_reference(name, data):
 
 @FANS
 def test_dual_bases_match_fraction_gauss_jordan(name):
-    fan = fan_of(name)
-    for cone in sorted(fan.cones):
-        rows = fan.lineality + [fan.rays[i] for i in cone]
-        pivots, inv = linalg.pivot_inverse(rows)
-        assert (pivots, inv) == reference_pivot_inverse(rows)
-        assert exact(x for row in inv for x in row)
+    assert_dual_bases_match_the_elimination(FAN_BUILDERS[name]())
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 6).flatmap(lambda n: st.lists(
     st.lists(st.integers(-3, 3) | st.fractions(-2, 2, max_denominator=3),
              min_size=n + 2, max_size=n + 2), min_size=1, max_size=n)))
-def test_pivot_inverse_matches_fraction_gauss_jordan(rows):
+def test_explicit_fan_dual_basis_matches_fraction_gauss_jordan(rows):
+    """The elimination behind the dual basis of a fan built from explicit
+    rays, on one cone spanned by drawn rational rows."""
+    cone = tuple(range(len(rows)))
+    fan = Fan(len(rows[0]), [], rows, cone, [(), cone], "custom")
     try:
-        want = reference_pivot_inverse(rows)
+        pivots, inv = reference_pivot_inverse(rows)
     except ValueError:
-        with pytest.raises(ValueError):
-            linalg.pivot_inverse(rows)
+        with pytest.raises(FanError):
+            fan.dual_basis(cone)
         return
-    assert linalg.pivot_inverse(rows) == want
+    assert fan.dual_basis(cone) == (tuple(pivots), tuple(zip(*inv)))
+    assert exact(x for f in fan.dual_basis(cone)[1] for x in f)
 
 
 @pytest.mark.parametrize("name", ["perm4", "bundle-U(2,3)", "bergman-pyramid"])
@@ -221,9 +222,10 @@ def test_non_unimodular_cone_gives_exact_halves():
         == {(0,): Fraction(1, 2), (1,): Fraction(1, 2), (2,): 1}
     assert no_floats(pair_all(x0).values())
     assert no_floats(square.terms.values())
-    _, inv = linalg.pivot_inverse(fan.rays[:2])
-    assert inv == [[1, 0], [Fraction(-1, 2), Fraction(1, 2)]]
-    assert no_floats(x for row in inv for x in row)
+    pivots, dual = fan.dual_basis((0, 1))
+    assert pivots == (0, 1)
+    assert dual == ((1, Fraction(-1, 2)), (0, Fraction(1, 2)))
+    assert exact(x for f in dual for x in f)
 
 
 def test_rational_class_stays_fraction_on_non_unimodular_fan():

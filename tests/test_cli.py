@@ -312,6 +312,36 @@ def test_model_budget_counts_pairing_matrices(monkeypatch):
         cli.check_model_size(7)
 
 
+def complete_graph(v):
+    return json.dumps({"graph": {"vertices": v, "edges": [
+        [a, b] for a in range(1, v + 1) for b in range(a + 1, v + 1)]}})
+
+
+def test_uniform_descriptor_budget_fails_fast(capsys):
+    """U(10,30) would list its C(30, 10) bases before any check ran."""
+    start = time.perf_counter()
+    code, lines, err = run(capsys, ["verify", "--matroid",
+                                    '{"uniform": [10, 30]}'])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert lines == []
+    assert err == "error: U(10,30) has 30045015 bases, more than 100000\n"
+
+
+def test_graph_descriptor_budget_fails_fast(capsys):
+    """K8 would test its C(28, 7) edge subsets for a spanning forest
+    before any check ran; K7, with C(21, 6) = 54,264, is accepted."""
+    from chowfans import cli
+    start = time.perf_counter()
+    code, lines, err = run(capsys, ["verify", "--matroid", complete_graph(8)])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert lines == []
+    assert err == ("error: the graph on 8 vertices and 28 edges has 1184040 "
+                   "edge subsets to test, more than 100000\n")
+    cli.check_descriptor_size(json.loads(complete_graph(7)))
+
+
 def test_identity_witness_fails_the_command(capsys, monkeypatch):
     from chowfans import cli
     monkeypatch.setattr(cli, "verify_bundle_identity", lambda *a, **k: {

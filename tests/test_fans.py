@@ -1,18 +1,18 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from chowfans import linalg
-from chowfans.fans import (ConeNotInFan, Fan, NotAChain, bergman_fan,
-                           biflat_poset, bipermutohedral_fan, check_balanced,
-                           gap_indices, is_bisubset, is_chain,
+from chowfans.fans import (ConeNotInFan, Fan, FanError, NotAChain,
+                           bergman_fan, biflat_poset, bipermutohedral_fan,
+                           check_balanced, gap_indices, is_bisubset, is_chain,
                            is_proper_bisubset, permutohedral_fan,
                            projective_bundle_fan, proper_biflats,
                            walk_chains)
-from chowfans.matroid import (matroid_from_graph, matroid_uniform,
-                              pyramid_matroid, set_to_mask)
-from naive_oracle import reference_gap_indices
+from chowfans.matroid import (matroid_from_bases, matroid_from_graph,
+                              matroid_uniform, pyramid_matroid, set_to_mask)
+from naive_oracle import reference_gap_indices, reference_pivot_inverse
 
 K4_EDGES = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 
@@ -218,6 +218,87 @@ def test_chain_order_is_transitive_on_biflats(i, j, k):
     a, b, c = rays[i % len(rays)], rays[j % len(rays)], rays[k % len(rays)]
     if is_chain([a, b]) and is_chain([b, c]) and a != c:
         assert is_chain([a, c])
+
+
+def assert_dual_bases_match_the_elimination(fan):
+    """Fan.dual_basis on every cone of a fresh fan equals the pivots and the
+    columns of the inverse from Gauss-Jordan over Fraction, and each value
+    is an int exactly where it is integral."""
+    for cone in sorted(fan.cones):
+        pivots, dual = fan.dual_basis(cone)
+        want, inv = reference_pivot_inverse(
+            fan.lineality + [fan.rays[i] for i in cone])
+        assert pivots == tuple(want)
+        assert dual == tuple(zip(*inv))
+        assert [type(x) for f in dual for x in f] == [
+            int if x.denominator == 1 else Fraction for f in zip(*inv)
+            for x in f]
+
+
+def explicit_fan():
+    """The complete fan of Z^2 with rays (1,0), (1,2), (-1,-1); the cone on
+    the first two has multiplicity 2, so its inverse has halves."""
+    return Fan(2, [], [[1, 0], [1, 2], [-1, -1]], ["a", "b", "c"],
+               [(), (0,), (1,), (2,), (0, 1), (1, 2), (0, 2)], "custom")
+
+
+@pytest.mark.parametrize("build", [
+    *[lambda n=n: permutohedral_fan(n) for n in range(1, 6)],
+    *[lambda n=n: bipermutohedral_fan(n) for n in range(2, 4)],
+    explicit_fan],
+    ids=["perm%d" % n for n in range(1, 6)]
+    + ["biperm%d" % n for n in range(2, 4)] + ["explicit"])
+def test_dual_bases_match_the_elimination(build):
+    assert_dual_bases_match_the_elimination(build())
+
+
+@st.composite
+def small_matroids(draw):
+    """A uniform matroid of rank at most 2 or on at most 3 elements, a
+    graphic one with at most 7 - v loopless edges on v <= 4 vertices, the
+    truncation of either, or the parallel pair.  The Fraction elimination
+    is slow on larger bundle fans: U(3,4) has 3,545 cones, 3 s of it."""
+    kind = draw(st.sampled_from(["uniform", "graphic", "parallel-pair"]))
+    if kind == "uniform":
+        n = draw(st.integers(1, 4))
+        M = matroid_uniform(draw(st.integers(1, n if n < 4 else 2)), n)
+    elif kind == "graphic":
+        v = draw(st.integers(2, 4))
+        edge = st.tuples(st.integers(1, v), st.integers(1, v)).filter(
+            lambda e: e[0] != e[1])
+        M = matroid_from_graph(v, draw(st.lists(edge, min_size=1,
+                                                max_size=7 - v)))
+    else:
+        M = matroid_from_bases(4, [[1, 3], [1, 4], [2, 3], [2, 4], [3, 4]])
+    if M.r > 1 and draw(st.booleans()):
+        M = M.truncate()
+    return M
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_matroids())
+def test_matroid_fan_dual_bases_match_the_elimination(M):
+    assert_dual_bases_match_the_elimination(bergman_fan(M))
+    assert_dual_bases_match_the_elimination(projective_bundle_fan(M.n, M))
+
+
+def test_dual_basis_of_rays_out_of_chain_order():
+    """Rays listed out of chain order, or that span no cone, have the dual
+    basis of the elimination, and rays dependent modulo the lineality
+    raise FanError."""
+    for fan in [permutohedral_fan(3), bipermutohedral_fan(2)]:
+        rays = [tuple(reversed(c)) for c in fan.maximal_cones] + [
+            (i, j) for i in range(len(fan.rays)) for j in range(i)
+            if (j, i) not in fan.cones]
+        for cone in rays + [(0, 0)]:
+            try:
+                pivots, inv = reference_pivot_inverse(
+                    fan.lineality + [fan.rays[i] for i in cone])
+            except ValueError:
+                with pytest.raises(FanError):
+                    fan.dual_basis(cone)
+                continue
+            assert fan.dual_basis(cone) == (tuple(pivots), tuple(zip(*inv)))
 
 
 def test_fan_json_roundtrip_fields():

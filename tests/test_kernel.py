@@ -23,8 +23,7 @@ from chowfans.fans import (bergman_fan, check_balanced, permutohedral_fan,
                            projective_bundle_fan)
 from chowfans.kahler import chern_vectors
 from chowfans.matroid import matroid_uniform, pyramid_matroid
-from chowfans.rings import (FanRingModel, QuotientRingModel,
-                            quotient_by_ann_segre)
+from chowfans.rings import FanRingModel, quotient_by_ann_segre
 from naive_oracle import (mat_mul, reference_basis_minor,
                           reference_coordinates, reference_dense_bareiss,
                           reference_dense_inertia, reference_inertia,
@@ -204,26 +203,6 @@ def test_project_matches_fraction_solve(r):
             assert got == solve(w), (k, w)
             assert len(got) == quotient.dim(k)
             assert all(type(x) is Fraction for x in got)
-
-
-def test_quotient_inverts_its_minor_without_pivot_inverse(monkeypatch):
-    """The quotient inverts its basis minor fraction-free; pivot_inverse
-    serves the fan's dual bases alone, which the first build has cached."""
-    base = FanRingModel(permutohedral_fan(4))
-    first = quotient_by_ann_segre(
-        base, chern_vectors(base, matroid_uniform(2, 4), via="negation"))
-
-    def refuse(rows):
-        raise AssertionError("pivot_inverse in the quotient")
-
-    monkeypatch.setattr(linalg, "pivot_inverse", refuse)
-    quotient = QuotientRingModel(base, first.t, first.z)
-    for k in range(quotient.top + 1):
-        solve = reference_projection(quotient, k)
-        D = base.dim(k)
-        for j in range(D):
-            w = [Fraction(int(i == j)) for i in range(D)]
-            assert quotient.project(k, w) == solve(w)
 
 
 def test_scaled_integer_keeps_the_rationals():
