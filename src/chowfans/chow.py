@@ -1,6 +1,6 @@
 """Chow classes on the flag fans: formal rational sums of square-free cone
 monomials, divisor multiplication through per-cone linear representatives,
-degrees, pairings, graded bases, and transport maps.
+degrees, pairings, pairing matrices, and transport maps.
 
 Everything is exact.  A coefficient is an int whenever it is integral and
 a fractions.Fraction only where a denominator appears: a rational input,
@@ -12,7 +12,6 @@ in ints.  degree, pair and pair_all return Fractions.
 from fractions import Fraction
 from operator import mul
 
-from . import linalg
 from .fans import check_balanced
 
 
@@ -311,53 +310,15 @@ def nonzero_pairing_witness(elem):
 
 
 def _pairing_matrix(fan, k):
-    """Matrix of deg(x_sigma x_tau) over (k-cones) x ((top-k)-cones), its
-    entries ints where integral, cached on the fan; above the middle degree
-    it is the transpose of the complementary one."""
-    cache = getattr(fan, "_pairing_cache", None)
-    if cache is None:
-        cache = fan._pairing_cache = {}
-    if k not in cache:
-        n = fan.top_dim
-        if 2 * k > n:
-            rows, cols, mat = _pairing_matrix(fan, n - k)
-            cache[k] = (cols, rows, [list(col) for col in zip(*mat)])
-        else:
-            rows, cols, mat = fan.cones_of_dim(k), fan.cones_of_dim(n - k), []
-            for sigma in rows:
-                pairings = dict(_pairings(ChowElement(fan, k, {sigma: 1})))
-                mat.append([pairings.get(c, 0) for c in cols])
-            cache[k] = (rows, cols, mat)
-    return cache[k]
-
-
-def graded_basis(fan, k):
-    """A set of k-cones whose monomials form a basis of the degree-k Chow
-    group, the complementary basis cones, and their pairing (Gram) matrix.
-    One elimination per pair of complementary degrees: degree top-k is the
-    mirror of degree k."""
-    if fan.family not in SUPPORTED_FAMILIES:
-        raise UnsupportedFan("graded bases need Poincare duality")
-    cache = getattr(fan, "_basis_cache", None)
-    if cache is None:
-        cache = fan._basis_cache = {}
-    if k in cache:
-        return cache[k]
-    if 2 * k > fan.top_dim:
-        rows, cols, gram = graded_basis(fan, fan.top_dim - k)
-        cache[k] = (cols, rows, [list(col) for col in zip(*gram)])
-        return cache[k]
-    rows, cols, mat = _pairing_matrix(fan, k)
-    # rows are independent exactly when their restrictions to the greedy
-    # independent columns are
-    basis_rows, basis_cols = linalg.basis_minor(mat)
-    gram = [[mat[i][j] for j in basis_cols] for i in basis_rows]
-    cache[k] = ([rows[i] for i in basis_rows], [cols[j] for j in basis_cols], gram)
-    return cache[k]
-
-
-def chow_dim(fan, k):
-    return len(graded_basis(fan, k)[0])
+    """(rows, cols, mat): the k-cones, the (top-k)-cones and the matrix of
+    deg(x_sigma x_tau) over them, one pairing walk per row, its entries
+    ints where integral."""
+    rows, cols = fan.cones_of_dim(k), fan.cones_of_dim(fan.top_dim - k)
+    mat = []
+    for sigma in rows:
+        pairings = dict(_pairings(ChowElement(fan, k, {sigma: 1})))
+        mat.append([pairings.get(c, 0) for c in cols])
+    return rows, cols, mat
 
 
 def cap_product(weight, D):

@@ -17,7 +17,7 @@ from math import comb
 from .biflags import lemma_suite, verify_bundle_identity
 from .chow import cap_product, fundamental_weight
 from .fans import bergman_fan, bipermutohedral_fan, check_balanced, \
-    permutohedral_fan, projective_bundle_fan
+    count_maximal_cones, permutohedral_fan, projective_bundle_fan
 from .kahler import SCHEDULE, base_convex_divisor, check_pd, \
     chern_vectors, sample_lefschetz_candidates
 from .matroid import LoopyMatroid, MatroidError, matroid_from_json, \
@@ -70,10 +70,9 @@ def ground_set_size(args, M):
     return M.n
 
 
-# The largest permutohedral or bipermutohedral fan, by maximal cones, that
-# a command builds.  On a 2-core machine perm(7) (5,040 cones) and
-# bipermutohedral(4) (2,520) build in about 2 s, perm(8) (40,320) takes
-# about 27 s and bipermutohedral(5) (113,400) more than a minute.
+# The largest fan, by maximal cones, that a command builds: on a 2-core
+# machine perm(7) (5,040) and bipermutohedral(4) (2,520) build in about
+# 2 s, perm(8) (40,320) in 27 s, bipermutohedral(5) (113,400) over a minute.
 MAX_CONES = 10000
 
 
@@ -265,10 +264,12 @@ def cmd_fan(args):
                 raise LoopyMatroid("matroid has loops; pass --simplify")
             M, _ = M.delete_loops()
         N = ground_set_size(args, M)
-        if args.kind == "bergman":
-            fan = bergman_fan(M)
-        else:
-            fan = projective_bundle_fan(N, M)
+        bundle = args.kind == "bundle"
+        cones = count_maximal_cones(M, biflags=bundle)
+        if cones > MAX_CONES:
+            raise SystemExit2("the %s fan has %d maximal cones, more than %d"
+                              % (args.kind, cones, MAX_CONES))
+        fan = projective_bundle_fan(N, M) if bundle else bergman_fan(M)
     report = fan.to_json()
     report["unimodular"] = all(
         fan.cone_multiplicity(c) == 1 for c in fan.maximal_cones)

@@ -339,14 +339,46 @@ def permutohedral_fan(N):
     return fan
 
 
+def flag_poset(M):
+    """`biflat_poset` for the proper nonempty flats of M, uncached."""
+    labels = [F for F in M.flats() if F not in (0, M.full)]
+    labels.sort(key=lambda F: (F.bit_count(), F))
+    return labels, _successors(labels, lambda F, G: (F & ~G) == 0)
+
+
+def count_maximal_cones(M, biflags=False):
+    """len(fan.maximal_cones) for the bergman_fan of M or, with biflags,
+    its projective_bundle_fan, without the chain walk: the longest chains
+    (or the empty one), with biflags those with a gap (`_gaps`), counted
+    from the last label down by the length and number of the longest chains
+    from each label i, per gap flag of the links from i up."""
+    labels, succ = (biflat_poset if biflags else flag_poset)(M)
+    # index -1 stands for the sentinels 0|[N] below and [N]|0 above
+    ends = list(labels) + [(0, 0)]
+
+    def gap(i, j):
+        return not biflags or (ends[i][0] | ends[j][1]) != M.full
+
+    def longest(pairs):
+        top = max(n for n, _ in pairs)
+        return top, sum(c for n, c in pairs if n == top)
+
+    chains = [None] * len(labels)
+    for i in reversed(range(len(labels))):
+        by_flag = [[(0, 0)] + [(1, 1)] * (gap(i, -1) == f) for f in (0, 1)]
+        for j in succ[i]:
+            for f, (n, c) in enumerate(chains[j]):
+                by_flag[f or gap(i, j)].append((n + 1, c))
+        chains[i] = [longest(pairs) for pairs in by_flag]
+    return longest([(0, 1)] + [chains[i][f] for i in range(len(labels))
+                               for f in (0, 1) if f or gap(-1, i)])[1]
+
+
 def bergman_fan(M):
     """Rays e_F over proper nonempty flats, cones = flag chains."""
     if M.loops():
         raise LoopyMatroid("bergman fan needs a loopless matroid")
-    full = M.full
-    labels = [F for F in M.flats() if F not in (0, full)]
-    labels.sort(key=lambda F: (F.bit_count(), F))
-    succ = _successors(labels, lambda F, G: (F & ~G) == 0)
+    labels, succ = flag_poset(M)
     cones = [()] + list(walk_chains(succ, range(len(labels)),
                                     lambda chain: True, len(labels)))
     rays = [_indicator(M.n, F) for F in labels]

@@ -8,8 +8,8 @@ linalg: A a list of int rows and den a positive int, the matrix being
 A / den.  Element vectors (w, v and everything multiply returns) are
 Fractions.  Every model derives from GradedModel, which reads
 multiply(k1, v1, k2, v2), unit() and the Gram matrices gram(k), in the
-same scaled form, off mult_matrix; a fan model reads its Grams off its
-graded basis instead, and a bundle ring assembles them from the Grams of
+same scaled form, off mult_matrix; a fan model holds the Grams it builds
+with its graded basis, and a bundle ring assembles them from the Grams of
 its base.  Everything downstream (bundle rings, annihilator
 quotients, the Kahler checks) is written against this interface only,
 and reads the scaled form as it is.
@@ -20,8 +20,8 @@ from itertools import accumulate
 from math import lcm
 
 from . import linalg
-from .chow import (ChowElement, DegreeTooLow, _pairing_matrix, graded_basis,
-                   multiply_by_monomial)
+from .chow import (SUPPORTED_FAMILIES, ChowElement, DegreeTooLow, FanMismatch,
+                   UnsupportedFan, _pairing_matrix, multiply_by_monomial)
 
 
 class RingError(Exception):
@@ -77,49 +77,54 @@ class GradedModel:
 class FanRingModel(GradedModel):
     """Graded ring model of the Chow ring of a supported fan.  Basis
     elements are cone monomials; an element is expressed in the basis by
-    reading its pairings with the complementary basis cones off the fan's
-    pairing matrix and solving against the Gram inverse, both kept per
-    degree as ints over one denominator.  Multiplication by w is the sum
-    of w_j T_j, where T_j multiplies by the j-th basis monomial; each T_j
-    is built on first use, one product of basis monomials per column, and
-    kept as integer columns over one denominator."""
+    reading its pairings with the complementary basis cones off the
+    pairing matrix and solving against the Gram inverse, all built once
+    per pair of complementary degrees and kept per degree as ints over one
+    denominator.  Multiplication by w is the sum of w_j T_j, where T_j
+    multiplies by the j-th basis monomial; each T_j is built on first use,
+    one product of basis monomials per column, and kept as integer columns
+    over one denominator."""
 
     def __init__(self, fan):
+        if fan.family not in SUPPORTED_FAMILIES:
+            raise UnsupportedFan("graded bases need Poincare duality")
         self.fan = fan
-        self.top = fan.top_dim
-        self._solve = {}
+        n = self.top = fan.top_dim
+        self._basis = {}
+        self._gram = {}
         self._pairing_rows = {}
+        self._solve = {}
         self._monomials = {}
-        inverses = {}
-        for k in range(self.top + 1):
-            _, basis_cols, gram = graded_basis(fan, k)
-            cones, cols, mat = _pairing_matrix(fan, k)
-            at = {c: j for j, c in enumerate(cols)}
-            pick = [at[c] for c in basis_cols]
-            rows, den = linalg.scaled_integer(
-                [[row[j] for j in pick] for row in mat])
-            self._pairing_rows[k] = {s: [(j, x) for j, x in enumerate(r) if x]
-                                     for s, r in zip(cones, rows)}
-            if 2 * k > self.top:
-                # G_k is the transpose of G_(top-k), so the columns of the
-                # inverse of G_k^T are the rows of the one inverted there
-                inv_cols, inv_den = inverses[self.top - k]
-            else:
-                try:
-                    inv, inv_den = inverses[k] = linalg.scaled_inverse(
-                        [list(col) for col in zip(*gram)])
-                except ValueError:
-                    raise SingularGram("pairing degenerate in degree %d" % k)
-                inv_cols = [list(col) for col in zip(*inv)]
-            self._solve[k] = inv_cols, den * inv_den
+        for k in range(n // 2 + 1):
+            cones, cocones, mat = _pairing_matrix(fan, k)
+            rows, cols = linalg.basis_minor(mat)
+            gram = [[mat[i][j] for j in cols] for i in rows]
+            gram_t = [list(col) for col in zip(*gram)]
+            try:
+                inv, inv_den = linalg.scaled_inverse(gram_t)
+            except ValueError:
+                raise SingularGram("pairing degenerate in degree %d" % k)
+            # degree n-k reads the columns of M_k and the rows of the inverse
+            sides = [(k, cones, rows, gram,
+                      [[x[j] for j in cols] for x in mat],
+                      [list(col) for col in zip(*inv)])]
+            if 2 * k < n:
+                sides.append((n - k, cocones, cols, gram_t,
+                              list(zip(*(mat[i] for i in rows))), inv))
+            for d, d_cones, picked, d_gram, pairings, inv_cols in sides:
+                pairings, den = linalg.scaled_integer(pairings)
+                self._basis[d] = [d_cones[i] for i in picked]
+                self._gram[d] = d_gram
+                self._pairing_rows[d] = {
+                    s: [(j, x) for j, x in enumerate(r) if x]
+                    for s, r in zip(d_cones, pairings)}
+                self._solve[d] = inv_cols, den * inv_den
 
     def dim(self, k):
-        if not 0 <= k <= self.top:
-            return 0
-        return len(graded_basis(self.fan, k)[0])
+        return len(self._basis[k]) if 0 <= k <= self.top else 0
 
     def basis_cones(self, k):
-        return graded_basis(self.fan, k)[0]
+        return self._basis[k]
 
     def _coords(self, elem):
         """(x, den): the coordinates of elem are the ints x over den; only
@@ -141,6 +146,8 @@ class FanRingModel(GradedModel):
     def to_vector(self, elem):
         """Coordinates of a ChowElement in the degree-k basis; above the
         top degree the ring is zero and the coordinates are empty."""
+        if elem.fan is not self.fan:
+            raise FanMismatch("class and model live on different fans")
         if elem.degree > self.top:
             return []
         x, den = self._coords(elem)
@@ -191,14 +198,12 @@ class FanRingModel(GradedModel):
         return hit
 
     def gram(self, k):
-        """G_k in the scaled form (A, den), from the Gram matrix that
-        graded_basis holds."""
-        return linalg.scaled_integer(graded_basis(self.fan, k)[2])
+        """G_k, the Gram matrix the model holds, in the scaled form."""
+        return linalg.scaled_integer(self._gram[k])
 
     def deg(self, v):
         # the degree-top Gram matrix pairs the basis with the unit class
-        gram = graded_basis(self.fan, self.top)[2]
-        return sum(a * row[0] for a, row in zip(v, gram))
+        return sum(a * row[0] for a, row in zip(v, self._gram[self.top]))
 
 
 def _block_matrix(rows, cols, blocks):

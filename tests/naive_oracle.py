@@ -75,8 +75,8 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
 
-from chowfans.chow import (ChowElement, FanMismatch, graded_basis,
-                           multiply_by_monomial, pair, pair_all)
+from chowfans.chow import (ChowElement, FanMismatch, multiply_by_monomial,
+                           pair, pair_all)
 from chowfans.biflags import expansion_index, is_lex_decreasing
 from chowfans.fans import (bisubset_leq, gap_indices, is_chain,
                            permutohedral_fan, proper_biflats)
@@ -260,10 +260,11 @@ def reference_kahler_report(model, ell):
 
 
 def reference_graded_basis(fan, k):
-    """chow.graded_basis without its caches or its mirror: the pairing
-    matrix of the k-cones against the (top-k)-cones, one pairing walk per
-    row, with the greedy independent rows and columns taken by two
-    separate eliminations."""
+    """The graded basis of FanRingModel in degree k without its mirror:
+    the basis cones, the complementary basis cones and the Gram matrix
+    from the pairing matrix of the k-cones against the (top-k)-cones, one
+    pairing walk per row, with the greedy independent rows and columns
+    taken by two separate eliminations."""
     n = fan.top_dim
     rows, cols = fan.cones_of_dim(k), fan.cones_of_dim(n - k)
     mat = []
@@ -477,7 +478,8 @@ def reference_coordinates(model, k):
     """FanRingModel.to_vector on degree-k elements: the pairings with the
     complementary basis cones, times the inverse of the transposed Gram
     matrix."""
-    _, cols, gram = graded_basis(model.fan, k)
+    cols = model.basis_cones(model.top - k)
+    gram = unscaled(model.gram(k))
     inv = reference_invert([list(col) for col in zip(*gram)])
     return lambda elem: _mat_vec(inv, [pair(elem, tau) for tau in cols])
 

@@ -4,16 +4,17 @@ import pytest
 
 from chowfans.chow import (ChowElement, DegreeMismatch, FanMismatch,
                            MinkowskiWeight, UnbalancedInput, cap_product,
-                           chow_dim, degree, divisor, fundamental_weight,
-                           graded_basis, linear_relation_class,
-                           multiply_by_divisor, multiply_by_monomial, pair,
-                           pair_all, ray_class, ray_coefficients, unit_class)
+                           degree, divisor, fundamental_weight,
+                           linear_relation_class, multiply_by_divisor,
+                           multiply_by_monomial, pair, pair_all, ray_class,
+                           ray_coefficients, unit_class)
 from chowfans import linalg
 from chowfans.fans import (bergman_fan, bipermutohedral_fan, permutohedral_fan,
                            projective_bundle_fan)
 from chowfans.matroid import matroid_from_graph, matroid_uniform, pyramid_matroid
+from chowfans.rings import FanRingModel
 
-from naive_oracle import NaiveQuotient, reference_graded_basis
+from naive_oracle import NaiveQuotient, reference_graded_basis, unscaled
 
 
 def oracle_instances():
@@ -28,8 +29,9 @@ def oracle_instances():
 @pytest.mark.parametrize("name,fan", oracle_instances())
 def test_graded_dims_match_naive_quotient(name, fan):
     oracle = NaiveQuotient(fan)
+    model = FanRingModel(fan)
     for k in range(fan.top_dim + 1):
-        assert chow_dim(fan, k) == oracle.dim(k), (name, k)
+        assert model.dim(k) == oracle.dim(k), (name, k)
 
 
 @pytest.mark.parametrize("name,fan", oracle_instances())
@@ -48,10 +50,10 @@ def test_all_pairings_match_naive_quotient(name, fan):
 
 
 def test_permutohedral_dims():
-    fan = permutohedral_fan(3)
-    assert [chow_dim(fan, k) for k in range(3)] == [1, 4, 1]
-    fan4 = permutohedral_fan(4)
-    dims = [chow_dim(fan4, k) for k in range(4)]
+    model = FanRingModel(permutohedral_fan(3))
+    assert [model.dim(k) for k in range(3)] == [1, 4, 1]
+    model4 = FanRingModel(permutohedral_fan(4))
+    dims = [model4.dim(k) for k in range(4)]
     assert dims == [1, 11, 11, 1]
     assert sum(dims) == 24
 
@@ -116,12 +118,13 @@ def test_pair_all_agrees_with_pair():
 
 def test_graded_basis_gram_is_invertible():
     from chowfans.linalg import rank
-    fan = projective_bundle_fan(3, matroid_uniform(2, 3))
-    for k in range(fan.top_dim + 1):
-        basis, cobasis, gram = graded_basis(fan, k)
-        assert len(basis) == len(cobasis)
+    model = FanRingModel(projective_bundle_fan(3, matroid_uniform(2, 3)))
+    n = model.top
+    for k in range(n + 1):
+        gram, _ = model.gram(k)
+        assert len(model.basis_cones(k)) == len(model.basis_cones(n - k))
         if gram:
-            assert rank([row[:] for row in gram]) == len(gram)
+            assert rank(gram) == len(gram)
 
 
 def test_cap_product_with_relation_class_is_zero():
@@ -166,20 +169,23 @@ BASIS_FANS = {
 
 @pytest.mark.parametrize("name", list(BASIS_FANS))
 def test_graded_basis_matches_two_elimination_reference(monkeypatch, name):
-    """Bases, complementary bases and Gram matrices agree exactly with two
-    eliminations per degree, from one elimination per complementary pair."""
+    """The model's bases, complementary bases and Gram matrices in every
+    degree agree exactly with two eliminations per degree, from one
+    elimination per complementary pair."""
     fan = BASIS_FANS[name]()
     n = fan.top_dim
     calls = []
 
-    def counting_bareiss(m, cols, above):
+    def counting_basis_minor(m):
         calls.append(len(m))
-        return bareiss(m, cols, above)
+        return basis_minor(m)
 
-    bareiss = linalg._bareiss
-    monkeypatch.setattr(linalg, "_bareiss", counting_bareiss)
-    got = [graded_basis(fan, k) for k in range(n + 1)]
+    basis_minor = linalg.basis_minor
+    monkeypatch.setattr(linalg, "basis_minor", counting_basis_minor)
+    model = FanRingModel(fan)
     monkeypatch.undo()
     assert len(calls) == n // 2 + 1
     for k in range(n + 1):
-        assert got[k] == reference_graded_basis(fan, k), k
+        got = (model.basis_cones(k), model.basis_cones(n - k),
+               unscaled(model.gram(k)))
+        assert got == reference_graded_basis(fan, k), k

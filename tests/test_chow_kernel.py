@@ -20,6 +20,7 @@ from chowfans.chow import (ChowElement, MinkowskiWeight, cap_product, degree,
 from chowfans.fans import (Fan, FanError, bergman_fan, permutohedral_fan,
                            projective_bundle_fan)
 from chowfans.matroid import matroid_uniform, pyramid_matroid
+from chowfans.rings import FanRingModel
 from naive_oracle import (reference_cap_product, reference_degree,
                           reference_multiply_by_divisor,
                           reference_multiply_by_ray, reference_pair_all,
@@ -39,6 +40,11 @@ FANS = pytest.mark.parametrize("name", list(FAN_BUILDERS))
 @lru_cache(maxsize=None)
 def fan_of(name):
     return FAN_BUILDERS[name]()
+
+
+@lru_cache(maxsize=None)
+def model_of(name):
+    return FanRingModel(fan_of(name))
 
 
 COEFFS = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
@@ -100,8 +106,10 @@ def test_pairings_match_fraction_walk(name, data):
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_pairing_matrix_rows_match_fraction_walk(name, data):
-    """A row of the cached pairing matrix, read directly below the middle
-    degree and as a column of the mirrored one above it."""
+    """A row of the pairing matrix, and the same pairings against the
+    complementary basis cones in the sparse pairing rows of the ring model:
+    read off its rows up to the middle degree and off the columns of the
+    complementary pairing matrix above it."""
     fan = fan_of(name)
     n = fan.top_dim
     k = data.draw(st.integers(0, n))
@@ -111,9 +119,10 @@ def test_pairing_matrix_rows_match_fraction_walk(name, data):
     row = mat[rows.index(sigma)]
     assert row == [want[tau] for tau in cols]
     assert exact(row)
-    mirror_rows, mirror_cols, mirror = chow._pairing_matrix(fan, n - k)
-    assert mirror_cols == rows and mirror_rows == cols
-    assert [r[rows.index(sigma)] for r in mirror] == row
+    # the pairings of these unimodular fans are ints, over den 1
+    cobasis = model_of(name).basis_cones(n - k)
+    assert model_of(name)._pairing_rows[k][sigma] == [
+        (j, want[tau]) for j, tau in enumerate(cobasis) if want[tau]]
 
 
 @FANS

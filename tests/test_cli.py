@@ -256,6 +256,22 @@ def test_size_budget_fails_fast(capsys):
                    "10000 maximal cones\n")
 
 
+@pytest.mark.parametrize("kind, matroid, cones", [
+    ("bergman", '{"uniform": [8, 8]}', 40320),
+    ("bundle", '{"uniform": [5, 5]}', 113400)], ids=["bergman", "bundle"])
+def test_matroid_fan_size_budget_fails_fast(capsys, kind, matroid, cones):
+    """perm(8) as a Bergman fan and bipermutohedral(5) as a bundle fan are
+    refused by their count of maximal cones, before the chain walk."""
+    start = time.perf_counter()
+    code, lines, err = run(capsys, ["fan", "--kind", kind,
+                                    "--matroid", matroid])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert lines == []
+    assert err == ("error: the %s fan has %d maximal cones, more than "
+                   "10000\n" % (kind, cones))
+
+
 @pytest.mark.parametrize("kind, largest", [
     ("permutohedral", 7), ("bipermutohedral", 4)])
 def test_size_budget_counts_maximal_cones(monkeypatch, kind, largest):

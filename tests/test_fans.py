@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from chowfans import linalg
 from chowfans.fans import (ConeNotInFan, Fan, FanError, NotAChain,
                            bergman_fan, biflat_poset, bipermutohedral_fan,
-                           check_balanced, gap_indices, is_bisubset, is_chain,
+                           check_balanced, count_maximal_cones, gap_indices,
+                           is_bisubset, is_chain,
                            is_proper_bisubset, permutohedral_fan,
                            projective_bundle_fan, proper_biflats,
                            walk_chains)
@@ -273,6 +274,25 @@ def small_matroids(draw):
     if M.r > 1 and draw(st.booleans()):
         M = M.truncate()
     return M
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_matroids())
+def test_maximal_cone_count_matches_the_chain_walk(M):
+    assert count_maximal_cones(M) == len(bergman_fan(M).maximal_cones)
+    assert count_maximal_cones(M, biflags=True) == \
+        len(projective_bundle_fan(M.n, M).maximal_cones)
+
+
+def test_maximal_cone_count_of_larger_fans():
+    assert count_maximal_cones(pyramid_matroid()) == \
+        len(bergman_fan(pyramid_matroid()).maximal_cones) == 128
+    M = matroid_uniform(3, 5)
+    assert count_maximal_cones(M, biflags=True) == \
+        len(projective_bundle_fan(5, M).maximal_cones) == 4200
+    # perm(8) and bipermutohedral(5), counted without their fans
+    assert count_maximal_cones(matroid_uniform(8, 8)) == 40320
+    assert count_maximal_cones(matroid_uniform(5, 5), biflags=True) == 113400
 
 
 @settings(max_examples=25, deadline=None)

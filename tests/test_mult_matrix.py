@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from chowfans import linalg
-from chowfans.chow import _pairing_matrix, graded_basis
+from chowfans.chow import _pairing_matrix
 from chowfans.fans import bergman_fan, permutohedral_fan
 from chowfans.kahler import (candidate_schedule, chern_vectors,
                              matroid_bundle_model,
@@ -258,18 +258,23 @@ def fan_models():
 
 
 def test_gram_inverse_is_shared_by_complementary_degrees():
-    """Above the middle the solve reuses the transposed inverse of the
-    complementary degree; it equals the inverse of G_k^T taken in every
-    degree on its own, over the den of the pairing rows."""
+    """Above the middle the solve reuses the rows of the inverse of the
+    complementary degree, and the pairing rows are columns of its pairing
+    matrix; they equal the pairing matrix of every degree restricted to the
+    complementary basis cones, and the inverse of G_k^T taken in every
+    degree on its own, over the den of those pairing rows."""
     for m in fan_models():
         for k in range(m.top + 1):
-            _, basis_cols, gram = graded_basis(m.fan, k)
-            _, cols, mat = _pairing_matrix(m.fan, k)
+            rows, cols, mat = _pairing_matrix(m.fan, k)
             at = {c: j for j, c in enumerate(cols)}
-            _, den = linalg.scaled_integer(
-                [[row[at[c]] for c in basis_cols] for row in mat])
+            pick = [at[c] for c in m.basis_cones(m.top - k)]
+            scaled, den = linalg.scaled_integer(
+                [[row[j] for j in pick] for row in mat])
+            assert m._pairing_rows[k] == {
+                s: [(j, x) for j, x in enumerate(r) if x]
+                for s, r in zip(rows, scaled)}, k
             inv, inv_den = linalg.scaled_inverse(
-                [list(col) for col in zip(*gram)])
+                [list(col) for col in zip(*unscaled(m.gram(k)))])
             assert m._solve[k] == (
                 [list(col) for col in zip(*inv)], den * inv_den), k
 

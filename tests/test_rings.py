@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from chowfans.chow import DegreeTooLow
-from chowfans.fans import bergman_fan, permutohedral_fan
+from chowfans.chow import DegreeTooLow, FanMismatch, UnsupportedFan, ray_class
+from chowfans.fans import Fan, bergman_fan, permutohedral_fan
 from chowfans.kahler import chern_vectors, restricted_multi_bundle_model
-from chowfans.matroid import matroid_uniform
+from chowfans.matroid import matroid_uniform, pyramid_matroid
 from chowfans.rings import (AllSegreZero, BundleRing, FanRingModel,
                             bloch_gieseker, quotient_by_ann_segre,
                             segre_vectors, twist_vectors)
@@ -21,6 +21,29 @@ def test_fan_model_dims_and_degree():
     assert [model.dim(k) for k in range(3)] == [1, 4, 1]
     top = [Fraction(1)]
     assert model.deg(top) == 1
+
+
+def test_fan_model_needs_a_supported_fan():
+    # the complete fan of Z^2 on (1,0), (0,1), (-1,-1), outside the families
+    cones = [(), (0,), (1,), (2,), (0, 1), (1, 2), (0, 2)]
+    fan = Fan(2, [], [[1, 0], [0, 1], [-1, -1]], "abc", cones, "custom")
+    with pytest.raises(UnsupportedFan):
+        FanRingModel(fan)
+
+
+def test_fan_model_build_sets_no_attribute_on_its_fan():
+    fan = bergman_fan(pyramid_matroid())
+    before = set(vars(fan))
+    FanRingModel(fan)
+    assert set(vars(fan)) == before
+
+
+def test_to_vector_rejects_a_class_on_another_fan():
+    """As the sum, the divisor product and the cap product of classes on
+    two fans do."""
+    model = perm_model(3)
+    with pytest.raises(FanMismatch):
+        model.to_vector(ray_class(bergman_fan(matroid_uniform(2, 3)), 0))
 
 
 def test_fan_model_multiplication_associative():
