@@ -161,22 +161,14 @@ def _fan_out(fan, cone, values, a=None):
     """x_cone * D as pairs (cone + rho, a_rho - m(u_rho)) over the rays rho
     extending cone, zero coefficients dropped (Adiprasito-Huh-Katz).  m is
     the functional vanishing on the lineality with m(u_j) = values[j] on
-    the j-th ray of cone; a lists D's coefficients by ray, None for a D
-    supported on the cone."""
-    pivots, dual = fan.dual_basis(cone)
-    lin = len(fan.lineality)
-    m = [0] * len(pivots)
-    for f, v in zip(dual[lin:], values):
-        if v:
-            m = [x + v * y for x, y in zip(m, f)]
-    # m spread over the ambient space, 0 off the pivot coordinates
-    spread = [0] * fan.ambient_dim
-    for p, x in zip(pivots, m):
-        spread[p] = x
+    the j-th ray of cone (`Fan._functional`, read off the chain on flag and
+    biflag fans); a lists D's coefficients by ray, None for a D supported
+    on the cone."""
+    m = fan._functional(cone, values)
     rays = fan.rays
     out = []
     for rho, sigma in fan._extension_map(cone).items():
-        coef = (0 if a is None else a[rho]) - sum(map(mul, spread, rays[rho]))
+        coef = (0 if a is None else a[rho]) - sum(map(mul, m, rays[rho]))
         if coef:
             out.append((sigma, coef))
     return out
@@ -205,9 +197,15 @@ def multiply_by_divisor(elem, D):
 
 def multiply_by_ray(elem, rho):
     """elem * x_rho, with the cheap path for cones not containing rho."""
-    fan = elem.fan
+    return _ray_product(elem.fan, elem.degree + 1, rho, elem.terms.items())
+
+
+def _ray_product(fan, degree, rho, terms):
+    """x_rho times the sum of the (cone, c) terms, a degree-`degree`
+    ChowElement: a fan-out for a cone containing rho, the cone one ray
+    larger for a cone that rho extends, nothing for any other cone."""
     out = {}
-    for cone, c in elem.terms.items():
+    for cone, c in terms:
         if rho in cone:
             indicator = [int(i == rho) for i in cone]
             _accumulate(out, c, _fan_out(fan, cone, indicator))
@@ -215,7 +213,7 @@ def multiply_by_ray(elem, rho):
             sigma = fan._extension_map(cone).get(rho)
             if sigma is not None:
                 _accumulate(out, c, [(sigma, 1)])
-    return ChowElement(fan, elem.degree + 1, out)
+    return ChowElement(fan, degree, out)
 
 
 def multiply_by_monomial(elem, cone):
@@ -260,25 +258,29 @@ def _pairings(elem):
     cone reached, the pairing an int when it is integral.  A prefix whose
     product vanishes is cut off, so the cones below it, which pair to 0,
     are never yielded.  x_sigma x_rho vanishes unless rho lies in sigma or
-    extends it, so only those rays of the terms are tried."""
+    extends it, so one pass over a node's terms files each term under
+    those rays; the children are then built one at a time, in ascending
+    ray order, each from its own terms, and dropped after their subtree."""
     fan = elem.fan
     k = fan.top_dim - elem.degree
     if k < 0:
         raise DegreeMismatch("element degree above top dimension")
     nrays = len(fan.rays)
+
     def walk(cur_elem, prefix, next_ray):
         depth = len(prefix)
         if depth == k:
             if prefix in fan.cones:
                 yield prefix, _degree(cur_elem)
             return
-        reach = set()
-        for cone in cur_elem.terms:
-            reach.update(cone)
-            reach.update(fan._extension_map(cone))
         stop = nrays - (k - depth - 1)
-        for rho in sorted(r for r in reach if next_ray <= r < stop):
-            nxt = multiply_by_ray(cur_elem, rho)
+        by_ray = {}
+        for cone, c in cur_elem.terms.items():
+            for rho in (*cone, *fan._extension_map(cone)):
+                if next_ray <= rho < stop:
+                    by_ray.setdefault(rho, []).append((cone, c))
+        for rho in sorted(by_ray):
+            nxt = _ray_product(fan, cur_elem.degree + 1, rho, by_ray.pop(rho))
             if not nxt.is_empty():
                 yield from walk(nxt, prefix + (rho,), rho + 1)
     return walk(elem, (), 0)

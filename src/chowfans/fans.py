@@ -143,17 +143,25 @@ class Fan:
         self.rays = [list(v) for v in rays]
         self.ray_labels = list(ray_labels)
         self.ray_index = {lab: i for i, lab in enumerate(ray_labels)}
-        self.cones = set(cones)
         self.family = family
-        self.top_dim = max((len(c) for c in self.cones), default=0)
-        self.maximal_cones = sorted(c for c in self.cones if len(c) == self.top_dim)
+        by_dim = {}
+        for c in cones:
+            by_dim.setdefault(len(c), []).append(c)
+        # the chain walks list the cones of each dimension in ascending
+        # order, so sorting them in the given order takes one pass
+        self._by_dim = {k: tuple(sorted(dict.fromkeys(cs)))
+                        for k, cs in by_dim.items()}
+        self.cones = {c for cs in self._by_dim.values() for c in cs}
+        self.top_dim = max(by_dim, default=0)
+        self.maximal_cones = list(self.cones_of_dim(self.top_dim))
         self.weight = {c: 1 for c in self.maximal_cones}
         self._extensions = None
         self._mult_cache = {}
         self._dual_cache = {}
 
     def cones_of_dim(self, k):
-        return sorted(c for c in self.cones if len(c) == k)
+        """The k-cones in ascending order, as a tuple."""
+        return self._by_dim.get(k, ())
 
     def cone_chain(self, cone):
         """Ray labels of a cone in chain order (for flag/biflag fans)."""
@@ -164,19 +172,17 @@ class Fan:
             labels.sort(key=int.bit_count)
         return tuple(labels)
 
-    def cone_extensions(self, cone):
-        """The rays i with cone + {i} a cone, in ascending order."""
-        return list(self._extension_map(cone))
-
     def _extension_map(self, cone):
         """{i: sorted cone + {i}} over the rays i extending cone, in
         ascending order of i, built for every cone at once on first use."""
         if self._extensions is None:
-            # sorted order of the cones tau+{i} is ascending order of i
+            # the cones tau+{i} of one tau share a dimension, and their
+            # sorted order there is ascending order of i
             self._extensions = {}
-            for c in sorted(self.cones):
-                for j, i in enumerate(c):
-                    self._extensions.setdefault(c[:j] + c[j + 1:], {})[i] = c
+            for cones in self._by_dim.values():
+                for c in cones:
+                    for j, i in enumerate(c):
+                        self._extensions.setdefault(c[:j] + c[j + 1:], {})[i] = c
         hit = self._extensions.get(cone)
         if hit is None:
             cone = tuple(sorted(cone))
@@ -235,6 +241,33 @@ class Fan:
         return pivots, [[a // den if a % den == 0 else Fraction(a, den)
                          for a in col] for col in zip(*inv)]
 
+    def _functional(self, cone, values):
+        """The functional m vanishing on the lineality with m(u_j) =
+        values[j] on the j-th ray u_j of cone and 0 off the pivot
+        coordinates, as a list over the ambient coordinates: sum_j
+        values[j] times the j-th ray's functional of dual_basis(cone)."""
+        pivots, dual = self.dual_basis(cone)
+        m = [0] * self.ambient_dim
+        for f, v in zip(dual[len(self.lineality):], values):
+            if v:
+                for p, x in zip(pivots, f):
+                    m[p] += v * x
+        return m
+
+    def _spans(self, cone, vector):
+        """Whether vector lies in the span of the lineality and the rays of
+        cone: its coordinates against them, read off dual_basis(cone),
+        reproduce it, so the residual vanishes; it does on the pivot
+        coordinates by construction."""
+        pivots, dual = self.dual_basis(cone)
+        at_pivots = [vector[p] for p in pivots]
+        rest = vector
+        for f, row in zip(dual, self.lineality + [self.rays[i] for i in cone]):
+            c = sum(map(mul, f, at_pivots))
+            if c:
+                rest = [x - c * y for x, y in zip(rest, row)]
+        return not any(rest)
+
     def to_json(self):
         def fmt_label(lab):
             if isinstance(lab, tuple):
@@ -257,19 +290,47 @@ def _low(mask):
     return (mask & -mask).bit_length() - 1
 
 
+def _level_sets(vector):
+    """{x: the mask of the coordinates i with vector[i] = x}."""
+    level = {}
+    for i, x in enumerate(vector):
+        level[x] = level.get(x, 0) | 1 << i
+    return level
+
+
+def _value_on(vector, level, mask):
+    """The value of vector on the coordinates in mask if it is the same on
+    all of them, 0 for an empty mask, else None; level is
+    `_level_sets(vector)`."""
+    if not mask:
+        return 0
+    x = vector[_low(mask)]
+    return None if mask & ~level[x] else x
+
+
 class FlagFan(Fan):
     """A fan of bergman_fan: it lists its flats by size, so a cone lists
-    its flag in chain order."""
+    its flag in chain order, and the products and balancing on its cones
+    read the blocks of that flag instead of a dual basis."""
+
+    def _blocks(self, cone):
+        """The blocks B_j = F_{j+1} minus F_j, j = 0..k, of the flag
+        F_1 < ... < F_k of cone, for F_0 empty and F_{k+1} = [n]."""
+        labels = self.ray_labels
+        out, E = [], 0
+        for i in cone:
+            F = labels[i]
+            out.append(F & ~E)
+            E = F
+        out.append(((1 << self.ambient_dim) - 1) & ~E)
+        return out
 
     def _solve_dual(self, cone):
-        """The dual basis of F_1 < ... < F_k read off the blocks
-        B_j = F_{j+1} minus F_j, for F_0 empty and F_{k+1} = [n]: each
+        """The dual basis of F_1 < ... < F_k read off the blocks B_j: each
         block's columns are equal, a 1 then j zeros then ones, so the
         pivots are the m_j = min B_j.  The lineality's functional is
         v[m_k], and that of e_{F_j} is v[m_{j-1}] - v[m_j]."""
-        chain = [self.ray_labels[i] for i in cone]
-        low = [_low(F & ~E) for E, F in
-               zip([0] + chain, chain + [(1 << self.ambient_dim) - 1])]
+        low = [_low(B) for B in self._blocks(cone)]
         pivots = sorted(low)
         at = [pivots.index(m) for m in low]
         dual = []
@@ -281,39 +342,81 @@ class FlagFan(Fan):
             dual.append(f)
         return pivots, [dual.pop()] + dual
 
+    def _functional(self, cone, values):
+        """On a cone of the fan, m = v_{j+1} - v_j on the pivot min B_j,
+        for v_j the value on e_{F_j} and v_0 = v_{k+1} = 0, so that
+        m(e_G) = sum_j [min B_j in G] (v_{j+1} - v_j)."""
+        if cone not in self.cones:
+            return Fan._functional(self, cone, values)
+        m, prev = [0] * self.ambient_dim, 0
+        for B, v in zip(self._blocks(cone), [*values, 0]):
+            m[_low(B)] = v - prev
+            prev = v
+        return m
+
+    def _spans(self, cone, vector):
+        """On a cone of the fan, the span of the all-ones vector and the
+        e_{F_j} is the vectors constant on each block."""
+        if cone not in self.cones:
+            return Fan._spans(self, cone, vector)
+        level = _level_sets(vector)
+        return all(_value_on(vector, level, B) is not None
+                   for B in self._blocks(cone))
+
 
 class BiflagFan(Fan):
     """A fan of projective_bundle_fan: it lists its biflats by
-    (|S|, -|F|), so a cone lists its biflag in chain order."""
+    (|S|, -|F|), so a cone lists its biflag in chain order, and the
+    products and balancing on its cones read the blocks of that biflag
+    instead of a dual basis.
 
-    def _solve_dual(self, cone):
-        """The dual basis of S_1|F_1 < ... < S_k|F_k read off the blocks
-        A_j = S_j minus S_{j-1} and B_j = F_{j-1} minus F_j, for the
-        sentinels 0|[N] and [N]|0.  A vector v = a e_{0|[N]} + b e_{[N]|0}
-        + sum_i g_i e_{S_i|F_i} reads c_j = b + sum_{i>=j} g_i on A_j and
-        c_0 - c_j on N + B_j, for c_0 = a + b + sum_i g_i.  So c_j is
-        v[min A_j] where A_j is nonempty, c_0 = v[q] + c_{j(q)} for q the
-        first column N + B_j with A_j nonempty, in block j(q), and
-        c_j = c_0 - v[N + min B_j] where A_j is empty; these are the pivots.
-        Then a = c_0 - c_1, b = c_{k+1} and g_i = c_i - c_{i+1}."""
+    For the biflag S_1|F_1 < ... < S_k|F_k with the sentinels
+    S_0|F_0 = 0|[N] and S_{k+1}|F_{k+1} = [N]|0, the blocks are
+    A_j = S_j minus S_{j-1} and B_j = F_{j-1} minus F_j, j = 1..k+1.  A
+    vector v = a e_{0|[N]} + b e_{[N]|0} + sum_i g_i e_{S_i|F_i} reads
+    c_j = b + sum_{i>=j} g_i on A_j and c_0 - c_j on N + B_j, for
+    c_0 = a + b + sum_i g_i; conversely a = c_0 - c_1, b = c_{k+1} and
+    g_i = c_i - c_{i+1}."""
+
+    def _blocks(self, cone):
+        """The pairs (A_j, B_j), j = 1..k+1, of cone's biflag."""
+        labels = self.ray_labels
+        full = (1 << (self.ambient_dim // 2)) - 1
+        out, S0, F0 = [], 0, full
+        for i in cone:
+            S, F = labels[i]
+            out.append((S & ~S0, F0 & ~F))
+            S0, F0 = S, F
+        out.append((full & ~S0, F0))
+        return out
+
+    def _reads(self, cone):
+        """(blocks, read, q, aq): the pivot columns that read the c_j.
+        c_j is v[min A_j] where A_j is nonempty; c_0 = v[q] + v[aq] for q
+        the least column N + min B_j over the blocks with both parts
+        nonempty, in a block whose min A_j is aq; and c_j = c_0 -
+        v[N + min B_j] where A_j is empty.  read lists the pivot of each
+        c_j, j = 1..k+1."""
         N = self.ambient_dim // 2
-        full = (1 << N) - 1
-        chain = ([(0, full)] + [self.ray_labels[i] for i in cone]
-                 + [(full, 0)])
-        blocks = [(S & ~S0, F0 & ~F)
-                  for (S0, F0), (S, F) in zip(chain, chain[1:])]
-        reached = 0
+        blocks = self._blocks(cone)
+        read, q, aq = [], None, None
         for A, B in blocks:
             if A:
-                reached |= B
-        if not reached:
+                read.append(_low(A))
+                if B and (q is None or _low(B) < q):
+                    q, aq = _low(B), read[-1]
+            else:
+                read.append(N + _low(B))
+        if q is None:
             raise FanError("cone %r is not simplicial modulo the "
                            "lineality" % (cone,))
-        q = N + _low(reached)
-        aq = next(_low(A) for A, B in blocks if B & reached & -reached)
-        # the pivot read by each c_j, j = 1..k+1, then q
-        read = [_low(A) if A else N + _low(B) for A, B in blocks] + [q]
-        pivots = sorted(read)
+        return blocks, read, N + q, aq
+
+    def _solve_dual(self, cone):
+        """The dual basis read off the pivots of `_reads`, with a, b and
+        the g_i in terms of the c_j."""
+        blocks, read, q, aq = self._reads(cone)
+        pivots = sorted(read + [q])
         at = {p: i for i, p in enumerate(pivots)}
         c0 = [0] * len(pivots)
         c0[at[q]] = c0[at[aq]] = 1
@@ -324,6 +427,43 @@ class BiflagFan(Fan):
             c.append(cj)
         return pivots, [list(map(sub, c0, c[1])), c[-1]] + [
             list(map(sub, c[i], c[i + 1])) for i in range(1, len(c) - 1)]
+
+    def _functional(self, cone, values):
+        """On a cone of the fan, m = sum_j (v_j - v_{j-1}) c_j, j = 1..k+1,
+        for v_j the value on e_{S_j|F_j} and v_0 = v_{k+1} = 0, with each
+        c_j written on its pivots by `_reads`."""
+        if cone not in self.cones:
+            return Fan._functional(self, cone, values)
+        blocks, read, q, aq = self._reads(cone)
+        m, on_c0, prev = [0] * self.ambient_dim, 0, 0
+        for (A, _), p, v in zip(blocks, read, [*values, 0]):
+            if A:
+                m[p] = v - prev
+            else:
+                m[p] = prev - v
+                on_c0 += v - prev
+            prev = v
+        m[q] = on_c0
+        m[aq] += on_c0
+        return m
+
+    def _spans(self, cone, vector):
+        """On a cone of the fan, the span of the lineality and the
+        e_{S_j|F_j} is the vectors constant on each A_j and on each N + B_j
+        whose two values add up to the same c_0 on every block with both
+        parts nonempty."""
+        if cone not in self.cones:
+            return Fan._spans(self, cone, vector)
+        N = self.ambient_dim // 2
+        level = _level_sets(vector)
+        c0 = set()
+        for A, B in self._blocks(cone):
+            x, y = _value_on(vector, level, A), _value_on(vector, level, B << N)
+            if x is None or y is None:
+                return False
+            if A and B:
+                c0.add(x + y)
+        return len(c0) <= 1
 
 
 def _indicator(N, mask):
@@ -411,12 +551,18 @@ def bipermutohedral_fan(N):
 def check_balanced(fan, dim, values):
     """Balancing of a rational weight on the dim-cones: around every
     (dim-1)-cone tau, the weighted sum of the extending ray generators must
-    lie in span(tau) + lineality.  Returns a list of violating cones."""
+    lie in span(tau) + lineality (`Fan._spans`).  Returns a list of
+    violating cones, and raises ConeNotInFan for a key that is not a
+    dim-cone of the fan."""
+    if dim < 0 or dim > fan.top_dim:
+        raise DimensionMismatch("no cones of dimension %d" % dim)
+    for c in values:
+        if c not in fan.cones or len(c) != dim:
+            raise ConeNotInFan("weight on %r, not a %d-cone of this fan"
+                               % (c, dim))
     if dim == 0:
         # a weight on the zero cone has nothing to balance against
         return []
-    if dim < 0 or dim > fan.top_dim:
-        raise DimensionMismatch("no cones of dimension %d" % dim)
     # balancing is invariant under scaling, so clear the denominators once
     # and add up integer vectors
     values = {c: v if type(v) is int else Fraction(v)
@@ -424,27 +570,14 @@ def check_balanced(fan, dim, values):
     scale = lcm(1, *(v.denominator for v in values.values()))
     weights = {c: v.numerator * (scale // v.denominator)
                for c, v in values.items()}
+    rays = fan.rays
     violations = []
     for tau in fan.cones_of_dim(dim - 1):
         total = [0] * fan.ambient_dim
         for rho, sigma in fan._extension_map(tau).items():
             w = weights.get(sigma)
             if w is not None:
-                for i, x in enumerate(fan.rays[rho]):
-                    total[i] += w * x
-        if not any(total):
-            continue
-        # coordinates of total against [lineality; rays of tau]; total lies
-        # in their span exactly when those coordinates reproduce it, so when
-        # the residual vanishes; it does on the pivot coordinates by
-        # construction
-        pivots, dual = fan.dual_basis(tau)
-        at_pivots = [total[p] for p in pivots]
-        rest = total
-        for fi, row in zip(dual, fan.lineality + [fan.rays[i] for i in tau]):
-            c = sum(map(mul, fi, at_pivots))
-            if c:
-                rest = [x - c * y for x, y in zip(rest, row)]
-        if any(rest):
+                total = [t + w * x for t, x in zip(total, rays[rho])]
+        if any(total) and not fan._spans(tau, total):
             violations.append(tau)
     return violations

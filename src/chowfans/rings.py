@@ -478,9 +478,6 @@ class QuotientRingModel(GradedModel):
             out[i] = Fraction(x)
         return out
 
-    def project(self, k, w):
-        return linalg.scaled_mat_vec(self._proj[k][0], w)
-
     def mult_matrix(self, d, w, k):
         """The projection of multiplication by a representative of w on
         the base, restricted to the complement columns C_k: one product of

@@ -13,8 +13,9 @@ using nothing of a ring model but its graded ring interface.
 Also the graded basis of a fan the long way, by two eliminations of a
 pairing matrix built afresh in every degree; and the Fraction references
 for the two integer solves of the ring models, `FanRingModel.to_vector`
-and `QuotientRingModel.project`: these take the library's Gram matrices,
-pairings and multiplication matrices and replace only the solve, by
+and the projection of `QuotientRingModel` along the kernel (the scaled
+forms in its `_proj`): these take the library's Gram matrices, pairings
+and multiplication matrices and replace only the solve, by
 `reference_invert` and a plain mat-vec.
 
 Also the reference products of the ring models, built without
@@ -81,7 +82,7 @@ from chowfans.biflags import expansion_index, is_lex_decreasing
 from chowfans.fans import (bisubset_leq, gap_indices, is_chain,
                            permutohedral_fan, proper_biflats)
 from chowfans.kahler import base_convex_divisor
-from chowfans.linalg import scaled_integer
+from chowfans.linalg import scaled_integer, scaled_mat_vec
 from chowfans.rings import BundleRing, QuotientRingModel
 from chowfans.tautological import chern_classes
 
@@ -485,9 +486,10 @@ def reference_coordinates(model, k):
 
 
 def reference_projection(quotient, k):
-    """QuotientRingModel.project in degree k, through a full change of
-    basis: the greedy unit vectors independent modulo ker(z) followed by a
-    kernel basis, inverted whole; the leading rows give the coordinates."""
+    """The projection of QuotientRingModel in degree k, through a full
+    change of basis: the greedy unit vectors independent modulo ker(z)
+    followed by a kernel basis, inverted whole; the leading rows give the
+    coordinates."""
     base = quotient.base
     D = base.dim(k)
     ker = functionals_vanishing_on(
@@ -660,7 +662,7 @@ def reference_multiply(model, k1, v1, k2, v2):
     if isinstance(model, QuotientRingModel):
         w = reference_multiply(model.base, k1, model._rep(k1, v1),
                                k2, model._rep(k2, v2))
-        return model.project(k1 + k2, w)
+        return scaled_mat_vec(model._proj[k1 + k2][0], w)
     e1, e2 = (ChowElement(model.fan, k, dict(zip(model.basis_cones(k), v)))
               for k, v in ((k1, v1), (k2, v2)))
     return model.to_vector(multiply_elements(e1, e2))

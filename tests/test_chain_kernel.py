@@ -1,0 +1,195 @@
+"""Differential tests for the products and balancing that flag and biflag
+fans read off the chains of their cones (`_functional` and `_spans` of
+`FlagFan` and `BiflagFan`), on hypothesis-drawn cones, values and weights
+with int and rational entries: against the dual-basis path of `Fan` that
+fans built from explicit rays keep, against the Fraction fan-out and
+pairing walk of `naive_oracle`, whose dual bases come from Gauss-Jordan,
+and against balancing by two rank computations per cone.  Also a pin that
+products, caps and balancing on these fans never build a dual basis, and
+the ConeNotInFan raised for a weight off the fan."""
+
+import re
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from chowfans import chow
+from chowfans.chow import (ChowElement, MinkowskiWeight, cap_product,
+                           divisor, fundamental_weight, multiply_by_divisor,
+                           nonzero_pairing_witness)
+from chowfans.fans import (ConeNotInFan, Fan, bergman_fan,
+                           bipermutohedral_fan, check_balanced,
+                           permutohedral_fan, projective_bundle_fan)
+from chowfans.matroid import (matroid_from_bases, matroid_from_graph,
+                              matroid_uniform, pyramid_matroid)
+from naive_oracle import (reference_cap_product, reference_fan_out,
+                          reference_multiply_by_divisor, reference_pairings)
+from test_kernel import rank_violations
+
+
+def parallel_pair():
+    return matroid_from_bases(4, [[1, 3], [1, 4], [2, 3], [2, 4], [3, 4]])
+
+
+FAN_BUILDERS = {
+    **{"bundle-U(%d,%d)" % (r, N):
+       lambda r=r, N=N: projective_bundle_fan(N, matroid_uniform(r, N))
+       for N in range(2, 5) for r in range(1, N + 1)},
+    "bundle-U(2,5)": lambda: projective_bundle_fan(5, matroid_uniform(2, 5)),
+    "bundle-parallel-pair": lambda: projective_bundle_fan(4, parallel_pair()),
+    "bergman-U(2,4)": lambda: bergman_fan(matroid_uniform(2, 4)),
+    "bergman-U(3,5)": lambda: bergman_fan(matroid_uniform(3, 5)),
+    "bergman-K4": lambda: bergman_fan(matroid_from_graph(4, [
+        (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])),
+    "bergman-pyramid": lambda: bergman_fan(pyramid_matroid()),
+    "bergman-parallel-pair": lambda: bergman_fan(parallel_pair()),
+    "perm4": lambda: permutohedral_fan(4),
+    "biperm3": lambda: bipermutohedral_fan(3),
+}
+FANS = pytest.mark.parametrize("name", list(FAN_BUILDERS))
+# bipermutohedral(4) has 23,917 cones: the rank reference takes 12 s on it,
+# so it and the Fraction walk stay off it
+REFERENCE_FANS = pytest.mark.parametrize(
+    "name", [n for n in FAN_BUILDERS if n != "bundle-U(4,4)"])
+
+COEFFS = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
+
+
+@lru_cache(maxsize=None)
+def fan_of(name):
+    return FAN_BUILDERS[name]()
+
+
+@FANS
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_functional_and_span_match_the_dual_basis_path(name, data):
+    """The chain reads equal Fan's dual-basis path on a drawn cone of the
+    fan, on vectors inside and just off its span, and a cone listed out
+    of chain order, which is no cone of the fan, takes that path."""
+    fan = fan_of(name)
+    cone = data.draw(st.sampled_from(sorted(fan.cones)))
+    values = data.draw(st.lists(COEFFS, min_size=len(cone),
+                                max_size=len(cone)))
+    assert fan._functional(cone, values) == \
+        Fan._functional(fan, cone, values)
+    rows = fan.lineality + [fan.rays[i] for i in cone]
+    coords = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows),
+                                max_size=len(rows)))
+    inside = [sum(c * row[i] for c, row in zip(coords, rows))
+              for i in range(fan.ambient_dim)]
+    off = list(inside)
+    off[data.draw(st.integers(0, fan.ambient_dim - 1))] += \
+        data.draw(st.integers(1, 2))
+    drawn = data.draw(st.lists(st.integers(-1, 1), min_size=fan.ambient_dim,
+                               max_size=fan.ambient_dim))
+    assert fan._spans(cone, inside) and Fan._spans(fan, cone, inside)
+    for vector in (off, drawn):
+        assert fan._spans(cone, vector) == Fan._spans(fan, cone, vector)
+    flipped = cone[::-1]
+    if len(cone) > 1:
+        assert fan._functional(flipped, values) == \
+            Fan._functional(fan, flipped, values)
+
+
+@FANS
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_fan_out_matches_fraction_reference(name, data):
+    fan = fan_of(name)
+    cone = data.draw(st.sampled_from(
+        sorted(c for c in fan.cones if len(c) < fan.top_dim)))
+    values = data.draw(st.lists(COEFFS, min_size=len(cone),
+                                max_size=len(cone)))
+    a = data.draw(st.none() | st.lists(COEFFS, min_size=len(fan.rays),
+                                       max_size=len(fan.rays)))
+    assert chow._fan_out(fan, cone, values, a) == \
+        reference_fan_out(fan, cone, values, a)
+
+
+@REFERENCE_FANS
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_balancing_matches_rank_reference(name, data):
+    """A drawn weight on the cones of a drawn dimension, mostly
+    unbalanced, and the fundamental weight with drawn changes."""
+    fan = fan_of(name)
+    dim = data.draw(st.integers(1, fan.top_dim))
+    cones = fan.cones_of_dim(dim)
+    picked = data.draw(st.lists(st.sampled_from(cones), min_size=1,
+                                max_size=4, unique=True))
+    values = {c: data.draw(COEFFS) for c in picked}
+    assert check_balanced(fan, dim, values) == \
+        rank_violations(fan, dim, values)
+    values = dict(fan.weight)
+    for c in data.draw(st.lists(st.sampled_from(fan.maximal_cones),
+                                max_size=2, unique=True)):
+        values[c] += data.draw(COEFFS)
+    assert check_balanced(fan, fan.top_dim, values) == \
+        rank_violations(fan, fan.top_dim, values)
+
+
+@REFERENCE_FANS
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_pairing_walk_matches_fraction_walk(name, data):
+    """The walk yields the cones and pairings of the Fraction walk over
+    every ray, in its order, so the witness is its first nonzero."""
+    fan = fan_of(name)
+    # the Fraction walk tries every ray at every depth up to 4
+    k = data.draw(st.integers(max(0, fan.top_dim - 4), fan.top_dim))
+    cones = data.draw(st.lists(st.sampled_from(fan.cones_of_dim(k)),
+                               min_size=1, max_size=3, unique=True))
+    terms = {c: data.draw(COEFFS) for c in cones}
+    elem = ChowElement(fan, k, terms)
+    want = list(reference_pairings(fan, k, terms))
+    assert list(chow._pairings(elem)) == want
+    assert nonzero_pairing_witness(elem) == next(
+        (tau for tau, v in want if v != 0), None)
+
+
+@pytest.mark.parametrize("name", ["bundle-U(2,3)", "bundle-U(3,4)",
+                                  "bundle-parallel-pair", "bergman-pyramid",
+                                  "perm4", "biperm3"])
+def test_products_and_balancing_build_no_dual_basis(monkeypatch, name):
+    """check_balanced, multiply_by_divisor and cap_product on a fresh flag
+    or biflag fan with Fan.dual_basis patched to raise."""
+    fan = FAN_BUILDERS[name]()
+    a = [i % 3 - 1 for i in range(len(fan.rays))]
+    D = divisor(fan, a)
+
+    def dual_basis(self, cone):
+        raise AssertionError("dual basis of %r" % (cone,))
+
+    monkeypatch.setattr(Fan, "dual_basis", dual_basis)
+    weight = fundamental_weight(fan)
+    assert check_balanced(fan, fan.top_dim, weight.values) == []
+    product = multiply_by_divisor(multiply_by_divisor(
+        ChowElement(fan, 1, {(0,): 2}), D), D)
+    assert product.terms == reference_multiply_by_divisor(
+        fan, reference_multiply_by_divisor(fan, {(0,): 2}, a), a)
+    cap = cap_product(weight, D)
+    assert cap.values == reference_cap_product(fan, fan.top_dim,
+                                               weight.values, a)
+
+
+@pytest.mark.parametrize("key", [(0, 99), (0,), (3, 0), (0, 1), (0, 3, 5)])
+def test_weight_off_the_fan_raises(key):
+    """On perm(3), rays 0..5 are {0}, {1}, {2}, {0,1}, {0,2}, {1,2}: (0, 3)
+    is a 2-cone, (3, 0) lists it out of order and {0}, {1} is no chain."""
+    fan = permutohedral_fan(3)
+    with pytest.raises(ConeNotInFan, match=re.escape(repr(key))):
+        MinkowskiWeight(fan, 2, {(0, 3): 1, key: 5})
+    with pytest.raises(ConeNotInFan):
+        check_balanced(fan, 0, {key: 1})
+    assert check_balanced(fan, 2, {(0, 3): 1}) == [(0,), (3,)]
+
+
+def test_cones_of_dim_are_grouped_once():
+    fan = projective_bundle_fan(4, matroid_uniform(3, 4))
+    for k in range(-1, fan.top_dim + 2):
+        want = tuple(sorted(c for c in fan.cones if len(c) == k))
+        assert fan.cones_of_dim(k) == want
+        assert fan.cones_of_dim(k) is fan.cones_of_dim(k)
+    assert fan.maximal_cones == list(fan.cones_of_dim(fan.top_dim))

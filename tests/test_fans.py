@@ -202,14 +202,16 @@ def test_cones_closed_under_subsets():
     projective_bundle_fan(4, matroid_uniform(3, 4))],
     ids=["perm4", "bergman-pyramid", "bundle-U(3,4)"])
 def test_cone_extensions_match_a_scan_of_every_ray(fan):
+    """Fan._extension_map: the rays extending a cone in ascending order,
+    each with the sorted cone one ray larger."""
     for cone in fan.cones:
-        scan = [i for i in range(len(fan.rays)) if i not in cone
-                and tuple(sorted(cone + (i,))) in fan.cones]
-        assert fan.cone_extensions(cone) == scan
-    assert fan.cone_extensions(tuple(reversed(max(fan.cones)))) == \
-        fan.cone_extensions(max(fan.cones))
+        scan = {i: tuple(sorted(cone + (i,))) for i in range(len(fan.rays))
+                if i not in cone and tuple(sorted(cone + (i,))) in fan.cones}
+        assert list(fan._extension_map(cone).items()) == list(scan.items())
+    assert fan._extension_map(tuple(reversed(max(fan.cones)))) == \
+        fan._extension_map(max(fan.cones))
     with pytest.raises(ConeNotInFan):
-        fan.cone_extensions((0, 0))
+        fan._extension_map((0, 0))
 
 
 @given(st.integers(0, 80), st.integers(0, 80), st.integers(0, 80))
