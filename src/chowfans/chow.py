@@ -161,9 +161,10 @@ def _fan_out(fan, cone, values, a=None):
     """x_cone * D as pairs (cone + rho, a_rho - m(u_rho)) over the rays rho
     extending cone, zero coefficients dropped (Adiprasito-Huh-Katz).  m is
     the functional vanishing on the lineality with m(u_j) = values[j] on
-    the j-th ray of cone (`Fan._functional`, read off the chain on flag and
-    biflag fans); a lists D's coefficients by ray, None for a D supported
-    on the cone."""
+    the j-th ray of cone (`Fan._functional`: on flag and biflag fans read
+    off the chain of any listing of a cone of the fan, with no dual basis;
+    on other fans from `Fan.dual_basis`); a lists D's coefficients by ray,
+    None for a D supported on the cone."""
     m = fan._functional(cone, values)
     rays = fan.rays
     out = []
@@ -233,7 +234,7 @@ def _degree(elem):
     total = 0
     for cone, c in elem.terms.items():
         mult = fan.cone_multiplicity(cone)
-        c *= fan.weight[cone]
+        c *= fan.weight[fan._cone(cone)]
         total += c if mult == 1 else Fraction(c, mult)
     return _exact(total)
 

@@ -14,6 +14,7 @@ import sys
 from fractions import Fraction
 from math import comb
 
+from . import linalg
 from .biflags import lemma_suite, verify_bundle_identity
 from .chow import cap_product, fundamental_weight
 from .fans import bergman_fan, bipermutohedral_fan, check_balanced, \
@@ -272,7 +273,8 @@ def cmd_fan(args):
         fan = projective_bundle_fan(N, M) if bundle else bergman_fan(M)
     report = fan.to_json()
     report["unimodular"] = all(
-        fan.cone_multiplicity(c) == 1 for c in fan.maximal_cones)
+        linalg.lattice_index(fan.lineality + [fan.rays[i] for i in c]) == 1
+        for c in fan.maximal_cones)
     report["balanced"] = not check_balanced(fan, fan.top_dim, fan.weight)
     yield report, [report["unimodular"] and report["balanced"]]
 

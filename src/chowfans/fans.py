@@ -8,7 +8,7 @@ tuple standing for the lineality cone.
 
 from fractions import Fraction
 from math import lcm
-from operator import mul, sub
+from operator import mul
 
 from . import linalg
 from .matroid import LoopyMatroid, mask_to_set, matroid_uniform
@@ -164,13 +164,19 @@ class Fan:
         return self._by_dim.get(k, ())
 
     def cone_chain(self, cone):
-        """Ray labels of a cone in chain order (for flag/biflag fans)."""
-        labels = [self.ray_labels[i] for i in cone]
-        if labels and isinstance(labels[0], tuple):
-            labels.sort(key=lambda p: (p[0].bit_count(), -p[1].bit_count()))
-        else:
-            labels.sort(key=int.bit_count)
-        return tuple(labels)
+        """Ray labels of a cone in chain order (for flag/biflag fans, whose
+        constructors list the labels along a linear extension of the chain
+        order, so ascending ray index is chain order)."""
+        return tuple(self.ray_labels[i] for i in sorted(cone))
+
+    def _cone(self, cone):
+        """The cone of the fan that the tuple cone lists, as a sorted
+        tuple; ConeNotInFan if it lists none."""
+        if cone not in self.cones:
+            cone = tuple(sorted(cone))
+            if cone not in self.cones:
+                raise ConeNotInFan("not a cone of this fan: %r" % (cone,))
+        return cone
 
     def _extension_map(self, cone):
         """{i: sorted cone + {i}} over the rays i extending cone, in
@@ -185,16 +191,11 @@ class Fan:
                         self._extensions.setdefault(c[:j] + c[j + 1:], {})[i] = c
         hit = self._extensions.get(cone)
         if hit is None:
-            cone = tuple(sorted(cone))
-            if cone not in self.cones:
-                raise ConeNotInFan("not a cone of this fan: %r" % (cone,))
-            hit = self._extensions.get(cone, {})
+            hit = self._extensions.get(self._cone(cone), {})
         return hit
 
     def cone_multiplicity(self, cone):
-        cone = tuple(sorted(cone))
-        if cone not in self.cones:
-            raise ConeNotInFan("not a cone of this fan: %r" % (cone,))
+        cone = self._cone(cone)
         hit = self._mult_cache.get(cone)
         if hit is None:
             rows = self.lineality + [self.rays[i] for i in cone]
@@ -209,37 +210,29 @@ class Fan:
 
     def dual_basis(self, cone):
         """(pivots, dual) for the rows [lineality; rays of cone], cached by
-        cone.  pivots are the pivot columns of those rows, and dual[i] is
-        the i-th column of the inverse of their pivot block: the functional
-        that is 1 on row i and 0 on every other row, given by its values on
-        the pivot coordinates and 0 elsewhere.  So the functional vanishing
-        on the lineality with values v_j on the rays u_j of the cone is
+        cone.  pivots are the pivot columns of those rows, which
+        basis_minor picks, and dual[i] is the i-th column of the inverse of
+        their pivot block, from scaled_inverse: the functional that is 1 on
+        row i and 0 on every other row, given by its values on the pivot
+        coordinates and 0 elsewhere.  So the functional vanishing on the
+        lineality with values v_j on the rays u_j of the cone is
         sum_j v_j dual[L + j], L the number of lineality rows.  Flag and
-        biflag fans read it off the chain of a cone of the fan, which lists
-        the chain in order; other fans, and rays in another order, solve it
-        by elimination."""
+        biflag fans read every per-cone answer off the chain and build no
+        dual basis; on them this is API and the tests' reference."""
         hit = self._dual_cache.get(cone)
         if hit is None:
-            if cone in self.cones:
-                pivots, dual = self._solve_dual(cone)
-            else:
-                pivots, dual = Fan._solve_dual(self, cone)
-            hit = (tuple(pivots), tuple(map(tuple, dual)))
+            rows = self.lineality + [self.rays[i] for i in cone]
+            found, pivots = linalg.basis_minor(rows)
+            if len(found) < len(rows):
+                raise FanError("cone %r is not simplicial modulo the "
+                               "lineality" % (cone,))
+            inv, den = linalg.scaled_inverse([[row[p] for p in pivots]
+                                              for row in rows])
+            hit = (tuple(pivots), tuple(
+                tuple(a // den if a % den == 0 else Fraction(a, den)
+                      for a in col) for col in zip(*inv)))
             self._dual_cache[cone] = hit
         return hit
-
-    def _solve_dual(self, cone):
-        """dual_basis by elimination: basis_minor picks the pivot columns
-        and scaled_inverse inverts the pivot block."""
-        rows = self.lineality + [self.rays[i] for i in cone]
-        found, pivots = linalg.basis_minor(rows)
-        if len(found) < len(rows):
-            raise FanError("cone %r is not simplicial modulo the "
-                           "lineality" % (cone,))
-        inv, den = linalg.scaled_inverse([[row[p] for p in pivots]
-                                          for row in rows])
-        return pivots, [[a // den if a % den == 0 else Fraction(a, den)
-                         for a in col] for col in zip(*inv)]
 
     def _functional(self, cone, values):
         """The functional m vanishing on the lineality with m(u_j) =
@@ -308,10 +301,32 @@ def _value_on(vector, level, mask):
     return None if mask & ~level[x] else x
 
 
-class FlagFan(Fan):
-    """A fan of bergman_fan: it lists its flats by size, so a cone lists
-    its flag in chain order, and the products and balancing on its cones
-    read the blocks of that flag instead of a dual basis."""
+class _ChainFan(Fan):
+    """A fan of bergman_fan or projective_bundle_fan.  Its constructor
+    lists the labels along a linear extension of the chain order, so a
+    cone, a sorted tuple, lists its chain in order, and the subclasses read
+    the products and balancing on it off the blocks of that chain, with no
+    dual basis.  The inverse of the pivot block of a cone's rows has
+    entries 0 and +-1 (Adiprasito-Huh-Katz), so every cone is unimodular."""
+
+    def cone_multiplicity(self, cone):
+        """1 for any listing of a cone of the fan, with no dual basis."""
+        self._cone(cone)
+        return 1
+
+    def _functional(self, cone, values):
+        """Fan._functional on any listing of a cone of the fan, read off
+        its chain: the values follow their rays to the sorted cone.  The
+        greedy pivot columns of the rows do not depend on their order, so
+        neither does the functional."""
+        key = self._cone(cone)
+        if key is not cone:
+            values = [v for _, v in sorted(zip(cone, values))]
+        return self._chain_functional(key, values)
+
+
+class FlagFan(_ChainFan):
+    """A fan of bergman_fan: it lists its flats by size."""
 
     def _blocks(self, cone):
         """The blocks B_j = F_{j+1} minus F_j, j = 0..k, of the flag
@@ -325,29 +340,11 @@ class FlagFan(Fan):
         out.append(((1 << self.ambient_dim) - 1) & ~E)
         return out
 
-    def _solve_dual(self, cone):
-        """The dual basis of F_1 < ... < F_k read off the blocks B_j: each
-        block's columns are equal, a 1 then j zeros then ones, so the
-        pivots are the m_j = min B_j.  The lineality's functional is
-        v[m_k], and that of e_{F_j} is v[m_{j-1}] - v[m_j]."""
-        low = [_low(B) for B in self._blocks(cone)]
-        pivots = sorted(low)
-        at = [pivots.index(m) for m in low]
-        dual = []
-        for j, p in enumerate(at):
-            f = [0] * len(at)
-            f[p] = 1
-            if j:
-                dual[-1][p] = -1
-            dual.append(f)
-        return pivots, [dual.pop()] + dual
-
-    def _functional(self, cone, values):
-        """On a cone of the fan, m = v_{j+1} - v_j on the pivot min B_j,
-        for v_j the value on e_{F_j} and v_0 = v_{k+1} = 0, so that
-        m(e_G) = sum_j [min B_j in G] (v_{j+1} - v_j)."""
-        if cone not in self.cones:
-            return Fan._functional(self, cone, values)
+    def _chain_functional(self, cone, values):
+        """Each block's columns of the rows are equal, a 1 then j zeros
+        then ones, so the pivots are the min B_j, and m = v_{j+1} - v_j on
+        min B_j, for v_j the value on e_{F_j} and v_0 = v_{k+1} = 0, so
+        that m(e_G) = sum_j [min B_j in G] (v_{j+1} - v_j)."""
         m, prev = [0] * self.ambient_dim, 0
         for B, v in zip(self._blocks(cone), [*values, 0]):
             m[_low(B)] = v - prev
@@ -355,20 +352,16 @@ class FlagFan(Fan):
         return m
 
     def _spans(self, cone, vector):
-        """On a cone of the fan, the span of the all-ones vector and the
-        e_{F_j} is the vectors constant on each block."""
-        if cone not in self.cones:
-            return Fan._spans(self, cone, vector)
+        """The span of the all-ones vector and the e_{F_j} of a cone of the
+        fan is the vectors constant on each block."""
         level = _level_sets(vector)
         return all(_value_on(vector, level, B) is not None
-                   for B in self._blocks(cone))
+                   for B in self._blocks(self._cone(cone)))
 
 
-class BiflagFan(Fan):
+class BiflagFan(_ChainFan):
     """A fan of projective_bundle_fan: it lists its biflats by
-    (|S|, -|F|), so a cone lists its biflag in chain order, and the
-    products and balancing on its cones read the blocks of that biflag
-    instead of a dual basis.
+    (|S|, -|F|).
 
     For the biflag S_1|F_1 < ... < S_k|F_k with the sentinels
     S_0|F_0 = 0|[N] and S_{k+1}|F_{k+1} = [N]|0, the blocks are
@@ -390,74 +383,37 @@ class BiflagFan(Fan):
         out.append((full & ~S0, F0))
         return out
 
-    def _reads(self, cone):
-        """(blocks, read, q, aq): the pivot columns that read the c_j.
-        c_j is v[min A_j] where A_j is nonempty; c_0 = v[q] + v[aq] for q
-        the least column N + min B_j over the blocks with both parts
-        nonempty, in a block whose min A_j is aq; and c_j = c_0 -
-        v[N + min B_j] where A_j is empty.  read lists the pivot of each
-        c_j, j = 1..k+1."""
+    def _chain_functional(self, cone, values):
+        """m = sum_j (v_j - v_{j-1}) c_j, j = 1..k+1, for v_j the value on
+        e_{S_j|F_j} and v_0 = v_{k+1} = 0, with each c_j written on pivot
+        columns: c_j is v[min A_j] where A_j is nonempty; c_0 = v[N + q] +
+        v[aq] for q the least min B_j over the blocks with both parts
+        nonempty, in a block whose min A_j is aq (a cone of the fan has
+        one); and c_j = c_0 - v[N + min B_j] where A_j is empty."""
         N = self.ambient_dim // 2
-        blocks = self._blocks(cone)
-        read, q, aq = [], None, None
-        for A, B in blocks:
+        m, on_c0, prev, q = [0] * self.ambient_dim, 0, 0, None
+        for (A, B), v in zip(self._blocks(cone), [*values, 0]):
             if A:
-                read.append(_low(A))
+                m[_low(A)] = v - prev
                 if B and (q is None or _low(B) < q):
-                    q, aq = _low(B), read[-1]
+                    q, aq = _low(B), _low(A)
             else:
-                read.append(N + _low(B))
-        if q is None:
-            raise FanError("cone %r is not simplicial modulo the "
-                           "lineality" % (cone,))
-        return blocks, read, N + q, aq
-
-    def _solve_dual(self, cone):
-        """The dual basis read off the pivots of `_reads`, with a, b and
-        the g_i in terms of the c_j."""
-        blocks, read, q, aq = self._reads(cone)
-        pivots = sorted(read + [q])
-        at = {p: i for i, p in enumerate(pivots)}
-        c0 = [0] * len(pivots)
-        c0[at[q]] = c0[at[aq]] = 1
-        c = [c0]
-        for (A, _), p in zip(blocks, read):
-            cj = [0] * len(pivots) if A else c0[:]
-            cj[at[p]] = 1 if A else -1
-            c.append(cj)
-        return pivots, [list(map(sub, c0, c[1])), c[-1]] + [
-            list(map(sub, c[i], c[i + 1])) for i in range(1, len(c) - 1)]
-
-    def _functional(self, cone, values):
-        """On a cone of the fan, m = sum_j (v_j - v_{j-1}) c_j, j = 1..k+1,
-        for v_j the value on e_{S_j|F_j} and v_0 = v_{k+1} = 0, with each
-        c_j written on its pivots by `_reads`."""
-        if cone not in self.cones:
-            return Fan._functional(self, cone, values)
-        blocks, read, q, aq = self._reads(cone)
-        m, on_c0, prev = [0] * self.ambient_dim, 0, 0
-        for (A, _), p, v in zip(blocks, read, [*values, 0]):
-            if A:
-                m[p] = v - prev
-            else:
-                m[p] = prev - v
+                m[N + _low(B)] = prev - v
                 on_c0 += v - prev
             prev = v
-        m[q] = on_c0
+        m[N + q] = on_c0
         m[aq] += on_c0
         return m
 
     def _spans(self, cone, vector):
-        """On a cone of the fan, the span of the lineality and the
-        e_{S_j|F_j} is the vectors constant on each A_j and on each N + B_j
-        whose two values add up to the same c_0 on every block with both
-        parts nonempty."""
-        if cone not in self.cones:
-            return Fan._spans(self, cone, vector)
+        """The span of the lineality and the e_{S_j|F_j} of a cone of the
+        fan is the vectors constant on each A_j and on each N + B_j whose
+        two values add up to the same c_0 on every block with both parts
+        nonempty."""
         N = self.ambient_dim // 2
         level = _level_sets(vector)
         c0 = set()
-        for A, B in self._blocks(cone):
+        for A, B in self._blocks(self._cone(cone)):
             x, y = _value_on(vector, level, A), _value_on(vector, level, B << N)
             if x is None or y is None:
                 return False

@@ -16,10 +16,11 @@ telescope to one ratio of pivots, multiplied out when the row is next
 read.  That division is exact because the true entry is a minor
 (Bareiss, "Sylvester's identity and multistep integer-preserving
 Gaussian elimination", Math. Comp. 1968).  The dual bases of the cones
-of a fan built from explicit rays come from basis_minor and
-scaled_inverse; flag and biflag fans read theirs off their chains, with
-no elimination.  Matrices are lists of lists, rows first.  No floating
-point is used anywhere in the package.
+of a fan come from basis_minor and scaled_inverse; flag and biflag fans
+build none, and read their products, balancing and multiplicities off
+their chains.  lattice_index measures their unimodularity in the `fan`
+command and the tests.  Matrices are lists of lists, rows first.  No
+floating point is used anywhere in the package.
 """
 
 from fractions import Fraction

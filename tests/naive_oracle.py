@@ -43,9 +43,9 @@ and divisor products, the degree, the pairing walk and the cap product,
 all over `Fraction` with classes as plain dicts
 cone -> coefficient.  Each cone's dual basis comes from a Gauss-Jordan
 over `Fraction` and its extensions from a scan of every ray, so the
-kernel's integer arithmetic, its cached extension maps and
-`Fan.dual_basis`, read off the chain on flag and biflag fans and
-eliminated on the others, are all checked against it.
+kernel's integer arithmetic, its cached extension maps, the chain reads
+of flag and biflag fans and the elimination of `Fan.dual_basis` are all
+checked against it.
 
 Also the reference chain searches: the flag and biflag cones of the
 Bergman and bundle fans, the gap-free first components and the second

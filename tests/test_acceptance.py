@@ -5,6 +5,7 @@ pytest capture) and then asserts, so a red run still reports every
 criterion it reached.
 """
 
+from chowfans import linalg
 from chowfans.biflags import (SplitBiflag, canonical_expansion,
                               expansion_index, gap_free_firsts, lemma_suite,
                               split_at_first_gap, verify_bundle_identity)
@@ -190,8 +191,9 @@ def test_criterion_8_structural_sanity(capsys):
     ok = True
     for N, M in SUITE:
         fan = projective_bundle_fan(N, M)
-        ok = ok and all(fan.cone_multiplicity(c) == 1
-                        for c in fan.maximal_cones)
+        ok = ok and all(linalg.lattice_index(
+            fan.lineality + [fan.rays[i] for i in c]) == 1
+            for c in fan.maximal_cones)
         ones = {c: 1 for c in fan.maximal_cones}
         ok = ok and check_balanced(fan, fan.top_dim, ones) == []
     for N, want in ((3, 6), (4, 24)):

@@ -5,24 +5,29 @@ with int and rational entries: against the dual-basis path of `Fan` that
 fans built from explicit rays keep, against the Fraction fan-out and
 pairing walk of `naive_oracle`, whose dual bases come from Gauss-Jordan,
 and against balancing by two rank computations per cone.  Also a pin that
-products, caps and balancing on these fans never build a dual basis, and
-the ConeNotInFan raised for a weight off the fan."""
+products, caps, balancing, pairings, the bundle identity, the ring model
+and `chowfans fan` on these fans never build a dual basis, the degree and
+pairings of a top-degree class keyed by a cone listed out of order, and
+the ConeNotInFan raised for a weight or a class off the fan."""
 
+import json
 import re
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chowfans import chow
+from chowfans import chow, cli
+from chowfans.biflags import verify_bundle_identity
 from chowfans.chow import (ChowElement, MinkowskiWeight, cap_product,
                            divisor, fundamental_weight, multiply_by_divisor,
-                           nonzero_pairing_witness)
+                           nonzero_pairing_witness, pair_all)
 from chowfans.fans import (ConeNotInFan, Fan, bergman_fan,
                            bipermutohedral_fan, check_balanced,
                            permutohedral_fan, projective_bundle_fan)
 from chowfans.matroid import (matroid_from_bases, matroid_from_graph,
                               matroid_uniform, pyramid_matroid)
+from chowfans.rings import FanRingModel
 from naive_oracle import (reference_cap_product, reference_fan_out,
                           reference_multiply_by_divisor, reference_pairings)
 from test_kernel import rank_violations
@@ -65,9 +70,10 @@ def fan_of(name):
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_functional_and_span_match_the_dual_basis_path(name, data):
-    """The chain reads equal Fan's dual-basis path on a drawn cone of the
-    fan, on vectors inside and just off its span, and a cone listed out
-    of chain order, which is no cone of the fan, takes that path."""
+    """The chain reads equal Fan's dual-basis path, by elimination, on a
+    drawn cone of the fan, on vectors inside and just off its span, and on
+    the cone listed out of chain order, whose values follow their rays to
+    the sorted cone; a tuple that lists no cone raises ConeNotInFan."""
     fan = fan_of(name)
     cone = data.draw(st.sampled_from(sorted(fan.cones)))
     values = data.draw(st.lists(COEFFS, min_size=len(cone),
@@ -91,6 +97,14 @@ def test_functional_and_span_match_the_dual_basis_path(name, data):
     if len(cone) > 1:
         assert fan._functional(flipped, values) == \
             Fan._functional(fan, flipped, values)
+        assert fan._spans(flipped, drawn) == fan._spans(cone, drawn)
+    bad = data.draw(st.sampled_from([(0, 0)] + [
+        (i, j) for i in range(len(fan.rays)) for j in range(i)
+        if (j, i) not in fan.cones]))
+    with pytest.raises(ConeNotInFan):
+        fan._functional(bad, [1, 1])
+    with pytest.raises(ConeNotInFan):
+        fan._spans(bad, drawn)
 
 
 @FANS
@@ -149,12 +163,27 @@ def test_pairing_walk_matches_fraction_walk(name, data):
         (tau for tau, v in want if v != 0), None)
 
 
-@pytest.mark.parametrize("name", ["bundle-U(2,3)", "bundle-U(3,4)",
-                                  "bundle-parallel-pair", "bergman-pyramid",
-                                  "perm4", "biperm3"])
-def test_products_and_balancing_build_no_dual_basis(monkeypatch, name):
-    """check_balanced, multiply_by_divisor and cap_product on a fresh flag
-    or biflag fan with Fan.dual_basis patched to raise."""
+# the `chowfans fan` arguments that build each fan of the pin below
+FAN_ARGS = {
+    "bundle-U(2,3)": ["--kind", "bundle", "--matroid", '{"uniform": [2, 3]}'],
+    "bundle-U(3,4)": ["--kind", "bundle", "--matroid", '{"uniform": [3, 4]}'],
+    "bundle-parallel-pair": ["--kind", "bundle", "--matroid", json.dumps(
+        {"n": 4, "bases": [[1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]})],
+    "bergman-pyramid": ["--kind", "bergman", "--matroid", json.dumps(
+        {"graph": {"vertices": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 1],
+                                            [1, 5], [2, 5], [3, 5], [4, 5]]}})],
+    "perm4": ["--kind", "permutohedral", "--N", "4"],
+    "biperm3": ["--kind", "bipermutohedral", "--N", "3"],
+}
+
+
+@pytest.mark.parametrize("name", list(FAN_ARGS))
+def test_products_and_balancing_build_no_dual_basis(monkeypatch, capsys,
+                                                    name):
+    """check_balanced, multiply_by_divisor, cap_product, the pairing walk
+    on a top-degree and a degree-1 class, the bundle identity, the ring
+    model of perm(4) and `chowfans fan` on a fresh flag or biflag fan
+    with Fan.dual_basis patched to raise."""
     fan = FAN_BUILDERS[name]()
     a = [i % 3 - 1 for i in range(len(fan.rays))]
     D = divisor(fan, a)
@@ -172,6 +201,41 @@ def test_products_and_balancing_build_no_dual_basis(monkeypatch, name):
     cap = cap_product(weight, D)
     assert cap.values == reference_cap_product(fan, fan.top_dim,
                                                weight.values, a)
+    top = ChowElement(fan, fan.top_dim, {c: 2 for c in fan.maximal_cones[:2]})
+    assert pair_all(top) == {(): 4}
+    assert nonzero_pairing_witness(top) == ()
+    pairings = pair_all(D)
+    assert nonzero_pairing_witness(D) == next(
+        (tau for tau, v in pairings.items() if v), None)
+    if name.startswith("bundle"):
+        M = cli.load_matroid(FAN_ARGS[name][-1])
+        assert verify_bundle_identity(M.n, M, fan=fan)["status"] == "pass"
+    if name == "perm4":
+        model = FanRingModel(fan)
+        assert [model.dim(k) for k in range(model.top + 1)] == [1, 11, 11, 1]
+    assert cli.main(["fan", *FAN_ARGS[name]]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["unimodular"] and report["balanced"]
+
+
+def test_top_degree_class_keyed_out_of_order():
+    """On the bundle fan of U(2,3), (6, 3, 0) lists the maximal cone
+    (0, 3, 6) out of order: a class keyed by it has that cone's degree and
+    pairings, and a key that lists no cone raises ConeNotInFan."""
+    fan = projective_bundle_fan(3, matroid_uniform(2, 3))
+    assert (0, 3, 6) in fan.maximal_cones
+    flipped = ChowElement(fan, 3, {(6, 3, 0): 1})
+    assert chow.degree(flipped) == 1
+    assert pair_all(flipped) == {(): 1}
+    assert nonzero_pairing_witness(flipped) == ()
+    D = divisor(fan, [i % 3 - 1 for i in range(len(fan.rays))])
+    assert multiply_by_divisor(ChowElement(fan, 2, {(3, 0): 1}), D).terms \
+        == multiply_by_divisor(ChowElement(fan, 2, {(0, 3): 1}), D).terms
+    for bad in [(0, 0, 3), (6, 0, 0)]:
+        elem = ChowElement(fan, 3, {bad: 1})
+        for fn in (chow.degree, pair_all, nonzero_pairing_witness):
+            with pytest.raises(ConeNotInFan):
+                fn(elem)
 
 
 @pytest.mark.parametrize("key", [(0, 99), (0,), (3, 0), (0, 1), (0, 3, 5)])

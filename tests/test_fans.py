@@ -87,14 +87,32 @@ def test_all_suite_fans_unimodular():
             projective_bundle_fan(4, matroid_uniform(3, 4))]
     for fan in fans:
         for cone in fan.maximal_cones:
-            assert fan.cone_multiplicity(cone) == 1
+            rows = fan.lineality + [fan.rays[i] for i in cone]
+            assert linalg.lattice_index(rows) == 1
+
+
+def test_cone_chain_lists_each_cone_as_a_chain():
+    """The constructors list the labels along a linear extension of the
+    chain order, so ascending ray index lists every cone, in any order,
+    as a chain: by inclusion of flats, or `is_chain` of biflats."""
+    def flag(chain):
+        return all(F != G and F & ~G == 0 for F, G in zip(chain, chain[1:]))
+
+    for fan, is_a_chain in [
+            (permutohedral_fan(4), flag), (bipermutohedral_fan(3), is_chain),
+            (projective_bundle_fan(4, matroid_uniform(3, 4)), is_chain)]:
+        for cone in fan.cones:
+            chain = fan.cone_chain(cone[::-1])
+            assert sorted(chain) == sorted(fan.ray_labels[i] for i in cone)
+            assert is_a_chain(list(chain)), chain
 
 
 def test_multiplicity_from_the_dual_basis_matches_lattice_index():
-    """A cone whose dual basis is integral has multiplicity 1 without
-    lattice_index's gcd of maximal minors; on every cone of five fans, and
-    on the custom fan with a cone of multiplicity 2, the result is
-    lattice_index's."""
+    """Flag and biflag fans answer multiplicity 1 for every cone by
+    construction, and a fan built from explicit rays answers 1 for a cone
+    whose dual basis is integral, without lattice_index's gcd of maximal
+    minors; on every cone of five chain fans, and on the custom fan with a
+    cone of multiplicity 2, the result is lattice_index's."""
     fans = [permutohedral_fan(4), bipermutohedral_fan(3),
             bergman_fan(pyramid_matroid()),
             projective_bundle_fan(4, matroid_uniform(3, 4)),
