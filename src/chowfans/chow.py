@@ -255,25 +255,26 @@ def pair(elem, tau):
 
 def _pairings(elem):
     """Walk the complementary-dimension cones in ray order, sharing the
-    products of a common prefix of rays, and yield (cone, pairing) for each
-    cone reached, the pairing an int when it is integral.  A prefix whose
-    product vanishes is cut off, so the cones below it, which pair to 0,
-    are never yielded.  x_sigma x_rho vanishes unless rho lies in sigma or
-    extends it, so one pass over a node's terms files each term under
-    those rays; the children are then built one at a time, in ascending
-    ray order, each from its own terms, and dropped after their subtree."""
+    products of a common prefix of rays, and yield (cone, pairing), an int
+    when integral, for each cone that pairs nonzero.  x_sigma x_rho
+    vanishes unless rho lies in sigma or extends it, so one pass over a
+    node's terms files each term under those rays; the children are built
+    one at a time, in ascending ray order, each from its own terms, and a
+    vanishing one cuts off its subtree.  A leaf prefix + (rho,) pairs to
+    the sum of c deg(x_sigma x_rho) over the terms (sigma, c) filed under
+    rho, read from the fan's leaf table (`Fan._top_degrees`), which every
+    walk on the fan fills on first use and shares."""
     fan = elem.fan
     k = fan.top_dim - elem.degree
     if k < 0:
         raise DegreeMismatch("element degree above top dimension")
-    nrays = len(fan.rays)
+    if k == 0:
+        v = _degree(elem)
+        return iter([((), v)] if v and () in fan.cones else [])
+    nrays, table = len(fan.rays), fan._top_degrees
 
     def walk(cur_elem, prefix, next_ray):
         depth = len(prefix)
-        if depth == k:
-            if prefix in fan.cones:
-                yield prefix, _degree(cur_elem)
-            return
         stop = nrays - (k - depth - 1)
         by_ray = {}
         for cone, c in cur_elem.terms.items():
@@ -281,9 +282,21 @@ def _pairings(elem):
                 if next_ray <= rho < stop:
                     by_ray.setdefault(rho, []).append((cone, c))
         for rho in sorted(by_ray):
-            nxt = _ray_product(fan, cur_elem.degree + 1, rho, by_ray.pop(rho))
-            if not nxt.is_empty():
-                yield from walk(nxt, prefix + (rho,), rho + 1)
+            terms, tau = by_ray.pop(rho), prefix + (rho,)
+            if depth < k - 1:
+                nxt = _ray_product(fan, cur_elem.degree + 1, rho, terms)
+                if not nxt.is_empty():
+                    yield from walk(nxt, tau, rho + 1)
+            elif tau in fan.cones:
+                v = 0
+                for sigma, c in terms:
+                    d = table.get((sigma, rho))
+                    if d is None:
+                        d = table[sigma, rho] = _degree(_ray_product(
+                            fan, fan.top_dim, rho, [(sigma, 1)]))
+                    v += c * d
+                if v:
+                    yield tau, _exact(v)
     return walk(elem, (), 0)
 
 
@@ -309,7 +322,7 @@ def nonzero_pairing_witness(elem):
     with elem, or None."""
     if elem.degree > elem.fan.top_dim:
         return None
-    return next((tau for tau, v in _pairings(elem) if v != 0), None)
+    return next((tau for tau, _ in _pairings(elem)), None)
 
 
 def _pairing_matrix(fan, k):

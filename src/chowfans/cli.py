@@ -216,6 +216,8 @@ def cmd_kahler(args):
 def cmd_bloch_gieseker(args):
     M = load_matroid(args.matroid) if args.matroid else None
     N = ground_set_size(args, M)
+    if M is None and N < 2:
+        raise SystemExit2("the default matroid U(2, N) needs --N >= 2")
     check_model_size(N)
     if M is None:
         M = matroid_uniform(2, N)

@@ -115,8 +115,9 @@ def walk_chains(succ, roots, keep, max_len):
     """Every chain i_1 < ... < i_k with 1 <= k <= max_len, i_1 in roots and
     each i_{t+1} in succ[i_t], whose every prefix passes keep(prefix), as
     tuples in DFS pre-order: a chain comes right before its extensions, in
-    the order of its successor list.  keep sees the growing chain, whose
-    proper prefixes have passed, so it need only judge its newest element."""
+    the order of its successor list.  keep is called on a chain only right
+    after its prefix passed, so it need only judge the newest element and
+    may keep one flag per depth for the prefix."""
     chain = []
     stack = [iter(roots)] if max_len > 0 else []
     while stack:
@@ -156,6 +157,7 @@ class Fan:
         self.maximal_cones = list(self.cones_of_dim(self.top_dim))
         self.weight = {c: 1 for c in self.maximal_cones}
         self._extensions = None
+        self._top_degrees = {}  # deg(x_sigma x_rho) by (sigma, rho)
         self._mult_cache = {}
         self._dual_cache = {}
 
@@ -247,15 +249,22 @@ class Fan:
                     m[p] += v * x
         return m
 
-    def _spans(self, cone, vector):
-        """Whether vector lies in the span of the lineality and the rays of
-        cone: its coordinates against them, read off dual_basis(cone),
-        reproduce it, so the residual vanishes; it does on the pivot
-        coordinates by construction."""
-        pivots, dual = self.dual_basis(cone)
-        at_pivots = [vector[p] for p in pivots]
-        rest = vector
-        for f, row in zip(dual, self.lineality + [self.rays[i] for i in cone]):
+    def _balanced_at(self, tau, weights):
+        """Whether the sum of w u_rho over the extensions sigma = tau + {rho}
+        with a weight w = weights[sigma] lies in the span of the lineality
+        and the rays of tau: its coordinates against them, read off
+        dual_basis(tau), reproduce it, so the residual vanishes; it does on
+        the pivot coordinates by construction."""
+        rest = [0] * self.ambient_dim
+        for rho, sigma in self._extension_map(tau).items():
+            w = weights.get(sigma)
+            if w:
+                rest = [t + w * x for t, x in zip(rest, self.rays[rho])]
+        if not any(rest):
+            return True
+        pivots, dual = self.dual_basis(tau)
+        at_pivots = [rest[p] for p in pivots]
+        for f, row in zip(dual, self.lineality + [self.rays[i] for i in tau]):
             c = sum(map(mul, f, at_pivots))
             if c:
                 rest = [x - c * y for x, y in zip(rest, row)]
@@ -283,22 +292,22 @@ def _low(mask):
     return (mask & -mask).bit_length() - 1
 
 
-def _level_sets(vector):
-    """{x: the mask of the coordinates i with vector[i] = x}."""
-    level = {}
-    for i, x in enumerate(vector):
-        level[x] = level.get(x, 0) | 1 << i
-    return level
-
-
-def _value_on(vector, level, mask):
-    """The value of vector on the coordinates in mask if it is the same on
-    all of them, 0 for an empty mask, else None; level is
-    `_level_sets(vector)`."""
-    if not mask:
-        return 0
-    x = vector[_low(mask)]
-    return None if mask & ~level[x] else x
+def _sum_on(block, parts):
+    """The sum of the w over the (mask, w) in parts whose mask holds e, if
+    it is the same at every e in block, 0 for an empty block, else None."""
+    value = None
+    while block:
+        e = block & -block
+        block ^= e
+        x = 0
+        for mask, w in parts:
+            if mask & e:
+                x += w
+        if value is None:
+            value = x
+        elif x != value:
+            return None
+    return value or 0
 
 
 class _ChainFan(Fan):
@@ -323,6 +332,18 @@ class _ChainFan(Fan):
         if key is not cone:
             values = [v for _, v in sorted(zip(cone, values))]
         return self._chain_functional(key, values)
+
+    def _slots(self, tau, weights):
+        """The blocks of tau's chain, and {j: [(label of rho, w)]} over the
+        extensions sigma = tau + {rho} of weight w = weights[sigma] != 0 by
+        slot j = sigma.index(rho): u_rho is constant off block j."""
+        tau = self._cone(tau)
+        labels, slots = self.ray_labels, {}
+        for rho, sigma in self._extension_map(tau).items():
+            w = weights.get(sigma)
+            if w:
+                slots.setdefault(sigma.index(rho), []).append((labels[rho], w))
+        return self._blocks(tau), slots
 
 
 class FlagFan(_ChainFan):
@@ -351,12 +372,12 @@ class FlagFan(_ChainFan):
             prev = v
         return m
 
-    def _spans(self, cone, vector):
-        """The span of the all-ones vector and the e_{F_j} of a cone of the
-        fan is the vectors constant on each block."""
-        level = _level_sets(vector)
-        return all(_value_on(vector, level, B) is not None
-                   for B in self._blocks(self._cone(cone)))
+    def _balanced_at(self, tau, weights):
+        """Fan._balanced_at read off tau's chain: its span is the vectors
+        constant on each block, as slot j's sum w [e in G] must be on B_j."""
+        blocks, slots = self._slots(tau, weights)
+        return all(_sum_on(blocks[j], parts) is not None
+                   for j, parts in slots.items())
 
 
 class BiflagFan(_ChainFan):
@@ -405,20 +426,25 @@ class BiflagFan(_ChainFan):
         m[aq] += on_c0
         return m
 
-    def _spans(self, cone, vector):
-        """The span of the lineality and the e_{S_j|F_j} of a cone of the
-        fan is the vectors constant on each A_j and on each N + B_j whose
-        two values add up to the same c_0 on every block with both parts
-        nonempty."""
-        N = self.ambient_dim // 2
-        level = _level_sets(vector)
-        c0 = set()
-        for A, B in self._blocks(self._cone(cone)):
-            x, y = _value_on(vector, level, A), _value_on(vector, level, B << N)
+    def _balanced_at(self, tau, weights):
+        """Fan._balanced_at read off tau's chain: the span of the lineality
+        and the e_{S_j|F_j} of tau is the vectors constant on each A_j and
+        on each N + B_j whose two values add up to the same c_0 on every
+        block with both parts nonempty.  An extension S|F adds w to that
+        total off its slot, so on slot j X_j = sum w [e in S] on A_j and
+        Y_j = sum w [e in F] on B_j must be constant, and X_j + Y_j - W_j,
+        W_j = sum w, the same on every such block: 0 on an empty slot."""
+        blocks, slots = self._slots(tau, weights)
+        c0 = {0 for j, (A, B) in enumerate(blocks)
+              if A and B and j not in slots}
+        for j, parts in slots.items():
+            A, B = blocks[j]
+            x = _sum_on(A, [(S, w) for (S, _), w in parts])
+            y = _sum_on(B, [(F, w) for (_, F), w in parts])
             if x is None or y is None:
                 return False
             if A and B:
-                c0.add(x + y)
+                c0.add(x + y - sum(w for _, w in parts))
         return len(c0) <= 1
 
 
@@ -490,11 +516,19 @@ def projective_bundle_fan(N, M, family="projective_bundle"):
         raise LoopyMatroid("projective bundle fan needs a loopless matroid")
     full = M.full
     labels, succ = biflat_poset(M)
-    # the cones are the chains with a gap; no extension of a gap-free
-    # chain acquires one, so the walk may stop at gap-free chains
-    cones = [()] + list(walk_chains(
-        succ, range(len(labels)),
-        lambda chain: _gaps(full, [labels[i] for i in chain]), len(labels)))
+    # the cones are the chains with a gap, so the walk may stop at gap-free
+    # chains.  p_1 < ... < p_d has one iff its prefix has one below p_{d-1}
+    # (inner[d - 1]), S_{d-1} | F_d != [N] (S_0 = 0) or S_d != [N]
+    inner = [False] * (len(labels) + 1)
+
+    def has_gap(chain):
+        d, (S, F) = len(chain), labels[chain[-1]]
+        below = labels[chain[-2]][0] if d > 1 else 0
+        inner[d] = inner[d - 1] or (below | F) != full
+        return inner[d] or S != full
+
+    cones = [()] + list(walk_chains(succ, range(len(labels)), has_gap,
+                                    len(labels)))
     rays = [_indicator(N, S) + _indicator(N, F) for S, F in labels]
     lin = [[0] * N + [1] * N, [1] * N + [0] * N]
     return BiflagFan(2 * N, lin, rays, labels, cones, family)
@@ -507,7 +541,7 @@ def bipermutohedral_fan(N):
 def check_balanced(fan, dim, values):
     """Balancing of a rational weight on the dim-cones: around every
     (dim-1)-cone tau, the weighted sum of the extending ray generators must
-    lie in span(tau) + lineality (`Fan._spans`).  Returns a list of
+    lie in span(tau) + lineality (`Fan._balanced_at`).  Returns a list of
     violating cones, and raises ConeNotInFan for a key that is not a
     dim-cone of the fan."""
     if dim < 0 or dim > fan.top_dim:
@@ -526,14 +560,5 @@ def check_balanced(fan, dim, values):
     scale = lcm(1, *(v.denominator for v in values.values()))
     weights = {c: v.numerator * (scale // v.denominator)
                for c, v in values.items()}
-    rays = fan.rays
-    violations = []
-    for tau in fan.cones_of_dim(dim - 1):
-        total = [0] * fan.ambient_dim
-        for rho, sigma in fan._extension_map(tau).items():
-            w = weights.get(sigma)
-            if w is not None:
-                total = [t + w * x for t, x in zip(total, rays[rho])]
-        if any(total) and not fan._spans(tau, total):
-            violations.append(tau)
-    return violations
+    return [tau for tau in fan.cones_of_dim(dim - 1)
+            if not fan._balanced_at(tau, weights)]

@@ -741,13 +741,16 @@ def reference_bergman_cones(M):
 
 def reference_bundle_cones(M):
     """The cones of the bundle fan of M: chains of proper biflats with a
-    gap, as index tuples into `proper_biflats(M)`."""
+    gap, each tested as a whole chain (`_gaps`), as index tuples into
+    `proper_biflats(M)`.  A depth-first scan of the labels in order, so
+    the list is in the DFS pre-order of `fans.walk_chains`, the empty
+    chain first."""
     labels = proper_biflats(M)
     index = {p: i for i, p in enumerate(labels)}
-    cones = set()
+    cones = []
 
     def extend(chain):
-        cones.add(tuple(sorted(index[p] for p in chain)))
+        cones.append(tuple(index[p] for p in chain))
         for p in labels:
             if chain and not _above(chain[-1], p):
                 continue

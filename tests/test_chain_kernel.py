@@ -1,10 +1,11 @@
 """Differential tests for the products and balancing that flag and biflag
-fans read off the chains of their cones (`_functional` and `_spans` of
-`FlagFan` and `BiflagFan`), on hypothesis-drawn cones, values and weights
-with int and rational entries: against the dual-basis path of `Fan` that
-fans built from explicit rays keep, against the Fraction fan-out and
-pairing walk of `naive_oracle`, whose dual bases come from Gauss-Jordan,
-and against balancing by two rank computations per cone.  Also a pin that
+fans read off the chains of their cones (`_functional` and `_balanced_at`
+of `FlagFan` and `BiflagFan`), on hypothesis-drawn cones, values and
+weights with int and rational entries: against the dual-basis path of
+`Fan` that fans built from explicit rays keep, against the Fraction
+fan-out and pairing walk of `naive_oracle`, whose dual bases come from
+Gauss-Jordan, and against balancing by two rank computations per cone.
+Also the pairing walk's leaf table of top degrees, and a pin that
 products, caps, balancing, pairings, the bundle identity, the ring model
 and `chowfans fan` on these fans never build a dual basis, the degree and
 pairings of a top-degree class keyed by a cone listed out of order, and
@@ -28,8 +29,11 @@ from chowfans.fans import (ConeNotInFan, Fan, bergman_fan,
 from chowfans.matroid import (matroid_from_bases, matroid_from_graph,
                               matroid_uniform, pyramid_matroid)
 from chowfans.rings import FanRingModel
-from naive_oracle import (reference_cap_product, reference_fan_out,
-                          reference_multiply_by_divisor, reference_pairings)
+from naive_oracle import (reference_cap_product, reference_degree,
+                          reference_fan_out, reference_multiply_by_divisor,
+                          reference_multiply_by_ray, reference_pair_all,
+                          reference_pairings)
+from test_chow_kernel import non_unimodular_fan
 from test_kernel import rank_violations
 
 
@@ -55,15 +59,17 @@ FAN_BUILDERS = {
 FANS = pytest.mark.parametrize("name", list(FAN_BUILDERS))
 # bipermutohedral(4) has 23,917 cones: the rank reference takes 12 s on it,
 # so it and the Fraction walk stay off it
-REFERENCE_FANS = pytest.mark.parametrize(
-    "name", [n for n in FAN_BUILDERS if n != "bundle-U(4,4)"])
+REFERENCE_NAMES = [n for n in FAN_BUILDERS if n != "bundle-U(4,4)"]
+REFERENCE_FANS = pytest.mark.parametrize("name", REFERENCE_NAMES)
+# a fan built from explicit rays, whose cone (0, 1) has multiplicity 2
+OTHER_FANS = {"non-unimodular": non_unimodular_fan}
 
 COEFFS = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
 
 
 @lru_cache(maxsize=None)
 def fan_of(name):
-    return FAN_BUILDERS[name]()
+    return {**FAN_BUILDERS, **OTHER_FANS}[name]()
 
 
 @FANS
@@ -71,40 +77,43 @@ def fan_of(name):
 @given(data=st.data())
 def test_functional_and_span_match_the_dual_basis_path(name, data):
     """The chain reads equal Fan's dual-basis path, by elimination, on a
-    drawn cone of the fan, on vectors inside and just off its span, and on
-    the cone listed out of chain order, whose values follow their rays to
-    the sorted cone; a tuple that lists no cone raises ConeNotInFan."""
+    drawn cone of the fan: the functional, and balancing around the cone
+    of drawn weights on its extensions and, around a (top-1)-cone, of the
+    fundamental weight, balanced, and of that weight with one drawn
+    change; also on the cone listed out of chain order, whose values
+    follow their rays to the sorted cone; a tuple that lists no cone
+    raises ConeNotInFan."""
     fan = fan_of(name)
     cone = data.draw(st.sampled_from(sorted(fan.cones)))
     values = data.draw(st.lists(COEFFS, min_size=len(cone),
                                 max_size=len(cone)))
     assert fan._functional(cone, values) == \
         Fan._functional(fan, cone, values)
-    rows = fan.lineality + [fan.rays[i] for i in cone]
-    coords = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows),
-                                max_size=len(rows)))
-    inside = [sum(c * row[i] for c, row in zip(coords, rows))
-              for i in range(fan.ambient_dim)]
-    off = list(inside)
-    off[data.draw(st.integers(0, fan.ambient_dim - 1))] += \
-        data.draw(st.integers(1, 2))
-    drawn = data.draw(st.lists(st.integers(-1, 1), min_size=fan.ambient_dim,
-                               max_size=fan.ambient_dim))
-    assert fan._spans(cone, inside) and Fan._spans(fan, cone, inside)
-    for vector in (off, drawn):
-        assert fan._spans(cone, vector) == Fan._spans(fan, cone, vector)
+    extensions = list(fan._extension_map(cone).values())
+    drawn = {sigma: data.draw(COEFFS) for sigma in extensions}
+    weights = [drawn]
+    if len(cone) == fan.top_dim - 1:
+        fundamental = {sigma: fan.weight[sigma] for sigma in extensions}
+        assert fan._balanced_at(cone, fundamental)
+        assert Fan._balanced_at(fan, cone, fundamental)
+        changed = dict(fundamental)
+        changed[data.draw(st.sampled_from(extensions))] += data.draw(COEFFS)
+        weights.append(changed)
+    for w in weights:
+        assert fan._balanced_at(cone, w) == Fan._balanced_at(fan, cone, w)
     flipped = cone[::-1]
     if len(cone) > 1:
         assert fan._functional(flipped, values) == \
             Fan._functional(fan, flipped, values)
-        assert fan._spans(flipped, drawn) == fan._spans(cone, drawn)
+        assert fan._balanced_at(flipped, drawn) == \
+            fan._balanced_at(cone, drawn)
     bad = data.draw(st.sampled_from([(0, 0)] + [
         (i, j) for i in range(len(fan.rays)) for j in range(i)
         if (j, i) not in fan.cones]))
     with pytest.raises(ConeNotInFan):
         fan._functional(bad, [1, 1])
     with pytest.raises(ConeNotInFan):
-        fan._spans(bad, drawn)
+        fan._balanced_at(bad, drawn)
 
 
 @FANS
@@ -145,11 +154,38 @@ def test_balancing_matches_rank_reference(name, data):
 
 
 @REFERENCE_FANS
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_balancing_per_slot_matches_the_dense_residual(name, data):
+    """In every dimension, a balanced weight (the fundamental weight
+    capped with drawn divisors, scaled by a drawn int or Fraction) with
+    drawn int and Fraction changes on a few cones: check_balanced, which
+    reads each slot of a chain fan on its own block, lists the cones at
+    which Fan's dense sum leaves a residual against the dual basis."""
+    fan = fan_of(name)
+    weight = fundamental_weight(fan)
+    for dim in range(fan.top_dim, 0, -1):
+        if dim < fan.top_dim:
+            a = data.draw(st.lists(st.integers(-2, 2), min_size=len(fan.rays),
+                                   max_size=len(fan.rays)))
+            weight = cap_product(weight, divisor(fan, a))
+        scale = data.draw(COEFFS)
+        values = {c: scale * v for c, v in weight.values.items()}
+        for c in data.draw(st.lists(st.sampled_from(fan.cones_of_dim(dim)),
+                                    max_size=3, unique=True)):
+            values[c] = values.get(c, 0) + data.draw(COEFFS)
+        assert check_balanced(fan, dim, values) == [
+            tau for tau in fan.cones_of_dim(dim - 1)
+            if not Fan._balanced_at(fan, tau, values)]
+
+
+@REFERENCE_FANS
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
 def test_pairing_walk_matches_fraction_walk(name, data):
     """The walk yields the cones and pairings of the Fraction walk over
-    every ray, in its order, so the witness is its first nonzero."""
+    every ray that pair nonzero, in its order, so the witness is its
+    first nonzero; zero pairings are not yielded."""
     fan = fan_of(name)
     # the Fraction walk tries every ray at every depth up to 4
     k = data.draw(st.integers(max(0, fan.top_dim - 4), fan.top_dim))
@@ -158,9 +194,43 @@ def test_pairing_walk_matches_fraction_walk(name, data):
     terms = {c: data.draw(COEFFS) for c in cones}
     elem = ChowElement(fan, k, terms)
     want = list(reference_pairings(fan, k, terms))
-    assert list(chow._pairings(elem)) == want
+    assert list(chow._pairings(elem)) == [(tau, v) for tau, v in want if v]
     assert nonzero_pairing_witness(elem) == next(
         (tau for tau, v in want if v != 0), None)
+
+
+@pytest.mark.parametrize("name", REFERENCE_NAMES + list(OTHER_FANS))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_pairings_through_the_leaf_table_match_fraction_walk(name, data):
+    """pair_all of a drawn class and drawn rows of the pairing matrix equal
+    the Fraction walk's, with the leaf table of top degrees shared by every
+    walk on the fan, and filled by earlier examples; the table holds only
+    keys (sigma, rho) for a (top-1)-cone sigma that rho lies in or
+    extends, and their top degrees deg(x_sigma x_rho)."""
+    fan = fan_of(name)
+    k = data.draw(st.integers(max(0, fan.top_dim - 4), fan.top_dim))
+    cones = fan.cones_of_dim(k)
+    terms = {c: data.draw(COEFFS) for c in data.draw(st.lists(
+        st.sampled_from(cones), min_size=1, max_size=3, unique=True))}
+    assert pair_all(ChowElement(fan, k, terms)) == \
+        reference_pair_all(fan, k, terms)
+    rows, cols, mat = chow._pairing_matrix(fan, k)
+    for sigma in data.draw(st.lists(st.sampled_from(rows), min_size=1,
+                                    max_size=2, unique=True)):
+        want = reference_pair_all(fan, k, {sigma: 1})
+        assert mat[rows.index(sigma)] == [want[tau] for tau in cols]
+    facets = set(fan.cones_of_dim(fan.top_dim - 1))
+    for sigma, rho in fan._top_degrees:
+        assert sigma in facets
+        assert rho in sigma or rho in fan._extension_map(sigma)
+    # the table grows over the examples, so the draw must not see it
+    i = data.draw(st.integers(0, 10 ** 6))
+    if fan._top_degrees:
+        keys = sorted(fan._top_degrees)
+        sigma, rho = keys[i % len(keys)]
+        assert fan._top_degrees[sigma, rho] == reference_degree(
+            fan, reference_multiply_by_ray(fan, {sigma: 1}, rho))
 
 
 # the `chowfans fan` arguments that build each fan of the pin below

@@ -123,7 +123,28 @@ def test_gap_free_firsts_match_breadth_first_search(name):
 ], ids=["perm4", "bergman-pyramid", "bergman-K4", "biperm3", "bundle-U(2,4)",
         "bundle-U(3,4)", "bundle-U(3,5)"])
 def test_fan_cones_match_the_label_scan(build, reference):
-    assert build().cones == reference()
+    assert build().cones == set(reference())
+
+
+BUNDLE_WALKS = {
+    **{"U(%d,%d)" % (r, N): (lambda r=r, N=N: projective_bundle_fan(
+        N, matroid_uniform(r, N)), lambda r=r, N=N: matroid_uniform(r, N))
+       for N in range(2, 6) for r in range(1, min(N, 3) + 1)},
+    "parallel-pair": (lambda: projective_bundle_fan(4, parallel_pair()),
+                      parallel_pair),
+    **{"biperm%d" % N: (lambda N=N: bipermutohedral_fan(N),
+                        lambda N=N: matroid_uniform(N, N)) for N in (3, 4)},
+}
+
+
+@pytest.mark.parametrize("name", list(BUNDLE_WALKS))
+def test_bundle_fan_walk_lists_the_label_scan_in_order(monkeypatch, name):
+    """projective_bundle_fan tests only the newest link of each chain for a
+    gap, with one flag per depth for its prefix; it hands its fan the same
+    cones, in the same order, as a scan that tests every whole chain."""
+    build, matroid = BUNDLE_WALKS[name]
+    monkeypatch.setattr(fans, "BiflagFan", lambda *args: args[4])
+    assert build() == reference_bundle_cones(matroid())
 
 
 def test_walk_yields_prefixes_first_and_respects_the_bound():

@@ -159,6 +159,16 @@ def test_bloch_gieseker_rank_above_base_dimension(capsys):
     assert "1/2 checks passed" in err
 
 
+def test_bloch_gieseker_default_matroid_needs_two_elements(capsys):
+    """Without --matroid the matroid is U(2, N), so --N 1 is bad input: the
+    message names that default and the least N it takes."""
+    code, lines, err = run(capsys, ["bloch-gieseker", "--N", "1"])
+    assert code == 2
+    assert lines == []
+    assert err == "error: the default matroid U(2, N) needs --N >= 2\n"
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("descriptor", [
     "null",
     "[1, 2]",
@@ -183,6 +193,8 @@ BAD_ARGUMENTS = {
     "bipermutohedral-without-N": ["fan", "--kind", "bipermutohedral"],
     "bloch-gieseker-without-matroid-or-N": ["bloch-gieseker"],
     "zero-denominator-twist": ["bloch-gieseker", "--N", "3", "--lams", "1/0"],
+    "bloch-gieseker-default-matroid-on-one-element": ["bloch-gieseker",
+                                                      "--N", "1"],
     "bundle-fan-N-mismatch": ["fan", "--kind", "bundle", "--matroid", U23,
                               "--N", "4"],
     "kahler-N-mismatch": ["kahler", "--matroid", U23, "--N", "4"],
