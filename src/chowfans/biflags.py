@@ -416,12 +416,10 @@ def verify_bundle_identity(N, M, fan=None):
     cs = elementary_symmetric_products(us)
     delta = sd["delta"]
 
-    e1 = ChowElement(fan, r)
-    for i in range(0, r + 1):
-        term = cs[i]
-        for _ in range(r - i):
-            term = multiply_by_divisor(term, delta)
-        e1 = e1 + term
+    # sum_i c_i delta^(r-i) by Horner, apart from the product e2
+    e1 = cs[0]
+    for c in cs[1:]:
+        e1 = multiply_by_divisor(e1, delta) + c
 
     e2 = unit_class(fan)
     for j in range(1, r + 1):

@@ -12,7 +12,7 @@ in ints.  degree, pair and pair_all return Fractions.
 from fractions import Fraction
 from operator import mul
 
-from .fans import check_balanced
+from .fans import ConeNotInFan, check_balanced
 
 
 SUPPORTED_FAMILIES = ("permutohedral", "bergman", "bipermutohedral",
@@ -57,13 +57,17 @@ def _exact(c):
 
 
 class ChowElement:
-    """Degree-k class written as a sum of square-free cone monomials."""
+    """Degree-k class written as a sum of square-free cone monomials, keyed
+    by sorted cones: a key may list its k-cone in any order."""
 
     def __init__(self, fan, degree, terms=None):
         self.fan = fan
         self.degree = degree
         self.terms = {}
         if terms:
+            if not (fan.cones.issuperset(terms)
+                    and set(map(len, terms)) == {degree}):
+                terms = _by_sorted_cone(fan, degree, terms)
             for cone, c in terms.items():
                 c = _exact(c)
                 if c:
@@ -73,12 +77,7 @@ class ChowElement:
         if self.fan is not other.fan or self.degree != other.degree:
             raise FanMismatch("cannot add classes of different fans or degrees")
         out = dict(self.terms)
-        for cone, c in other.terms.items():
-            v = out.get(cone, 0) + c
-            if v:
-                out[cone] = v
-            elif cone in out:
-                del out[cone]
+        _accumulate(out, 1, other.terms.items())
         return ChowElement(self.fan, self.degree, out)
 
     def __sub__(self, other):
@@ -96,6 +95,19 @@ class ChowElement:
 
     def __repr__(self):
         return "ChowElement(deg=%d, %d terms)" % (self.degree, len(self.terms))
+
+
+def _by_sorted_cone(fan, degree, terms):
+    """terms keyed by the sorted cones their keys list, listings of one
+    cone added up; ConeNotInFan for a key that lists no degree-cone."""
+    out = {}
+    for key, c in terms.items():
+        cone = fan._cone(key)
+        if len(cone) != degree:
+            raise ConeNotInFan("%r is not a %d-cone of this fan"
+                               % (key, degree))
+        out[cone] = out.get(cone, 0) + _exact(c)
+    return out
 
 
 class MinkowskiWeight:
@@ -161,9 +173,9 @@ def _fan_out(fan, cone, values, a=None):
     """x_cone * D as pairs (cone + rho, a_rho - m(u_rho)) over the rays rho
     extending cone, zero coefficients dropped (Adiprasito-Huh-Katz).  m is
     the functional vanishing on the lineality with m(u_j) = values[j] on
-    the j-th ray of cone (`Fan._functional`: on flag and biflag fans read
-    off the chain of any listing of a cone of the fan, with no dual basis;
-    on other fans from `Fan.dual_basis`); a lists D's coefficients by ray,
+    the j-th ray of the sorted cone (`Fan._functional`: on flag and biflag
+    fans read off its chain, with no dual basis; on other fans from
+    `Fan.dual_basis`); a lists D's coefficients by ray,
     None for a D supported on the cone."""
     m = fan._functional(cone, values)
     rays = fan.rays
@@ -198,13 +210,14 @@ def multiply_by_divisor(elem, D):
 
 def multiply_by_ray(elem, rho):
     """elem * x_rho, with the cheap path for cones not containing rho."""
-    return _ray_product(elem.fan, elem.degree + 1, rho, elem.terms.items())
+    return ChowElement(elem.fan, elem.degree + 1,
+                       _ray_product(elem.fan, rho, elem.terms.items()))
 
 
-def _ray_product(fan, degree, rho, terms):
-    """x_rho times the sum of the (cone, c) terms, a degree-`degree`
-    ChowElement: a fan-out for a cone containing rho, the cone one ray
-    larger for a cone that rho extends, nothing for any other cone."""
+def _ray_product(fan, rho, terms):
+    """The terms of x_rho times the sum of the (cone, c) terms: a fan-out
+    for a cone containing rho, the cone one ray larger for a cone that rho
+    extends, nothing for any other cone."""
     out = {}
     for cone, c in terms:
         if rho in cone:
@@ -214,7 +227,7 @@ def _ray_product(fan, degree, rho, terms):
             sigma = fan._extension_map(cone).get(rho)
             if sigma is not None:
                 _accumulate(out, c, [(sigma, 1)])
-    return ChowElement(fan, degree, out)
+    return out
 
 
 def multiply_by_monomial(elem, cone):
@@ -234,7 +247,7 @@ def _degree(elem):
     total = 0
     for cone, c in elem.terms.items():
         mult = fan.cone_multiplicity(cone)
-        c *= fan.weight[fan._cone(cone)]
+        c *= fan.weight[cone]
         total += c if mult == 1 else Fraction(c, mult)
     return _exact(total)
 
@@ -246,7 +259,6 @@ def degree(elem):
 
 def pair(elem, tau):
     fan = elem.fan
-    tau = tuple(sorted(tau))
     if elem.degree + len(tau) != fan.top_dim:
         raise DegreeMismatch("pairing degrees %d + %d != %d"
                              % (elem.degree, len(tau), fan.top_dim))
@@ -273,31 +285,32 @@ def _pairings(elem):
         return iter([((), v)] if v and () in fan.cones else [])
     nrays, table = len(fan.rays), fan._top_degrees
 
-    def walk(cur_elem, prefix, next_ray):
+    def walk(cur, prefix, next_ray):
         depth = len(prefix)
         stop = nrays - (k - depth - 1)
         by_ray = {}
-        for cone, c in cur_elem.terms.items():
+        for cone, c in cur.items():
             for rho in (*cone, *fan._extension_map(cone)):
                 if next_ray <= rho < stop:
                     by_ray.setdefault(rho, []).append((cone, c))
         for rho in sorted(by_ray):
             terms, tau = by_ray.pop(rho), prefix + (rho,)
             if depth < k - 1:
-                nxt = _ray_product(fan, cur_elem.degree + 1, rho, terms)
-                if not nxt.is_empty():
+                nxt = _ray_product(fan, rho, terms)
+                if nxt:
                     yield from walk(nxt, tau, rho + 1)
             elif tau in fan.cones:
                 v = 0
                 for sigma, c in terms:
                     d = table.get((sigma, rho))
                     if d is None:
-                        d = table[sigma, rho] = _degree(_ray_product(
-                            fan, fan.top_dim, rho, [(sigma, 1)]))
+                        top = _ray_product(fan, rho, [(sigma, 1)])
+                        d = table[sigma, rho] = _degree(
+                            ChowElement(fan, fan.top_dim, top))
                     v += c * d
                 if v:
                     yield tau, _exact(v)
-    return walk(elem, (), 0)
+    return walk(elem.terms, (), 0)
 
 
 def pair_all(elem):

@@ -101,11 +101,11 @@ def _is_pair(value):
 
 
 def check_descriptor_size(data):
-    """Exit 2 before matroid_from_json lists more than MAX_SUBSETS subsets
-    for the descriptor data: the C(n, r) bases of U(r, n), or the
-    C(|E|, min(|E|, |V| - 1)) edge subsets of a graph, the first size its
-    forest search tries.  A malformed descriptor passes, to get the error
-    matroid_from_json gives it."""
+    """Exit 2 before matroid_from_json makes n-bit masks for n > MAX_SUBSETS
+    elements or lists more than MAX_SUBSETS subsets: the C(n, r) bases of
+    U(r, n), or the C(|E|, min(|E|, |V| - 1)) edge subsets of a graph, the
+    first size its forest search tries.  A malformed descriptor passes, to
+    get the error matroid_from_json gives it."""
     if not isinstance(data, dict):
         return
     u, g = data.get("uniform"), data.get("graph")
@@ -121,13 +121,18 @@ def check_descriptor_size(data):
         k = min(n, max(v - 1, 0))
         what = ("the graph on %d vertices and %d edges has %%s edge subsets "
                 "to test" % (v, n))
+    elif "graph" not in data and "bases" in data and type(data.get("n")) is int:
+        n, k, what = data["n"], 0, None  # the bases are listed, not made
     else:
         return
+    if n > MAX_SUBSETS:
+        raise SystemExit2("the ground set has %d elements, more than %d"
+                          % (n, MAX_SUBSETS))
     # for n > 10,000 and 2 <= k <= n - 2, C(n, k) > C(10001, 2) is over the
     # limit, and its digits are left uncomputed
     if n > 10 ** 4 and 2 <= k <= n - 2:
         count = "C(%d, %d)" % (n, k)
-    elif comb(n, k) > MAX_SUBSETS:
+    elif what and comb(n, k) > MAX_SUBSETS:
         count = comb(n, k)
     else:
         return

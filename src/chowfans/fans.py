@@ -173,16 +173,17 @@ class Fan:
 
     def _cone(self, cone):
         """The cone of the fan that the tuple cone lists, as a sorted
-        tuple; ConeNotInFan if it lists none."""
-        if cone not in self.cones:
-            cone = tuple(sorted(cone))
-            if cone not in self.cones:
-                raise ConeNotInFan("not a cone of this fan: %r" % (cone,))
-        return cone
+        tuple; ConeNotInFan, naming the tuple, if it lists none."""
+        if cone in self.cones:
+            return cone
+        key = tuple(sorted(cone))
+        if key not in self.cones:
+            raise ConeNotInFan("not a cone of this fan: %r" % (cone,))
+        return key
 
     def _extension_map(self, cone):
-        """{i: sorted cone + {i}} over the rays i extending cone, in
-        ascending order of i, built for every cone at once on first use."""
+        """{i: sorted cone + {i}} over the rays i extending the sorted cone,
+        in ascending order of i, built for every cone at once on first use."""
         if self._extensions is None:
             # the cones tau+{i} of one tau share a dimension, and their
             # sorted order there is ascending order of i
@@ -191,24 +192,18 @@ class Fan:
                 for c in cones:
                     for j, i in enumerate(c):
                         self._extensions.setdefault(c[:j] + c[j + 1:], {})[i] = c
-        hit = self._extensions.get(cone)
-        if hit is None:
-            hit = self._extensions.get(self._cone(cone), {})
-        return hit
+        return self._extensions.get(cone, {})
 
     def cone_multiplicity(self, cone):
+        """lattice_index of [lineality; rays of cone], cached by cone."""
         cone = self._cone(cone)
-        hit = self._mult_cache.get(cone)
-        if hit is None:
+        if cone not in self._mult_cache:
             rows = self.lineality + [self.rays[i] for i in cone]
-            # an int inverse of an int pivot block makes that maximal minor
-            # +-1, so the gcd of the maximal minors is 1
-            _, dual = self.dual_basis(cone)
-            integral = all(type(x) is int for row in rows for x in row) \
-                and all(type(x) is int for col in dual for x in col)
-            hit = 1 if integral else linalg.lattice_index(rows)
-            self._mult_cache[cone] = hit
-        return hit
+            try:
+                self._mult_cache[cone] = linalg.lattice_index(rows)
+            except ValueError as exc:
+                raise FanError("cone %r: %s" % (cone, exc)) from None
+        return self._mult_cache[cone]
 
     def dual_basis(self, cone):
         """(pivots, dual) for the rows [lineality; rays of cone], cached by
@@ -315,29 +310,19 @@ class _ChainFan(Fan):
     lists the labels along a linear extension of the chain order, so a
     cone, a sorted tuple, lists its chain in order, and the subclasses read
     the products and balancing on it off the blocks of that chain, with no
-    dual basis.  The inverse of the pivot block of a cone's rows has
-    entries 0 and +-1 (Adiprasito-Huh-Katz), so every cone is unimodular."""
+    dual basis, on sorted cones only, as ChowElement keys them.  The
+    inverse of the pivot block of a cone's rows has entries 0 and +-1
+    (Adiprasito-Huh-Katz), so every cone is unimodular."""
 
     def cone_multiplicity(self, cone):
         """1 for any listing of a cone of the fan, with no dual basis."""
         self._cone(cone)
         return 1
 
-    def _functional(self, cone, values):
-        """Fan._functional on any listing of a cone of the fan, read off
-        its chain: the values follow their rays to the sorted cone.  The
-        greedy pivot columns of the rows do not depend on their order, so
-        neither does the functional."""
-        key = self._cone(cone)
-        if key is not cone:
-            values = [v for _, v in sorted(zip(cone, values))]
-        return self._chain_functional(key, values)
-
     def _slots(self, tau, weights):
         """The blocks of tau's chain, and {j: [(label of rho, w)]} over the
         extensions sigma = tau + {rho} of weight w = weights[sigma] != 0 by
         slot j = sigma.index(rho): u_rho is constant off block j."""
-        tau = self._cone(tau)
         labels, slots = self.ray_labels, {}
         for rho, sigma in self._extension_map(tau).items():
             w = weights.get(sigma)
@@ -361,11 +346,12 @@ class FlagFan(_ChainFan):
         out.append(((1 << self.ambient_dim) - 1) & ~E)
         return out
 
-    def _chain_functional(self, cone, values):
-        """Each block's columns of the rows are equal, a 1 then j zeros
-        then ones, so the pivots are the min B_j, and m = v_{j+1} - v_j on
-        min B_j, for v_j the value on e_{F_j} and v_0 = v_{k+1} = 0, so
-        that m(e_G) = sum_j [min B_j in G] (v_{j+1} - v_j)."""
+    def _functional(self, cone, values):
+        """Fan._functional read off the chain of the sorted cone: each
+        block's columns of the rows are equal, a 1 then j zeros then ones,
+        so the pivots are the min B_j, and m = v_{j+1} - v_j on min B_j,
+        for v_j the value on e_{F_j} and v_0 = v_{k+1} = 0, so that
+        m(e_G) = sum_j [min B_j in G] (v_{j+1} - v_j)."""
         m, prev = [0] * self.ambient_dim, 0
         for B, v in zip(self._blocks(cone), [*values, 0]):
             m[_low(B)] = v - prev
@@ -404,8 +390,9 @@ class BiflagFan(_ChainFan):
         out.append((full & ~S0, F0))
         return out
 
-    def _chain_functional(self, cone, values):
-        """m = sum_j (v_j - v_{j-1}) c_j, j = 1..k+1, for v_j the value on
+    def _functional(self, cone, values):
+        """Fan._functional read off the chain of the sorted cone: m =
+        sum_j (v_j - v_{j-1}) c_j, j = 1..k+1, for v_j the value on
         e_{S_j|F_j} and v_0 = v_{k+1} = 0, with each c_j written on pivot
         columns: c_j is v[min A_j] where A_j is nonempty; c_0 = v[N + q] +
         v[aq] for q the least min B_j over the blocks with both parts

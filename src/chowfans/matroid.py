@@ -188,7 +188,7 @@ def matroid_from_bases(n, bases):
     masks = []
     for b in bases:
         m = b if isinstance(b, int) else set_to_mask(b)
-        if m & ~((1 << n) - 1):
+        if m & ~((1 << max(n, 0)) - 1):
             raise MatroidError("basis %r not contained in [%d]" % (b, n))
         masks.append(m)
     return Matroid(n, masks)
@@ -209,15 +209,16 @@ def matroid_from_graph(vertices, edges):
     for size in range(min(n, max(vertices - 1, 0)), -1, -1):
         found = [set_to_mask([i + 1 for i in combo])
                  for combo in combinations(range(n), size)
-                 if _is_forest(vertices, [edges[i] for i in combo])]
+                 if _is_forest([edges[i] for i in combo])]
         if found:
             return Matroid(n, found, _validated=True)
 
 
-def _is_forest(vertices, edge_list):
-    parent = list(range(vertices + 1))
+def _is_forest(edge_list):
+    """Union-find over only the vertices that the edges touch."""
+    parent = {}
     def find(x):
-        while parent[x] != x:
+        while parent.setdefault(x, x) != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x

@@ -3,8 +3,6 @@ classes built on them as elementary symmetric products.  Segre and twisted
 Chern classes are computed on coordinate vectors, in rings.
 """
 
-from itertools import combinations
-
 from .chow import (ChowElement, divisor, multiply_by_divisor,
                    negation_relabel, unit_class)
 from .fans import DimensionMismatch
@@ -91,19 +89,15 @@ def w_divisors(fan, M):
 
 
 def elementary_symmetric_products(divisors):
-    """ChowElements e_0, e_1, ..., e_r of a list of divisors, each e_i
-    expanded as the sum over i-subsets of left-to-right products."""
+    """ChowElements e_0, e_1, ..., e_r of a list of divisors, the sums over
+    i-subsets of left-to-right products, built one divisor D at a time by
+    e_i <- e_i + e_(i-1) D: r (r + 1) / 2 divisor products."""
     fan = divisors[0].fan
-    out = [unit_class(fan)]
-    r = len(divisors)
-    for i in range(1, r + 1):
-        acc = ChowElement(fan, i)
-        for combo in combinations(range(r), i):
-            term = unit_class(fan)
-            for idx in combo:
-                term = multiply_by_divisor(term, divisors[idx])
-            acc = acc + term
-        out.append(acc)
+    out = [unit_class(fan)] + [ChowElement(fan, i)
+                               for i in range(1, len(divisors) + 1)]
+    for j, D in enumerate(divisors, 1):
+        for i in range(j, 0, -1):
+            out[i] = out[i] + multiply_by_divisor(out[i - 1], D)
     return out
 
 

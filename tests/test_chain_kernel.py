@@ -8,8 +8,9 @@ Gauss-Jordan, and against balancing by two rank computations per cone.
 Also the pairing walk's leaf table of top degrees, and a pin that
 products, caps, balancing, pairings, the bundle identity, the ring model
 and `chowfans fan` on these fans never build a dual basis, the degree and
-pairings of a top-degree class keyed by a cone listed out of order, and
-the ConeNotInFan raised for a weight or a class off the fan."""
+pairings of a top-degree class keyed by a cone listed out of order, the
+ring coordinates of a class keyed so, and the ConeNotInFan raised for a
+weight or a class off the fan."""
 
 import json
 import re
@@ -80,9 +81,11 @@ def test_functional_and_span_match_the_dual_basis_path(name, data):
     drawn cone of the fan: the functional, and balancing around the cone
     of drawn weights on its extensions and, around a (top-1)-cone, of the
     fundamental weight, balanced, and of that weight with one drawn
-    change; also on the cone listed out of chain order, whose values
-    follow their rays to the sorted cone; a tuple that lists no cone
-    raises ConeNotInFan."""
+    change.  A class keyed by the cone listed out of chain order is keyed
+    by the sorted cone, and its product with a drawn divisor is the
+    Fraction fan-out of the listing, whose values follow their rays; a key
+    that lists no cone raises ConeNotInFan naming it, where the class is
+    made."""
     fan = fan_of(name)
     cone = data.draw(st.sampled_from(sorted(fan.cones)))
     values = data.draw(st.lists(COEFFS, min_size=len(cone),
@@ -101,19 +104,18 @@ def test_functional_and_span_match_the_dual_basis_path(name, data):
         weights.append(changed)
     for w in weights:
         assert fan._balanced_at(cone, w) == Fan._balanced_at(fan, cone, w)
-    flipped = cone[::-1]
-    if len(cone) > 1:
-        assert fan._functional(flipped, values) == \
-            Fan._functional(fan, flipped, values)
-        assert fan._balanced_at(flipped, drawn) == \
-            fan._balanced_at(cone, drawn)
+    flipped, c = cone[::-1], data.draw(COEFFS)
+    a = data.draw(st.lists(COEFFS, min_size=len(fan.rays),
+                           max_size=len(fan.rays)))
+    elem = ChowElement(fan, len(cone), {flipped: c})
+    assert elem.terms == ({cone: c} if c else {})
+    assert multiply_by_divisor(elem, divisor(fan, a)).terms == \
+        reference_multiply_by_divisor(fan, {flipped: c}, a)
     bad = data.draw(st.sampled_from([(0, 0)] + [
         (i, j) for i in range(len(fan.rays)) for j in range(i)
         if (j, i) not in fan.cones]))
-    with pytest.raises(ConeNotInFan):
-        fan._functional(bad, [1, 1])
-    with pytest.raises(ConeNotInFan):
-        fan._balanced_at(bad, drawn)
+    with pytest.raises(ConeNotInFan, match=re.escape(repr(bad))):
+        ChowElement(fan, 2, {bad: 1})
 
 
 @FANS
@@ -291,7 +293,8 @@ def test_products_and_balancing_build_no_dual_basis(monkeypatch, capsys,
 def test_top_degree_class_keyed_out_of_order():
     """On the bundle fan of U(2,3), (6, 3, 0) lists the maximal cone
     (0, 3, 6) out of order: a class keyed by it has that cone's degree and
-    pairings, and a key that lists no cone raises ConeNotInFan."""
+    pairings, and a key that lists no cone raises ConeNotInFan naming it
+    where the class is made."""
     fan = projective_bundle_fan(3, matroid_uniform(2, 3))
     assert (0, 3, 6) in fan.maximal_cones
     flipped = ChowElement(fan, 3, {(6, 3, 0): 1})
@@ -302,10 +305,27 @@ def test_top_degree_class_keyed_out_of_order():
     assert multiply_by_divisor(ChowElement(fan, 2, {(3, 0): 1}), D).terms \
         == multiply_by_divisor(ChowElement(fan, 2, {(0, 3): 1}), D).terms
     for bad in [(0, 0, 3), (6, 0, 0)]:
-        elem = ChowElement(fan, 3, {bad: 1})
-        for fn in (chow.degree, pair_all, nonzero_pairing_witness):
-            with pytest.raises(ConeNotInFan):
-                fn(elem)
+        with pytest.raises(ConeNotInFan, match=re.escape(repr(bad))):
+            ChowElement(fan, 3, {bad: 1})
+
+
+def test_class_keys_are_read_as_sorted_cones():
+    """On perm(4), ray 0 is {1} and ray 12 is {1, 3, 4}, so (12, 0) lists
+    the 2-cone (0, 12) out of order: a class keyed by it has that cone's
+    coordinates in the ring model, two listings of one cone add up, and a
+    key that lists no cone, or a cone of another dimension, raises
+    ConeNotInFan naming the key where the class is made."""
+    fan = permutohedral_fan(4)
+    assert (0, 12) in fan.cones and (0, 1) not in fan.cones
+    model = FanRingModel(fan)
+    x = model.to_vector(ChowElement(fan, 2, {(12, 0): 1}))
+    assert any(x) and x == model.to_vector(ChowElement(fan, 2, {(0, 12): 1}))
+    assert ChowElement(fan, 2, {(0, 12): 1, (12, 0): -1}).terms == {}
+    assert ChowElement(fan, 2, {(12, 0): 1, (0, 12): 2}).terms == {(0, 12): 3}
+    for key, k in [((1, 0), 2), ((12, 12), 2), ((0, 12), 1), ((12, 0), 3),
+                   ((0,), 2)]:
+        with pytest.raises(ConeNotInFan, match=re.escape(repr(key))):
+            ChowElement(fan, k, {key: 1})
 
 
 @pytest.mark.parametrize("key", [(0, 99), (0,), (3, 0), (0, 1), (0, 3, 5)])

@@ -232,6 +232,8 @@ BAD_ARGUMENTS = {
     "empty-uniform-matroid": ["verify", "--matroid", '{"uniform": [0, 0]}'],
     "edgeless-graph-matroid": ["verify", "--matroid",
                                '{"graph": {"vertices": 1, "edges": []}}'],
+    "negative-ground-set": ["verify", "--matroid",
+                            '{"n": -3, "bases": [[]]}'],
 }
 
 
@@ -370,6 +372,25 @@ def test_graph_descriptor_budget_fails_fast(capsys):
     cli.check_descriptor_size(json.loads(complete_graph(7)))
 
 
+@pytest.mark.parametrize("descriptor, n", [
+    ({"uniform": [0, 10 ** 30]}, 10 ** 30),
+    ({"n": 10 ** 30, "bases": [[]]}, 10 ** 30),
+    ({"uniform": [0, 10 ** 11]}, 10 ** 11),
+    ({"n": 10 ** 11, "bases": [[1]]}, 10 ** 11),
+], ids=["uniform-1e30", "bases-1e30", "uniform-1e11", "bases-1e11"])
+def test_ground_set_budget_fails_fast(capsys, descriptor, n):
+    """matroid_from_json builds masks 1 << n, which overflows at n = 10^30
+    and asks for 12.5 GB at n = 10^11: exit 2 first, naming n."""
+    start = time.perf_counter()
+    code, lines, err = run(capsys, ["verify", "--matroid",
+                                    json.dumps(descriptor)])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert lines == []
+    assert err == ("error: the ground set has %d elements, more than 100000\n"
+                   % n)
+
+
 def test_identity_witness_fails_the_command(capsys, monkeypatch):
     from chowfans import cli
     monkeypatch.setattr(cli, "verify_bundle_identity", lambda *a, **k: {
@@ -449,11 +470,29 @@ def test_unbalanced_fan_fails_the_command(capsys, monkeypatch):
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
-def run_process(*argv):
+def run_process(*argv, **kwargs):
     env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.run([sys.executable, "-m", "chowfans.cli"] + list(argv),
                           env=env, capture_output=True, text=True,
-                          timeout=60)
+                          timeout=60, **kwargs)
+
+
+@pytest.mark.parametrize("vertices", [2, 10 ** 9, 10 ** 20])
+def test_graph_vertex_count_costs_nothing(vertices):
+    """One edge on 10^9 or 10^20 vertices is the matroid of one edge on 2:
+    the forest search keeps only the vertices its edges touch.  Run under
+    a 1 GB address-space cap, so that a list over every vertex fails."""
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+    done = run_process("verify", "--matroid", json.dumps(
+        {"graph": {"vertices": vertices, "edges": [[1, 2]]}}),
+        preexec_fn=cap)
+    assert (done.returncode, done.stderr) == (0, "7/7 checks passed\n")
+    assert [json.loads(s)["status"] for s in done.stdout.splitlines()] == \
+        ["pass"] * 7
 
 
 def test_process_exit_codes():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chowfans import linalg
+from chowfans.chow import ChowElement, multiply_by_ray
 from chowfans.fans import (ConeNotInFan, Fan, FanError, NotAChain,
                            bergman_fan, biflat_poset, bipermutohedral_fan,
                            check_balanced, count_maximal_cones, gap_indices,
@@ -13,7 +14,8 @@ from chowfans.fans import (ConeNotInFan, Fan, FanError, NotAChain,
                            walk_chains)
 from chowfans.matroid import (matroid_from_bases, matroid_from_graph,
                               matroid_uniform, pyramid_matroid, set_to_mask)
-from naive_oracle import reference_gap_indices, reference_pivot_inverse
+from naive_oracle import (reference_gap_indices, reference_lattice_index,
+                          reference_pivot_inverse)
 
 K4_EDGES = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 
@@ -109,24 +111,37 @@ def test_cone_chain_lists_each_cone_as_a_chain():
 
 def test_multiplicity_from_the_dual_basis_matches_lattice_index():
     """Flag and biflag fans answer multiplicity 1 for every cone by
-    construction, and a fan built from explicit rays answers 1 for a cone
-    whose dual basis is integral, without lattice_index's gcd of maximal
-    minors; on every cone of five chain fans, and on the custom fan with a
-    cone of multiplicity 2, the result is lattice_index's."""
+    construction, with no elimination, and on every cone of five chain
+    fans that is lattice_index's gcd of maximal minors.  A fan built from
+    explicit rays answers lattice_index, which equals the gcd of every
+    Fraction minor of naive_oracle.reference_lattice_index on the rays and
+    cones of three of those fans and on a custom fan with a cone of
+    multiplicity 2 (the Fraction minors take 6 ms a cone on the bundle
+    fan of U(3,4), so the two bundle fans stay off that side)."""
     fans = [permutohedral_fan(4), bipermutohedral_fan(3),
             bergman_fan(pyramid_matroid()),
             projective_bundle_fan(4, matroid_uniform(3, 4)),
-            projective_bundle_fan(5, matroid_uniform(2, 5)),
-            Fan(2, [], [[1, 0], [1, 2], [-1, -1]], ["a", "b", "c"],
-                [(), (0,), (1,), (2,), (0, 1), (1, 2), (0, 2)], "custom")]
+            projective_bundle_fan(5, matroid_uniform(2, 5))]
     seen = 0
     for fan in fans:
         for cone in fan.cones:
             rows = fan.lineality + [fan.rays[i] for i in cone]
-            assert fan.cone_multiplicity(cone) == linalg.lattice_index(rows)
+            assert fan.cone_multiplicity(cone) == 1 == \
+                linalg.lattice_index(rows)
             seen += 1
-    assert seen == 8349 + 7
-    assert fans[-1].cone_multiplicity((0, 1)) == 2
+    assert seen == 8349
+    custom = Fan(2, [], [[1, 0], [1, 2], [-1, -1]], ["a", "b", "c"],
+                 [(), (0,), (1,), (2,), (0, 1), (1, 2), (0, 2)], "custom")
+    for fan in fans[:3] + [custom]:
+        plain = Fan(fan.ambient_dim, fan.lineality, fan.rays,
+                    fan.ray_labels, fan.cones, "custom")
+        for cone in plain.cones:
+            assert plain.cone_multiplicity(cone) == reference_lattice_index(
+                plain.lineality + [plain.rays[i] for i in cone])
+    assert custom.cone_multiplicity((1, 0)) == 2
+    with pytest.raises(FanError):
+        Fan(2, [], [[1, 0], [2, 0]], "ab", [(), (0, 1)],
+            "custom").cone_multiplicity((0, 1))
 
 
 def test_weight_one_balancing():
@@ -221,15 +236,20 @@ def test_cones_closed_under_subsets():
     ids=["perm4", "bergman-pyramid", "bundle-U(3,4)"])
 def test_cone_extensions_match_a_scan_of_every_ray(fan):
     """Fan._extension_map: the rays extending a cone in ascending order,
-    each with the sorted cone one ray larger."""
+    each with the sorted cone one ray larger.  A class keyed by a cone
+    listed out of order is keyed by the sorted cone, so its products with
+    the extending rays are those cones; a key that lists no cone raises
+    ConeNotInFan where the class is made."""
     for cone in fan.cones:
         scan = {i: tuple(sorted(cone + (i,))) for i in range(len(fan.rays))
                 if i not in cone and tuple(sorted(cone + (i,))) in fan.cones}
         assert list(fan._extension_map(cone).items()) == list(scan.items())
-    assert fan._extension_map(tuple(reversed(max(fan.cones)))) == \
-        fan._extension_map(max(fan.cones))
+    cone = max(c for c in fan.cones if len(c) == fan.top_dim - 1)
+    flipped = ChowElement(fan, len(cone), {cone[::-1]: 1})
+    for i, sigma in fan._extension_map(cone).items():
+        assert multiply_by_ray(flipped, i).terms == {sigma: 1}
     with pytest.raises(ConeNotInFan):
-        fan._extension_map((0, 0))
+        ChowElement(fan, 2, {(0, 0): 1})
 
 
 @given(st.integers(0, 80), st.integers(0, 80), st.integers(0, 80))

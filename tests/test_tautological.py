@@ -125,6 +125,41 @@ def test_elementary_symmetric_u_matches_pullback_chern():
         assert is_zero_by_pairing(diff)
 
 
+def test_elementary_symmetric_products_one_factor_at_a_time(monkeypatch):
+    """e_i of four divisors on perm(4) has the terms of the sum over the
+    i-subsets of left-to-right products, from r (r + 1) / 2 = 10 divisor
+    products; the bundle identity on U(3,4) takes 15: 6 for the c_i, 3 for
+    Horner's sum of c_i delta^(3-i) and 3 each for the two products."""
+    from itertools import combinations
+    from chowfans import biflags, chow, tautological
+    from chowfans.chow import ChowElement, divisor
+    fan = permutohedral_fan(4)
+    ds = [divisor(fan, [(3 * i + j) % 5 - 2 for j in range(len(fan.rays))])
+          for i in range(4)]
+    calls = []
+
+    def counted(elem, D):
+        calls.append(D)
+        return chow.multiply_by_divisor(elem, D)
+
+    for module in (tautological, biflags):
+        monkeypatch.setattr(module, "multiply_by_divisor", counted)
+    es = tautological.elementary_symmetric_products(ds)
+    assert len(calls) == 10
+    for i in range(5):
+        want = ChowElement(fan, i)
+        for combo in combinations(ds, i):
+            term = unit_class(fan)
+            for D in combo:
+                term = chow.multiply_by_divisor(term, D)
+            want = want + term
+        assert es[i].degree == i and es[i].terms == want.terms
+    calls.clear()
+    M = matroid_uniform(3, 4)
+    assert biflags.verify_bundle_identity(4, M)["status"] == "pass"
+    assert len(calls) == 15
+
+
 def perm3_chern():
     """The perm(3) model, the Chern classes of U(2,3) on it, and their
     coordinate vectors."""
