@@ -54,7 +54,6 @@ def load_matroid(arg):
     except (ValueError, OSError) as exc:
         # json.JSONDecodeError is a ValueError
         raise SystemExit2(str(exc))
-    check_descriptor_size(data)
     return matroid_from_json(data)
 
 
@@ -89,54 +88,13 @@ def check_size(kind, N):
                               "cones" % (kind, N, MAX_CONES))
 
 
-# The most subsets a matroid descriptor may make matroid_from_json list:
-# the bases of U(r, n) and the edge subsets a graph tests for a spanning
-# forest.  K7 tests 54,264 in about 0.2 s and K8 1,184,040 in about 5 s.
-MAX_SUBSETS = 10 ** 5
-
-
-def _is_pair(value):
-    return (isinstance(value, list) and len(value) == 2
-            and all(type(x) is int for x in value))
-
-
-def check_descriptor_size(data):
-    """Exit 2 before matroid_from_json makes n-bit masks for n > MAX_SUBSETS
-    elements or lists more than MAX_SUBSETS subsets: the C(n, r) bases of
-    U(r, n), or the C(|E|, min(|E|, |V| - 1)) edge subsets of a graph, the
-    first size its forest search tries.  A malformed descriptor passes, to
-    get the error matroid_from_json gives it."""
-    if not isinstance(data, dict):
-        return
-    u, g = data.get("uniform"), data.get("graph")
-    if "uniform" in data:
-        if not (_is_pair(u) and 0 <= u[0] <= u[1]):
-            return
-        n, k, what = u[1], u[0], "U(%d,%d) has %%s bases" % tuple(u)
-    elif (isinstance(g, dict) and type(g.get("vertices")) is int
-          and isinstance(g.get("edges"), list)
-          and all(_is_pair(e) and 1 <= min(e) and max(e) <= g["vertices"]
-                  for e in g["edges"])):
-        v, n = g["vertices"], len(g["edges"])
-        k = min(n, max(v - 1, 0))
-        what = ("the graph on %d vertices and %d edges has %%s edge subsets "
-                "to test" % (v, n))
-    elif "graph" not in data and "bases" in data and type(data.get("n")) is int:
-        n, k, what = data["n"], 0, None  # the bases are listed, not made
-    else:
-        return
-    if n > MAX_SUBSETS:
-        raise SystemExit2("the ground set has %d elements, more than %d"
-                          % (n, MAX_SUBSETS))
-    # for n > 10,000 and 2 <= k <= n - 2, C(n, k) > C(10001, 2) is over the
-    # limit, and its digits are left uncomputed
-    if n > 10 ** 4 and 2 <= k <= n - 2:
-        count = "C(%d, %d)" % (n, k)
-    elif what and comb(n, k) > MAX_SUBSETS:
-        count = comb(n, k)
-    else:
-        return
-    raise SystemExit2((what + ", more than %d") % (count, MAX_SUBSETS))
+def check_fan_size(kind, M, limit):
+    """Exit 2 before building the bergman or bundle fan of M when its count
+    of maximal cones is above limit."""
+    cones = count_maximal_cones(M, biflags=kind == "bundle")
+    if cones > limit:
+        raise SystemExit2("the %s fan has %d maximal cones, more than %d"
+                          % (kind, cones, limit))
 
 
 # The largest pairing matrix, by entries, of the ring model of perm(N)
@@ -164,14 +122,20 @@ def check_model_size(N):
                           % (N, rows, cols, MAX_PAIRING_ENTRIES))
 
 
+# The largest bundle fan, by maximal cones, that verify builds: every
+# --which walks it.  Whole processes on a 2-core machine: U(3,6) (34,560)
+# in 13.9 s, U(2,7) (40,320) in 10.5 s, U(5,5) (113,400) in 147 s, U(4,6)
+# (226,800) in 220 s.  The pyramid's has 14,370,048, and K5's 1,695,133,440.
+MAX_BUNDLE_CONES = 50000
+
+
 def cmd_verify(args):
     if args.max_first_len < 0:
         raise SystemExit2("--max-first-len must be non-negative")
     M = load_matroid(args.matroid)
     N = M.n
-    fan = None
-    if args.which in ("identity", "truncation", "all"):
-        fan = projective_bundle_fan(N, M)
+    check_fan_size("bundle", M, MAX_BUNDLE_CONES)
+    fan = projective_bundle_fan(N, M)
     if args.which in ("identity", "all"):
         rep = verify_bundle_identity(N, M, fan=fan)
         for name, witness in rep["checks"].items():
@@ -272,12 +236,9 @@ def cmd_fan(args):
                 raise LoopyMatroid("matroid has loops; pass --simplify")
             M, _ = M.delete_loops()
         N = ground_set_size(args, M)
-        bundle = args.kind == "bundle"
-        cones = count_maximal_cones(M, biflags=bundle)
-        if cones > MAX_CONES:
-            raise SystemExit2("the %s fan has %d maximal cones, more than %d"
-                              % (args.kind, cones, MAX_CONES))
-        fan = projective_bundle_fan(N, M) if bundle else bergman_fan(M)
+        check_fan_size(args.kind, M, MAX_CONES)
+        fan = (projective_bundle_fan(N, M) if args.kind == "bundle"
+               else bergman_fan(M))
     report = fan.to_json()
     report["unimodular"] = all(
         linalg.lattice_index(fan.lineality + [fan.rays[i] for i in c]) == 1

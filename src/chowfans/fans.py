@@ -461,6 +461,9 @@ def count_maximal_cones(M, biflags=False):
     (or the empty one), with biflags those with a gap (`_gaps`), counted
     from the last label down by the length and number of the longest chains
     from each label i, per gap flag of the links from i up."""
+    if M.loops():
+        raise LoopyMatroid("%s fan needs a loopless matroid"
+                           % ("projective bundle" if biflags else "bergman"))
     labels, succ = (biflat_poset if biflags else flag_poset)(M)
     # index -1 stands for the sentinels 0|[N] below and [N]|0 above
     ends = list(labels) + [(0, 0)]

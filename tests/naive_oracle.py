@@ -64,6 +64,10 @@ back from the middle one: the powers ell^0..ell^n one multiplication by
 ell at a time, and Q_i = G_i P_i for P_i the multiplication by
 ell^(n-2i) from degree i, as Fractions.
 
+Also the spanning forests of a graph by the downward size search: from
+min(|E|, |V| - 1) edges down, the first size with a forest, each subset
+tested by a union-find that stops at its first cycle.
+
 Also the gap set of a chain of biflats by the closure criterion, and the
 bundle tower as it was built before one loop served every caller: a
 single storey by hand, and more storeys by lifting the later coefficient
@@ -719,6 +723,33 @@ def _gaps(full, chain):
     ext = [(0, full)] + list(chain) + [(full, 0)]
     return [j for j in range(len(chain) + 1)
             if (ext[j][0] | ext[j + 1][1]) != full]
+
+
+def reference_graph_bases(vertices, edges):
+    """The spanning forests of the graph as bitmasks, edge i as bit i - 1:
+    every subset of the largest size, from min(|E|, |V| - 1) down, that
+    has a forest; size 0 always has the empty one."""
+    for size in range(min(len(edges), max(vertices - 1, 0)), -1, -1):
+        found = {sum(1 << i for i in combo)
+                 for combo in combinations(range(len(edges)), size)
+                 if _is_forest([edges[i] for i in combo])}
+        if found:
+            return found
+
+
+def _is_forest(edge_list):
+    parent = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+    for u, v in edge_list:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
 
 
 def reference_bergman_cones(M):

@@ -3,10 +3,12 @@ import os
 import subprocess
 import sys
 import time
+from itertools import combinations
 
 import pytest
 
 from chowfans.cli import main
+from chowfans.matroid import matroid_from_json, matroid_uniform
 
 U23 = '{"uniform": [2, 3]}'
 U24 = '{"uniform": [2, 4]}'
@@ -361,7 +363,6 @@ def test_uniform_descriptor_budget_fails_fast(capsys):
 def test_graph_descriptor_budget_fails_fast(capsys):
     """K8 would test its C(28, 7) edge subsets for a spanning forest
     before any check ran; K7, with C(21, 6) = 54,264, is accepted."""
-    from chowfans import cli
     start = time.perf_counter()
     code, lines, err = run(capsys, ["verify", "--matroid", complete_graph(8)])
     assert time.perf_counter() - start < 1
@@ -369,7 +370,7 @@ def test_graph_descriptor_budget_fails_fast(capsys):
     assert lines == []
     assert err == ("error: the graph on 8 vertices and 28 edges has 1184040 "
                    "edge subsets to test, more than 100000\n")
-    cli.check_descriptor_size(json.loads(complete_graph(7)))
+    matroid_from_json(json.loads(complete_graph(7)))
 
 
 @pytest.mark.parametrize("descriptor, n", [
@@ -389,6 +390,84 @@ def test_ground_set_budget_fails_fast(capsys, descriptor, n):
     assert lines == []
     assert err == ("error: the ground set has %d elements, more than 100000\n"
                    % n)
+
+
+REFUSED_AT_ONCE = {
+    # 25 edges on 12 of 30 vertices: its spanning forests have 11 edges,
+    # and listing them took 135 s when the graph was sized at |V| - 1
+    "graph-sized-at-its-forests": (
+        {"graph": {"vertices": 30, "edges": [
+            [a, b] for a in range(1, 13) for b in range(a + 1, 13)][:25]}},
+        "the graph on 30 vertices and 25 edges has 4457400 edge subsets to "
+        "test, more than 100000"),
+    # the exchange check visits 11.8 M pairs of the 7-subsets of [14]
+    "listed-bases-sized-by-pairs": (
+        {"n": 14, "bases": [list(c) for c in combinations(range(1, 15), 7)]},
+        "the 3432 listed bases make 11778624 pairs to check for exchange, "
+        "more than 100000"),
+    # verify walked U(4,6)'s bundle fan for 220 s
+    "verify-bundle-fan-budget": (
+        {"uniform": [4, 6]},
+        "the bundle fan has 226800 maximal cones, more than 50000"),
+    # every element a loop: counting the fan would list 2^20 - 2 biflats
+    "verify-loopy-uniform": (
+        {"uniform": [0, 20]},
+        "projective bundle fan needs a loopless matroid"),
+    # K7 and a loop: counting the fan would hang in listing its flats
+    "verify-loopy-k7": (
+        {"graph": {"vertices": 7, "edges": [[1, 1]] + [
+            [a, b] for a in range(1, 8) for b in range(a + 1, 8)]}},
+        "projective bundle fan needs a loopless matroid"),
+}
+
+
+@pytest.mark.parametrize("descriptor, message", list(REFUSED_AT_ONCE.values()),
+                         ids=list(REFUSED_AT_ONCE))
+def test_verify_budgets_fail_fast(capsys, descriptor, message):
+    start = time.perf_counter()
+    code, lines, err = run(capsys, ["verify", "--matroid",
+                                    json.dumps(descriptor)])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert lines == []
+    assert err == "error: %s\n" % message
+
+
+def test_listed_bases_of_u510_are_accepted():
+    """252 listed bases make 63,504 pairs, under the budget."""
+    M = matroid_from_json({"n": 10, "bases": [
+        list(c) for c in combinations(range(1, 11), 5)]})
+    assert M == matroid_uniform(5, 10)
+
+
+def test_repeated_listed_bases_are_sized_once():
+    """The exchange check visits distinct bases only: one basis listed 400
+    times is one pair, not 160,000."""
+    M = matroid_from_json({"n": 2, "bases": [[1]] * 400})
+    assert M == matroid_from_json({"n": 2, "bases": [[1]]})
+
+
+def test_verify_budget_counts_the_bundle_fan(capsys, monkeypatch):
+    """At U(2,3)'s number of maximal bundle cones verify passes the budget
+    and a limit one lower rejects it; lemma_suite reads the fan verify
+    built rather than building its own."""
+    from chowfans import biflags, cli
+    from chowfans.fans import projective_bundle_fan
+
+    def build_again(*args, **kwargs):
+        raise AssertionError("the bundle fan was built twice")
+
+    count = len(projective_bundle_fan(3, matroid_uniform(2, 3)).maximal_cones)
+    monkeypatch.setattr(biflags, "projective_bundle_fan", build_again)
+    monkeypatch.setattr(cli, "MAX_BUNDLE_CONES", count)
+    code, _, _ = run(capsys, ["verify", "--matroid", U23, "--which",
+                              "lemmas"])
+    assert code == 0
+    monkeypatch.setattr(cli, "MAX_BUNDLE_CONES", count - 1)
+    code, lines, err = run(capsys, ["verify", "--matroid", U23])
+    assert (code, lines) == (2, [])
+    assert err == ("error: the bundle fan has %d maximal cones, more than "
+                   "%d\n" % (count, count - 1))
 
 
 def test_identity_witness_fails_the_command(capsys, monkeypatch):

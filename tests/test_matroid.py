@@ -9,6 +9,7 @@ from chowfans.matroid import (EmptyBases, ExchangeAxiomViolated, LoopyMatroid,
                               mask_to_set, matroid_from_bases,
                               matroid_from_graph, matroid_from_json,
                               matroid_uniform, pyramid_matroid, set_to_mask)
+from naive_oracle import reference_graph_bases
 
 
 def subsets_of(mask):
@@ -164,3 +165,18 @@ def test_pyramid_is_graphic():
     edges = [(1, 2), (2, 3), (3, 4), (4, 1),
              (1, 5), (2, 5), (3, 5), (4, 5)]
     assert pyramid_matroid() == matroid_from_graph(5, edges)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_graph_bases_match_the_downward_size_search(data):
+    """One union-find pass sizes the spanning forests and only subsets of
+    that size are tested: the same bases as the search from min(|E|,
+    |V| - 1) edges down, on multigraphs with loops, parallel edges and
+    isolated vertices."""
+    v = data.draw(st.integers(1, 5))
+    edge = st.tuples(st.integers(1, v), st.integers(1, v))
+    edges = data.draw(st.lists(edge, min_size=1, max_size=9))
+    vertices = v + data.draw(st.integers(0, 3))
+    assert matroid_from_graph(vertices, edges).bases == \
+        reference_graph_bases(vertices, edges)
