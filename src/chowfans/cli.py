@@ -90,7 +90,22 @@ def check_size(kind, N):
 
 def check_fan_size(kind, M, limit):
     """Exit 2 before building the bergman or bundle fan of M when its count
-    of maximal cones is above limit."""
+    of maximal cones is above limit.  A bundle fan is first bounded below,
+    before its biflats are listed, by the Bergman count, which walks only
+    the flats.  The diagonal biflats F^c|F of a maximal flag of proper
+    flats form a biflag with a gap at every link: F^c | G misses F - G
+    for the next, smaller flat G, and the sentinel links miss F^c of the
+    largest flat and F of the smallest.  Two distinct maximal flags lie
+    in no one biflag: they differ in a rank, and F^c|F and G^c|G are
+    comparable only for nested F and G, never for two flats of one rank.
+    So each maximal flag lies in a maximal bundle cone of its own, the
+    fan being pure, as the exact count assumes.  A matroid with loops is
+    left to the exact count, which refuses it as the bundle fan's."""
+    if kind == "bundle" and not M.loops():
+        flags = count_maximal_cones(M)
+        if flags > limit:
+            raise SystemExit2("the bundle fan has at least %d maximal cones, "
+                              "more than %d" % (flags, limit))
     cones = count_maximal_cones(M, biflags=kind == "bundle")
     if cones > limit:
         raise SystemExit2("the %s fan has %d maximal cones, more than %d"

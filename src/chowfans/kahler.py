@@ -2,9 +2,10 @@
 
 All three properties are tested exactly, over the rationals, against any
 graded ring model, from one Lefschetz form per degree up to the middle:
-the middle form is read off the middle Gram matrix, and each lower one is
-its pullback by multiplication by ell, so no degree above the middle is
-multiplied into.  Candidate Lefschetz elements for bundle fans are taken
+the middle form is the middle Gram matrix for an even top degree and,
+for an odd one, the form of ell on the middle degree, and each lower one
+is its pullback by multiplication by ell, so no degree above the middle
+is multiplied into.  Candidate Lefschetz elements for bundle fans are taken
 from a small deterministic family of combinations of the pulled-back
 permutohedral support class and the relative hyperplane class.
 """
@@ -63,8 +64,10 @@ def _forms(model, ell):
     """Q_0..Q_m for m = n//2, Q_i the matrix of the form (x, y) ->
     deg(ell^(n-2i) x y) on degree i, each in the scaled form (A, den) with
     den > 0, whether or not Poincare duality holds.  The middle form Q_m is
-    G_m for even n and G_m L_m for odd n, L_k being multiplication by ell
-    from degree k; below it Q_i = L_i^T Q_(i+1) L_i, since
+    G_m for even n.  For odd n a fan model reads it off its pairing rows
+    (FanRingModel.divisor_form), and any other model forms G_m L_m from
+    the memoized G_m, L_k being multiplication by ell from degree k.
+    Below it Q_i = L_i^T Q_(i+1) L_i, since
     deg(ell^(n-2i) x y) = deg(ell^(n-2i-2) (ell x) (ell y)).  So Q_i is Q_m
     pulled back along N_i = L_(m-1)...L_i, and only the degrees up to the
     middle are read.  Each product is one scaled_mat_mul, with the sparse
@@ -74,8 +77,12 @@ def _forms(model, ell):
     _, middle, _ = _pd_grams(model)
     n = model.top
     m = n // 2
-    q = middle if n % 2 == 0 else linalg.scaled_mat_mul(
-        middle, model.mult_matrix(1, ell, m))
+    if n % 2 == 0:
+        q = middle
+    elif isinstance(model, FanRingModel):
+        q = model.divisor_form(ell, m)
+    else:
+        q = linalg.scaled_mat_mul(middle, model.mult_matrix(1, ell, m))
     forms = [q]
     for i in reversed(range(m)):
         step = model.mult_matrix(1, ell, i)

@@ -202,10 +202,10 @@ def matroid_uniform(r, n):
     return Matroid(n, bases, _validated=True)
 
 
-def matroid_from_graph(vertices, edges):
+def matroid_from_graph(edges):
     """Graphic matroid; edges are (u, v) pairs labeled 1..len(edges) in order.
     Its bases are the forests of spanning-forest size, which the edges alone
-    fix: `vertices` is not read."""
+    fix."""
     rk = _forest_rank(edges)
     found = [set_to_mask([i + 1 for i in combo])
              for combo in combinations(range(len(edges)), rk)
@@ -293,7 +293,7 @@ def matroid_from_json(data):
         _check_subsets("the graph on %d vertices and %d edges has %%s edge "
                        "subsets to test" % (v, len(edges)),
                        len(edges), _forest_rank(edges))
-        return matroid_from_graph(v, edges)
+        return matroid_from_graph(edges)
     if "bases" in data:
         n, bases = data.get("n"), data["bases"]
         if type(n) is not int or not isinstance(bases, list):
@@ -317,4 +317,4 @@ def pyramid_matroid():
     used throughout the tests: a 4-cycle 1,2,3,4 plus spokes 5,6,7,8 to
     an apex vertex."""
     edges = [(1, 2), (2, 3), (3, 4), (4, 1), (1, 5), (2, 5), (3, 5), (4, 5)]
-    return matroid_from_graph(5, edges)
+    return matroid_from_graph(edges)

@@ -10,9 +10,10 @@ Fractions.  Every model derives from GradedModel, which reads
 multiply(k1, v1, k2, v2), unit() and the Gram matrices gram(k), in the
 same scaled form, off mult_matrix; a fan model holds the Grams it builds
 with its graded basis, and a bundle ring assembles them from the Grams of
-its base.  Everything downstream (bundle rings, annihilator
-quotients, the Kahler checks) is written against this interface only,
-and reads the scaled form as it is.
+its base.  A fan model also reads the form (x, y) -> deg(w x y) of a
+divisor w off the pairings it holds (divisor_form).  Everything
+downstream (bundle rings, annihilator quotients, the Kahler checks) is
+written against this interface only, and reads the scaled form as it is.
 """
 
 from fractions import Fraction
@@ -21,7 +22,8 @@ from math import lcm
 
 from . import linalg
 from .chow import (SUPPORTED_FAMILIES, ChowElement, DegreeTooLow, FanMismatch,
-                   UnsupportedFan, _pairing_matrix, multiply_by_monomial)
+                   UnsupportedFan, _pairing_matrix, multiply_by_divisor,
+                   multiply_by_monomial)
 
 
 class RingError(Exception):
@@ -83,7 +85,8 @@ class FanRingModel(GradedModel):
     denominator.  Multiplication by w is the sum of w_j T_j, where T_j
     multiplies by the j-th basis monomial; each T_j is built on first use,
     one product of basis monomials per column, and kept as integer columns
-    over one denominator."""
+    over one denominator.  Multiplication out of degree 0 and the form of
+    a divisor read w and the pairing rows directly, with no T_j."""
 
     def __init__(self, fan):
         if fan.family not in SUPPORTED_FAMILIES:
@@ -117,8 +120,8 @@ class FanRingModel(GradedModel):
                 self._gram[d] = d_gram
                 self._pairing_rows[d] = {
                     s: [(j, x) for j, x in enumerate(r) if x]
-                    for s, r in zip(d_cones, pairings)}
-                self._solve[d] = inv_cols, den * inv_den
+                    for s, r in zip(d_cones, pairings)}, den
+                self._solve[d] = inv_cols, inv_den
 
     def dim(self, k):
         return len(self._basis[k]) if 0 <= k <= self.top else 0
@@ -126,22 +129,28 @@ class FanRingModel(GradedModel):
     def basis_cones(self, k):
         return self._basis[k]
 
-    def _coords(self, elem):
-        """(x, den): the coordinates of elem are the ints x over den; only
-        the columns of the Gram inverse its sparse pairings reach are read."""
-        k = elem.degree
-        rows = self._pairing_rows[k]
+    def _pairings(self, elem):
+        """(p, den): the pairings of elem with the complementary basis are
+        the ints p[j] over den, read off the pairing rows of its terms;
+        the j it does not reach are absent."""
+        rows, den = self._pairing_rows[elem.degree]
         (coeffs,), scale = linalg.scaled_integer([list(elem.terms.values())])
         p = {}
         for sigma, c in zip(elem.terms, coeffs):
             for j, y in rows[sigma]:
                 p[j] = p.get(j, 0) + c * y
-        inv_cols, den = self._solve[k]
+        return p, den * scale
+
+    def _coords(self, elem):
+        """(x, den): the coordinates of elem are the ints x over den; only
+        the columns of the Gram inverse its sparse pairings reach are read."""
+        p, den = self._pairings(elem)
+        inv_cols, inv_den = self._solve[elem.degree]
         x = [0] * len(inv_cols)
         for j, y in p.items():
             if y:
                 x = [a + y * b for a, b in zip(x, inv_cols[j])]
-        return x, den * scale
+        return x, den * inv_den
 
     def to_vector(self, elem):
         """Coordinates of a ChowElement in the degree-k basis; above the
@@ -155,11 +164,14 @@ class FanRingModel(GradedModel):
 
     def mult_matrix(self, d, w, k):
         """The sum of w_j T_j over the nonzero w_j, accumulated over ints
-        with the denominators of w and of the T_j cleared once."""
+        with the denominators of w and of the T_j cleared once.  From
+        degree 0, whose basis is the unit, it is the one column w."""
         rows, cols = self.dim(k + d), self.dim(k)
         if not (rows and cols):
             return [[0] * cols for _ in range(rows)], 1
         (nums,), scale = linalg.scaled_integer([w])
+        if k == 0:
+            return [[a] for a in nums], scale
         terms = [(a, self._monomial_columns(d, j, k))
                  for j, a in enumerate(nums) if a]
         den = lcm(1, *(t_den for _, (_, t_den) in terms))
@@ -170,6 +182,25 @@ class FanRingModel(GradedModel):
                 for t, x in col:
                     acc[t] += a * x
         return [list(row) for row in zip(*out)], den * scale
+
+    def divisor_form(self, w, k):
+        """The form (x, y) -> deg(w x y) of a degree-1 w, for x of degree k
+        and y of the complementary degree top-k-1, in the scaled form:
+        column b holds the pairings of w x_b, x_b the b-th degree-k basis
+        cone, with the degree-(top-k-1) basis.  Each column is one divisor
+        fan-out of x_b read off the degree-(k+1) pairing rows, so no T_j
+        is built and no Gram inverse applied."""
+        (nums,), scale = linalg.scaled_integer([w])
+        D = ChowElement(self.fan, 1, dict(zip(self._basis[1], nums)))
+        cols = [self._pairings(multiply_by_divisor(
+            ChowElement(self.fan, k, {sigma: 1}), D))
+            for sigma in self._basis[k]]
+        den = lcm(1, *(c_den for _, c_den in cols))
+        out = [[0] * len(cols) for _ in range(self.dim(self.top - k - 1))]
+        for b, (p, c_den) in enumerate(cols):
+            for j, y in p.items():
+                out[j][b] = y * (den // c_den)
+        return out, den * scale
 
     def _monomial_columns(self, d, j, k):
         """T_j from degree k as (columns, den): column i holds the nonzero

@@ -50,7 +50,7 @@ FAN_BUILDERS = {
     "bundle-parallel-pair": lambda: projective_bundle_fan(4, parallel_pair()),
     "bergman-U(2,4)": lambda: bergman_fan(matroid_uniform(2, 4)),
     "bergman-U(3,5)": lambda: bergman_fan(matroid_uniform(3, 5)),
-    "bergman-K4": lambda: bergman_fan(matroid_from_graph(4, [
+    "bergman-K4": lambda: bergman_fan(matroid_from_graph([
         (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])),
     "bergman-pyramid": lambda: bergman_fan(pyramid_matroid()),
     "bergman-parallel-pair": lambda: bergman_fan(parallel_pair()),

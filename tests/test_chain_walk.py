@@ -33,7 +33,7 @@ def parallel_pair():
 FAMILY_CASES = {
     "U(2,4)": (lambda: matroid_uniform(2, 4), 2, True),
     "U(3,4)": (lambda: matroid_uniform(3, 4), 2, True),
-    "K4": (lambda: matroid_from_graph(4, K4_EDGES), 2, True),
+    "K4": (lambda: matroid_from_graph(K4_EDGES), 2, True),
     "parallel-pair": (parallel_pair, 2, True),
     "U(3,5)": (lambda: matroid_uniform(3, 5), 1, True),
     "pyramid": (pyramid_matroid, 0, False),
@@ -110,8 +110,8 @@ def test_gap_free_firsts_match_breadth_first_search(name):
      lambda: reference_bergman_cones(matroid_uniform(4, 4))),
     (lambda: bergman_fan(pyramid_matroid()),
      lambda: reference_bergman_cones(pyramid_matroid())),
-    (lambda: bergman_fan(matroid_from_graph(4, K4_EDGES)),
-     lambda: reference_bergman_cones(matroid_from_graph(4, K4_EDGES))),
+    (lambda: bergman_fan(matroid_from_graph(K4_EDGES)),
+     lambda: reference_bergman_cones(matroid_from_graph(K4_EDGES))),
     (lambda: bipermutohedral_fan(3),
      lambda: reference_bundle_cones(matroid_uniform(3, 3))),
     (lambda: projective_bundle_fan(4, matroid_uniform(2, 4)),

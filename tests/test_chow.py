@@ -160,7 +160,7 @@ BASIS_FANS = {
     "perm4": lambda: permutohedral_fan(4),
     "perm5": lambda: permutohedral_fan(5),
     "bergman-pyramid": lambda: bergman_fan(pyramid_matroid()),
-    "bergman-K4": lambda: bergman_fan(matroid_from_graph(4, K4_EDGES)),
+    "bergman-K4": lambda: bergman_fan(matroid_from_graph(K4_EDGES)),
     "biperm3": lambda: bipermutohedral_fan(3),
     "bundle-u23": lambda: projective_bundle_fan(3, matroid_uniform(2, 3)),
     "bundle-u24": lambda: projective_bundle_fan(4, matroid_uniform(2, 4)),

@@ -186,7 +186,7 @@ def test_gap_indices_pyramid_example():
 
 GAP_CASES = {
     "pyramid": (pyramid_matroid, 2),
-    "K4": (lambda: matroid_from_graph(4, K4_EDGES), 2),
+    "K4": (lambda: matroid_from_graph(K4_EDGES), 2),
     "U(2,4)": (lambda: matroid_uniform(2, 4), None),
     "U(3,4)": (lambda: matroid_uniform(3, 4), None),
 }
@@ -307,8 +307,8 @@ def small_matroids(draw):
         v = draw(st.integers(2, 4))
         edge = st.tuples(st.integers(1, v), st.integers(1, v)).filter(
             lambda e: e[0] != e[1])
-        M = matroid_from_graph(v, draw(st.lists(edge, min_size=1,
-                                                max_size=7 - v)))
+        M = matroid_from_graph(draw(st.lists(edge, min_size=1,
+                                             max_size=7 - v)))
     else:
         M = matroid_from_bases(4, [[1, 3], [1, 4], [2, 3], [2, 4], [3, 4]])
     if M.r > 1 and draw(st.booleans()):
@@ -319,8 +319,11 @@ def small_matroids(draw):
 @settings(max_examples=25, deadline=None)
 @given(small_matroids())
 def test_maximal_cone_count_matches_the_chain_walk(M):
-    assert count_maximal_cones(M) == len(bergman_fan(M).maximal_cones)
-    assert count_maximal_cones(M, biflags=True) == \
+    """Both counts match the fans, and the Bergman count, the maximal
+    flags, bounds the bundle count from below."""
+    flags = count_maximal_cones(M)
+    assert flags == len(bergman_fan(M).maximal_cones)
+    assert flags <= count_maximal_cones(M, biflags=True) == \
         len(projective_bundle_fan(M.n, M).maximal_cones)
 
 
@@ -333,6 +336,20 @@ def test_maximal_cone_count_of_larger_fans():
     # perm(8) and bipermutohedral(5), counted without their fans
     assert count_maximal_cones(matroid_uniform(8, 8)) == 40320
     assert count_maximal_cones(matroid_uniform(5, 5), biflags=True) == 113400
+
+
+def test_flag_count_bounds_the_bundle_count():
+    """The Bergman count is at most the bundle count on every matroid
+    named in this file (the drawn ones in the test above): the diagonal
+    biflags of distinct maximal flags lie in distinct maximal bundle
+    cones."""
+    for M in [matroid_from_graph(K4_EDGES), pyramid_matroid(),
+              matroid_from_bases(4, [[1, 3], [1, 4], [2, 3], [2, 4], [3, 4]])
+              ] + [matroid_uniform(r, n) for r, n in [
+                  (1, 3), (2, 3), (3, 3), (2, 4), (3, 4), (2, 5), (3, 5),
+                  (5, 5), (8, 8)]]:
+        assert count_maximal_cones(M) <= \
+            count_maximal_cones(M, biflags=True), M
 
 
 @settings(max_examples=25, deadline=None)

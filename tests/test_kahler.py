@@ -240,6 +240,8 @@ FORM_MODELS = {
     "U(2,3)-identity": lambda: bundle_model(2, 3, "identity"),
     "U(1,4)-negation": lambda: bundle_model(1, 4, "negation"),
     "pyramid": lambda: pyramid_candidate() + ([],),
+    "perm4": lambda: perm4_candidate() + ([],),
+    "perm3": lambda: perm3_candidate() + ([],),
 }
 
 
@@ -296,10 +298,13 @@ def test_orientation_reads_the_top_power_off_q0(name):
                          ids=["U(2,3)", "pyramid"])
 def test_kahler_report_builds_each_step_once(monkeypatch, candidate):
     """The model's multiplication matrices are one by ell from each degree
-    below the middle, L_0..L_(m-1) for m = n//2, and L_m for odd n, where
-    the middle form is G_m L_m; no degree above the middle is read."""
+    below the middle, L_0..L_(m-1) for m = n//2, and L_m for odd n on a
+    bundle ring, where the middle form is G_m L_m; a fan model reads its
+    odd middle form off its pairing rows, with no L_m.  No degree above
+    the middle is read."""
     model, ell = candidate()
     n = model.top
+    steps = n // 2 + (n % 2 and not isinstance(model, FanRingModel))
     kahler_report(model, ell)  # the Gram matrices are built once, here
     built = collections.Counter()
     original = model.mult_matrix
@@ -310,8 +315,22 @@ def test_kahler_report_builds_each_step_once(monkeypatch, candidate):
 
     monkeypatch.setattr(model, "mult_matrix", counting_mult_matrix)
     assert kahler_report(model, ell)["pd"]
-    assert built == collections.Counter(
-        [(1, k) for k in range((n + 1) // 2)])
+    assert built == collections.Counter([(1, k) for k in range(steps)])
+
+
+def test_odd_fan_model_forms_build_no_basis_products(monkeypatch):
+    """Once the pyramid's model is built, a candidate's report, forms and
+    orientation build no T_j: L_0 is ell's own column and the middle form
+    is read off the pairing rows."""
+    model, ell = pyramid_candidate()
+
+    def refuse(*args):
+        raise AssertionError("T_j built for %r" % (args,))
+
+    monkeypatch.setattr(model, "_monomial_columns", refuse)
+    assert kahler_report(model, ell) == {"pd": True, "hl": True, "hr": True}
+    (rep,) = sample_lefschetz_candidates(model, ell, [], samples=1)
+    assert rep["hr"] and not rep["flipped"]
 
 
 def test_candidate_forms_are_computed_once(monkeypatch):
@@ -402,8 +421,8 @@ def test_multi_bundle_smoke_instance():
 RESTRICTED_CASES = {
     "pyramid": (pyramid_matroid, pyramid_matroid),
     "U(2,4)": (lambda: matroid_uniform(2, 4), lambda: matroid_uniform(2, 4)),
-    "K4": (lambda: matroid_from_graph(4, K4_EDGES),
-           lambda: matroid_from_graph(4, K4_EDGES)),
+    "K4": (lambda: matroid_from_graph(K4_EDGES),
+           lambda: matroid_from_graph(K4_EDGES)),
     "U(3,4)-with-U(2,4)": (lambda: matroid_uniform(3, 4),
                            lambda: matroid_uniform(2, 4)),
 }

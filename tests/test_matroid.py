@@ -57,8 +57,8 @@ def test_invalid_bases_rejected():
 
 @pytest.mark.parametrize("build", [
     lambda: matroid_uniform(0, 0),
-    lambda: matroid_from_graph(1, []),
-    lambda: matroid_from_graph(0, []),
+    lambda: matroid_from_graph([]),
+    lambda: matroid_from_json({"graph": {"vertices": 0, "edges": []}}),
     lambda: matroid_from_bases(0, [[]]),
     lambda: Matroid(0, [0]),
     lambda: matroid_uniform(0, 2).delete_loops(),
@@ -73,7 +73,7 @@ def test_exchange_axiom_brute_force():
     """Every constructed matroid satisfies basis exchange, checked from
     scratch against the definition."""
     for M in [matroid_uniform(2, 4), pyramid_matroid(),
-              matroid_from_graph(3, [(1, 2), (1, 2), (2, 3)])]:
+              matroid_from_graph([(1, 2), (1, 2), (2, 3)])]:
         for A in M.bases:
             for B in M.bases:
                 for a in mask_to_set(A & ~B):
@@ -132,7 +132,7 @@ def test_truncate_to_rank_zero():
 
 
 def test_graph_matroid_with_self_loop():
-    M = matroid_from_graph(3, [(1, 2), (2, 3), (3, 3)])
+    M = matroid_from_graph([(1, 2), (2, 3), (3, 3)])
     assert M.loops() == set_to_mask({3})
     D, relabel = M.delete_loops()
     assert D.loops() == 0
@@ -164,7 +164,7 @@ def test_from_json_rejects_garbage():
 def test_pyramid_is_graphic():
     edges = [(1, 2), (2, 3), (3, 4), (4, 1),
              (1, 5), (2, 5), (3, 5), (4, 5)]
-    assert pyramid_matroid() == matroid_from_graph(5, edges)
+    assert pyramid_matroid() == matroid_from_graph(edges)
 
 
 @settings(max_examples=80, deadline=None)
@@ -178,5 +178,5 @@ def test_graph_bases_match_the_downward_size_search(data):
     edge = st.tuples(st.integers(1, v), st.integers(1, v))
     edges = data.draw(st.lists(edge, min_size=1, max_size=9))
     vertices = v + data.draw(st.integers(0, 3))
-    assert matroid_from_graph(vertices, edges).bases == \
+    assert matroid_from_graph(edges).bases == \
         reference_graph_bases(vertices, edges)

@@ -110,6 +110,50 @@ def scheduled(rng, d):
 
 
 @pytest.mark.parametrize("name", list(MODELS))
+def test_multiplication_out_of_degree_zero_is_the_class(name, monkeypatch):
+    """mult_matrix(d, w, 0) is the one column w * 1 of the reference, for
+    dense and scheduled w of every degree, int rows over a positive int,
+    and the fan model under it builds no T_j for it."""
+    m = model(name)
+    rng = random.Random(name)
+
+    def refuse(*args):
+        raise AssertionError("T_j built out of degree 0")
+
+    for ring in fan_models([name]):
+        monkeypatch.setattr(ring, "_monomial_columns", refuse)
+    for d in range(m.top + 1):
+        for w in (dense(rng, m.dim(d)), scheduled(rng, m.dim(d))):
+            a, den = m.mult_matrix(d, w, 0)
+            assert type(den) is int and den > 0
+            assert all(type(x) is int for row in a for x in row)
+            assert unscaled((a, den)) == [[x] for x in reference_multiply(
+                m, d, w, 0, m.unit())] == [[x] for x in w], d
+
+
+@pytest.mark.parametrize("name", ["perm(3)", "pyramid", "U(2,4)-quotient"])
+def test_divisor_form_pairs_the_products_with_the_basis(name):
+    """Column b of divisor_form(w, k) on a fan model (perm(3), the
+    pyramid, and perm(4) under the quotient) holds deg(y w x_b) over the
+    degree-(n-k-1) basis y, for x_b the b-th degree-k basis element, in
+    every degree, by reference products alone."""
+    rng = random.Random(name)
+    for m in fan_models([name]):
+        n = m.top
+        w = scheduled(rng, m.dim(1))
+        for k in range(n):
+            a, den = m.divisor_form(w, k)
+            assert type(den) is int and den > 0
+            assert all(type(x) is int for row in a for x in row)
+            d = m.dim(n - k - 1)
+            want = [[m.deg(reference_multiply(
+                m, n - k - 1, unit(d, j), k + 1,
+                reference_multiply(m, 1, w, k, unit(m.dim(k), b))))
+                for b in range(m.dim(k))] for j in range(d)]
+            assert unscaled((a, den)) == want, k
+
+
+@pytest.mark.parametrize("name", list(MODELS))
 def test_products_with_the_schedule_denominators_match_reference(name):
     m = model(name)
     rng = random.Random(name)
@@ -246,10 +290,11 @@ def test_bundle_gram_is_built_from_base_grams(name, monkeypatch):
         assert unscaled((a, den)) == reference_gram(m, k), k
 
 
-def fan_models():
-    """Every FanRingModel of MODELS, bundle and quotient bases included."""
+def fan_models(names=MODELS):
+    """Every FanRingModel of the named MODELS, bundle and quotient bases
+    included."""
     out = {}
-    for name in MODELS:
+    for name in names:
         ring = model(name)
         while not isinstance(ring, FanRingModel):
             ring = ring.base
@@ -270,13 +315,13 @@ def test_gram_inverse_is_shared_by_complementary_degrees():
             pick = [at[c] for c in m.basis_cones(m.top - k)]
             scaled, den = linalg.scaled_integer(
                 [[row[j] for j in pick] for row in mat])
-            assert m._pairing_rows[k] == {
+            assert m._pairing_rows[k] == ({
                 s: [(j, x) for j, x in enumerate(r) if x]
-                for s, r in zip(rows, scaled)}, k
+                for s, r in zip(rows, scaled)}, den), k
             inv, inv_den = linalg.scaled_inverse(
                 [list(col) for col in zip(*unscaled(m.gram(k)))])
             assert m._solve[k] == (
-                [list(col) for col in zip(*inv)], den * inv_den), k
+                [list(col) for col in zip(*inv)], inv_den), k
 
 
 def test_fan_model_gram_builds_no_basis_products(monkeypatch):
