@@ -3,10 +3,10 @@ monomials, divisor multiplication through per-cone linear representatives,
 degrees, pairings, pairing matrices, and transport maps.
 
 Everything is exact.  A coefficient is an int whenever it is integral and
-a fractions.Fraction only where a denominator appears: a rational input,
-or a non-unimodular cone, whose degree divides by its multiplicity.  On
-the unimodular flag and biflag fans every product, pairing and cap stays
-in ints.  degree, pair and pair_all return Fractions.
+a fractions.Fraction only where a rational input brings a denominator:
+every cone of a flag or biflag fan is unimodular, so products, pairings
+and caps of int classes stay in ints.  degree, pair and pair_all return
+Fractions.
 """
 
 from fractions import Fraction
@@ -173,10 +173,9 @@ def _fan_out(fan, cone, values, a=None):
     """x_cone * D as pairs (cone + rho, a_rho - m(u_rho)) over the rays rho
     extending cone, zero coefficients dropped (Adiprasito-Huh-Katz).  m is
     the functional vanishing on the lineality with m(u_j) = values[j] on
-    the j-th ray of the sorted cone (`Fan._functional`: on flag and biflag
-    fans read off its chain, with no dual basis; on other fans from
-    `Fan.dual_basis`); a lists D's coefficients by ray,
-    None for a D supported on the cone."""
+    the j-th ray of the sorted cone, read off its chain
+    (`Fan._functional`); a lists D's coefficients by ray, None for a D
+    supported on the cone."""
     m = fan._functional(cone, values)
     rays = fan.rays
     out = []
@@ -238,18 +237,12 @@ def multiply_by_monomial(elem, cone):
 
 def _degree(elem):
     """The degree of a top-dimensional class, an int when it is integral:
-    a cone of multiplicity 1 adds its coefficient times its weight, and
-    only another multiplicity divides, as a Fraction."""
+    each cone, unimodular, adds its coefficient times its weight."""
     fan = elem.fan
     if elem.degree != fan.top_dim:
         raise DegreeMismatch("degree %d element on a top-dimension-%d fan"
                              % (elem.degree, fan.top_dim))
-    total = 0
-    for cone, c in elem.terms.items():
-        mult = fan.cone_multiplicity(cone)
-        c *= fan.weight[cone]
-        total += c if mult == 1 else Fraction(c, mult)
-    return _exact(total)
+    return _exact(sum(c * fan.weight[cone] for cone, c in elem.terms.items()))
 
 
 def degree(elem):

@@ -8,9 +8,7 @@ tuple standing for the lineality cone.
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
 
-from . import linalg
 from .matroid import LoopyMatroid, mask_to_set, matroid_uniform
 
 
@@ -138,6 +136,25 @@ def walk_chains(succ, roots, keep, max_len):
 # ---------------------------------------------------------------------------
 
 class Fan:
+    """The common part of FlagFan (bergman_fan) and BiflagFan
+    (projective_bundle_fan).  Their constructors list the labels along a
+    linear extension of the chain order, so a cone, a sorted tuple, lists
+    its chain in order, and the subclasses read the products and balancing
+    on it off the blocks of that chain (`_blocks`), on sorted cones only,
+    as ChowElement keys them:
+
+    - `_functional(cone, values)` is the functional m vanishing on the
+      lineality with m(u_j) = values[j] on the j-th ray u_j of cone and 0
+      off the pivot coordinates of its rows, as a list over the ambient
+      coordinates;
+    - `_balanced_at(tau, weights)` is whether the sum of w u_rho over the
+      extensions sigma = tau + {rho} of weight w = weights[sigma] lies in
+      the span of the lineality and the rays of tau.
+
+    The inverse of the pivot block of a cone's rows has entries 0 and +-1
+    (Adiprasito-Huh-Katz), so every cone is unimodular and a maximal
+    cone's degree is its weight."""
+
     def __init__(self, ambient_dim, lineality, rays, ray_labels, cones, family):
         self.ambient_dim = ambient_dim
         self.lineality = [list(v) for v in lineality]
@@ -158,8 +175,6 @@ class Fan:
         self.weight = {c: 1 for c in self.maximal_cones}
         self._extensions = None
         self._top_degrees = {}  # deg(x_sigma x_rho) by (sigma, rho)
-        self._mult_cache = {}
-        self._dual_cache = {}
 
     def cones_of_dim(self, k):
         """The k-cones in ascending order, as a tuple."""
@@ -194,76 +209,16 @@ class Fan:
                         self._extensions.setdefault(c[:j] + c[j + 1:], {})[i] = c
         return self._extensions.get(cone, {})
 
-    def cone_multiplicity(self, cone):
-        """lattice_index of [lineality; rays of cone], cached by cone."""
-        cone = self._cone(cone)
-        if cone not in self._mult_cache:
-            rows = self.lineality + [self.rays[i] for i in cone]
-            try:
-                self._mult_cache[cone] = linalg.lattice_index(rows)
-            except ValueError as exc:
-                raise FanError("cone %r: %s" % (cone, exc)) from None
-        return self._mult_cache[cone]
-
-    def dual_basis(self, cone):
-        """(pivots, dual) for the rows [lineality; rays of cone], cached by
-        cone.  pivots are the pivot columns of those rows, which
-        basis_minor picks, and dual[i] is the i-th column of the inverse of
-        their pivot block, from scaled_inverse: the functional that is 1 on
-        row i and 0 on every other row, given by its values on the pivot
-        coordinates and 0 elsewhere.  So the functional vanishing on the
-        lineality with values v_j on the rays u_j of the cone is
-        sum_j v_j dual[L + j], L the number of lineality rows.  Flag and
-        biflag fans read every per-cone answer off the chain and build no
-        dual basis; on them this is API and the tests' reference."""
-        hit = self._dual_cache.get(cone)
-        if hit is None:
-            rows = self.lineality + [self.rays[i] for i in cone]
-            found, pivots = linalg.basis_minor(rows)
-            if len(found) < len(rows):
-                raise FanError("cone %r is not simplicial modulo the "
-                               "lineality" % (cone,))
-            inv, den = linalg.scaled_inverse([[row[p] for p in pivots]
-                                              for row in rows])
-            hit = (tuple(pivots), tuple(
-                tuple(a // den if a % den == 0 else Fraction(a, den)
-                      for a in col) for col in zip(*inv)))
-            self._dual_cache[cone] = hit
-        return hit
-
-    def _functional(self, cone, values):
-        """The functional m vanishing on the lineality with m(u_j) =
-        values[j] on the j-th ray u_j of cone and 0 off the pivot
-        coordinates, as a list over the ambient coordinates: sum_j
-        values[j] times the j-th ray's functional of dual_basis(cone)."""
-        pivots, dual = self.dual_basis(cone)
-        m = [0] * self.ambient_dim
-        for f, v in zip(dual[len(self.lineality):], values):
-            if v:
-                for p, x in zip(pivots, f):
-                    m[p] += v * x
-        return m
-
-    def _balanced_at(self, tau, weights):
-        """Whether the sum of w u_rho over the extensions sigma = tau + {rho}
-        with a weight w = weights[sigma] lies in the span of the lineality
-        and the rays of tau: its coordinates against them, read off
-        dual_basis(tau), reproduce it, so the residual vanishes; it does on
-        the pivot coordinates by construction."""
-        rest = [0] * self.ambient_dim
+    def _slots(self, tau, weights):
+        """The blocks of tau's chain, and {j: [(label of rho, w)]} over the
+        extensions sigma = tau + {rho} of weight w = weights[sigma] != 0 by
+        slot j = sigma.index(rho): u_rho is constant off block j."""
+        labels, slots = self.ray_labels, {}
         for rho, sigma in self._extension_map(tau).items():
             w = weights.get(sigma)
             if w:
-                rest = [t + w * x for t, x in zip(rest, self.rays[rho])]
-        if not any(rest):
-            return True
-        pivots, dual = self.dual_basis(tau)
-        at_pivots = [rest[p] for p in pivots]
-        for f, row in zip(dual, self.lineality + [self.rays[i] for i in tau]):
-            c = sum(map(mul, f, at_pivots))
-            if c:
-                rest = [x - c * y for x, y in zip(rest, row)]
-        return not any(rest)
+                slots.setdefault(sigma.index(rho), []).append((labels[rho], w))
+        return self._blocks(tau), slots
 
     def to_json(self):
         def fmt_label(lab):
@@ -305,33 +260,7 @@ def _sum_on(block, parts):
     return value or 0
 
 
-class _ChainFan(Fan):
-    """A fan of bergman_fan or projective_bundle_fan.  Its constructor
-    lists the labels along a linear extension of the chain order, so a
-    cone, a sorted tuple, lists its chain in order, and the subclasses read
-    the products and balancing on it off the blocks of that chain, with no
-    dual basis, on sorted cones only, as ChowElement keys them.  The
-    inverse of the pivot block of a cone's rows has entries 0 and +-1
-    (Adiprasito-Huh-Katz), so every cone is unimodular."""
-
-    def cone_multiplicity(self, cone):
-        """1 for any listing of a cone of the fan, with no dual basis."""
-        self._cone(cone)
-        return 1
-
-    def _slots(self, tau, weights):
-        """The blocks of tau's chain, and {j: [(label of rho, w)]} over the
-        extensions sigma = tau + {rho} of weight w = weights[sigma] != 0 by
-        slot j = sigma.index(rho): u_rho is constant off block j."""
-        labels, slots = self.ray_labels, {}
-        for rho, sigma in self._extension_map(tau).items():
-            w = weights.get(sigma)
-            if w:
-                slots.setdefault(sigma.index(rho), []).append((labels[rho], w))
-        return self._blocks(tau), slots
-
-
-class FlagFan(_ChainFan):
+class FlagFan(Fan):
     """A fan of bergman_fan: it lists its flats by size."""
 
     def _blocks(self, cone):
@@ -347,7 +276,7 @@ class FlagFan(_ChainFan):
         return out
 
     def _functional(self, cone, values):
-        """Fan._functional read off the chain of the sorted cone: each
+        """The functional of the sorted cone read off its chain: each
         block's columns of the rows are equal, a 1 then j zeros then ones,
         so the pivots are the min B_j, and m = v_{j+1} - v_j on min B_j,
         for v_j the value on e_{F_j} and v_0 = v_{k+1} = 0, so that
@@ -359,14 +288,14 @@ class FlagFan(_ChainFan):
         return m
 
     def _balanced_at(self, tau, weights):
-        """Fan._balanced_at read off tau's chain: its span is the vectors
+        """Balancing around tau read off its chain: its span is the vectors
         constant on each block, as slot j's sum w [e in G] must be on B_j."""
         blocks, slots = self._slots(tau, weights)
         return all(_sum_on(blocks[j], parts) is not None
                    for j, parts in slots.items())
 
 
-class BiflagFan(_ChainFan):
+class BiflagFan(Fan):
     """A fan of projective_bundle_fan: it lists its biflats by
     (|S|, -|F|).
 
@@ -391,7 +320,7 @@ class BiflagFan(_ChainFan):
         return out
 
     def _functional(self, cone, values):
-        """Fan._functional read off the chain of the sorted cone: m =
+        """The functional of the sorted cone read off its chain: m =
         sum_j (v_j - v_{j-1}) c_j, j = 1..k+1, for v_j the value on
         e_{S_j|F_j} and v_0 = v_{k+1} = 0, with each c_j written on pivot
         columns: c_j is v[min A_j] where A_j is nonempty; c_0 = v[N + q] +
@@ -414,7 +343,7 @@ class BiflagFan(_ChainFan):
         return m
 
     def _balanced_at(self, tau, weights):
-        """Fan._balanced_at read off tau's chain: the span of the lineality
+        """Balancing around tau read off its chain: the span of the lineality
         and the e_{S_j|F_j} of tau is the vectors constant on each A_j and
         on each N + B_j whose two values add up to the same c_0 on every
         block with both parts nonempty.  An extension S|F adds w to that
@@ -531,7 +460,7 @@ def bipermutohedral_fan(N):
 def check_balanced(fan, dim, values):
     """Balancing of a rational weight on the dim-cones: around every
     (dim-1)-cone tau, the weighted sum of the extending ray generators must
-    lie in span(tau) + lineality (`Fan._balanced_at`).  Returns a list of
+    lie in span(tau) + lineality (`_balanced_at` of the fan).  Returns a list of
     violating cones, and raises ConeNotInFan for a key that is not a
     dim-cone of the fan."""
     if dim < 0 or dim > fan.top_dim:

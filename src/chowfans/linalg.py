@@ -15,11 +15,10 @@ that factor instead, and the factors of consecutive skipped steps
 telescope to one ratio of pivots, multiplied out when the row is next
 read.  That division is exact because the true entry is a minor
 (Bareiss, "Sylvester's identity and multistep integer-preserving
-Gaussian elimination", Math. Comp. 1968).  The dual bases of the cones
-of a fan come from basis_minor and scaled_inverse; flag and biflag fans
-build none, and read their products, balancing and multiplicities off
-their chains.  lattice_index measures their unimodularity in the `fan`
-command and the tests.  Matrices are lists of lists, rows first.  No
+Gaussian elimination", Math. Comp. 1968).  The fans build no per-cone
+elimination: flag and biflag fans read their products and balancing off
+their chains.  lattice_index serves only the `fan` command's
+`unimodular` report.  Matrices are lists of lists, rows first.  No
 floating point is used anywhere in the package.
 """
 

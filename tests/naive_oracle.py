@@ -43,9 +43,8 @@ and divisor products, the degree, the pairing walk and the cap product,
 all over `Fraction` with classes as plain dicts
 cone -> coefficient.  Each cone's dual basis comes from a Gauss-Jordan
 over `Fraction` and its extensions from a scan of every ray, so the
-kernel's integer arithmetic, its cached extension maps, the chain reads
-of flag and biflag fans and the elimination of `Fan.dual_basis` are all
-checked against it.
+kernel's integer arithmetic, its cached extension maps and the chain
+reads of flag and biflag fans are all checked against it.
 
 Also the reference chain searches: the flag and biflag cones of the
 Bergman and bundle fans, the gap-free first components and the second
@@ -523,7 +522,7 @@ def reference_pivot_inverse(rows):
     """(pivots, inv) for linearly independent rows: their pivot columns
     and the inverse of the block those cut out, by Gauss-Jordan over
     Fraction on [rows | I], each pivot row divided by its pivot.  The
-    reference of Fan.dual_basis, whose functionals are the columns of inv."""
+    functionals dual to the rows are the columns of inv."""
     n = len(rows)
     cols = len(rows[0]) if rows else 0
     aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
@@ -558,21 +557,30 @@ def _reference_dual_basis(fan, cone):
     return pivots, list(zip(*inv))[len(fan.lineality):]
 
 
+def reference_functional(fan, cone, values):
+    """The functional vanishing on the lineality with m(u_j) = values[j]
+    on the j-th ray of cone and 0 off the pivot coordinates, as a list of
+    Fractions over the ambient coordinates: `Fan._functional`."""
+    pivots, dual = _reference_dual_basis(fan, cone)
+    m = [Fraction(0)] * fan.ambient_dim
+    for f, v in zip(dual, values):
+        for p, x in zip(pivots, f):
+            m[p] += Fraction(v) * x
+    return m
+
+
 def reference_fan_out(fan, cone, values, a=None):
     """x_cone * D over Fraction, as (cone + rho, a_rho - m(u_rho)) pairs,
-    for m the functional vanishing on the lineality with m(u_j) = values[j]
-    on the rays of cone, and the rays rho extending cone found by a scan."""
-    pivots, dual = _reference_dual_basis(fan, cone)
-    m = [Fraction(0)] * len(pivots)
-    for f, v in zip(dual, values):
-        m = [x + Fraction(v) * y for x, y in zip(m, f)]
+    for m the `reference_functional` of the values on the rays of cone,
+    and the rays rho extending cone found by a scan."""
+    m = reference_functional(fan, cone, values)
     out = []
     for rho, u in enumerate(fan.rays):
         key = tuple(sorted(cone + (rho,)))
         if rho in cone or key not in fan.cones:
             continue
         coef = Fraction(0 if a is None else a[rho]) - sum(
-            x * u[p] for x, p in zip(m, pivots))
+            x * y for x, y in zip(m, u))
         if coef:
             out.append((key, coef))
     return out
@@ -611,10 +619,12 @@ def reference_multiply_by_divisor(fan, terms, a):
 
 
 def reference_degree(fan, terms):
-    """The degree of a top-dimensional class, as a Fraction."""
+    """The degree of a top-dimensional class, as a Fraction: every cone of
+    a flag or biflag fan is unimodular, so each adds its coefficient times
+    its weight."""
     total = Fraction(0)
     for cone, c in terms.items():
-        total += Fraction(c) * fan.weight[cone] / fan.cone_multiplicity(cone)
+        total += Fraction(c) * fan.weight[cone]
     return total
 
 

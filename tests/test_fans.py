@@ -1,11 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chowfans import linalg
 from chowfans.chow import ChowElement, multiply_by_ray
-from chowfans.fans import (ConeNotInFan, Fan, FanError, NotAChain,
+from chowfans.fans import (ConeNotInFan, NotAChain,
                            bergman_fan, biflat_poset, bipermutohedral_fan,
                            check_balanced, count_maximal_cones, gap_indices,
                            is_bisubset, is_chain,
@@ -14,8 +14,7 @@ from chowfans.fans import (ConeNotInFan, Fan, FanError, NotAChain,
                            walk_chains)
 from chowfans.matroid import (matroid_from_bases, matroid_from_graph,
                               matroid_uniform, pyramid_matroid, set_to_mask)
-from naive_oracle import (reference_gap_indices, reference_lattice_index,
-                          reference_pivot_inverse)
+from naive_oracle import reference_gap_indices, reference_lattice_index
 
 K4_EDGES = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 
@@ -82,17 +81,6 @@ def test_bundle_fan_is_subfan_of_bipermutohedral():
         assert mapped in big.cones
 
 
-def test_all_suite_fans_unimodular():
-    fans = [permutohedral_fan(3), permutohedral_fan(4),
-            bergman_fan(matroid_uniform(2, 4)),
-            projective_bundle_fan(3, matroid_uniform(2, 3)),
-            projective_bundle_fan(4, matroid_uniform(3, 4))]
-    for fan in fans:
-        for cone in fan.maximal_cones:
-            rows = fan.lineality + [fan.rays[i] for i in cone]
-            assert linalg.lattice_index(rows) == 1
-
-
 def test_cone_chain_lists_each_cone_as_a_chain():
     """The constructors list the labels along a linear extension of the
     chain order, so ascending ray index lists every cone, in any order,
@@ -109,39 +97,32 @@ def test_cone_chain_lists_each_cone_as_a_chain():
             assert is_a_chain(list(chain)), chain
 
 
-def test_multiplicity_from_the_dual_basis_matches_lattice_index():
-    """Flag and biflag fans answer multiplicity 1 for every cone by
-    construction, with no elimination, and on every cone of five chain
-    fans that is lattice_index's gcd of maximal minors.  A fan built from
-    explicit rays answers lattice_index, which equals the gcd of every
-    Fraction minor of naive_oracle.reference_lattice_index on the rays and
-    cones of three of those fans and on a custom fan with a cone of
-    multiplicity 2 (the Fraction minors take 6 ms a cone on the bundle
-    fan of U(3,4), so the two bundle fans stay off that side)."""
+def test_cone_lattice_index_matches_the_fraction_minors():
+    """linalg.lattice_index, which measures the `fan` command's
+    `unimodular`, is 1 on every cone of five chain fans, and equals the
+    gcd of every Fraction minor of naive_oracle.reference_lattice_index on
+    the cones of three of those fans and on the rows of the complete fan
+    of Z^2 on (1,0), (1,2), (-1,-1), whose first cone has index 2 (the
+    Fraction minors take 6 ms a cone on the bundle fan of U(3,4), so the
+    two bundle fans stay off that side)."""
     fans = [permutohedral_fan(4), bipermutohedral_fan(3),
             bergman_fan(pyramid_matroid()),
             projective_bundle_fan(4, matroid_uniform(3, 4)),
             projective_bundle_fan(5, matroid_uniform(2, 5))]
     seen = 0
-    for fan in fans:
+    for k, fan in enumerate(fans):
         for cone in fan.cones:
             rows = fan.lineality + [fan.rays[i] for i in cone]
-            assert fan.cone_multiplicity(cone) == 1 == \
-                linalg.lattice_index(rows)
+            assert linalg.lattice_index(rows) == 1
+            if k < 3:
+                assert reference_lattice_index(rows) == 1
             seen += 1
     assert seen == 8349
-    custom = Fan(2, [], [[1, 0], [1, 2], [-1, -1]], ["a", "b", "c"],
-                 [(), (0,), (1,), (2,), (0, 1), (1, 2), (0, 2)], "custom")
-    for fan in fans[:3] + [custom]:
-        plain = Fan(fan.ambient_dim, fan.lineality, fan.rays,
-                    fan.ray_labels, fan.cones, "custom")
-        for cone in plain.cones:
-            assert plain.cone_multiplicity(cone) == reference_lattice_index(
-                plain.lineality + [plain.rays[i] for i in cone])
-    assert custom.cone_multiplicity((1, 0)) == 2
-    with pytest.raises(FanError):
-        Fan(2, [], [[1, 0], [2, 0]], "ab", [(), (0, 1)],
-            "custom").cone_multiplicity((0, 1))
+    u, v, w = [1, 0], [1, 2], [-1, -1]
+    for rows, index in [([u, v], 2), ([v, w], 1), ([u, w], 1), ([u], 1),
+                        ([v], 1)]:
+        assert linalg.lattice_index(rows) == \
+            reference_lattice_index(rows) == index
 
 
 def test_weight_one_balancing():
@@ -261,44 +242,12 @@ def test_chain_order_is_transitive_on_biflats(i, j, k):
         assert is_chain([a, c])
 
 
-def assert_dual_bases_match_the_elimination(fan):
-    """Fan.dual_basis on every cone of a fresh fan equals the pivots and the
-    columns of the inverse from Gauss-Jordan over Fraction, and each value
-    is an int exactly where it is integral."""
-    for cone in sorted(fan.cones):
-        pivots, dual = fan.dual_basis(cone)
-        want, inv = reference_pivot_inverse(
-            fan.lineality + [fan.rays[i] for i in cone])
-        assert pivots == tuple(want)
-        assert dual == tuple(zip(*inv))
-        assert [type(x) for f in dual for x in f] == [
-            int if x.denominator == 1 else Fraction for f in zip(*inv)
-            for x in f]
-
-
-def explicit_fan():
-    """The complete fan of Z^2 with rays (1,0), (1,2), (-1,-1); the cone on
-    the first two has multiplicity 2, so its inverse has halves."""
-    return Fan(2, [], [[1, 0], [1, 2], [-1, -1]], ["a", "b", "c"],
-               [(), (0,), (1,), (2,), (0, 1), (1, 2), (0, 2)], "custom")
-
-
-@pytest.mark.parametrize("build", [
-    *[lambda n=n: permutohedral_fan(n) for n in range(1, 6)],
-    *[lambda n=n: bipermutohedral_fan(n) for n in range(2, 4)],
-    explicit_fan],
-    ids=["perm%d" % n for n in range(1, 6)]
-    + ["biperm%d" % n for n in range(2, 4)] + ["explicit"])
-def test_dual_bases_match_the_elimination(build):
-    assert_dual_bases_match_the_elimination(build())
-
-
 @st.composite
 def small_matroids(draw):
     """A uniform matroid of rank at most 2 or on at most 3 elements, a
     graphic one with at most 7 - v loopless edges on v <= 4 vertices, the
-    truncation of either, or the parallel pair.  The Fraction elimination
-    is slow on larger bundle fans: U(3,4) has 3,545 cones, 3 s of it."""
+    truncation of either, or the parallel pair: their fans stay small,
+    where the bundle fan of U(3,4) already has 3,545 cones."""
     kind = draw(st.sampled_from(["uniform", "graphic", "parallel-pair"]))
     if kind == "uniform":
         n = draw(st.integers(1, 4))
@@ -314,6 +263,26 @@ def small_matroids(draw):
     if M.r > 1 and draw(st.booleans()):
         M = M.truncate()
     return M
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_matroids())
+@example(matroid_uniform(3, 3))
+@example(matroid_uniform(4, 4))
+@example(matroid_uniform(2, 4))
+@example(matroid_uniform(2, 3))
+@example(matroid_uniform(3, 4))
+def test_all_suite_fans_unimodular(M):
+    """Every maximal cone of the Bergman and bundle fans of M has lattice
+    index 1, on drawn matroids and on the five fixed fans perm(3),
+    perm(4), Bergman U(2,4) and the bundle fans of U(2,3) and U(3,4).
+    Faces of a unimodular cone are unimodular, so the maximal cones
+    suffice: the degree of a class adds up its coefficients times the
+    weights, with no multiplicity."""
+    for fan in [bergman_fan(M), projective_bundle_fan(M.n, M)]:
+        for cone in fan.maximal_cones:
+            rows = fan.lineality + [fan.rays[i] for i in cone]
+            assert linalg.lattice_index(rows) == 1, (fan.family, cone)
 
 
 @settings(max_examples=25, deadline=None)
@@ -350,32 +319,6 @@ def test_flag_count_bounds_the_bundle_count():
                   (5, 5), (8, 8)]]:
         assert count_maximal_cones(M) <= \
             count_maximal_cones(M, biflags=True), M
-
-
-@settings(max_examples=25, deadline=None)
-@given(small_matroids())
-def test_matroid_fan_dual_bases_match_the_elimination(M):
-    assert_dual_bases_match_the_elimination(bergman_fan(M))
-    assert_dual_bases_match_the_elimination(projective_bundle_fan(M.n, M))
-
-
-def test_dual_basis_of_rays_out_of_chain_order():
-    """Rays listed out of chain order, or that span no cone, have the dual
-    basis of the elimination, and rays dependent modulo the lineality
-    raise FanError."""
-    for fan in [permutohedral_fan(3), bipermutohedral_fan(2)]:
-        rays = [tuple(reversed(c)) for c in fan.maximal_cones] + [
-            (i, j) for i in range(len(fan.rays)) for j in range(i)
-            if (j, i) not in fan.cones]
-        for cone in rays + [(0, 0)]:
-            try:
-                pivots, inv = reference_pivot_inverse(
-                    fan.lineality + [fan.rays[i] for i in cone])
-            except ValueError:
-                with pytest.raises(FanError):
-                    fan.dual_basis(cone)
-                continue
-            assert fan.dual_basis(cone) == (tuple(pivots), tuple(zip(*inv)))
 
 
 def test_fan_json_roundtrip_fields():

@@ -1,4 +1,4 @@
-"""Differential tests for the per-cone dual basis and everything derived
+"""Differential tests for the per-cone functional and everything derived
 from it: representatives, balancing, divisor and ray products, and the
 pairing walk; for the integer solves of the ring models against their
 Fraction references; plus the fraction-free echelon form and inverse of
@@ -49,32 +49,24 @@ def dot(m, v):
     return sum(a * b for a, b in zip(m, v))
 
 
-def representative(fan, cone, values):
-    """The functional of the dual basis, spread over the ambient space."""
-    pivots, dual = fan.dual_basis(cone)
-    lin = len(fan.lineality)
-    m = [0] * fan.ambient_dim
-    for f, v in zip(dual[lin:], values):
-        for p, x in zip(pivots, f):
-            m[p] += v * x
-    return m
+def rank_balanced_at(fan, tau, values):
+    """Balancing around the cone tau by two rank computations, the
+    reference of `Fan._balanced_at`."""
+    total = [Fraction(0)] * fan.ambient_dim
+    touched = False
+    for rho in fan._extension_map(tau):
+        w = values.get(tuple(sorted(tau + (rho,))), 0)
+        if w:
+            touched = True
+            total = [t + w * x for t, x in zip(total, fan.rays[rho])]
+    span = fan.lineality + [fan.rays[i] for i in tau]
+    return not touched or linalg.rank(span + [total]) == linalg.rank(span)
 
 
 def rank_violations(fan, dim, values):
     """Balancing by two rank computations per cone, the reference."""
-    out = []
-    for tau in fan.cones_of_dim(dim - 1):
-        total = [Fraction(0)] * fan.ambient_dim
-        touched = False
-        for rho in fan._extension_map(tau):
-            w = values.get(tuple(sorted(tau + (rho,))), 0)
-            if w:
-                touched = True
-                total = [t + w * x for t, x in zip(total, fan.rays[rho])]
-        span = fan.lineality + [fan.rays[i] for i in tau]
-        if touched and linalg.rank(span + [total]) != linalg.rank(span):
-            out.append(tau)
-    return out
+    return [tau for tau in fan.cones_of_dim(dim - 1)
+            if not rank_balanced_at(fan, tau, values)]
 
 
 @FANS
@@ -82,7 +74,7 @@ def test_representative_takes_the_values_and_kills_lineality(name, fan):
     rng = random.Random(name)
     for cone in sorted(fan.cones):
         values = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in cone]
-        m = representative(fan, cone, values)
+        m = fan._functional(cone, values)
         assert [dot(m, fan.rays[i]) for i in cone] == values, cone
         assert all(dot(m, v) == 0 for v in fan.lineality), cone
 
