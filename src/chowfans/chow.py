@@ -1,6 +1,8 @@
 """Chow classes on the flag fans: formal rational sums of square-free cone
 monomials, divisor multiplication through per-cone linear representatives,
-degrees, pairings, pairing matrices, and transport maps.
+degrees, pairings, pairing matrices, and transport maps, all read through
+the per-cone hooks of the fan's class (`fans.Fan`), whose Poincare duality
+makes the pairing walk the zero test (`nonzero_pairing_witness`).
 
 Everything is exact.  A coefficient is an int whenever it is integral and
 a fractions.Fraction only where a rational input brings a denominator:
@@ -13,10 +15,6 @@ from fractions import Fraction
 from operator import mul
 
 from .fans import ConeNotInFan, check_balanced
-
-
-SUPPORTED_FAMILIES = ("permutohedral", "bergman", "bipermutohedral",
-                      "projective_bundle")
 
 
 class ChowError(Exception):
@@ -32,10 +30,6 @@ class DegreeMismatch(ChowError):
 
 
 class NonzeroOnLineality(ChowError):
-    pass
-
-
-class UnsupportedFan(ChowError):
     pass
 
 
@@ -315,17 +309,10 @@ def pair_all(elem):
     return out
 
 
-def is_zero_class(elem):
-    fan = elem.fan
-    if fan.family not in SUPPORTED_FAMILIES:
-        raise UnsupportedFan("zero-testing by duality is only valid on the "
-                             "four flag-fan families")
-    return nonzero_pairing_witness(elem) is None
-
-
 def nonzero_pairing_witness(elem):
     """The first complementary cone of the pairing walk that pairs nonzero
-    with elem, or None."""
+    with elem, or None.  Poincare duality of the fan's class makes None
+    the test that elem is zero."""
     if elem.degree > elem.fan.top_dim:
         return None
     return next((tau for tau, _ in _pairings(elem)), None)

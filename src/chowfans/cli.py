@@ -288,7 +288,10 @@ def build_parser():
     p = sub.add_parser("bloch-gieseker", help="full-rank and sign checks")
     p.add_argument("--matroid")
     p.add_argument("--N", type=int)
-    p.add_argument("--lams", help="comma-separated twist parameters")
+    p.add_argument("--lams", help="comma-separated twist parameters, default "
+                   "0,1: lam > 0 twists E by lam h, h ample, where the checks "
+                   "are expected to pass; lam = 0 leaves E untwisted, for "
+                   "comparison, and its failures are no counterexamples")
     p.set_defaults(func=cmd_bloch_gieseker)
 
     p = sub.add_parser("quotient-ahk", help="annihilator quotient Hilbert function")

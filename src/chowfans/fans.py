@@ -7,7 +7,6 @@ tuple standing for the lineality cone.
 """
 
 from fractions import Fraction
-from math import lcm
 
 from .matroid import LoopyMatroid, mask_to_set, matroid_uniform
 
@@ -136,12 +135,9 @@ def walk_chains(succ, roots, keep, max_len):
 # ---------------------------------------------------------------------------
 
 class Fan:
-    """The common part of FlagFan (bergman_fan) and BiflagFan
-    (projective_bundle_fan).  Their constructors list the labels along a
-    linear extension of the chain order, so a cone, a sorted tuple, lists
-    its chain in order, and the subclasses read the products and balancing
-    on it off the blocks of that chain (`_blocks`), on sorted cones only,
-    as ChowElement keys them:
+    """A simplicial fan, whose class is its contract.  Fan itself is never
+    built; a subclass implements two hooks on sorted cones, as ChowElement
+    keys them:
 
     - `_functional(cone, values)` is the functional m vanishing on the
       lineality with m(u_j) = values[j] on the j-th ray u_j of cone and 0
@@ -151,11 +147,21 @@ class Fan:
       extensions sigma = tau + {rho} of weight w = weights[sigma] lies in
       the span of the lineality and the rays of tau.
 
-    The inverse of the pivot block of a cone's rows has entries 0 and +-1
-    (Adiprasito-Huh-Katz), so every cone is unimodular and a maximal
-    cone's degree is its weight."""
+    Its cones are unimodular, so a maximal cone's degree is its weight,
+    and its Chow ring satisfies Poincare duality, on which FanRingModel
+    and the zero test of the pairing walk rest: FlagFan (bergman_fan) by
+    Adiprasito-Huh-Katz, BiflagFan (projective_bundle_fan) by the Hodge
+    theory of combinatorial projective bundles.  These two list their
+    labels along a linear extension of the chain order, so a sorted cone
+    lists its chain in order, and read both hooks off the blocks of that
+    chain (`_blocks`); the inverse of the pivot block of a cone's rows
+    has entries 0 and +-1 (Adiprasito-Huh-Katz).  family is a display
+    label, which to_json writes and no code branches on."""
 
     def __init__(self, ambient_dim, lineality, rays, ray_labels, cones, family):
+        if type(self) is Fan:
+            raise FanError("a bare Fan has no per-cone hooks: build it with "
+                           "bergman_fan or projective_bundle_fan")
         self.ambient_dim = ambient_dim
         self.lineality = [list(v) for v in lineality]
         self.rays = [list(v) for v in rays]
@@ -426,7 +432,7 @@ def bergman_fan(M):
     return FlagFan(M.n, [[1] * M.n], rays, labels, cones, "bergman")
 
 
-def projective_bundle_fan(N, M, family="projective_bundle"):
+def projective_bundle_fan(N, M):
     """Rays e_{S|F} over proper biflats of M, cones = biflags of M,
     lineality e_{0|[N]} and e_{[N]|0}."""
     if M.n != N:
@@ -450,11 +456,14 @@ def projective_bundle_fan(N, M, family="projective_bundle"):
                                     len(labels)))
     rays = [_indicator(N, S) + _indicator(N, F) for S, F in labels]
     lin = [[0] * N + [1] * N, [1] * N + [0] * N]
-    return BiflagFan(2 * N, lin, rays, labels, cones, family)
+    return BiflagFan(2 * N, lin, rays, labels, cones, "projective_bundle")
 
 
 def bipermutohedral_fan(N):
-    return projective_bundle_fan(N, matroid_uniform(N, N), family="bipermutohedral")
+    """The projective bundle fan of the free matroid on [N]."""
+    fan = projective_bundle_fan(N, matroid_uniform(N, N))
+    fan.family = "bipermutohedral"
+    return fan
 
 
 def check_balanced(fan, dim, values):
@@ -472,12 +481,7 @@ def check_balanced(fan, dim, values):
     if dim == 0:
         # a weight on the zero cone has nothing to balance against
         return []
-    # balancing is invariant under scaling, so clear the denominators once
-    # and add up integer vectors
-    values = {c: v if type(v) is int else Fraction(v)
-              for c, v in values.items() if v}
-    scale = lcm(1, *(v.denominator for v in values.values()))
-    weights = {c: v.numerator * (scale // v.denominator)
-               for c, v in values.items()}
+    weights = {c: v if type(v) is int else Fraction(v)
+               for c, v in values.items() if v}
     return [tau for tau in fan.cones_of_dim(dim - 1)
             if not fan._balanced_at(tau, weights)]

@@ -21,9 +21,8 @@ from itertools import accumulate
 from math import lcm
 
 from . import linalg
-from .chow import (SUPPORTED_FAMILIES, ChowElement, DegreeTooLow, FanMismatch,
-                   UnsupportedFan, _pairing_matrix, multiply_by_divisor,
-                   multiply_by_monomial)
+from .chow import (ChowElement, DegreeTooLow, FanMismatch, _pairing_matrix,
+                   multiply_by_divisor, multiply_by_monomial)
 
 
 class RingError(Exception):
@@ -77,8 +76,11 @@ class GradedModel:
 
 
 class FanRingModel(GradedModel):
-    """Graded ring model of the Chow ring of a supported fan.  Basis
-    elements are cone monomials; an element is expressed in the basis by
+    """Graded ring model of the Chow ring of a fan.  Basis elements are
+    cone monomials, the rows and columns of a nonsingular minor of each
+    pairing matrix; `kahler.check_pd` confirms that basis, and Poincare
+    duality itself, which makes it span, rests on the theorem for the
+    fan's class (`fans.Fan`).  An element is expressed in the basis by
     reading its pairings with the complementary basis cones off the
     pairing matrix and solving against the Gram inverse, all built once
     per pair of complementary degrees and kept per degree as ints over one
@@ -89,8 +91,6 @@ class FanRingModel(GradedModel):
     a divisor read w and the pairing rows directly, with no T_j."""
 
     def __init__(self, fan):
-        if fan.family not in SUPPORTED_FAMILIES:
-            raise UnsupportedFan("graded bases need Poincare duality")
         self.fan = fan
         n = self.top = fan.top_dim
         self._basis = {}
@@ -103,10 +103,7 @@ class FanRingModel(GradedModel):
             rows, cols = linalg.basis_minor(mat)
             gram = [[mat[i][j] for j in cols] for i in rows]
             gram_t = [list(col) for col in zip(*gram)]
-            try:
-                inv, inv_den = linalg.scaled_inverse(gram_t)
-            except ValueError:
-                raise SingularGram("pairing degenerate in degree %d" % k)
+            inv, inv_den = linalg.scaled_inverse(gram_t)
             # degree n-k reads the columns of M_k and the rows of the inverse
             sides = [(k, cones, rows, gram,
                       [[x[j] for j in cols] for x in mat],

@@ -5,7 +5,7 @@ Chern classes are computed on coordinate vectors, in rings.
 
 from .chow import (ChowElement, divisor, multiply_by_divisor,
                    negation_relabel, unit_class)
-from .fans import DimensionMismatch
+from .fans import BiflagFan, DimensionMismatch, FlagFan
 from .matroid import LoopyMatroid
 
 
@@ -19,6 +19,9 @@ def structural_divisors(fan, M, j=1):
     gamma; v_i^+/v_i^- split delta + u_i - gammabar into its F = [N] and
     F proper parts.
     """
+    if not isinstance(fan, BiflagFan):
+        raise DimensionMismatch("structural divisors need a biflag fan, "
+                                "not a %s" % type(fan).__name__)
     if 2 * M.n != fan.ambient_dim:
         raise DimensionMismatch("matroid on [%d], biflag fan in dimension %d"
                                 % (M.n, fan.ambient_dim))
@@ -72,6 +75,9 @@ def w_divisors(fan, M):
     the rays whose subset contains 1, which pulls back to gamma under the
     first projection at the level of coefficient vectors.
     """
+    if not isinstance(fan, FlagFan):
+        raise DimensionMismatch("w classes need a flag fan, not a %s"
+                                % type(fan).__name__)
     if M.n != fan.ambient_dim:
         raise DimensionMismatch("matroid on [%d], flag fan in dimension %d"
                                 % (M.n, fan.ambient_dim))

@@ -44,7 +44,10 @@ all over `Fraction` with classes as plain dicts
 cone -> coefficient.  Each cone's dual basis comes from a Gauss-Jordan
 over `Fraction` and its extensions from a scan of every ray, so the
 kernel's integer arithmetic, its cached extension maps and the chain
-reads of flag and biflag fans are all checked against it.
+reads of flag and biflag fans are all checked against it.  Balancing
+around a cone is two rank computations, and `ReferenceFan` answers the
+per-cone hooks of `Fan` with these references, for a fan built from
+explicit rays and cones.
 
 Also the reference chain searches: the flag and biflag cones of the
 Bergman and bundle fans, the gap-free first components and the second
@@ -82,10 +85,10 @@ from math import gcd, lcm
 from chowfans.chow import (ChowElement, FanMismatch, multiply_by_monomial,
                            pair, pair_all)
 from chowfans.biflags import expansion_index, is_lex_decreasing
-from chowfans.fans import (bisubset_leq, gap_indices, is_chain,
+from chowfans.fans import (Fan, bisubset_leq, gap_indices, is_chain,
                            permutohedral_fan, proper_biflats)
 from chowfans.kahler import base_convex_divisor
-from chowfans.linalg import scaled_integer, scaled_mat_vec
+from chowfans.linalg import rank, scaled_integer, scaled_mat_vec
 from chowfans.rings import BundleRing, QuotientRingModel
 from chowfans.tautological import chern_classes
 
@@ -567,6 +570,31 @@ def reference_functional(fan, cone, values):
         for p, x in zip(pivots, f):
             m[p] += Fraction(v) * x
     return m
+
+
+def rank_balanced_at(fan, tau, values):
+    """Balancing around the cone tau by two rank computations, the
+    reference of `Fan._balanced_at`."""
+    total = [Fraction(0)] * fan.ambient_dim
+    touched = False
+    for rho in fan._extension_map(tau):
+        w = values.get(tuple(sorted(tau + (rho,))), 0)
+        if w:
+            touched = True
+            total = [t + w * x for t, x in zip(total, fan.rays[rho])]
+    span = fan.lineality + [fan.rays[i] for i in tau]
+    return not touched or rank(span + [total]) == rank(span)
+
+
+class ReferenceFan(Fan):
+    """A fan given by its rays and cones that answers the two per-cone
+    hooks of `Fan` by the references above: `reference_functional` and
+    `rank_balanced_at`.  As for any subclass, its cones must be unimodular
+    and its Chow ring must satisfy Poincare duality, as the fan of a
+    smooth complete toric variety does."""
+
+    _functional = reference_functional
+    _balanced_at = rank_balanced_at
 
 
 def reference_fan_out(fan, cone, values, a=None):

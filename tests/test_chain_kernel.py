@@ -29,12 +29,12 @@ from chowfans.fans import (ConeNotInFan, bergman_fan,
 from chowfans.matroid import (matroid_from_bases, matroid_from_graph,
                               matroid_uniform, pyramid_matroid)
 from chowfans.rings import FanRingModel
-from naive_oracle import (reference_cap_product, reference_degree,
-                          reference_fan_out, reference_functional,
-                          reference_multiply_by_divisor,
+from naive_oracle import (rank_balanced_at, reference_cap_product,
+                          reference_degree, reference_fan_out,
+                          reference_functional, reference_multiply_by_divisor,
                           reference_multiply_by_ray, reference_pair_all,
                           reference_pairings)
-from test_kernel import rank_balanced_at, rank_violations
+from test_kernel import rank_violations
 
 
 def parallel_pair():

@@ -143,7 +143,11 @@ def test_bundle_fan_walk_lists_the_label_scan_in_order(monkeypatch, name):
     gap, with one flag per depth for its prefix; it hands its fan the same
     cones, in the same order, as a scan that tests every whole chain."""
     build, matroid = BUNDLE_WALKS[name]
-    monkeypatch.setattr(fans, "BiflagFan", lambda *args: args[4])
+
+    class Cones(list):
+        """The cones handed to BiflagFan, which bipermutohedral_fan labels."""
+
+    monkeypatch.setattr(fans, "BiflagFan", lambda *args: Cones(args[4]))
     assert build() == reference_bundle_cones(matroid())
 
 

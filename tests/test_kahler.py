@@ -9,8 +9,7 @@ from chowfans import kahler, linalg
 from chowfans.fans import DimensionMismatch, bergman_fan, permutohedral_fan
 from chowfans.kahler import (MissingConvexClass, base_convex_divisor,
                              candidate_schedule, check_pd, chern_vectors,
-                             divisor_vector, kahler_report,
-                             matroid_bundle_model, oriented_degree_one,
+                             kahler_report, matroid_bundle_model,
                              restricted_multi_bundle_model,
                              sample_lefschetz_candidates)
 from chowfans.matroid import (matroid_from_graph, matroid_uniform,
@@ -48,14 +47,14 @@ def test_point_model_passes_trivially():
 
 def test_permutohedral_model_kahler_with_support_class():
     model = FanRingModel(permutohedral_fan(3))
-    h = divisor_vector(model, base_convex_divisor(model.fan, 3))
+    h = model.to_vector(base_convex_divisor(model.fan, 3))
     assert check_pd(model)
     assert kahler_report(model, h) == {"pd": True, "hl": True, "hr": True}
 
 
 def test_hr_at_zero_gives_positive_top_power():
     model = FanRingModel(permutohedral_fan(3))
-    h = divisor_vector(model, base_convex_divisor(model.fan, 3))
+    h = model.to_vector(base_convex_divisor(model.fan, 3))
     acc = list(h)
     acc = model.multiply(1, h, 1, h)
     assert model.deg(acc) > 0
@@ -66,7 +65,7 @@ def test_oriented_degree_one_flips_odd_top():
     B, h, zetas = matroid_bundle_model(N, M)
     ell = [a + b for a, b in zip(h, zetas[0])]
     neg = [-x for x in ell]
-    fixed, flipped = oriented_degree_one(B, neg)
+    fixed, _, flipped = kahler._oriented(B, neg)
     assert flipped
     assert fixed == ell
 
@@ -75,7 +74,7 @@ def test_oriented_degree_one_rejects_degenerate():
     model = FanRingModel(permutohedral_fan(3))
     zero = [Fraction(0)] * model.dim(1)
     with pytest.raises(MissingConvexClass):
-        oriented_degree_one(model, zero)
+        kahler._oriented(model, zero)
 
 
 def test_candidate_schedule_is_deterministic():
@@ -118,19 +117,20 @@ def bundle_model(r, n, phi):
 
 def oriented_candidate(bundle, s, t):
     B, h, zetas = bundle_model(*bundle)
-    return B, oriented_degree_one(
+    ell, _, flipped = kahler._oriented(
         B, [s * a + t * b for a, b in zip(h, zetas[0])])
+    return B, (ell, flipped)
 
 
 def perm3_candidate():
     model = FanRingModel(permutohedral_fan(3))
-    return model, divisor_vector(model, base_convex_divisor(model.fan, 3))
+    return model, model.to_vector(base_convex_divisor(model.fan, 3))
 
 
 def pyramid_candidate():
     P = pyramid_matroid()
     model = FanRingModel(bergman_fan(P))
-    return model, divisor_vector(model, base_convex_divisor(model.fan, P.n))
+    return model, model.to_vector(base_convex_divisor(model.fan, P.n))
 
 
 def u23_candidate():
@@ -177,7 +177,7 @@ def test_kahler_report_matches_reference(case):
             (sampled,) = sample_lefschetz_candidates(model, ell, [], samples=1)
             for key in ("s", "t", "flipped"):
                 del sampled[key]
-            oriented, _ = oriented_degree_one(model, ell)
+            oriented, _, _ = kahler._oriented(model, ell)
             assert sampled == kahler_report(model, oriented), ell
 
 
@@ -262,7 +262,7 @@ def test_lefschetz_forms_match_the_fraction_product(name):
     multiplication by ell at a time."""
     model, h, zetas = FORM_MODELS[name]()
     for s, t, vec in scheduled_classes(model, h, zetas):
-        ell, _ = oriented_degree_one(model, vec)
+        ell, _, _ = kahler._oriented(model, vec)
         forms = kahler._forms(model, ell)
         assert [unscaled(q) for q in forms] == \
             reference_lefschetz_forms(model, ell), (s, t)
@@ -370,7 +370,7 @@ def test_degree_one_vector_of_another_length_is_rejected(candidate):
         message = re.escape("%d coordinates, but A^1 has dimension %d"
                             % (len(bad), d))
         for check in (lambda: kahler_report(model, bad),
-                      lambda: oriented_degree_one(model, bad),
+                      lambda: kahler._oriented(model, bad),
                       lambda: sample_lefschetz_candidates(model, bad, []),
                       lambda: sample_lefschetz_candidates(model, ell, [bad])):
             with pytest.raises(DimensionMismatch, match=message):
@@ -406,7 +406,7 @@ def test_corrupted_model_fails_pd():
     # the forms, and so the orientation, do not need PD: ell^2 = 0 here
     assert kahler._forms(broken, ell)[0] == ([[0]], 1)
     with pytest.raises(MissingConvexClass):
-        oriented_degree_one(broken, ell)
+        kahler._oriented(broken, ell)
 
 
 def test_multi_bundle_smoke_instance():

@@ -24,7 +24,7 @@ from chowfans.fans import (bergman_fan, check_balanced, permutohedral_fan,
 from chowfans.kahler import chern_vectors
 from chowfans.matroid import matroid_uniform, pyramid_matroid
 from chowfans.rings import FanRingModel, quotient_by_ann_segre
-from naive_oracle import (mat_mul, reference_basis_minor,
+from naive_oracle import (mat_mul, rank_balanced_at, reference_basis_minor,
                           reference_coordinates, reference_dense_bareiss,
                           reference_dense_inertia, reference_inertia,
                           reference_invert, reference_lattice_index,
@@ -47,20 +47,6 @@ FANS = pytest.mark.parametrize("name,fan", kernel_fans(),
 
 def dot(m, v):
     return sum(a * b for a, b in zip(m, v))
-
-
-def rank_balanced_at(fan, tau, values):
-    """Balancing around the cone tau by two rank computations, the
-    reference of `Fan._balanced_at`."""
-    total = [Fraction(0)] * fan.ambient_dim
-    touched = False
-    for rho in fan._extension_map(tau):
-        w = values.get(tuple(sorted(tau + (rho,))), 0)
-        if w:
-            touched = True
-            total = [t + w * x for t, x in zip(total, fan.rays[rho])]
-    span = fan.lineality + [fan.rays[i] for i in tau]
-    return not touched or linalg.rank(span + [total]) == linalg.rank(span)
 
 
 def rank_violations(fan, dim, values):

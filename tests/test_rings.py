@@ -2,14 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from chowfans.chow import DegreeTooLow, FanMismatch, UnsupportedFan, ray_class
-from chowfans.fans import Fan, bergman_fan, permutohedral_fan
-from chowfans.kahler import chern_vectors, restricted_multi_bundle_model
+from chowfans.chow import DegreeTooLow, FanMismatch, divisor, ray_class
+from chowfans.fans import (Fan, FanError, bergman_fan, check_balanced,
+                           permutohedral_fan)
+from chowfans.kahler import (chern_vectors, kahler_report,
+                             restricted_multi_bundle_model)
 from chowfans.matroid import matroid_uniform, pyramid_matroid
 from chowfans.rings import (AllSegreZero, BundleRing, FanRingModel,
                             bloch_gieseker, quotient_by_ann_segre,
                             segre_vectors, twist_vectors)
-from naive_oracle import reference_gram
+from naive_oracle import ReferenceFan, reference_gram
 
 
 def perm_model(N):
@@ -23,12 +25,37 @@ def test_fan_model_dims_and_degree():
     assert model.deg(top) == 1
 
 
-def test_fan_model_needs_a_supported_fan():
-    # the complete fan of Z^2 on (1,0), (0,1), (-1,-1), outside the families
-    cones = [(), (0,), (1,), (2,), (0, 1), (1, 2), (0, 2)]
-    fan = Fan(2, [], [[1, 0], [0, 1], [-1, -1]], "abc", cones, "custom")
-    with pytest.raises(UnsupportedFan):
-        FanRingModel(fan)
+# the complete fans of P^2 and P^1 x P^1 in Z^2, as (rays, cones)
+P2 = ([[1, 0], [0, 1], [-1, -1]],
+      [(), (0,), (1,), (2,), (0, 1), (1, 2), (0, 2)])
+P1P1 = ([[1, 0], [0, 1], [-1, 0], [0, -1]],
+        [(), (0,), (1,), (2,), (3,), (0, 1), (1, 2), (2, 3), (0, 3)])
+
+
+def test_a_bare_fan_is_refused():
+    """Its per-cone hooks are its subclass's, whatever family it names."""
+    rays, cones = P2
+    with pytest.raises(FanError, match="bergman_fan or projective_bundle_fan"):
+        Fan(2, [], rays, "abc", cones, "bergman")
+
+
+@pytest.mark.parametrize("rays,cones,dims,verdicts", [
+    (*P2, [1, 1, 1], [([1, 0, 0], True)]),
+    # x_0 + x_1 is ample; the fibre class x_0 squares to zero
+    (*P1P1, [1, 2, 1], [([1, 1, 0, 0], True), ([1, 0, 0, 0], False)]),
+], ids=["P2", "P1xP1"])
+def test_a_fan_subclass_runs_through_the_ring_model(rays, cones, dims,
+                                                    verdicts):
+    """A Fan subclass outside the package, whose hooks are the Fraction
+    references, balances, builds a ring model and takes the Kahler checks."""
+    fan = ReferenceFan(2, [], rays, range(len(rays)), cones, "toric")
+    assert check_balanced(fan, 2, dict(fan.weight)) == []
+    assert check_balanced(fan, 2, {**fan.weight, (0, 1): 2}) == [(0,), (1,)]
+    model = FanRingModel(fan)
+    assert [model.dim(k) for k in range(3)] == dims
+    for coeffs, ample in verdicts:
+        report = kahler_report(model, model.to_vector(divisor(fan, coeffs)))
+        assert report == {"pd": True, "hl": ample, "hr": ample}
 
 
 def test_fan_model_build_sets_no_attribute_on_its_fan():

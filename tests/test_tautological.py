@@ -4,7 +4,7 @@ import pytest
 
 from chowfans.chow import (multiply_by_divisor, negation_relabel, pair_all,
                            pullback_pi1, ray_coefficients, unit_class)
-from chowfans.fans import (DimensionMismatch, bipermutohedral_fan,
+from chowfans.fans import (DimensionMismatch, bergman_fan, bipermutohedral_fan,
                            permutohedral_fan, projective_bundle_fan)
 from chowfans.matroid import matroid_uniform
 from chowfans.rings import FanRingModel, segre_vectors, twist_vectors
@@ -42,6 +42,24 @@ def test_w_divisors_reject_a_matroid_on_another_ground_set():
     with pytest.raises(DimensionMismatch,
                        match=r"\[4\], flag fan in dimension 3"):
         w_divisors(permutohedral_fan(3), matroid_uniform(2, 4))
+
+
+def test_structural_divisors_reject_a_flag_fan():
+    """The Bergman fan of U(2,4) has the ambient dimension of a biflag fan
+    over [2], but its ray labels are flats, not biflats."""
+    with pytest.raises(DimensionMismatch,
+                       match="need a biflag fan, not a FlagFan"):
+        structural_divisors(bergman_fan(matroid_uniform(2, 4)),
+                            matroid_uniform(2, 2))
+
+
+def test_w_divisors_reject_a_biflag_fan():
+    """The bundle fan over [2] has the ambient dimension of a flag fan
+    over [4], but its ray labels are biflats, not subsets."""
+    with pytest.raises(DimensionMismatch,
+                       match="need a flag fan, not a BiflagFan"):
+        w_divisors(projective_bundle_fan(2, matroid_uniform(1, 2)),
+                   matroid_uniform(2, 4))
 
 
 def test_v1_plus_vanishes_for_loopless():
