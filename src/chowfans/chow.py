@@ -1,8 +1,13 @@
 """Chow classes on the flag fans: formal rational sums of square-free cone
 monomials, divisor multiplication through per-cone linear representatives,
-degrees, pairings, pairing matrices, and transport maps, all read through
-the per-cone hooks of the fan's class (`fans.Fan`), whose Poincare duality
-makes the pairing walk the zero test (`nonzero_pairing_witness`).
+degrees, pairings, pairing matrices, cap products and transport maps, all
+read through the per-cone hooks of the fan's class (`fans.Fan`), whose
+Poincare duality makes the pairing walk the zero test
+(`nonzero_pairing_witness`).  The balancing relation of a weight at a
+codimension-one cone tau, sum_rho w(tau + rho) u_rho = sum_i lambda_i
+u_(tau_i) modulo the lineality (`Fan._relation`), gives both the cap
+product at tau and, for the fan's own weight, the top degrees
+deg(x_tau x_(tau_i)) = -lambda_i that the walk's leaves read.
 
 Everything is exact.  A coefficient is an int whenever it is integral and
 a fractions.Fraction only where a rational input brings a denominator:
@@ -143,7 +148,8 @@ def unit_class(fan):
 
 
 def fundamental_weight(fan):
-    """Weight 1 on every maximal cone, with the balancing check run."""
+    """Weight 1 on every maximal cone, with the balancing check run; the
+    check fills the fan's table of its relations (`Fan._top_relation`)."""
     return MinkowskiWeight(fan, fan.top_dim, dict(fan.weight))
 
 
@@ -261,8 +267,10 @@ def _pairings(elem):
     one at a time, in ascending ray order, each from its own terms, and a
     vanishing one cuts off its subtree.  A leaf prefix + (rho,) pairs to
     the sum of c deg(x_sigma x_rho) over the terms (sigma, c) filed under
-    rho, read from the fan's leaf table (`Fan._top_degrees`), which every
-    walk on the fan fills on first use and shares."""
+    rho: the weight of sigma + {rho} when rho extends sigma, and -lambda_i
+    when rho is the i-th ray of sigma, for lambda the relation of the
+    fan's weight at sigma (`Fan._top_relation`); UnbalancedInput, naming
+    sigma, where that weight has none."""
     fan = elem.fan
     k = fan.top_dim - elem.degree
     if k < 0:
@@ -270,34 +278,42 @@ def _pairings(elem):
     if k == 0:
         v = _degree(elem)
         return iter([((), v)] if v and () in fan.cones else [])
-    nrays, table = len(fan.rays), fan._top_degrees
+    return _walk(fan, k, elem.terms, (), 0)
 
-    def walk(cur, prefix, next_ray):
-        depth = len(prefix)
-        stop = nrays - (k - depth - 1)
-        by_ray = {}
-        for cone, c in cur.items():
-            for rho in (*cone, *fan._extension_map(cone)):
-                if next_ray <= rho < stop:
-                    by_ray.setdefault(rho, []).append((cone, c))
-        for rho in sorted(by_ray):
-            terms, tau = by_ray.pop(rho), prefix + (rho,)
-            if depth < k - 1:
-                nxt = _ray_product(fan, rho, terms)
-                if nxt:
-                    yield from walk(nxt, tau, rho + 1)
-            elif tau in fan.cones:
-                v = 0
-                for sigma, c in terms:
-                    d = table.get((sigma, rho))
-                    if d is None:
-                        top = _ray_product(fan, rho, [(sigma, 1)])
-                        d = table[sigma, rho] = _degree(
-                            ChowElement(fan, fan.top_dim, top))
-                    v += c * d
-                if v:
-                    yield tau, _exact(v)
-    return walk(elem.terms, (), 0)
+
+def _walk(fan, k, cur, prefix, next_ray):
+    """The walk of `_pairings` below prefix, whose product has the terms
+    cur, over the rays from next_ray on.  A module function, not a closure
+    of `_pairings`: a closure that calls itself is a reference cycle,
+    which would keep the fan alive after the walk until the cyclic
+    garbage collector ran."""
+    depth = len(prefix)
+    stop = len(fan.rays) - (k - depth - 1)
+    by_ray = {}
+    for cone, c in cur.items():
+        for rho in (*cone, *fan._extension_map(cone)):
+            if next_ray <= rho < stop:
+                by_ray.setdefault(rho, []).append((cone, c))
+    for rho in sorted(by_ray):
+        terms, tau = by_ray.pop(rho), prefix + (rho,)
+        if depth < k - 1:
+            nxt = _ray_product(fan, rho, terms)
+            if nxt:
+                yield from _walk(fan, k, nxt, tau, rho + 1)
+        elif tau in fan.cones:
+            v = 0
+            for sigma, c in terms:
+                top = fan._extension_map(sigma).get(rho)
+                if top is None:
+                    lam = fan._top_relation(sigma)
+                    if lam is None:
+                        raise UnbalancedInput("balancing fails at cone %r"
+                                              % (sigma,))
+                    v -= c * lam[sigma.index(rho)]
+                else:
+                    v += c * fan.weight[top]
+            if v:
+                yield tau, _exact(v)
 
 
 def pair_all(elem):
@@ -331,16 +347,28 @@ def _pairing_matrix(fan, k):
 
 
 def cap_product(weight, D):
-    """Divisor cap Minkowski weight; the result is balanced (checked)."""
+    """Divisor cap Minkowski weight; the result is balanced (checked).  At
+    a (dim-1)-cone tau, (D cap w)(tau) = sum_rho a_rho w(tau + rho) -
+    sum_i lambda_i a_(tau_i), for lambda the relation of w at tau
+    (`Fan._relation`): the fan-out x_tau D = sum_rho (a_rho - m(u_rho))
+    x_(tau+rho) summed against w, for m vanishing on the lineality with
+    m(u_(tau_i)) = a_(tau_i).  The fan's own weight reads its relations
+    from the fan's table (`Fan._top_relation`); UnbalancedInput, naming
+    tau, where w has none."""
     fan = weight.fan
     if D.fan is not fan:
         raise FanMismatch("weight and divisor on different fans")
     a = ray_coefficients(D)
     w = weight.values
+    own = weight.dim == fan.top_dim and w == fan.weight
     out = {}
     for tau in fan.cones_of_dim(weight.dim - 1):
-        pairs = _fan_out(fan, tau, [a[i] for i in tau], a)
-        total = sum(coef * w.get(sigma, 0) for sigma, coef in pairs)
+        lam = fan._top_relation(tau) if own else fan._relation(tau, w)
+        if lam is None:
+            raise UnbalancedInput("balancing fails at cone %r" % (tau,))
+        total = sum(a[rho] * w.get(sigma, 0) for rho, sigma
+                    in fan._extension_map(tau).items()) - \
+            sum(map(mul, lam, [a[i] for i in tau]))
         if total:
             out[tau] = total
     # the cap of a weight on the zero cone is the zero weight in dimension

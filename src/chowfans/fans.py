@@ -143,9 +143,11 @@ class Fan:
       lineality with m(u_j) = values[j] on the j-th ray u_j of cone and 0
       off the pivot coordinates of its rows, as a list over the ambient
       coordinates;
-    - `_balanced_at(tau, weights)` is whether the sum of w u_rho over the
-      extensions sigma = tau + {rho} of weight w = weights[sigma] lies in
-      the span of the lineality and the rays of tau.
+    - `_relation(tau, weights)` is the balancing relation around tau: the
+      tuple lambda, over the rays of tau, with sum w u_rho = sum_i
+      lambda_i u_(tau_i) modulo the lineality, the sum over the
+      extensions sigma = tau + {rho} of weight w = weights[sigma]; None
+      when that sum leaves the span of the lineality and the rays of tau.
 
     Its cones are unimodular, so a maximal cone's degree is its weight,
     and its Chow ring satisfies Poincare duality, on which FanRingModel
@@ -155,8 +157,14 @@ class Fan:
     labels along a linear extension of the chain order, so a sorted cone
     lists its chain in order, and read both hooks off the blocks of that
     chain (`_blocks`); the inverse of the pivot block of a cone's rows
-    has entries 0 and +-1 (Adiprasito-Huh-Katz).  family is a display
-    label, which to_json writes and no code branches on."""
+    has entries 0 and +-1 (Adiprasito-Huh-Katz).  The relations of the
+    fan's own weight at its (top-1)-cones are kept on the fan
+    (`_top_relation`), filled by the balancing check of that weight or on
+    first use by the pairing walk and the cap product (`chow`): there
+    deg(x_tau x_(tau_i)) = -lambda_i.  family is a display label, which
+    to_json writes and no code branches on; to_json writes a ray label
+    as it is (`_label_json`), and FlagFan and BiflagFan write their
+    bitmask labels as sets."""
 
     def __init__(self, ambient_dim, lineality, rays, ray_labels, cones, family):
         if type(self) is Fan:
@@ -180,7 +188,8 @@ class Fan:
         self.maximal_cones = list(self.cones_of_dim(self.top_dim))
         self.weight = {c: 1 for c in self.maximal_cones}
         self._extensions = None
-        self._top_degrees = {}  # deg(x_sigma x_rho) by (sigma, rho)
+        self._top_relations = {}  # _relation(tau, self.weight) by tau
+        self._relation_pool = {}  # one tuple per distinct relation
 
     def cones_of_dim(self, k):
         """The k-cones in ascending order, as a tuple."""
@@ -226,17 +235,30 @@ class Fan:
                 slots.setdefault(sigma.index(rho), []).append((labels[rho], w))
         return self._blocks(tau), slots
 
+    def _top_relation(self, tau):
+        """_relation(tau, self.weight) at a (top-1)-cone tau, kept in
+        `_top_relations` unless it is None.  Equal relations share one
+        tuple: the bundle fan of U(2,7) has 9 distinct ones over its
+        128,520 (top-1)-cones."""
+        lam = self._top_relations.get(tau)
+        if lam is None:
+            lam = self._relation(tau, self.weight)
+            if lam is not None:
+                lam = self._relation_pool.setdefault(lam, lam)
+                self._top_relations[tau] = lam
+        return lam
+
+    def _label_json(self, label):
+        """A ray label as to_json writes it: as it is."""
+        return label
+
     def to_json(self):
-        def fmt_label(lab):
-            if isinstance(lab, tuple):
-                return [sorted(mask_to_set(lab[0])), sorted(mask_to_set(lab[1]))]
-            return sorted(mask_to_set(lab))
         return {
             "family": self.family,
             "ambient_dim": self.ambient_dim,
             "lineality": self.lineality,
             "rays": self.rays,
-            "ray_labels": [fmt_label(l) for l in self.ray_labels],
+            "ray_labels": [self._label_json(l) for l in self.ray_labels],
             "top_dim": self.top_dim,
             "maximal_cones": [list(c) for c in self.maximal_cones],
             "weights": [str(self.weight[c]) for c in self.maximal_cones],
@@ -266,6 +288,22 @@ def _sum_on(block, parts):
     return value or 0
 
 
+def _lambda(k, steps):
+    """The relation (lambda_0, ..., lambda_(k-1)) of a weighted sum that
+    reads c_j = d_j + sum_(j' > j) W_j' on block j = 0..k of a chain of k
+    rays, where the r-th ray reads c_j = 1 for j <= r and 0 above, modulo
+    the lineality: lambda_r = c_r - c_(r+1) = d_r - d_(r+1) + W_(r+1).  steps
+    lists (j, d_j, W_j) for the blocks where either is nonzero, a block's
+    entries adding up."""
+    lam = [0] * k
+    for j, d, W in steps:
+        if j < k:
+            lam[j] += d
+        if j:
+            lam[j - 1] += W - d
+    return tuple(lam)
+
+
 class FlagFan(Fan):
     """A fan of bergman_fan: it lists its flats by size."""
 
@@ -293,12 +331,24 @@ class FlagFan(Fan):
             prev = v
         return m
 
-    def _balanced_at(self, tau, weights):
-        """Balancing around tau read off its chain: its span is the vectors
-        constant on each block, as slot j's sum w [e in G] must be on B_j."""
+    def _label_json(self, label):
+        return sorted(mask_to_set(label))
+
+    def _relation(self, tau, weights):
+        """The relation around tau read off its chain.  Its span is the
+        vectors constant on each block, so slot j's sum x_j = sum w [e in
+        G] must be constant on B_j; the weighted sum then reads x_j +
+        sum_(j' > j) W_j' on B_j, W_j the slot's total weight, and the r-th
+        ray e_(F_(r+1)) reads 1 on B_j exactly for j <= r (`_lambda` with
+        d_j = x_j)."""
         blocks, slots = self._slots(tau, weights)
-        return all(_sum_on(blocks[j], parts) is not None
-                   for j, parts in slots.items())
+        steps = []
+        for j, parts in slots.items():
+            x = _sum_on(blocks[j], parts)
+            if x is None:
+                return None
+            steps.append((j, x, sum(w for _, w in parts)))
+        return _lambda(len(tau), steps)
 
 
 class BiflagFan(Fan):
@@ -348,26 +398,43 @@ class BiflagFan(Fan):
         m[aq] += on_c0
         return m
 
-    def _balanced_at(self, tau, weights):
-        """Balancing around tau read off its chain: the span of the lineality
-        and the e_{S_j|F_j} of tau is the vectors constant on each A_j and
-        on each N + B_j whose two values add up to the same c_0 on every
-        block with both parts nonempty.  An extension S|F adds w to that
-        total off its slot, so on slot j X_j = sum w [e in S] on A_j and
-        Y_j = sum w [e in F] on B_j must be constant, and X_j + Y_j - W_j,
-        W_j = sum w, the same on every such block: 0 on an empty slot."""
+    def _label_json(self, label):
+        return [sorted(mask_to_set(label[0])), sorted(mask_to_set(label[1]))]
+
+    def _relation(self, tau, weights):
+        """The relation around tau read off its chain.  The span of the
+        lineality and the e_(S_j|F_j) of tau is the vectors constant on each
+        A_j and on each N + B_j whose two values add up to the same c_0 on
+        every block with both parts nonempty.  An extension S|F adds w to
+        that total off its slot, so on slot j X_j = sum w [e in S] on A_j
+        and Y_j = sum w [e in F] on B_j must be constant, and X_j + Y_j -
+        W_j, W_j = sum w, the same kappa on every such block: 0 on an
+        empty slot.  The weighted sum then reads c_j = d_j + sum_(j' > j)
+        W_j' on A_j and c_0 - c_j = Y_j + sum_(j' < j) W_j' on N + B_j, for
+        c_0 = kappa + sum_j W_j, so d_j = X_j where A_j is nonempty and
+        d_j = W_j - Y_j + kappa where it is empty (`_lambda`)."""
         blocks, slots = self._slots(tau, weights)
-        c0 = {0 for j, (A, B) in enumerate(blocks)
-              if A and B and j not in slots}
+        steps, kappa = [], None
         for j, parts in slots.items():
             A, B = blocks[j]
             x = _sum_on(A, [(S, w) for (S, _), w in parts])
             y = _sum_on(B, [(F, w) for (_, F), w in parts])
             if x is None or y is None:
-                return False
+                return None
+            W = sum(w for _, w in parts)
             if A and B:
-                c0.add(x + y - sum(w for _, w in parts))
-        return len(c0) <= 1
+                if kappa is None:
+                    kappa = x + y - W
+                elif x + y - W != kappa:
+                    return None
+            steps.append((j, x if A else W - y, W))
+        if kappa:
+            for j, (A, B) in enumerate(blocks):
+                if not A:
+                    steps.append((j, kappa, 0))
+                elif B and j not in slots:
+                    return None
+        return _lambda(len(tau), steps)
 
 
 def _indicator(N, mask):
@@ -469,9 +536,10 @@ def bipermutohedral_fan(N):
 def check_balanced(fan, dim, values):
     """Balancing of a rational weight on the dim-cones: around every
     (dim-1)-cone tau, the weighted sum of the extending ray generators must
-    lie in span(tau) + lineality (`_balanced_at` of the fan).  Returns a list of
-    violating cones, and raises ConeNotInFan for a key that is not a
-    dim-cone of the fan."""
+    lie in span(tau) + lineality (`_relation` of the fan is not None).
+    Returns a list of violating cones, and raises ConeNotInFan for a key
+    that is not a dim-cone of the fan.  The fan's own weight refills the
+    fan's table of its relations (`Fan._top_relation`)."""
     if dim < 0 or dim > fan.top_dim:
         raise DimensionMismatch("no cones of dimension %d" % dim)
     for c in values:
@@ -483,5 +551,11 @@ def check_balanced(fan, dim, values):
         return []
     weights = {c: v if type(v) is int else Fraction(v)
                for c, v in values.items() if v}
+    if dim == fan.top_dim and weights == fan.weight:
+        # checked afresh, so a fan.weight changed since the table was
+        # filled is seen, and the table follows it
+        fan._top_relations.clear()
+        return [tau for tau in fan.cones_of_dim(dim - 1)
+                if fan._top_relation(tau) is None]
     return [tau for tau in fan.cones_of_dim(dim - 1)
-            if not fan._balanced_at(tau, weights)]
+            if fan._relation(tau, weights) is None]

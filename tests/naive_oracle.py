@@ -44,10 +44,10 @@ all over `Fraction` with classes as plain dicts
 cone -> coefficient.  Each cone's dual basis comes from a Gauss-Jordan
 over `Fraction` and its extensions from a scan of every ray, so the
 kernel's integer arithmetic, its cached extension maps and the chain
-reads of flag and biflag fans are all checked against it.  Balancing
-around a cone is two rank computations, and `ReferenceFan` answers the
-per-cone hooks of `Fan` with these references, for a fan built from
-explicit rays and cones.
+reads of flag and biflag fans are all checked against it.  The balancing
+relation around a cone is a Fraction solve against the same dual basis,
+and `ReferenceFan` answers the per-cone hooks of `Fan` with these
+references, for a fan built from explicit rays and cones.
 
 Also the reference chain searches: the flag and biflag cones of the
 Bergman and bundle fans, the gap-free first components and the second
@@ -88,7 +88,7 @@ from chowfans.biflags import expansion_index, is_lex_decreasing
 from chowfans.fans import (Fan, bisubset_leq, gap_indices, is_chain,
                            permutohedral_fan, proper_biflats)
 from chowfans.kahler import base_convex_divisor
-from chowfans.linalg import rank, scaled_integer, scaled_mat_vec
+from chowfans.linalg import scaled_integer, scaled_mat_vec
 from chowfans.rings import BundleRing, QuotientRingModel
 from chowfans.tautological import chern_classes
 
@@ -553,11 +553,12 @@ def reference_pivot_inverse(rows):
 
 @lru_cache(maxsize=None)
 def _reference_dual_basis(fan, cone):
-    """(pivots, the functionals dual to the rays of cone), by Gauss-Jordan
-    over Fraction, kept per fan and cone for the life of the tests."""
+    """(pivots, the functionals dual to the rows of the lineality and the
+    rays of cone), by Gauss-Jordan over Fraction, kept per fan and cone
+    for the life of the tests."""
     pivots, inv = reference_pivot_inverse(
         fan.lineality + [fan.rays[i] for i in cone])
-    return pivots, list(zip(*inv))[len(fan.lineality):]
+    return pivots, list(zip(*inv))
 
 
 def reference_functional(fan, cone, values):
@@ -566,35 +567,51 @@ def reference_functional(fan, cone, values):
     Fractions over the ambient coordinates: `Fan._functional`."""
     pivots, dual = _reference_dual_basis(fan, cone)
     m = [Fraction(0)] * fan.ambient_dim
-    for f, v in zip(dual, values):
+    for f, v in zip(dual[len(fan.lineality):], values):
         for p, x in zip(pivots, f):
             m[p] += Fraction(v) * x
     return m
 
 
-def rank_balanced_at(fan, tau, values):
-    """Balancing around the cone tau by two rank computations, the
-    reference of `Fan._balanced_at`."""
+def reference_weighted_sum(fan, tau, values):
+    """The sum of w u_rho over the rays rho extending the cone tau, found
+    by a scan, for w = values[tau + {rho}], as a list of Fractions."""
     total = [Fraction(0)] * fan.ambient_dim
-    touched = False
-    for rho in fan._extension_map(tau):
-        w = values.get(tuple(sorted(tau + (rho,))), 0)
+    for rho, u in enumerate(fan.rays):
+        key = tuple(sorted(tau + (rho,)))
+        w = values.get(key, 0) if rho not in tau and key in fan.cones else 0
         if w:
-            touched = True
-            total = [t + w * x for t, x in zip(total, fan.rays[rho])]
-    span = fan.lineality + [fan.rays[i] for i in tau]
-    return not touched or rank(span + [total]) == rank(span)
+            total = [t + w * x for t, x in zip(total, u)]
+    return total
+
+
+def reference_relation(fan, tau, values):
+    """The relation of `Fan._relation` by a Fraction solve: the
+    coefficients of `reference_weighted_sum` on the rows of the lineality
+    and the rays of tau, read off the pivot coordinates through the dual
+    basis, as a tuple of Fractions over the rays of tau; None if those
+    coefficients do not give the sum back."""
+    total = reference_weighted_sum(fan, tau, values)
+    rows = fan.lineality + [fan.rays[i] for i in tau]
+    pivots, dual = _reference_dual_basis(fan, tau)
+    coefs = [sum((x * total[p] for p, x in zip(pivots, f)), Fraction(0))
+             for f in dual]
+    back = [sum((c * row[i] for c, row in zip(coefs, rows)), Fraction(0))
+            for i in range(fan.ambient_dim)]
+    if back != total:
+        return None
+    return tuple(coefs[len(fan.lineality):])
 
 
 class ReferenceFan(Fan):
     """A fan given by its rays and cones that answers the two per-cone
     hooks of `Fan` by the references above: `reference_functional` and
-    `rank_balanced_at`.  As for any subclass, its cones must be unimodular
-    and its Chow ring must satisfy Poincare duality, as the fan of a
-    smooth complete toric variety does."""
+    `reference_relation`.  As for any subclass, its cones must be
+    unimodular and its Chow ring must satisfy Poincare duality, as the fan
+    of a smooth complete toric variety does."""
 
     _functional = reference_functional
-    _balanced_at = rank_balanced_at
+    _relation = reference_relation
 
 
 def reference_fan_out(fan, cone, values, a=None):

@@ -1,10 +1,12 @@
-"""Differential tests for the products and balancing that flag and biflag
-fans read off the chains of their cones (`_functional` and `_balanced_at`
-of `FlagFan` and `BiflagFan`), on hypothesis-drawn cones, values and
-weights with int and rational entries: against the Fraction functional,
-fan-out and pairing walk of `naive_oracle`, whose dual bases come from
-Gauss-Jordan, and against balancing by two rank computations per cone.
-Also the pairing walk's leaf table of top degrees, and a pin of
+"""Differential tests for the products and balancing relations that flag
+and biflag fans read off the chains of their cones (`_functional` and
+`_relation` of `FlagFan` and `BiflagFan`), on hypothesis-drawn cones,
+values and weights with int and rational entries: against the Fraction
+functional, relation, fan-out and pairing walk of `naive_oracle`, whose
+dual bases come from Gauss-Jordan, and against balancing by two rank
+computations per cone.  Also the top degrees deg(x_sigma x_rho) = -lambda
+that the pairing walk reads off the relations of the fan's weight, the
+UnbalancedInput raised where that weight is corrupted, and a pin of
 products, caps, balancing, pairings, the bundle identity, the ring model
 and `chowfans fan` on fresh fans against the references, the degree and
 pairings of a top-degree class keyed by a cone listed out of order, the
@@ -20,21 +22,22 @@ from hypothesis import given, settings, strategies as st
 
 from chowfans import chow, cli
 from chowfans.biflags import verify_bundle_identity
-from chowfans.chow import (ChowElement, MinkowskiWeight, cap_product,
-                           divisor, fundamental_weight, multiply_by_divisor,
-                           nonzero_pairing_witness, pair_all)
+from chowfans.chow import (ChowElement, MinkowskiWeight, UnbalancedInput,
+                           cap_product, divisor, fundamental_weight,
+                           multiply_by_divisor, nonzero_pairing_witness,
+                           pair_all)
 from chowfans.fans import (ConeNotInFan, bergman_fan,
                            bipermutohedral_fan, check_balanced,
                            permutohedral_fan, projective_bundle_fan)
 from chowfans.matroid import (matroid_from_bases, matroid_from_graph,
                               matroid_uniform, pyramid_matroid)
 from chowfans.rings import FanRingModel
-from naive_oracle import (rank_balanced_at, reference_cap_product,
-                          reference_degree, reference_fan_out,
-                          reference_functional, reference_multiply_by_divisor,
+from naive_oracle import (reference_cap_product, reference_degree,
+                          reference_fan_out, reference_functional,
+                          reference_multiply_by_divisor,
                           reference_multiply_by_ray, reference_pair_all,
-                          reference_pairings)
-from test_kernel import rank_violations
+                          reference_pairings, reference_relation)
+from test_kernel import rank_balanced, rank_violations
 
 
 def parallel_pair():
@@ -76,12 +79,13 @@ def fan_of(name):
 def test_functional_and_span_match_the_dual_basis_path(name, data):
     """The chain reads equal the references on a drawn cone of the fan:
     the functional equals the Fraction one of a Gauss-Jordan dual basis,
-    and balancing around the cone equals two rank computations, for drawn
+    and the relation around the cone equals the Fraction solve, for drawn
     weights on its extensions and, around a (top-1)-cone, for the
-    fundamental weight, balanced, and that weight with one drawn change.  A class keyed by the cone listed out of chain order is keyed
-    by the sorted cone, and its product with a drawn divisor is the
-    Fraction fan-out of the listing, whose values follow their rays; a key
-    that lists no cone raises ConeNotInFan naming it, where the class is
+    fundamental weight, balanced, and that weight with one drawn change.
+    A class keyed by the cone listed out of chain order is keyed by the
+    sorted cone, and its product with a drawn divisor is the Fraction
+    fan-out of the listing, whose values follow their rays; a key that
+    lists no cone raises ConeNotInFan naming it, where the class is
     made."""
     fan = fan_of(name)
     cone = data.draw(st.sampled_from(sorted(fan.cones)))
@@ -94,13 +98,12 @@ def test_functional_and_span_match_the_dual_basis_path(name, data):
     weights = [drawn]
     if len(cone) == fan.top_dim - 1:
         fundamental = {sigma: fan.weight[sigma] for sigma in extensions}
-        assert fan._balanced_at(cone, fundamental)
-        assert rank_balanced_at(fan, cone, fundamental)
+        assert fan._relation(cone, fundamental) is not None
         changed = dict(fundamental)
         changed[data.draw(st.sampled_from(extensions))] += data.draw(COEFFS)
-        weights.append(changed)
+        weights += [fundamental, changed]
     for w in weights:
-        assert fan._balanced_at(cone, w) == rank_balanced_at(fan, cone, w)
+        assert fan._relation(cone, w) == reference_relation(fan, cone, w)
     flipped, c = cone[::-1], data.draw(COEFFS)
     a = data.draw(st.lists(COEFFS, min_size=len(fan.rays),
                            max_size=len(fan.rays)))
@@ -128,6 +131,85 @@ def test_fan_out_matches_fraction_reference(name, data):
                                        max_size=len(fan.rays)))
     assert chow._fan_out(fan, cone, values, a) == \
         reference_fan_out(fan, cone, values, a)
+
+
+@FANS
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_relation_matches_the_fraction_solve(name, data):
+    """_relation around a drawn (dim-1)-cone equals the Fraction solve for
+    a balanced weight on the dim-cones (the fundamental weight capped with
+    drawn divisors, scaled by a drawn int or Fraction), perturbed on a few
+    drawn cones or not: a tuple over the cone's rays with sum w u_rho =
+    sum_i lambda_i u_(tau_i) modulo the lineality, and None exactly where
+    the weighted sum raises the rank of the cone's span."""
+    fan = fan_of(name)
+    dim = data.draw(st.integers(1, fan.top_dim))
+    weight = fundamental_weight(fan)
+    while weight.dim > dim:
+        a = data.draw(st.lists(st.integers(-2, 2), min_size=len(fan.rays),
+                               max_size=len(fan.rays)))
+        weight = cap_product(weight, divisor(fan, a))
+    scale = data.draw(COEFFS)
+    values = {c: scale * v for c, v in weight.values.items()}
+    for c in data.draw(st.lists(st.sampled_from(fan.cones_of_dim(dim)),
+                                max_size=2, unique=True)):
+        values[c] = values.get(c, 0) + data.draw(COEFFS)
+    values = {c: v for c, v in values.items() if v}
+    tau = data.draw(st.sampled_from(fan.cones_of_dim(dim - 1)))
+    lam = fan._relation(tau, values)
+    assert lam == reference_relation(fan, tau, values)
+    assert (lam is None) == (not rank_balanced(fan, tau, values))
+    if lam is not None:
+        assert len(lam) == len(tau)
+
+
+@REFERENCE_FANS
+def test_top_degrees_are_minus_the_relation(name):
+    """deg(x_sigma x_rho) = -lambda_i for every (top-1)-cone sigma and its
+    i-th ray rho, lambda the relation of the fundamental weight at sigma,
+    which the walk reads; the balancing check of that weight fills the
+    fan's table with them, one tuple per distinct relation."""
+    fan = FAN_BUILDERS[name]()
+    fundamental_weight(fan)
+    facets = fan.cones_of_dim(fan.top_dim - 1)
+    assert set(fan._top_relations) == set(facets)
+    # equal relations share one tuple
+    assert len(set(map(id, fan._top_relations.values()))) == \
+        len(set(fan._top_relations.values()))
+    for sigma in facets:
+        lam = fan._top_relations[sigma]
+        for i, rho in enumerate(sigma):
+            assert -lam[i] == reference_degree(
+                fan, reference_multiply_by_ray(fan, {sigma: 1}, rho))
+
+
+@pytest.mark.parametrize("used", [False, True], ids=["fresh", "used"])
+@pytest.mark.parametrize("name", ["bundle-U(2,3)", "bundle-parallel-pair",
+                                  "bergman-U(3,5)", "perm4", "biperm3"])
+def test_a_corrupted_fan_weight_raises_unbalanced(name, used):
+    """Weight 2 on one maximal cone of a fan, fresh or with its relations
+    read by fundamental_weight first: the balancing check of fan.weight
+    sees it, and the pairing walk of x_sigma, for sigma that cone less its
+    last ray, and the cap product of the fan's weight, or of another
+    weight unbalanced there, raise UnbalancedInput naming the (top-1)-cone
+    whose relation they read, instead of returning a degree."""
+    fan = FAN_BUILDERS[name]()
+    if used:
+        fundamental_weight(fan)
+    bad = fan.maximal_cones[0]
+    fan.weight[bad] = 2
+    sigma = bad[:-1]
+    violations = check_balanced(fan, fan.top_dim, fan.weight)
+    assert sigma in violations
+    with pytest.raises(UnbalancedInput, match=re.escape(repr(sigma))):
+        pair_all(ChowElement(fan, fan.top_dim - 1, {sigma: 1}))
+    D = divisor(fan, [1] * len(fan.rays))
+    for values in [fan.weight, {**fan.weight, bad: 3}]:
+        weight = MinkowskiWeight(fan, fan.top_dim, values, check=False)
+        with pytest.raises(UnbalancedInput,
+                           match=re.escape(repr(violations[0]))):
+            cap_product(weight, D)
 
 
 @REFERENCE_FANS
@@ -202,10 +284,9 @@ def test_pairing_walk_matches_fraction_walk(name, data):
 @given(data=st.data())
 def test_pairings_through_the_leaf_table_match_fraction_walk(name, data):
     """pair_all of a drawn class and drawn rows of the pairing matrix equal
-    the Fraction walk's, with the leaf table of top degrees shared by every
-    walk on the fan, and filled by earlier examples; the table holds only
-    keys (sigma, rho) for a (top-1)-cone sigma that rho lies in or
-    extends, and their top degrees deg(x_sigma x_rho)."""
+    the Fraction walk's, with the relations of the fan's weight that the
+    leaves read shared by every walk on the fan, and filled by earlier
+    examples."""
     fan = fan_of(name)
     k = data.draw(st.integers(max(0, fan.top_dim - 4), fan.top_dim))
     cones = fan.cones_of_dim(k)
@@ -218,17 +299,6 @@ def test_pairings_through_the_leaf_table_match_fraction_walk(name, data):
                                     max_size=2, unique=True)):
         want = reference_pair_all(fan, k, {sigma: 1})
         assert mat[rows.index(sigma)] == [want[tau] for tau in cols]
-    facets = set(fan.cones_of_dim(fan.top_dim - 1))
-    for sigma, rho in fan._top_degrees:
-        assert sigma in facets
-        assert rho in sigma or rho in fan._extension_map(sigma)
-    # the table grows over the examples, so the draw must not see it
-    i = data.draw(st.integers(0, 10 ** 6))
-    if fan._top_degrees:
-        keys = sorted(fan._top_degrees)
-        sigma, rho = keys[i % len(keys)]
-        assert fan._top_degrees[sigma, rho] == reference_degree(
-            fan, reference_multiply_by_ray(fan, {sigma: 1}, rho))
 
 
 # the `chowfans fan` arguments that build each fan of the pin below

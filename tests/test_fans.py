@@ -327,3 +327,8 @@ def test_fan_json_roundtrip_fields():
     assert data["top_dim"] == 1
     assert len(data["rays"]) == 3
     assert len(data["maximal_cones"]) == 3
+    # FlagFan writes a flat, BiflagFan a biflat S|F, as 1-based sets
+    assert data["ray_labels"] == [[1], [2], [3]]
+    assert bipermutohedral_fan(2).to_json()["ray_labels"] == [
+        [[1], [1, 2]], [[2], [1, 2]], [[1], [2]], [[2], [1]],
+        [[1, 2], [1]], [[1, 2], [2]]]

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,17 @@ def test_a_fan_subclass_runs_through_the_ring_model(rays, cones, dims,
     for coeffs, ample in verdicts:
         report = kahler_report(model, model.to_vector(divisor(fan, coeffs)))
         assert report == {"pd": True, "hl": ample, "hr": ample}
+
+
+@pytest.mark.parametrize("labels,want", [
+    (range(3), [0, 1, 2]), ("abc", ["a", "b", "c"])], ids=["ints", "str"])
+def test_a_fan_subclass_writes_its_labels_as_they_are(labels, want):
+    """to_json reads no label of a Fan subclass as a bitmask: only FlagFan
+    and BiflagFan write theirs as sets."""
+    rays, cones = P2
+    data = ReferenceFan(2, [], rays, labels, cones, "toric").to_json()
+    assert data["ray_labels"] == want
+    assert json.loads(json.dumps(data)) == data
 
 
 def test_fan_model_build_sets_no_attribute_on_its_fan():
