@@ -89,9 +89,6 @@ class ChowElement:
 
     __rmul__ = __mul__
 
-    def is_empty(self):
-        return not self.terms
-
     def __repr__(self):
         return "ChowElement(deg=%d, %d terms)" % (self.degree, len(self.terms))
 
@@ -148,9 +145,12 @@ def unit_class(fan):
 
 
 def fundamental_weight(fan):
-    """Weight 1 on every maximal cone, with the balancing check run; the
-    check fills the fan's table of its relations (`Fan._top_relation`)."""
-    return MinkowskiWeight(fan, fan.top_dim, dict(fan.weight))
+    """The fan's weight, 1 on every maximal cone, after one sweep that fills
+    its relation table (`Fan._top_relation`) or raises UnbalancedInput."""
+    for tau in fan.cones_of_dim(fan.top_dim - 1):
+        if fan._top_relation(tau) is None:
+            raise UnbalancedInput("balancing fails at cone %r" % (tau,))
+    return MinkowskiWeight(fan, fan.top_dim, fan.weight, check=False)
 
 
 def linear_relation_class(fan, m):
@@ -237,12 +237,12 @@ def multiply_by_monomial(elem, cone):
 
 def _degree(elem):
     """The degree of a top-dimensional class, an int when it is integral:
-    each cone, unimodular, adds its coefficient times its weight."""
+    the sum of its coefficients, every maximal cone having degree 1."""
     fan = elem.fan
     if elem.degree != fan.top_dim:
         raise DegreeMismatch("degree %d element on a top-dimension-%d fan"
                              % (elem.degree, fan.top_dim))
-    return _exact(sum(c * fan.weight[cone] for cone, c in elem.terms.items()))
+    return _exact(sum(elem.terms.values()))
 
 
 def degree(elem):
@@ -267,10 +267,10 @@ def _pairings(elem):
     one at a time, in ascending ray order, each from its own terms, and a
     vanishing one cuts off its subtree.  A leaf prefix + (rho,) pairs to
     the sum of c deg(x_sigma x_rho) over the terms (sigma, c) filed under
-    rho: the weight of sigma + {rho} when rho extends sigma, and -lambda_i
-    when rho is the i-th ray of sigma, for lambda the relation of the
-    fan's weight at sigma (`Fan._top_relation`); UnbalancedInput, naming
-    sigma, where that weight has none."""
+    rho: 1, the degree of the maximal cone sigma + {rho}, when rho extends
+    sigma, and -lambda_i when rho is the i-th ray of sigma, for lambda the
+    relation of the fan's weight at sigma (`Fan._top_relation`);
+    UnbalancedInput, naming sigma, where that weight has none."""
     fan = elem.fan
     k = fan.top_dim - elem.degree
     if k < 0:
@@ -303,15 +303,14 @@ def _walk(fan, k, cur, prefix, next_ray):
         elif tau in fan.cones:
             v = 0
             for sigma, c in terms:
-                top = fan._extension_map(sigma).get(rho)
-                if top is None:
+                if rho in sigma:
                     lam = fan._top_relation(sigma)
                     if lam is None:
                         raise UnbalancedInput("balancing fails at cone %r"
                                               % (sigma,))
                     v -= c * lam[sigma.index(rho)]
                 else:
-                    v += c * fan.weight[top]
+                    v += c
             if v:
                 yield tau, _exact(v)
 
@@ -352,9 +351,9 @@ def cap_product(weight, D):
     sum_i lambda_i a_(tau_i), for lambda the relation of w at tau
     (`Fan._relation`): the fan-out x_tau D = sum_rho (a_rho - m(u_rho))
     x_(tau+rho) summed against w, for m vanishing on the lineality with
-    m(u_(tau_i)) = a_(tau_i).  The fan's own weight reads its relations
-    from the fan's table (`Fan._top_relation`); UnbalancedInput, naming
-    tau, where w has none."""
+    m(u_(tau_i)) = a_(tau_i).  The fan's own weight, which cannot change,
+    reads its relations from the fan's table (`Fan._top_relation`);
+    UnbalancedInput, naming tau, where w has none."""
     fan = weight.fan
     if D.fan is not fan:
         raise FanMismatch("weight and divisor on different fans")

@@ -51,10 +51,15 @@ def load_matroid(arg):
             with open(arg) as fh:
                 text = fh.read()
         data = json.loads(text)
-    except (ValueError, OSError) as exc:
-        # json.JSONDecodeError is a ValueError
+    except (ValueError, OSError, RecursionError) as exc:
+        # JSONDecodeError is a ValueError; deep nesting raises RecursionError
         raise SystemExit2(str(exc))
     return matroid_from_json(data)
+
+
+# The most characters, and the largest decimal exponent, of a --lams entry:
+# Fraction("1e10000000") takes seconds, and 1e5000 is too long to print.
+MAX_LAM = 100
 
 
 def ground_set_size(args, M):
@@ -205,8 +210,14 @@ def cmd_bloch_gieseker(args):
     check_model_size(N)
     if M is None:
         M = matroid_uniform(2, N)
+    entries = args.lams.split(",") if args.lams else []
+    for x in entries:
+        e = x.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
+        if len(x) > MAX_LAM or e.isdecimal() and int(e) > MAX_LAM:
+            raise SystemExit2("--lams entry %.20s has more than %d characters "
+                              "or an exponent above %d" % (x, MAX_LAM, MAX_LAM))
     try:
-        lams = [Fraction(x) for x in args.lams.split(",")] if args.lams else [0, 1]
+        lams = [Fraction(x) for x in entries] or [0, 1]
     except ZeroDivisionError:
         raise SystemExit2("zero denominator in --lams %s" % args.lams)
     except ValueError as exc:

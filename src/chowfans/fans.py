@@ -7,6 +7,7 @@ tuple standing for the lineality cone.
 """
 
 from fractions import Fraction
+from types import MappingProxyType
 
 from .matroid import LoopyMatroid, mask_to_set, matroid_uniform
 
@@ -157,10 +158,11 @@ class Fan:
     labels along a linear extension of the chain order, so a sorted cone
     lists its chain in order, and read both hooks off the blocks of that
     chain (`_blocks`); the inverse of the pivot block of a cone's rows
-    has entries 0 and +-1 (Adiprasito-Huh-Katz).  The relations of the
-    fan's own weight at its (top-1)-cones are kept on the fan
-    (`_top_relation`), filled by the balancing check of that weight or on
-    first use by the pairing walk and the cap product (`chow`): there
+    has entries 0 and +-1 (Adiprasito-Huh-Katz).  The fundamental class
+    is fixed with the fan: weight, read-only, is 1 on every maximal cone,
+    and so is the cone's degree.  Its relations at the (top-1)-cones are
+    kept on the fan (`_top_relation`), filled by fundamental_weight or on
+    first use by the walk and the cap product (`chow`): there
     deg(x_tau x_(tau_i)) = -lambda_i.  family is a display label, which
     to_json writes and no code branches on; to_json writes a ray label
     as it is (`_label_json`), and FlagFan and BiflagFan write their
@@ -186,7 +188,7 @@ class Fan:
         self.cones = {c for cs in self._by_dim.values() for c in cs}
         self.top_dim = max(by_dim, default=0)
         self.maximal_cones = list(self.cones_of_dim(self.top_dim))
-        self.weight = {c: 1 for c in self.maximal_cones}
+        self.weight = MappingProxyType(dict.fromkeys(self.maximal_cones, 1))
         self._extensions = None
         self._top_relations = {}  # _relation(tau, self.weight) by tau
         self._relation_pool = {}  # one tuple per distinct relation
@@ -538,24 +540,14 @@ def check_balanced(fan, dim, values):
     (dim-1)-cone tau, the weighted sum of the extending ray generators must
     lie in span(tau) + lineality (`_relation` of the fan is not None).
     Returns a list of violating cones, and raises ConeNotInFan for a key
-    that is not a dim-cone of the fan.  The fan's own weight refills the
-    fan's table of its relations (`Fan._top_relation`)."""
+    that is not a dim-cone of the fan.  It writes nothing to the fan."""
     if dim < 0 or dim > fan.top_dim:
         raise DimensionMismatch("no cones of dimension %d" % dim)
     for c in values:
         if c not in fan.cones or len(c) != dim:
             raise ConeNotInFan("weight on %r, not a %d-cone of this fan"
                                % (c, dim))
-    if dim == 0:
-        # a weight on the zero cone has nothing to balance against
-        return []
     weights = {c: v if type(v) is int else Fraction(v)
                for c, v in values.items() if v}
-    if dim == fan.top_dim and weights == fan.weight:
-        # checked afresh, so a fan.weight changed since the table was
-        # filled is seen, and the table follows it
-        fan._top_relations.clear()
-        return [tau for tau in fan.cones_of_dim(dim - 1)
-                if fan._top_relation(tau) is None]
     return [tau for tau in fan.cones_of_dim(dim - 1)
             if fan._relation(tau, weights) is None]

@@ -148,12 +148,10 @@ def permutohedral_support_values(N, S):
 
 
 def base_convex_divisor(fan, N):
-    """The pulled-back permutohedral support class on a bundle fan."""
-    vals = []
-    for label in fan.ray_labels:
-        S = label[0] if isinstance(label, tuple) else label
-        vals.append(permutohedral_support_values(N, S))
-    return divisor(fan, vals)
+    """The permutohedral support class on a flag fan of subsets of [N],
+    the fan of a base ring: a_S = permutohedral_support_values(N, S)."""
+    return divisor(fan, [permutohedral_support_values(N, S)
+                         for S in fan.ray_labels])
 
 
 # The (s, t) weights of s*h + t*zeta candidates, in schedule order.

@@ -5,8 +5,10 @@ values and weights with int and rational entries: against the Fraction
 functional, relation, fan-out and pairing walk of `naive_oracle`, whose
 dual bases come from Gauss-Jordan, and against balancing by two rank
 computations per cone.  Also the top degrees deg(x_sigma x_rho) = -lambda
-that the pairing walk reads off the relations of the fan's weight, the
-UnbalancedInput raised where that weight is corrupted, and a pin of
+that the pairing walk reads off the relations of the fan's weight, which
+is read-only and whose table of relations fundamental_weight alone
+fills, the UnbalancedInput raised where a weight is corrupted or a fan's
+unit weight is unbalanced, and a pin of
 products, caps, balancing, pairings, the bundle identity, the ring model
 and `chowfans fan` on fresh fans against the references, the degree and
 pairings of a top-degree class keyed by a cone listed out of order, the
@@ -32,7 +34,7 @@ from chowfans.fans import (ConeNotInFan, bergman_fan,
 from chowfans.matroid import (matroid_from_bases, matroid_from_graph,
                               matroid_uniform, pyramid_matroid)
 from chowfans.rings import FanRingModel
-from naive_oracle import (reference_cap_product, reference_degree,
+from naive_oracle import (ReferenceFan, reference_cap_product, reference_degree,
                           reference_fan_out, reference_functional,
                           reference_multiply_by_divisor,
                           reference_multiply_by_ray, reference_pair_all,
@@ -64,6 +66,9 @@ FANS = pytest.mark.parametrize("name", list(FAN_BUILDERS))
 # so it and the Fraction walk stay off it
 REFERENCE_NAMES = [n for n in FAN_BUILDERS if n != "bundle-U(4,4)"]
 REFERENCE_FANS = pytest.mark.parametrize("name", REFERENCE_NAMES)
+# one small fan of each kind, for the tests of the fan's weight
+WEIGHT_FANS = ["bundle-U(2,3)", "bundle-parallel-pair", "bergman-U(3,5)",
+               "perm4", "biperm3"]
 
 COEFFS = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
 
@@ -168,8 +173,8 @@ def test_relation_matches_the_fraction_solve(name, data):
 def test_top_degrees_are_minus_the_relation(name):
     """deg(x_sigma x_rho) = -lambda_i for every (top-1)-cone sigma and its
     i-th ray rho, lambda the relation of the fundamental weight at sigma,
-    which the walk reads; the balancing check of that weight fills the
-    fan's table with them, one tuple per distinct relation."""
+    which the walk reads; fundamental_weight fills the fan's table with
+    them, one tuple per distinct relation."""
     fan = FAN_BUILDERS[name]()
     fundamental_weight(fan)
     facets = fan.cones_of_dim(fan.top_dim - 1)
@@ -185,31 +190,100 @@ def test_top_degrees_are_minus_the_relation(name):
 
 
 @pytest.mark.parametrize("used", [False, True], ids=["fresh", "used"])
-@pytest.mark.parametrize("name", ["bundle-U(2,3)", "bundle-parallel-pair",
-                                  "bergman-U(3,5)", "perm4", "biperm3"])
+@pytest.mark.parametrize("name", WEIGHT_FANS)
 def test_a_corrupted_fan_weight_raises_unbalanced(name, used):
-    """Weight 2 on one maximal cone of a fan, fresh or with its relations
-    read by fundamental_weight first: the balancing check of fan.weight
-    sees it, and the pairing walk of x_sigma, for sigma that cone less its
-    last ray, and the cap product of the fan's weight, or of another
-    weight unbalanced there, raise UnbalancedInput naming the (top-1)-cone
-    whose relation they read, instead of returning a degree."""
+    """Weight 2 on one maximal cone of a fan, given as a dict beside the
+    fan's own weight, on a fresh fan or one whose relations
+    fundamental_weight has read: check_balanced sees the cone sigma less
+    its last ray, and the cap product of that weight, or of weight 3
+    there, raises UnbalancedInput naming the (top-1)-cone whose relation
+    it reads, instead of returning a weight.  Neither touches the fan's
+    table, so the walk of x_sigma still pairs as the Fraction walk."""
     fan = FAN_BUILDERS[name]()
     if used:
         fundamental_weight(fan)
+    table = dict(fan._top_relations)
     bad = fan.maximal_cones[0]
-    fan.weight[bad] = 2
     sigma = bad[:-1]
-    violations = check_balanced(fan, fan.top_dim, fan.weight)
+    violations = check_balanced(fan, fan.top_dim, {**fan.weight, bad: 2})
     assert sigma in violations
-    with pytest.raises(UnbalancedInput, match=re.escape(repr(sigma))):
-        pair_all(ChowElement(fan, fan.top_dim - 1, {sigma: 1}))
     D = divisor(fan, [1] * len(fan.rays))
-    for values in [fan.weight, {**fan.weight, bad: 3}]:
-        weight = MinkowskiWeight(fan, fan.top_dim, values, check=False)
+    for w in (2, 3):
+        weight = MinkowskiWeight(fan, fan.top_dim, {**fan.weight, bad: w},
+                                 check=False)
         with pytest.raises(UnbalancedInput,
                            match=re.escape(repr(violations[0]))):
             cap_product(weight, D)
+    assert fan._top_relations == table
+    k = fan.top_dim - 1
+    assert pair_all(ChowElement(fan, k, {sigma: 1})) == \
+        reference_pair_all(fan, k, {sigma: 1})
+
+
+# P2 less its maximal cone (0, 2): the unit weight is unbalanced at the
+# rays 0 and 2, each with one extension off its line, and balanced at ray
+# 1, where u_0 + u_2 = -u_1
+P2_LESS_A_CONE = ([[1, 0], [0, 1], [-1, -1]],
+                  [(), (0,), (1,), (2,), (0, 1), (1, 2)])
+
+
+@pytest.mark.parametrize("used", [False, True], ids=["fresh", "walked"])
+def test_an_unbalanced_fundamental_class_raises_unbalanced(used):
+    """A ReferenceFan whose unit weight is unbalanced, fresh or after a
+    first walk that reads its one relation: the walk of x_(0,),
+    fundamental_weight and the cap product of the fan's own weight raise
+    UnbalancedInput naming the ray (0,), the first cone without one."""
+    rays, cones = P2_LESS_A_CONE
+    fan = ReferenceFan(2, [], rays, range(len(rays)), cones, "toric")
+    assert check_balanced(fan, 2, fan.weight) == [(0,), (2,)]
+    if used:
+        assert pair_all(ChowElement(fan, 1, {(1,): 1})) == \
+            {(0,): 1, (1,): 1, (2,): 1}
+        assert set(fan._top_relations) == {(1,)}
+    ray0 = re.escape(repr((0,)))
+    with pytest.raises(UnbalancedInput, match=ray0):
+        pair_all(ChowElement(fan, 1, {(0,): 1}))
+    with pytest.raises(UnbalancedInput, match=ray0):
+        fundamental_weight(fan)
+    weight = MinkowskiWeight(fan, 2, fan.weight, check=False)
+    with pytest.raises(UnbalancedInput, match=ray0):
+        cap_product(weight, divisor(fan, [1, 1, 1]))
+
+
+@pytest.mark.parametrize("name", WEIGHT_FANS)
+def test_the_fan_weight_is_read_only(name):
+    """The fundamental class is fixed with the fan: its weight is 1 on
+    every maximal cone, and no write reaches it."""
+    fan = fan_of(name)
+    assert dict(fan.weight) == dict.fromkeys(fan.maximal_cones, 1)
+    bad = fan.maximal_cones[0]
+    with pytest.raises(TypeError):
+        fan.weight[bad] = 2
+    with pytest.raises(TypeError):
+        del fan.weight[bad]
+    assert fan.weight[bad] == 1
+
+
+@pytest.mark.parametrize("name", WEIGHT_FANS)
+def test_check_balanced_leaves_the_relation_table_empty(name):
+    """The balancing check of the fan's own weight computes each relation
+    and drops it: it writes nothing to the fan."""
+    fan = FAN_BUILDERS[name]()
+    assert check_balanced(fan, fan.top_dim, fan.weight) == []
+    assert fan._top_relations == {}
+
+
+@pytest.mark.parametrize("name", WEIGHT_FANS)
+def test_fundamental_weight_fills_the_relation_table(name):
+    """One sweep over the (top-1)-cones fills the table that the walk and
+    the cap read, with the relations check_balanced computes."""
+    fan = FAN_BUILDERS[name]()
+    weight = fundamental_weight(fan)
+    assert weight.values == dict(fan.weight)
+    facets = fan.cones_of_dim(fan.top_dim - 1)
+    assert set(fan._top_relations) == set(facets)
+    for tau in facets:
+        assert fan._top_relations[tau] == fan._relation(tau, fan.weight)
 
 
 @REFERENCE_FANS

@@ -119,6 +119,50 @@ def test_malformed_matroid_json_is_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("in_file", [False, True], ids=["inline", "file"])
+def test_deeply_nested_descriptor_is_usage_error(capsys, tmp_path, in_file):
+    """JSON nested 5,000 levels inline or 100,000 in a file, past the
+    decoder's recursion limit, is bad input: exit 2, one line."""
+    depth = 100000 if in_file else 5000
+    descriptor = "[" * depth + "]" * depth
+    if in_file:
+        path = tmp_path / "deep.json"
+        path.write_text(descriptor)
+        descriptor = str(path)
+    start = time.perf_counter()
+    code, lines, err = run(capsys, ["verify", "--matroid", descriptor])
+    assert time.perf_counter() - start < 1
+    assert (code, lines) == (2, [])
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("lams, shown", [
+    ("0,1e5000", "1e5000"), ("1e10000000", "1e10000000"),
+    ("1E-1_000", "1E-1_000"), ("1" * 101, "1" * 20),
+], ids=["exponent", "huge-exponent", "negative-exponent", "long"])
+def test_huge_twist_parameter_is_usage_error(capsys, lams, shown):
+    """An entry of --lams whose decimal exponent or length is past the
+    bound exits 2 before Fraction reads it: 1e5000 is an int too long to
+    print, and Fraction("1e10000000") alone takes seconds."""
+    start = time.perf_counter()
+    code, lines, err = run(capsys, ["bloch-gieseker", "--N", "3",
+                                    "--lams", lams])
+    assert time.perf_counter() - start < 1
+    assert (code, lines, err) == (2, [], (
+        "error: --lams entry %s has more than 100 characters or an exponent "
+        "above 100\n" % shown))
+
+
+def test_twist_parameters_at_the_bound_are_read(capsys):
+    """100 characters, and a decimal exponent of 100 either way, pass."""
+    lams = ["9" * 96 + "e100", "1e-100", "1" * 100]
+    code, lines, _ = run(capsys, ["bloch-gieseker", "--N", "3",
+                                  "--lams", ",".join(lams)])
+    assert code in (0, 1)
+    assert [line["lam"] for line in lines] == \
+        [int("9" * 96 + "0" * 100), "1/1" + "0" * 100, int("1" * 100)]
+
+
 def test_unknown_command_is_usage_error(capsys):
     code, _, _ = run(capsys, ["frobnicate"])
     assert code == 2
