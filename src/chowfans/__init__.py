@@ -6,7 +6,7 @@ from .fans import (Fan, bergman_fan, bipermutohedral_fan, check_balanced,
                    permutohedral_fan, projective_bundle_fan)
 from .chow import (ChowElement, MinkowskiWeight, cap_product, degree,
                    divisor, fundamental_weight, multiply_by_divisor, pair,
-                   pair_all, pullback_pi1, ray_coefficients, unit_class)
+                   pair_all, ray_coefficients, unit_class)
 from .tautological import chern_classes, structural_divisors, w_divisors
 from .rings import (BundleRing, FanRingModel, bloch_gieseker,
                     quotient_by_ann_segre, segre_vectors, twist_vectors)

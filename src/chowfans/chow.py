@@ -107,7 +107,10 @@ def _by_sorted_cone(fan, degree, terms):
 
 
 class MinkowskiWeight:
-    """Rational function on the dim-cones of a fan, assumed balanced."""
+    """Rational function on the dim-cones of a fan, balanced: with check,
+    check_balanced proves it over the facets of the weight's support, or
+    UnbalancedInput names the first cone where it fails.  cap_product
+    keeps that check as the runtime proof that its cap is balanced."""
 
     def __init__(self, fan, dim, values, check=True):
         self.fan = fan
@@ -335,25 +338,30 @@ def nonzero_pairing_witness(elem):
 
 def _pairing_matrix(fan, k):
     """(rows, cols, mat): the k-cones, the (top-k)-cones and the matrix of
-    deg(x_sigma x_tau) over them, one pairing walk per row, its entries
-    ints where integral."""
+    deg(x_sigma x_tau) over them, its entries ints where integral.  One
+    pairing walk per column fills it: the walk of x_tau goes to depth k,
+    the short side for the k <= top/2 that FanRingModel reads."""
     rows, cols = fan.cones_of_dim(k), fan.cones_of_dim(fan.top_dim - k)
-    mat = []
-    for sigma in rows:
-        pairings = dict(_pairings(ChowElement(fan, k, {sigma: 1})))
-        mat.append([pairings.get(c, 0) for c in cols])
+    index = {sigma: i for i, sigma in enumerate(rows)}
+    mat = [[0] * len(cols) for _ in rows]
+    for j, tau in enumerate(cols):
+        for sigma, v in _pairings(ChowElement(fan, len(tau), {tau: 1})):
+            mat[index[sigma]][j] = v
     return rows, cols, mat
 
 
 def cap_product(weight, D):
-    """Divisor cap Minkowski weight; the result is balanced (checked).  At
-    a (dim-1)-cone tau, (D cap w)(tau) = sum_rho a_rho w(tau + rho) -
-    sum_i lambda_i a_(tau_i), for lambda the relation of w at tau
+    """Divisor cap Minkowski weight.  At a (dim-1)-cone tau,
+    (D cap w)(tau) = sum_rho a_rho w(tau + rho) - sum_i lambda_i
+    a_(tau_i), for lambda the relation of w at tau
     (`Fan._relation`): the fan-out x_tau D = sum_rho (a_rho - m(u_rho))
     x_(tau+rho) summed against w, for m vanishing on the lineality with
     m(u_(tau_i)) = a_(tau_i).  The fan's own weight, which cannot change,
     reads its relations from the fan's table (`Fan._top_relation`);
-    UnbalancedInput, naming tau, where w has none."""
+    UnbalancedInput, naming tau, where w has none.  The cap of a balanced
+    weight is balanced, and the result is checked all the same: that
+    check is the runtime proof of it, and costs the cap's support, whose
+    facets alone check_balanced visits."""
     fan = weight.fan
     if D.fan is not fan:
         raise FanMismatch("weight and divisor on different fans")
@@ -373,22 +381,6 @@ def cap_product(weight, D):
     # the cap of a weight on the zero cone is the zero weight in dimension
     # -1, which has no cones to balance
     return MinkowskiWeight(fan, weight.dim - 1, out, check=weight.dim > 0)
-
-
-def pullback_pi1(D, target):
-    """Pull a divisor on the flag fan of [N] back along the first projection
-    of a biflag fan: b_{S|T} = a_S."""
-    fan = D.fan
-    a = ray_coefficients(D)
-    out = []
-    for S, T in target.ray_labels:
-        full = (1 << (fan.ambient_dim)) - 1
-        if S == full:
-            # e_{[N]|T} maps to the lineality of the base fan
-            out.append(0)
-        else:
-            out.append(a[fan.ray_index[S]])
-    return divisor(target, out)
 
 
 def negation_relabel(D):

@@ -157,16 +157,17 @@ class Fan:
     theory of combinatorial projective bundles.  These two list their
     labels along a linear extension of the chain order, so a sorted cone
     lists its chain in order, and read both hooks off the blocks of that
-    chain (`_blocks`); the inverse of the pivot block of a cone's rows
-    has entries 0 and +-1 (Adiprasito-Huh-Katz).  The fundamental class
-    is fixed with the fan: weight, read-only, is 1 on every maximal cone,
-    and so is the cone's degree.  Its relations at the (top-1)-cones are
-    kept on the fan (`_top_relation`), filled by fundamental_weight or on
-    first use by the walk and the cap product (`chow`): there
-    deg(x_tau x_(tau_i)) = -lambda_i.  family is a display label, which
-    to_json writes and no code branches on; to_json writes a ray label
-    as it is (`_label_json`), and FlagFan and BiflagFan write their
-    bitmask labels as sets."""
+    chain, a relation off the blocks of its occupied slots alone; the
+    inverse of the pivot block of a cone's rows has entries 0 and +-1
+    (Adiprasito-Huh-Katz).  The fundamental class is fixed with the fan:
+    weight, read-only, is 1 on every maximal cone, and so is the cone's
+    degree.  Its relations at the (top-1)-cones are kept on the fan
+    (`_top_relation`), filled by fundamental_weight or on first use by
+    the walk and the cap product (`chow`): there deg(x_tau x_(tau_i)) =
+    -lambda_i.  family is a display label, which to_json writes and no
+    code branches on; to_json writes a ray label as it is
+    (`_label_json`), and FlagFan and BiflagFan write their bitmask labels
+    as sets."""
 
     def __init__(self, ambient_dim, lineality, rays, ray_labels, cones, family):
         if type(self) is Fan:
@@ -226,16 +227,17 @@ class Fan:
                         self._extensions.setdefault(c[:j] + c[j + 1:], {})[i] = c
         return self._extensions.get(cone, {})
 
-    def _slots(self, tau, weights):
-        """The blocks of tau's chain, and {j: [(label of rho, w)]} over the
-        extensions sigma = tau + {rho} of weight w = weights[sigma] != 0 by
-        slot j = sigma.index(rho): u_rho is constant off block j."""
+    def _by_slot(self, tau, weights):
+        """{j: [(label of rho, w)]} over the extensions sigma = tau + {rho}
+        of weight w = weights[sigma] != 0, by slot j = sigma.index(rho):
+        rho lies between the rays j-1 and j of tau's chain, so u_rho is
+        constant off the block that those two rays bound."""
         labels, slots = self.ray_labels, {}
         for rho, sigma in self._extension_map(tau).items():
             w = weights.get(sigma)
             if w:
                 slots.setdefault(sigma.index(rho), []).append((labels[rho], w))
-        return self._blocks(tau), slots
+        return slots
 
     def _top_relation(self, tau):
         """_relation(tau, self.weight) at a (top-1)-cone tau, kept in
@@ -267,20 +269,17 @@ class Fan:
         }
 
 
-def _low(mask):
-    """The index of the lowest set bit of a nonzero mask."""
-    return (mask & -mask).bit_length() - 1
-
-
-def _sum_on(block, parts):
-    """The sum of the w over the (mask, w) in parts whose mask holds e, if
-    it is the same at every e in block, 0 for an empty block, else None."""
+def _sum_on(block, cuts):
+    """The sum of the w over the (mask, w) in cuts whose mask holds e, if
+    it is the same at every e in block, 0 for an empty block, else None.
+    A mask that covers the block adds its w at every e and one that misses
+    it adds nothing, so the callers pass only the masks that cut it."""
     value = None
     while block:
         e = block & -block
         block ^= e
         x = 0
-        for mask, w in parts:
+        for mask, w in cuts:
             if mask & e:
                 x += w
         if value is None:
@@ -290,36 +289,10 @@ def _sum_on(block, parts):
     return value or 0
 
 
-def _lambda(k, steps):
-    """The relation (lambda_0, ..., lambda_(k-1)) of a weighted sum that
-    reads c_j = d_j + sum_(j' > j) W_j' on block j = 0..k of a chain of k
-    rays, where the r-th ray reads c_j = 1 for j <= r and 0 above, modulo
-    the lineality: lambda_r = c_r - c_(r+1) = d_r - d_(r+1) + W_(r+1).  steps
-    lists (j, d_j, W_j) for the blocks where either is nonzero, a block's
-    entries adding up."""
-    lam = [0] * k
-    for j, d, W in steps:
-        if j < k:
-            lam[j] += d
-        if j:
-            lam[j - 1] += W - d
-    return tuple(lam)
-
-
 class FlagFan(Fan):
-    """A fan of bergman_fan: it lists its flats by size."""
-
-    def _blocks(self, cone):
-        """The blocks B_j = F_{j+1} minus F_j, j = 0..k, of the flag
-        F_1 < ... < F_k of cone, for F_0 empty and F_{k+1} = [n]."""
-        labels = self.ray_labels
-        out, E = [], 0
-        for i in cone:
-            F = labels[i]
-            out.append(F & ~E)
-            E = F
-        out.append(((1 << self.ambient_dim) - 1) & ~E)
-        return out
+    """A fan of bergman_fan: it lists its flats by size.  The blocks of
+    the flag F_1 < ... < F_k of a cone are B_j = F_{j+1} minus F_j,
+    j = 0..k, for F_0 empty and F_{k+1} = [n]; rays j-1 and j bound B_j."""
 
     def _functional(self, cone, values):
         """The functional of the sorted cone read off its chain: each
@@ -327,30 +300,41 @@ class FlagFan(Fan):
         so the pivots are the min B_j, and m = v_{j+1} - v_j on min B_j,
         for v_j the value on e_{F_j} and v_0 = v_{k+1} = 0, so that
         m(e_G) = sum_j [min B_j in G] (v_{j+1} - v_j)."""
-        m, prev = [0] * self.ambient_dim, 0
-        for B, v in zip(self._blocks(cone), [*values, 0]):
-            m[_low(B)] = v - prev
-            prev = v
+        labels = self.ray_labels
+        m, prev, E = [0] * self.ambient_dim, 0, 0
+        for i, v in zip(cone, values):
+            B = labels[i] & ~E
+            m[(B & -B).bit_length() - 1] = v - prev
+            prev, E = v, labels[i]
+        B = ((1 << self.ambient_dim) - 1) & ~E
+        m[(B & -B).bit_length() - 1] = -prev
         return m
 
     def _label_json(self, label):
         return sorted(mask_to_set(label))
 
     def _relation(self, tau, weights):
-        """The relation around tau read off its chain.  Its span is the
-        vectors constant on each block, so slot j's sum x_j = sum w [e in
-        G] must be constant on B_j; the weighted sum then reads x_j +
-        sum_(j' > j) W_j' on B_j, W_j the slot's total weight, and the r-th
-        ray e_(F_(r+1)) reads 1 on B_j exactly for j <= r (`_lambda` with
-        d_j = x_j)."""
-        blocks, slots = self._slots(tau, weights)
-        steps = []
-        for j, parts in slots.items():
-            x = _sum_on(blocks[j], parts)
+        """The relation around tau read off the blocks of its occupied
+        slots.  Its span is the vectors constant on each block, so slot
+        j's sum x_j = sum w [e in G] must be constant on B_j, which every
+        extension G cuts (F_j < G < F_{j+1}); the weighted sum then reads
+        c_j = x_j + sum_(j' > j) W_j' on B_j, W_j the slot's total weight,
+        and the r-th ray e_(F_(r+1)) reads 1 on B_j exactly for j <= r, so
+        lambda_r = c_r - c_(r+1) gains x_j at r = j and W_j - x_j at
+        r = j - 1."""
+        labels, k = self.ray_labels, len(tau)
+        lam = [0] * k
+        for j, parts in self._by_slot(tau, weights).items():
+            E = labels[tau[j - 1]] if j else 0
+            F = labels[tau[j]] if j < k else (1 << self.ambient_dim) - 1
+            x = _sum_on(F & ~E, parts)
             if x is None:
                 return None
-            steps.append((j, x, sum(w for _, w in parts)))
-        return _lambda(len(tau), steps)
+            if j < k:
+                lam[j] += x
+            if j:
+                lam[j - 1] += sum(w for _, w in parts) - x
+        return tuple(lam)
 
 
 class BiflagFan(Fan):
@@ -365,18 +349,6 @@ class BiflagFan(Fan):
     c_0 = a + b + sum_i g_i; conversely a = c_0 - c_1, b = c_{k+1} and
     g_i = c_i - c_{i+1}."""
 
-    def _blocks(self, cone):
-        """The pairs (A_j, B_j), j = 1..k+1, of cone's biflag."""
-        labels = self.ray_labels
-        full = (1 << (self.ambient_dim // 2)) - 1
-        out, S0, F0 = [], 0, full
-        for i in cone:
-            S, F = labels[i]
-            out.append((S & ~S0, F0 & ~F))
-            S0, F0 = S, F
-        out.append((full & ~S0, F0))
-        return out
-
     def _functional(self, cone, values):
         """The functional of the sorted cone read off its chain: m =
         sum_j (v_j - v_{j-1}) c_j, j = 1..k+1, for v_j the value on
@@ -385,17 +357,24 @@ class BiflagFan(Fan):
         v[aq] for q the least min B_j over the blocks with both parts
         nonempty, in a block whose min A_j is aq (a cone of the fan has
         one); and c_j = c_0 - v[N + min B_j] where A_j is empty."""
-        N = self.ambient_dim // 2
+        N, labels, k = self.ambient_dim // 2, self.ray_labels, len(cone)
+        full = (1 << N) - 1
         m, on_c0, prev, q = [0] * self.ambient_dim, 0, 0, None
-        for (A, B), v in zip(self._blocks(cone), [*values, 0]):
+        S0, F0 = 0, full
+        for j in range(k + 1):
+            S, F = labels[cone[j]] if j < k else (full, 0)
+            v = values[j] if j < k else 0
+            A, B = S & ~S0, F0 & ~F
             if A:
-                m[_low(A)] = v - prev
-                if B and (q is None or _low(B) < q):
-                    q, aq = _low(B), _low(A)
+                a = (A & -A).bit_length() - 1
+                m[a] = v - prev
+                b = (B & -B).bit_length() - 1
+                if B and (q is None or b < q):
+                    q, aq = b, a
             else:
-                m[N + _low(B)] = prev - v
+                m[N + (B & -B).bit_length() - 1] = prev - v
                 on_c0 += v - prev
-            prev = v
+            prev, S0, F0 = v, S, F
         m[N + q] = on_c0
         m[aq] += on_c0
         return m
@@ -404,39 +383,70 @@ class BiflagFan(Fan):
         return [sorted(mask_to_set(label[0])), sorted(mask_to_set(label[1]))]
 
     def _relation(self, tau, weights):
-        """The relation around tau read off its chain.  The span of the
-        lineality and the e_(S_j|F_j) of tau is the vectors constant on each
-        A_j and on each N + B_j whose two values add up to the same c_0 on
-        every block with both parts nonempty.  An extension S|F adds w to
-        that total off its slot, so on slot j X_j = sum w [e in S] on A_j
-        and Y_j = sum w [e in F] on B_j must be constant, and X_j + Y_j -
-        W_j, W_j = sum w, the same kappa on every such block: 0 on an
-        empty slot.  The weighted sum then reads c_j = d_j + sum_(j' > j)
-        W_j' on A_j and c_0 - c_j = Y_j + sum_(j' < j) W_j' on N + B_j, for
-        c_0 = kappa + sum_j W_j, so d_j = X_j where A_j is nonempty and
-        d_j = W_j - Y_j + kappa where it is empty (`_lambda`)."""
-        blocks, slots = self._slots(tau, weights)
-        steps, kappa = [], None
+        """The relation around tau read off the blocks of its occupied
+        slots.  The span of the lineality and the e_(S_j|F_j) of tau is the
+        vectors constant on each A_j and on each N + B_j whose two values
+        add up to the same c_0 on every block with both parts nonempty.  An
+        extension S|F adds w to that total off its slot, so on slot j
+        X_j = sum w [e in S] on A_j and Y_j = sum w [e in F] on B_j must be
+        constant, and X_j + Y_j - W_j, W_j = sum w, the same kappa on every
+        such block: 0 on an empty slot.  S|F covers, misses or cuts each
+        part (S_(j-1) <= S <= S_j, F_j <= F <= F_(j-1)), and only the parts
+        it cuts are summed per element.  The weighted sum then reads c_j = d_j
+        + sum_(j' > j) W_j' on A_j and c_0 - c_j = Y_j + sum_(j' < j) W_j'
+        on N + B_j, for c_0 = kappa + sum_j W_j, so d_j = X_j where A_j is
+        nonempty and d_j = W_j - Y_j + kappa where it is empty, and lambda
+        gains d_j and W_j - d_j as on FlagFan."""
+        labels, k = self.ray_labels, len(tau)
+        full = (1 << (self.ambient_dim // 2)) - 1
+        lam, kappa = [0] * k, None
+        slots = self._by_slot(tau, weights)
         for j, parts in slots.items():
-            A, B = blocks[j]
-            x = _sum_on(A, [(S, w) for (S, _), w in parts])
-            y = _sum_on(B, [(F, w) for (_, F), w in parts])
-            if x is None or y is None:
-                return None
-            W = sum(w for _, w in parts)
+            S0, F0 = labels[tau[j - 1]] if j else (0, full)
+            S1, F1 = labels[tau[j]] if j < k else (full, 0)
+            A, B = S1 & ~S0, F0 & ~F1
+            x = y = W = 0
+            cut_a, cut_b = [], []
+            for (S, F), w in parts:
+                W += w
+                if S & A == A:
+                    x += w
+                elif S & A:
+                    cut_a.append((S, w))
+                if F & B == B:
+                    y += w
+                elif F & B:
+                    cut_b.append((F, w))
+            if cut_a or cut_b:
+                dx, dy = _sum_on(A, cut_a), _sum_on(B, cut_b)
+                if dx is None or dy is None:
+                    return None
+                x, y = x + dx, y + dy
             if A and B:
                 if kappa is None:
                     kappa = x + y - W
                 elif x + y - W != kappa:
                     return None
-            steps.append((j, x if A else W - y, W))
+            d = x if A else W - y
+            if j < k:
+                lam[j] += d
+            if j:
+                lam[j - 1] += W - d
         if kappa:
-            for j, (A, B) in enumerate(blocks):
-                if not A:
-                    steps.append((j, kappa, 0))
-                elif B and j not in slots:
+            # every block: kappa enters d_j where A_j is empty, and a block
+            # with both parts nonempty must hold a slot
+            S0, F0 = 0, full
+            for j in range(k + 1):
+                S1, F1 = labels[tau[j]] if j < k else (full, 0)
+                if S1 == S0:
+                    if j < k:
+                        lam[j] += kappa
+                    if j:
+                        lam[j - 1] -= kappa
+                elif F1 != F0 and j not in slots:
                     return None
-        return _lambda(len(tau), steps)
+                S0, F0 = S1, F1
+        return tuple(lam)
 
 
 def _indicator(N, mask):
@@ -539,8 +549,11 @@ def check_balanced(fan, dim, values):
     """Balancing of a rational weight on the dim-cones: around every
     (dim-1)-cone tau, the weighted sum of the extending ray generators must
     lie in span(tau) + lineality (`_relation` of the fan is not None).
-    Returns a list of violating cones, and raises ConeNotInFan for a key
-    that is not a dim-cone of the fan.  It writes nothing to the fan."""
+    Returns a list of violating cones in `cones_of_dim` order, and raises
+    ConeNotInFan for a key that is not a dim-cone of the fan.  Only the
+    facets of the weighted cones are visited: any other tau has no
+    weighted extension, so its relation is the zero tuple.  It writes
+    nothing to the fan."""
     if dim < 0 or dim > fan.top_dim:
         raise DimensionMismatch("no cones of dimension %d" % dim)
     for c in values:
@@ -549,5 +562,7 @@ def check_balanced(fan, dim, values):
                                % (c, dim))
     weights = {c: v if type(v) is int else Fraction(v)
                for c, v in values.items() if v}
+    facets = {sigma[:j] + sigma[j + 1:] for sigma in weights
+              for j in range(dim)}
     return [tau for tau in fan.cones_of_dim(dim - 1)
-            if fan._relation(tau, weights) is None]
+            if tau in facets and fan._relation(tau, weights) is None]

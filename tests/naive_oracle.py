@@ -75,6 +75,10 @@ bundle tower as it was built before one loop served every caller: a
 single storey by hand, and more storeys by lifting the later coefficient
 lists while the tower is built, then walking `.base` back down and
 lifting h and the zetas up again.
+
+Also `pullback_pi1`, a divisor of perm(N) pulled back along the first
+projection of a biflag fan, against which the tautological tests read
+the structural divisors.
 """
 
 from fractions import Fraction
@@ -82,8 +86,9 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
 
-from chowfans.chow import (ChowElement, FanMismatch, multiply_by_monomial,
-                           pair, pair_all)
+from chowfans.chow import (ChowElement, FanMismatch, divisor,
+                           multiply_by_monomial, pair, pair_all,
+                           ray_coefficients)
 from chowfans.biflags import expansion_index, is_lex_decreasing
 from chowfans.fans import (Fan, bisubset_leq, gap_indices, is_chain,
                            permutohedral_fan, proper_biflats)
@@ -709,6 +714,17 @@ def reference_cap_product(fan, dim, values, a):
         if total:
             out[tau] = total
     return out
+
+
+def pullback_pi1(D, target):
+    """Pull a divisor on the flag fan of [N] back along the first projection
+    of a biflag fan: b_{S|T} = a_S, and 0 on the rays e_{[N]|T}, which map
+    to the lineality of the base fan."""
+    fan = D.fan
+    full = (1 << fan.ambient_dim) - 1
+    a = ray_coefficients(D)
+    return divisor(target, [0 if S == full else a[fan.ray_index[S]]
+                            for S, _ in target.ray_labels])
 
 
 def reference_multiply(model, k1, v1, k2, v2):

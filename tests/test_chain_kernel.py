@@ -4,7 +4,10 @@ and biflag fans read off the chains of their cones (`_functional` and
 values and weights with int and rational entries: against the Fraction
 functional, relation, fan-out and pairing walk of `naive_oracle`, whose
 dual bases come from Gauss-Jordan, and against balancing by two rank
-computations per cone.  Also the top degrees deg(x_sigma x_rho) = -lambda
+computations per cone; the relation also around cones whose slot holds
+several extensions that cut its block, and check_balanced, which visits
+the facets of the weight's support alone, against the relation at every
+cone.  Also the top degrees deg(x_sigma x_rho) = -lambda
 that the pairing walk reads off the relations of the fan's weight, which
 is read-only and whose table of relations fundamental_weight alone
 fills, the UnbalancedInput raised where a weight is corrupted or a fan's
@@ -18,6 +21,7 @@ weight or a class off the fan."""
 import json
 import re
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -284,6 +288,141 @@ def test_fundamental_weight_fills_the_relation_table(name):
     assert set(fan._top_relations) == set(facets)
     for tau in facets:
         assert fan._top_relations[tau] == fan._relation(tau, fan.weight)
+
+
+def full_sweep(fan, dim, values):
+    """The violations of a weight by the relation at every (dim-1)-cone."""
+    return [tau for tau in fan.cones_of_dim(dim - 1)
+            if fan._relation(tau, values) is None]
+
+
+@REFERENCE_FANS
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_check_balanced_equals_the_full_sweep(name, data):
+    """check_balanced, which visits only the facets of the weighted cones,
+    lists the violations of the relation at every (dim-1)-cone, in the
+    same order, in every dimension: for a sparse drawn weight, a dense one
+    cycling a few drawn values over every cone, a balanced one (the
+    fundamental weight capped with drawn divisors, scaled) changed on a
+    few cones, with int and Fraction entries, and weight 1 on the first
+    cone alone."""
+    fan = fan_of(name)
+    weight = fundamental_weight(fan)
+    for dim in range(fan.top_dim, -1, -1):
+        if dim < fan.top_dim:
+            a = data.draw(st.lists(st.integers(-2, 2), min_size=len(fan.rays),
+                                   max_size=len(fan.rays)))
+            weight = cap_product(weight, divisor(fan, a))
+        cones = fan.cones_of_dim(dim)
+        sparse = {c: data.draw(COEFFS) for c in data.draw(
+            st.lists(st.sampled_from(cones), max_size=4, unique=True))}
+        cycle = data.draw(st.lists(COEFFS, min_size=1, max_size=5))
+        dense = {c: cycle[i % len(cycle)] for i, c in enumerate(cones)}
+        scale = data.draw(COEFFS)
+        changed = {c: scale * v for c, v in weight.values.items()}
+        for c in data.draw(st.lists(st.sampled_from(cones), max_size=2,
+                                    unique=True)):
+            changed[c] = changed.get(c, 0) + data.draw(COEFFS)
+        for values in (sparse, dense, changed, {cones[0]: 1}):
+            assert check_balanced(fan, dim, values) == \
+                full_sweep(fan, dim, values)
+
+
+def blocks_of(fan, tau):
+    """The blocks of tau's chain, as tuples of masks: (B_j,) on a flag
+    fan, (A_j, B_j) on a biflag fan, from the labels and the sentinels."""
+    chain = fan.cone_chain(tau)
+    if isinstance(fan.ray_labels[0], tuple):
+        full = (1 << (fan.ambient_dim // 2)) - 1
+        ends = [(0, full), *chain, (full, 0)]
+        return [(ends[j + 1][0] & ~ends[j][0], ends[j][1] & ~ends[j + 1][1])
+                for j in range(len(tau) + 1)]
+    ends = [0, *chain, (1 << fan.ambient_dim) - 1]
+    return [(ends[j + 1] & ~ends[j],) for j in range(len(tau) + 1)]
+
+
+def shared_cut_slots(fan, tau):
+    """{j: rays}: the slots of tau that hold two or more extensions, one
+    of which cuts its block, meeting it in neither nothing nor all of
+    it."""
+    blocks, by_slot = blocks_of(fan, tau), {}
+    for rho, sigma in fan._extension_map(tau).items():
+        by_slot.setdefault(sigma.index(rho), []).append(rho)
+    out = {}
+    for j, rhos in by_slot.items():
+        labels = [fan.ray_labels[rho] for rho in rhos]
+        if len(rhos) > 1 and any(
+                0 != part & block != block for label in labels
+                for part, block in zip(label if isinstance(label, tuple)
+                                       else (label,), blocks[j])):
+            out[j] = rhos
+    return out
+
+
+@lru_cache(maxsize=None)
+def shared_cut_cones(name):
+    fan = fan_of(name)
+    return [tau for tau in sorted(fan.cones)
+            if len(tau) < fan.top_dim and shared_cut_slots(fan, tau)]
+
+
+@REFERENCE_FANS
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_relation_on_a_shared_cut_slot_matches_the_fraction_solve(name, data):
+    """Around a drawn cone with two or more extensions in one slot, one of
+    which cuts its block, _relation equals the Fraction solve: for drawn
+    weights on those extensions alone, drawn weights on every extension,
+    and a balanced weight of the cone's dimension plus one (the
+    fundamental weight capped with drawn divisors), which reads the cut
+    blocks element by element and has a relation."""
+    fan = fan_of(name)
+    tau = data.draw(st.sampled_from(shared_cut_cones(name)))
+    extensions = fan._extension_map(tau)
+    rhos = next(iter(shared_cut_slots(fan, tau).values()))
+    nonzero = COEFFS.filter(bool)
+    shared = {extensions[rho]: data.draw(nonzero) for rho in rhos}
+    every = {sigma: data.draw(COEFFS) for sigma in extensions.values()}
+    weight = fundamental_weight(fan)
+    while weight.dim > len(tau) + 1:
+        a = data.draw(st.lists(st.integers(-2, 2), min_size=len(fan.rays),
+                               max_size=len(fan.rays)))
+        weight = cap_product(weight, divisor(fan, a))
+    balanced = {sigma: weight.values[sigma] for sigma in extensions.values()
+                if sigma in weight.values}
+    for w in (shared, every, balanced):
+        assert fan._relation(tau, w) == reference_relation(fan, tau, w)
+    assert fan._relation(tau, balanced) is not None
+
+
+@pytest.mark.parametrize("name", WEIGHT_FANS)
+def test_relation_at_every_cone_matches_the_fraction_solve(name):
+    """Around every cone below the top, _relation equals the Fraction
+    solve for two kinds of weights.  The balanced ones, the fundamental
+    weight capped down with a fixed divisor, have a relation everywhere,
+    so every lambda step shows.  Weight 1 and 2 on a pair of extensions
+    in different slots: where both cover or miss each part of their
+    biflag blocks, the slots read kappa = 1 and 2 times the same count,
+    which the kappa comparison must reject."""
+    fan = fan_of(name)
+    D = divisor(fan, [i % 3 - 1 for i in range(len(fan.rays))])
+    weight = fundamental_weight(fan)
+    while weight.dim > 0:
+        for tau in fan.cones_of_dim(weight.dim - 1):
+            lam = fan._relation(tau, weight.values)
+            assert lam is not None
+            assert lam == reference_relation(fan, tau, weight.values)
+        weight = cap_product(weight, D)
+    for tau in sorted(fan.cones):
+        if len(tau) == fan.top_dim:
+            continue
+        extensions = [(sigma.index(rho), sigma) for rho, sigma
+                      in fan._extension_map(tau).items()]
+        for (i, a), (j, b) in combinations(extensions, 2):
+            if i != j:
+                w = {a: 1, b: 2}
+                assert fan._relation(tau, w) == reference_relation(fan, tau, w)
 
 
 @REFERENCE_FANS

@@ -125,6 +125,24 @@ def test_pairing_matrix_rows_match_fraction_walk(name, data):
         (j, want[tau]) for j, tau in enumerate(cobasis) if want[tau]]
 
 
+# every row of bundle-U(3,4) by the Fraction walk takes 8 s; the drawn rows
+# of test_pairing_matrix_rows_match_fraction_walk cover it
+@pytest.mark.parametrize("name", [n for n in FAN_BUILDERS
+                                  if n != "bundle-U(3,4)"])
+def test_pairing_matrix_walked_by_column_equals_the_row_walks(name):
+    """For every k <= top/2, the pairing matrix, filled one column at a
+    time by the walk of each (top-k)-cone to depth k, equals the matrix
+    of the Fraction walks of its rows, each k-cone to depth top-k."""
+    fan = fan_of(name)
+    n = fan.top_dim
+    for k in range(n // 2 + 1):
+        rows, cols, mat = chow._pairing_matrix(fan, k)
+        assert rows == fan.cones_of_dim(k) and cols == fan.cones_of_dim(n - k)
+        want = [reference_pair_all(fan, k, {sigma: 1}) for sigma in rows]
+        assert mat == [[row[tau] for tau in cols] for row in want]
+        assert exact(x for row in mat for x in row)
+
+
 @FANS
 @settings(max_examples=6, deadline=None)
 @given(data=st.data())

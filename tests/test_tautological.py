@@ -1,16 +1,19 @@
 from fractions import Fraction
+from functools import lru_cache
+from itertools import permutations
 
 import pytest
 
 from chowfans.chow import (multiply_by_divisor, negation_relabel, pair_all,
-                           pullback_pi1, ray_coefficients, unit_class)
+                           ray_coefficients, unit_class)
 from chowfans.fans import (DimensionMismatch, bergman_fan, bipermutohedral_fan,
                            permutohedral_fan, projective_bundle_fan)
-from chowfans.matroid import matroid_uniform
+from chowfans.kahler import base_convex_divisor, chern_vectors
+from chowfans.matroid import matroid_from_graph, matroid_uniform
 from chowfans.rings import FanRingModel, segre_vectors, twist_vectors
 from chowfans.tautological import (chern_classes, structural_divisors,
                                    w_divisors)
-from naive_oracle import multiply_elements
+from naive_oracle import multiply_elements, pullback_pi1
 
 
 def is_zero_by_pairing(elem):
@@ -227,3 +230,88 @@ def test_chern_via_negation_differs_but_pairs_rationally():
     ci = chern_classes(fan, M)
     cn = chern_classes(fan, M, via="negation")
     assert len(ci) == len(cn) == M.r + 1
+
+
+def partitions(total, largest):
+    """The partitions of total into parts of at most largest, each as a
+    nonincreasing tuple."""
+    if total == 0:
+        return [()]
+    return [(p, *rest) for p in range(min(total, largest), 0, -1)
+            for rest in partitions(total - p, p)]
+
+
+def sign_of(perm):
+    return (-1) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+
+
+@lru_cache(maxsize=None)
+def perm_model(N):
+    return FanRingModel(permutohedral_fan(N))
+
+
+POSITIVITY_MATROIDS = {
+    "U(2,4)": lambda: matroid_uniform(2, 4),
+    "U(3,4)": lambda: matroid_uniform(3, 4),
+    "U(2,5)": lambda: matroid_uniform(2, 5),
+    "U(3,5)": lambda: matroid_uniform(3, 5),
+    "triangle-and-pendant": lambda: matroid_from_graph(
+        [(1, 2), (2, 3), (1, 3), (3, 4)]),
+    "two-triangles": lambda: matroid_from_graph(
+        [(1, 2), (2, 3), (1, 3), (2, 4), (3, 4)]),
+}
+
+
+@pytest.mark.parametrize("phi", ["identity", "negation"])
+@pytest.mark.parametrize("name", list(POSITIVITY_MATROIDS))
+def test_schur_classes_of_the_chern_vectors_are_fulton_lazarsfeld_signed(
+        name, phi):
+    """Fulton-Lazarsfeld positivity (Ann. of Math. 1983; Fulton,
+    Intersection Theory 12.1): for E globally generated on a projective
+    variety of dimension n and h ample, deg(s_lambda(c(E)) h^(n-|lambda|))
+    >= 0 for every partition lambda.  The tautological bundles of a
+    realizable matroid (Berget-Eur-Spink-Tseng) are globally generated on
+    the permutohedral variety, and these matroids are uniform or graphic,
+    so realizable.
+
+    Sign convention: the c_0..c_r of `chern_vectors`, under either phi,
+    are the Chern classes of the dual E^v, whose c_i(E^v) = (-1)^i c_i(E)
+    make s_lambda(c(E^v)) = (-1)^|lambda| s_lambda(c(E)).  So the test
+    reads (-1)^|lambda| deg(s_lambda(c) h^(n-|lambda|)) >= 0, for s_lambda
+    = det(c_(lambda_i + j - i)) by Jacobi-Trudi and h the permutohedral
+    support class, over every lambda with |lambda| <= n and parts at most
+    r.  Without the sign, c_1 h^(n-1) is negative, and a term of odd
+    |lambda| is nonzero in every case, so a sign error in the w classes or
+    their negation shows here."""
+    M = POSITIVITY_MATROIDS[name]()
+    model = perm_model(M.n)
+    n, r = model.top, M.r
+    c = chern_vectors(model, M, via=phi)
+    h = [model.unit(), model.to_vector(base_convex_divisor(model.fan, M.n))]
+    while len(h) <= n:
+        h.append(model.multiply(1, h[1], len(h) - 1, h[-1]))
+
+    @lru_cache(maxsize=None)
+    def degree(factors):
+        """deg(c_(a_1) ... c_(a_l) h^(n - sum a)), factors sorted, each in
+        1..r."""
+        v, k = h[n - sum(factors)], n - sum(factors)
+        for a in factors:
+            v, k = model.multiply(a, c[a], k, v), k + a
+        return model.deg(v)
+
+    signed = {}
+    for size in range(n + 1):
+        for lam in partitions(size, r):
+            total = 0
+            for perm in permutations(range(len(lam))):
+                idx = [lam[i] + perm[i] - i for i in range(len(lam))]
+                if all(0 <= a <= r for a in idx):
+                    total += sign_of(perm) * degree(
+                        tuple(sorted(a for a in idx if a)))
+            signed[lam] = (-1) ** size * total
+    assert all(v >= 0 for v in signed.values()), \
+        {lam: v for lam, v in signed.items() if v < 0}
+    assert signed[()] > 0
+    assert -signed[(1,)] < 0
+    assert any(v for lam, v in signed.items() if sum(lam) % 2)
