@@ -5,7 +5,7 @@ from .matroid import (Matroid, matroid_from_bases, matroid_from_graph,
 from .fans import (Fan, bergman_fan, bipermutohedral_fan, check_balanced,
                    permutohedral_fan, projective_bundle_fan)
 from .chow import (ChowElement, MinkowskiWeight, cap_product, degree,
-                   divisor, fundamental_weight, multiply_by_divisor, pair,
+                   divisor, fundamental_weight, multiply_by_divisor,
                    pair_all, ray_coefficients, unit_class)
 from .tautological import chern_classes, structural_divisors, w_divisors
 from .rings import (BundleRing, FanRingModel, bloch_gieseker,

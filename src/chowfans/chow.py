@@ -1,25 +1,26 @@
 """Chow classes on the flag fans: formal rational sums of square-free cone
-monomials, divisor multiplication through per-cone linear representatives,
-degrees, pairings, pairing matrices, cap products and transport maps, all
-read through the per-cone hooks of the fan's class (`fans.Fan`), whose
-Poincare duality makes the pairing walk the zero test
-(`nonzero_pairing_witness`).  The balancing relation of a weight at a
-codimension-one cone tau, sum_rho w(tau + rho) u_rho = sum_i lambda_i
-u_(tau_i) modulo the lineality (`Fan._relation`), gives both the cap
-product at tau and, for the fan's own weight, the top degrees
-deg(x_tau x_(tau_i)) = -lambda_i that the walk's leaves read.
+monomials, their products with divisors, degrees, pairings, pairing
+matrices, cap products and transport maps, all read through the per-cone
+hooks of the fan's class (`fans.Fan`), whose Poincare duality makes the
+pairing walk the zero test (`nonzero_pairing_witness`).  One sparse
+kernel, `_times`, takes every product of a cone monomial by a divisor:
+the walk's ray products, multiply_by_divisor, multiply_by_monomial and
+the divisor forms of the ring models.  The balancing relation of a
+weight at a codimension-one cone tau, sum_rho w(tau + rho) u_rho =
+sum_i lambda_i u_(tau_i) modulo the lineality (`Fan._relation`), gives
+both the cap product at tau and, for the fan's own weight, the top
+degrees deg(x_tau x_(tau_i)) = -lambda_i that the walk's leaves read.
 
 Everything is exact.  A coefficient is an int whenever it is integral and
 a fractions.Fraction only where a rational input brings a denominator:
 every cone of a flag or biflag fan is unimodular, so products, pairings
-and caps of int classes stay in ints.  degree, pair and pair_all return
-Fractions.
+and caps of int classes stay in ints.
 """
 
 from fractions import Fraction
 from operator import mul
 
-from .fans import ConeNotInFan, check_balanced
+from .fans import ConeNotInFan, DimensionMismatch, check_balanced
 
 
 class ChowError(Exception):
@@ -172,23 +173,6 @@ def ray_class(fan, rho):
     return ChowElement(fan, 1, {(rho,): 1})
 
 
-def _fan_out(fan, cone, values, a=None):
-    """x_cone * D as pairs (cone + rho, a_rho - m(u_rho)) over the rays rho
-    extending cone, zero coefficients dropped (Adiprasito-Huh-Katz).  m is
-    the functional vanishing on the lineality with m(u_j) = values[j] on
-    the j-th ray of the sorted cone, read off its chain
-    (`Fan._functional`); a lists D's coefficients by ray, None for a D
-    supported on the cone."""
-    m = fan._functional(cone, values)
-    rays = fan.rays
-    out = []
-    for rho, sigma in fan._extension_map(cone).items():
-        coef = (0 if a is None else a[rho]) - sum(map(mul, m, rays[rho]))
-        if coef:
-            out.append((sigma, coef))
-    return out
-
-
 def _accumulate(out, c, pairs):
     """out += c * pairs, deleting terms that cancel."""
     for key, coef in pairs:
@@ -199,43 +183,45 @@ def _accumulate(out, c, pairs):
             del out[key]
 
 
-def multiply_by_divisor(elem, D):
-    if elem.fan is not D.fan:
-        raise FanMismatch("element and divisor live on different fans")
-    fan = elem.fan
-    a = ray_coefficients(D)
-    out = {}
-    for cone, c in elem.terms.items():
-        _accumulate(out, c, _fan_out(fan, cone, [a[i] for i in cone], a))
-    return ChowElement(fan, elem.degree + 1, out)
-
-
-def multiply_by_ray(elem, rho):
-    """elem * x_rho, with the cheap path for cones not containing rho."""
-    return ChowElement(elem.fan, elem.degree + 1,
-                       _ray_product(elem.fan, rho, elem.terms.items()))
-
-
-def _ray_product(fan, rho, terms):
-    """The terms of x_rho times the sum of the (cone, c) terms: a fan-out
-    for a cone containing rho, the cone one ray larger for a cone that rho
-    extends, nothing for any other cone."""
+def _times(fan, a, terms):
+    """The terms of D times the sum of the (cone, c) terms, for D =
+    sum a[rho] x_rho, a holding D's nonzero coefficients by ray.  At a
+    cone where D is nonzero it is the fan-out x_cone * D = sum_rho (a_rho
+    - m(u_rho)) x_(cone + rho) over the rays rho extending cone
+    (Adiprasito-Huh-Katz), for m the functional vanishing on the
+    lineality with m(u_i) = a_i on the rays i of cone, read off its chain
+    (`Fan._functional`).  At any other cone m = 0, and it adds a_rho
+    x_(cone + rho) over the rays of D that extend cone, read from a or
+    the cone's extensions, whichever is smaller."""
+    rays = fan.rays
     out = {}
     for cone, c in terms:
-        if rho in cone:
-            indicator = [int(i == rho) for i in cone]
-            _accumulate(out, c, _fan_out(fan, cone, indicator))
+        ext = fan._extension_map(cone)
+        if not a.keys().isdisjoint(cone):
+            m = fan._functional(cone, [a.get(i, 0) for i in cone])
+            pairs = [(sigma, x) for rho, sigma in ext.items()
+                     if (x := a.get(rho, 0) - sum(map(mul, m, rays[rho])))]
+        elif len(a) < len(ext):
+            pairs = [(ext[rho], x) for rho, x in a.items() if rho in ext]
         else:
-            sigma = fan._extension_map(cone).get(rho)
-            if sigma is not None:
-                _accumulate(out, c, [(sigma, 1)])
+            pairs = [(sigma, a[rho]) for rho, sigma in ext.items() if rho in a]
+        _accumulate(out, c, pairs)
     return out
 
 
+def multiply_by_divisor(elem, D):
+    if elem.fan is not D.fan:
+        raise FanMismatch("element and divisor live on different fans")
+    a = {rho: x for rho, x in enumerate(ray_coefficients(D)) if x}
+    return ChowElement(elem.fan, elem.degree + 1,
+                       _times(elem.fan, a, elem.terms.items()))
+
+
 def multiply_by_monomial(elem, cone):
+    terms = elem.terms
     for rho in sorted(cone):
-        elem = multiply_by_ray(elem, rho)
-    return elem
+        terms = _times(elem.fan, {rho: 1}, terms.items())
+    return ChowElement(elem.fan, elem.degree + len(cone), terms)
 
 
 def _degree(elem):
@@ -251,14 +237,6 @@ def _degree(elem):
 def degree(elem):
     """The degree of a top-dimensional class, as a Fraction."""
     return Fraction(_degree(elem))
-
-
-def pair(elem, tau):
-    fan = elem.fan
-    if elem.degree + len(tau) != fan.top_dim:
-        raise DegreeMismatch("pairing degrees %d + %d != %d"
-                             % (elem.degree, len(tau), fan.top_dim))
-    return degree(multiply_by_monomial(elem, tau))
 
 
 def _pairings(elem):
@@ -300,7 +278,7 @@ def _walk(fan, k, cur, prefix, next_ray):
     for rho in sorted(by_ray):
         terms, tau = by_ray.pop(rho), prefix + (rho,)
         if depth < k - 1:
-            nxt = _ray_product(fan, rho, terms)
+            nxt = _times(fan, {rho: 1}, terms)
             if nxt:
                 yield from _walk(fan, k, nxt, tau, rho + 1)
         elif tau in fan.cones:
@@ -385,11 +363,17 @@ def cap_product(weight, D):
 
 def negation_relabel(D):
     """Relabel a_S -> a_{S^c} on a flag fan of subsets (the ray map induced
-    by negating the ambient space)."""
+    by negating the ambient space); DimensionMismatch, naming a ray label
+    S, where no ray is labelled S^c."""
     fan = D.fan
     full = (1 << fan.ambient_dim) - 1
     a = ray_coefficients(D)
     out = [0] * len(fan.rays)
     for i, S in enumerate(fan.ray_labels):
-        out[fan.ray_index[full & ~S]] = a[i]
+        j = fan.ray_index.get(full & ~S)
+        if j is None:
+            raise DimensionMismatch("ray label %s has no complement among "
+                                    "the rays of the fan"
+                                    % (fan._label_json(S),))
+        out[j] = a[i]
     return divisor(fan, out)

@@ -22,7 +22,7 @@ from math import lcm
 
 from . import linalg
 from .chow import (ChowElement, DegreeTooLow, FanMismatch, _pairing_matrix,
-                   multiply_by_divisor, multiply_by_monomial)
+                   _times, multiply_by_monomial)
 
 
 class RingError(Exception):
@@ -184,13 +184,13 @@ class FanRingModel(GradedModel):
         """The form (x, y) -> deg(w x y) of a degree-1 w, for x of degree k
         and y of the complementary degree top-k-1, in the scaled form:
         column b holds the pairings of w x_b, x_b the b-th degree-k basis
-        cone, with the degree-(top-k-1) basis.  Each column is one divisor
-        fan-out of x_b read off the degree-(k+1) pairing rows, so no T_j
-        is built and no Gram inverse applied."""
+        cone, with the degree-(top-k-1) basis.  Each column is one product
+        x_b w (`chow._times`) read off the degree-(k+1) pairing rows, so no
+        T_j is built and no Gram inverse applied."""
         (nums,), scale = linalg.scaled_integer([w])
-        D = ChowElement(self.fan, 1, dict(zip(self._basis[1], nums)))
-        cols = [self._pairings(multiply_by_divisor(
-            ChowElement(self.fan, k, {sigma: 1}), D))
+        a = {rho: x for (rho,), x in zip(self._basis[1], nums) if x}
+        cols = [self._pairings(ChowElement(
+            self.fan, k + 1, _times(self.fan, a, [(sigma, 1)])))
             for sigma in self._basis[k]]
         den = lcm(1, *(c_den for _, c_den in cols))
         out = [[0] * len(cols) for _ in range(self.dim(self.top - k - 1))]

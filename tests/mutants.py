@@ -36,6 +36,9 @@ SHARED_CUT = CHAIN + "::test_relation_on_a_shared_cut_slot_matches_the_fraction_
 EVERY_CONE = CHAIN + "::test_relation_at_every_cone_matches_the_fraction_solve"
 PIN = CHAIN + "::test_products_and_balancing_build_no_dual_basis"
 BY_COLUMN = CHOW + "::test_pairing_matrix_walked_by_column_equals_the_row_walks"
+RAY_SUMS = "test_kernel.py::test_divisor_product_is_sum_of_ray_products"
+FAN_OUT = CHAIN + "::test_fan_out_matches_fraction_reference"
+PRODUCTS = CHOW + "::test_products_match_fraction_reference"
 
 # name -> (file under src/chowfans, snippet, replacement, tests); a
 # deterministic test comes first where one kills the mutant, so that the
@@ -68,6 +71,22 @@ MUTANTS = {
         "_pairings(ChowElement(fan, len(tau), {tau: 1}))",
         "_pairings(ChowElement(fan, len(tau) + 1, {tau: 1}))",
         [BY_COLUMN]),
+    # the one divisor-product kernel, chow._times
+    "times-drops-the-m-term": (
+        "chow.py",
+        "a.get(rho, 0) - sum(map(mul, m, rays[rho]))",
+        "a.get(rho, 0)",
+        [RAY_SUMS, FAN_OUT, PRODUCTS]),
+    "times-reads-a-as-0-in-the-fan-out": (
+        "chow.py",
+        "(x := a.get(rho, 0) - ",
+        "(x := 0 - ",
+        [RAY_SUMS, FAN_OUT, PRODUCTS]),
+    "times-never-fans-out": (
+        "chow.py",
+        "        if not a.keys().isdisjoint(cone):\n",
+        "        if False:\n",
+        [RAY_SUMS, FAN_OUT, PRODUCTS]),
     # mutants recorded by earlier kernel changes, on today's code
     "flag-relation-adds-w-plus-x": (
         "fans.py",

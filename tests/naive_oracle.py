@@ -20,7 +20,8 @@ and multiplication matrices and replace only the solve, by
 
 Also the reference products of the ring models, built without
 `mult_matrix`: cone monomials multiplied by `multiply_elements`, one
-monomial of the second factor at a time, for a fan model, and for a
+monomial of the second factor at a time and one `reference_multiply_by_ray`
+per ray of it, for a fan model, and for a
 bundle ring the zeta polynomial of the products of the components,
 reduced by the relation from its highest power down.
 
@@ -44,7 +45,9 @@ all over `Fraction` with classes as plain dicts
 cone -> coefficient.  Each cone's dual basis comes from a Gauss-Jordan
 over `Fraction` and its extensions from a scan of every ray, so the
 kernel's integer arithmetic, its cached extension maps and the chain
-reads of flag and biflag fans are all checked against it.  The balancing
+reads of flag and biflag fans are all checked against it.  `pair`, the
+degree of a class times one cone monomial, runs on the same reference
+products.  The balancing
 relation around a cone is a Fraction solve against the same dual basis,
 and `ReferenceFan` answers the per-cone hooks of `Fan` with these
 references, for a fan built from explicit rays and cones.
@@ -86,9 +89,8 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
 
-from chowfans.chow import (ChowElement, FanMismatch, divisor,
-                           multiply_by_monomial, pair, pair_all,
-                           ray_coefficients)
+from chowfans.chow import (ChowElement, DegreeMismatch, FanMismatch, divisor,
+                           pair_all, ray_coefficients)
 from chowfans.biflags import expansion_index, is_lex_decreasing
 from chowfans.fans import (Fan, bisubset_leq, gap_indices, is_chain,
                            permutohedral_fan, proper_biflats)
@@ -515,15 +517,35 @@ def reference_projection(quotient, k):
     return lambda w: _mat_vec(inv, w)
 
 
+def _reference_times_monomial(fan, terms, cone):
+    """The terms of x_cone times the class with the given terms, one
+    `reference_multiply_by_ray` per ray of cone."""
+    for rho in cone:
+        terms = reference_multiply_by_ray(fan, terms, rho)
+    return terms
+
+
 def multiply_elements(e1, e2):
     """The product of two ChowElements of one fan: e1 times each cone
-    monomial of e2, by chow.multiply_by_monomial, summed."""
+    monomial of e2, one `reference_multiply_by_ray` per ray, summed."""
     if e1.fan is not e2.fan:
         raise FanMismatch("elements on different fans")
-    out = ChowElement(e1.fan, e1.degree + e2.degree)
+    out = {}
     for cone, c in e2.terms.items():
-        out = out + multiply_by_monomial(e1, cone) * c
-    return out
+        _reference_accumulate(out, c, _reference_times_monomial(
+            e1.fan, e1.terms, cone).items())
+    return ChowElement(e1.fan, e1.degree + e2.degree, out)
+
+
+def pair(elem, tau):
+    """deg(elem x_tau) as a Fraction: the `reference_degree` of elem times
+    x_tau, one `reference_multiply_by_ray` per ray of tau."""
+    fan = elem.fan
+    if elem.degree + len(tau) != fan.top_dim:
+        raise DegreeMismatch("pairing degrees %d + %d != %d"
+                             % (elem.degree, len(tau), fan.top_dim))
+    return reference_degree(fan, _reference_times_monomial(
+        fan, elem.terms, tau))
 
 
 def reference_pivot_inverse(rows):

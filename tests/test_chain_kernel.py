@@ -127,19 +127,36 @@ def test_functional_and_span_match_the_dual_basis_path(name, data):
         ChowElement(fan, 2, {bad: 1})
 
 
+NONZERO = COEFFS.filter(bool)
+
+
 @FANS
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_fan_out_matches_fraction_reference(name, data):
+    """chow._times at a drawn cone, for D = sum a_rho x_rho given by its
+    nonzero a_rho, equals the Fraction fan-out of the reference for a
+    dense divisor, a one-ray divisor and a divisor that vanishes on the
+    cone.  The last reaches the cone's extensions through the rays of D
+    when D has one ray, and through the extensions themselves when D is
+    nonzero on every ray off the cone, which outnumber them."""
     fan = fan_of(name)
     cone = data.draw(st.sampled_from(
         sorted(c for c in fan.cones if len(c) < fan.top_dim)))
-    values = data.draw(st.lists(COEFFS, min_size=len(cone),
-                                max_size=len(cone)))
-    a = data.draw(st.none() | st.lists(COEFFS, min_size=len(fan.rays),
-                                       max_size=len(fan.rays)))
-    assert chow._fan_out(fan, cone, values, a) == \
-        reference_fan_out(fan, cone, values, a)
+    ext = fan._extension_map(cone)
+    nrays = len(fan.rays)
+    dense = data.draw(st.lists(COEFFS, min_size=nrays, max_size=nrays))
+    rho = data.draw(st.integers(0, nrays - 1))
+    one_ray = [data.draw(NONZERO) if i == rho else 0 for i in range(nrays)]
+    off_cone = [0 if i in cone else x for i, x in enumerate(
+        data.draw(st.lists(NONZERO, min_size=nrays, max_size=nrays)))]
+    off_ray = data.draw(st.sampled_from(sorted(ext)))
+    one_off_ray = [int(i == off_ray) for i in range(nrays)]
+    assert len(ext) > 1
+    for coeffs in (dense, one_ray, off_cone, one_off_ray):
+        a = {i: x for i, x in enumerate(coeffs) if x}
+        assert chow._times(fan, a, [(cone, 1)]) == dict(reference_fan_out(
+            fan, cone, [coeffs[i] for i in cone], coeffs))
 
 
 @FANS

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from chowfans import linalg
-from chowfans.chow import ChowElement, multiply_by_ray
+from chowfans.chow import ChowElement, multiply_by_monomial
 from chowfans.fans import (ConeNotInFan, NotAChain,
                            bergman_fan, biflat_poset, bipermutohedral_fan,
                            check_balanced, count_maximal_cones, gap_indices,
@@ -228,7 +228,7 @@ def test_cone_extensions_match_a_scan_of_every_ray(fan):
     cone = max(c for c in fan.cones if len(c) == fan.top_dim - 1)
     flipped = ChowElement(fan, len(cone), {cone[::-1]: 1})
     for i, sigma in fan._extension_map(cone).items():
-        assert multiply_by_ray(flipped, i).terms == {sigma: 1}
+        assert multiply_by_monomial(flipped, (i,)).terms == {sigma: 1}
     with pytest.raises(ConeNotInFan):
         ChowElement(fan, 2, {(0, 0): 1})
 

@@ -3,13 +3,15 @@ from functools import lru_cache
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chowfans.chow import (multiply_by_divisor, negation_relabel, pair_all,
                            ray_coefficients, unit_class)
 from chowfans.fans import (DimensionMismatch, bergman_fan, bipermutohedral_fan,
                            permutohedral_fan, projective_bundle_fan)
 from chowfans.kahler import base_convex_divisor, chern_vectors
-from chowfans.matroid import matroid_from_graph, matroid_uniform
+from chowfans.matroid import (matroid_from_graph, matroid_uniform,
+                              pyramid_matroid)
 from chowfans.rings import FanRingModel, segre_vectors, twist_vectors
 from chowfans.tautological import (chern_classes, structural_divisors,
                                    w_divisors)
@@ -117,6 +119,20 @@ def test_negation_relabel_is_an_involution():
     for w in w_divisors(fan, M)["w"][1:]:
         assert ray_coefficients(negation_relabel(negation_relabel(w))) == \
             ray_coefficients(w)
+
+
+@pytest.mark.parametrize("M", [matroid_uniform(2, 4), pyramid_matroid()],
+                         ids=["U(2,4)", "pyramid"])
+def test_negation_needs_rays_closed_under_complement(M):
+    """The flats of U(2,4) and of the pyramid are not closed under
+    complement: the negation of the Bergman fan's w classes raises
+    DimensionMismatch naming the first ray label, {1}, whose complement
+    is no ray, and the identity route builds the classes."""
+    fan = bergman_fan(M)
+    with pytest.raises(DimensionMismatch,
+                       match=r"ray label \[1\] has no complement"):
+        chern_classes(fan, M, via="negation")
+    assert len(chern_classes(fan, M)) == M.r + 1
 
 
 def test_elementary_symmetric_u_matches_pullback_chern():
@@ -262,28 +278,12 @@ POSITIVITY_MATROIDS = {
 }
 
 
-@pytest.mark.parametrize("phi", ["identity", "negation"])
-@pytest.mark.parametrize("name", list(POSITIVITY_MATROIDS))
-def test_schur_classes_of_the_chern_vectors_are_fulton_lazarsfeld_signed(
-        name, phi):
-    """Fulton-Lazarsfeld positivity (Ann. of Math. 1983; Fulton,
-    Intersection Theory 12.1): for E globally generated on a projective
-    variety of dimension n and h ample, deg(s_lambda(c(E)) h^(n-|lambda|))
-    >= 0 for every partition lambda.  The tautological bundles of a
-    realizable matroid (Berget-Eur-Spink-Tseng) are globally generated on
-    the permutohedral variety, and these matroids are uniform or graphic,
-    so realizable.
-
-    Sign convention: the c_0..c_r of `chern_vectors`, under either phi,
-    are the Chern classes of the dual E^v, whose c_i(E^v) = (-1)^i c_i(E)
-    make s_lambda(c(E^v)) = (-1)^|lambda| s_lambda(c(E)).  So the test
-    reads (-1)^|lambda| deg(s_lambda(c) h^(n-|lambda|)) >= 0, for s_lambda
-    = det(c_(lambda_i + j - i)) by Jacobi-Trudi and h the permutohedral
-    support class, over every lambda with |lambda| <= n and parts at most
-    r.  Without the sign, c_1 h^(n-1) is negative, and a term of odd
-    |lambda| is nonzero in every case, so a sign error in the w classes or
-    their negation shows here."""
-    M = POSITIVITY_MATROIDS[name]()
+def signed_schur_degrees(M, phi):
+    """{lambda: (-1)^|lambda| deg(s_lambda(c) h^(n-|lambda|))} over every
+    partition lambda with |lambda| <= n and parts at most r, for c the
+    Chern vectors of M under phi on perm(N) and h the permutohedral
+    support class; s_lambda = det(c_(lambda_i + j - i)) by
+    Jacobi-Trudi."""
     model = perm_model(M.n)
     n, r = model.top, M.r
     c = chern_vectors(model, M, via=phi)
@@ -310,8 +310,66 @@ def test_schur_classes_of_the_chern_vectors_are_fulton_lazarsfeld_signed(
                     total += sign_of(perm) * degree(
                         tuple(sorted(a for a in idx if a)))
             signed[lam] = (-1) ** size * total
+    return signed
+
+
+@pytest.mark.parametrize("phi", ["identity", "negation"])
+@pytest.mark.parametrize("name", list(POSITIVITY_MATROIDS))
+def test_schur_classes_of_the_chern_vectors_are_fulton_lazarsfeld_signed(
+        name, phi):
+    """Fulton-Lazarsfeld positivity (Ann. of Math. 1983; Fulton,
+    Intersection Theory 12.1): for E globally generated on a projective
+    variety of dimension n and h ample, deg(s_lambda(c(E)) h^(n-|lambda|))
+    >= 0 for every partition lambda.  The tautological bundles of a
+    realizable matroid (Berget-Eur-Spink-Tseng) are globally generated on
+    the permutohedral variety, and these matroids are uniform or graphic,
+    so realizable.
+
+    Sign convention: the c_0..c_r of `chern_vectors`, under either phi,
+    are the Chern classes of the dual E^v, whose c_i(E^v) = (-1)^i c_i(E)
+    make s_lambda(c(E^v)) = (-1)^|lambda| s_lambda(c(E)).  So the test
+    reads (-1)^|lambda| deg(s_lambda(c) h^(n-|lambda|)) >= 0, for s_lambda
+    = det(c_(lambda_i + j - i)) by Jacobi-Trudi and h the permutohedral
+    support class, over every lambda with |lambda| <= n and parts at most
+    r.  Without the sign, c_1 h^(n-1) is negative, and a term of odd
+    |lambda| is nonzero in every case, so a sign error in the w classes or
+    their negation shows here."""
+    signed = signed_schur_degrees(POSITIVITY_MATROIDS[name](), phi)
     assert all(v >= 0 for v in signed.values()), \
         {lam: v for lam, v in signed.items() if v < 0}
     assert signed[()] > 0
     assert -signed[(1,)] < 0
     assert any(v for lam, v in signed.items() if sum(lam) % 2)
+
+
+@st.composite
+def realizable_matroids(draw):
+    """A loopless matroid on N = 2..5 elements that is realizable: U(r,N)
+    for r >= 1, or the matroid of a graph with N edges and no self-loop
+    edge, parallel edges allowed."""
+    n = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        return matroid_uniform(draw(st.integers(1, n)), n)
+    vertex = st.integers(1, 5)
+    edges = draw(st.lists(st.tuples(vertex, vertex).filter(
+        lambda e: e[0] != e[1]), min_size=n, max_size=n))
+    return matroid_from_graph(edges)
+
+
+@settings(max_examples=40, deadline=None)
+@given(M=realizable_matroids(), phi=st.sampled_from(["identity", "negation"]))
+def test_schur_classes_of_drawn_realizable_matroids_are_fulton_lazarsfeld_signed(
+        M, phi):
+    """The signed Schur degrees of the Fulton-Lazarsfeld test above, on
+    drawn realizable loopless matroids, are >= 0.  A free matroid (r = N)
+    has a trivial tautological bundle, whose nonempty lambda all read 0;
+    any other has -c_1 h^(n-1) > 0 and a nonzero term of odd |lambda|."""
+    signed = signed_schur_degrees(M, phi)
+    assert all(v >= 0 for v in signed.values()), \
+        {lam: v for lam, v in signed.items() if v < 0}
+    assert signed[()] > 0
+    if M.r == M.n:
+        assert not any(v for lam, v in signed.items() if lam)
+    else:
+        assert signed[(1,)] > 0
+        assert any(v for lam, v in signed.items() if sum(lam) % 2)
