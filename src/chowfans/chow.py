@@ -5,7 +5,11 @@ hooks of the fan's class (`fans.Fan`), whose Poincare duality makes the
 pairing walk the zero test (`nonzero_pairing_witness`).  One sparse
 kernel, `_times`, takes every product of a cone monomial by a divisor:
 the walk's ray products, multiply_by_divisor, multiply_by_monomial and
-the divisor forms of the ring models.  The balancing relation of a
+the divisor forms of the ring models.  At a cone where the divisor is
+nonzero it asks the fan for the Adiprasito-Huh-Katz fan-out
+(`Fan._fan_out`), which flag and biflag fans read off the slots of the
+cone's chain, the walk's ray products off the two slots beside the ray.
+The balancing relation of a
 weight at a codimension-one cone tau, sum_rho w(tau + rho) u_rho =
 sum_i lambda_i u_(tau_i) modulo the lineality (`Fan._relation`), gives
 both the cap product at tau and, for the fan's own weight, the top
@@ -186,25 +190,21 @@ def _accumulate(out, c, pairs):
 def _times(fan, a, terms):
     """The terms of D times the sum of the (cone, c) terms, for D =
     sum a[rho] x_rho, a holding D's nonzero coefficients by ray.  At a
-    cone where D is nonzero it is the fan-out x_cone * D = sum_rho (a_rho
-    - m(u_rho)) x_(cone + rho) over the rays rho extending cone
-    (Adiprasito-Huh-Katz), for m the functional vanishing on the
-    lineality with m(u_i) = a_i on the rays i of cone, read off its chain
-    (`Fan._functional`).  At any other cone m = 0, and it adds a_rho
-    x_(cone + rho) over the rays of D that extend cone, read from a or
-    the cone's extensions, whichever is smaller."""
-    rays = fan.rays
+    cone where D is nonzero it is the fan's fan-out x_cone * D = sum_rho
+    (a_rho - m(u_rho)) x_(cone + rho) (`Fan._fan_out`).  At any other cone
+    m = 0, and it adds a_rho x_(cone + rho) over the rays of D that extend
+    cone, read from a or the cone's extensions, whichever is smaller."""
     out = {}
     for cone, c in terms:
-        ext = fan._extension_map(cone)
         if not a.keys().isdisjoint(cone):
-            m = fan._functional(cone, [a.get(i, 0) for i in cone])
-            pairs = [(sigma, x) for rho, sigma in ext.items()
-                     if (x := a.get(rho, 0) - sum(map(mul, m, rays[rho])))]
-        elif len(a) < len(ext):
-            pairs = [(ext[rho], x) for rho, x in a.items() if rho in ext]
+            pairs = fan._fan_out(cone, a)
         else:
-            pairs = [(sigma, a[rho]) for rho, sigma in ext.items() if rho in a]
+            ext = fan._extension_map(cone)
+            if len(a) < len(ext):
+                pairs = [(ext[rho], x) for rho, x in a.items() if rho in ext]
+            else:
+                pairs = [(sigma, a[rho]) for rho, sigma in ext.items()
+                         if rho in a]
         _accumulate(out, c, pairs)
     return out
 

@@ -7,6 +7,7 @@ tuple standing for the lineality cone.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from types import MappingProxyType
 
 from .matroid import LoopyMatroid, mask_to_set, matroid_uniform
@@ -140,10 +141,13 @@ class Fan:
     built; a subclass implements two hooks on sorted cones, as ChowElement
     keys them:
 
-    - `_functional(cone, values)` is the functional m vanishing on the
-      lineality with m(u_j) = values[j] on the j-th ray u_j of cone and 0
-      off the pivot coordinates of its rows, as a list over the ambient
-      coordinates;
+    - `_fan_out(cone, a)` is the product x_cone * D for D = sum a[rho]
+      x_rho, a holding D's nonzero coefficients by ray and nonzero on some
+      ray of cone (Adiprasito-Huh-Katz): the pairs (cone + {rho}, a_rho -
+      m(u_rho)) whose coefficient is nonzero, over the rays rho extending
+      cone in ascending order, for m the functional vanishing on the
+      lineality with m(u_i) = a_i on the rays i of cone and 0 off the
+      pivot coordinates of its rows;
     - `_relation(tau, weights)` is the balancing relation around tau: the
       tuple lambda, over the rays of tau, with sum w u_rho = sum_i
       lambda_i u_(tau_i) modulo the lineality, the sum over the
@@ -156,10 +160,13 @@ class Fan:
     Adiprasito-Huh-Katz, BiflagFan (projective_bundle_fan) by the Hodge
     theory of combinatorial projective bundles.  These two list their
     labels along a linear extension of the chain order, so a sorted cone
-    lists its chain in order, and read both hooks off the blocks of that
-    chain, a relation off the blocks of its occupied slots alone; the
-    inverse of the pivot block of a cone's rows has entries 0 and +-1
-    (Adiprasito-Huh-Katz).  The fundamental class is fixed with the fan:
+    lists its chain in order and an extension in slot j, between the rays
+    j-1 and j of the chain, comes after the extensions of the slots below
+    it.  They read both hooks off the blocks of that chain: m(u_rho) off
+    the slot of rho alone, with one or two bit tests, and a relation off
+    the blocks of its occupied slots alone; the inverse of the pivot block
+    of a cone's rows has entries 0 and +-1 (Adiprasito-Huh-Katz).  The
+    fundamental class is fixed with the fan:
     weight, read-only, is 1 on every maximal cone, and so is the cone's
     degree.  Its relations at the (top-1)-cones are kept on the fan
     (`_top_relation`), filled by fundamental_weight or on first use by
@@ -219,12 +226,13 @@ class Fan:
         in ascending order of i, built for every cone at once on first use."""
         if self._extensions is None:
             # the cones tau+{i} of one tau share a dimension, and their
-            # sorted order there is ascending order of i
-            self._extensions = {}
-            for cones in self._by_dim.values():
-                for c in cones:
-                    for j, i in enumerate(c):
-                        self._extensions.setdefault(c[:j] + c[j + 1:], {})[i] = c
+            # sorted order there is ascending order of i; combinations
+            # drops the last ray of c first
+            self._extensions = ext = {}
+            for d, cones in self._by_dim.items():
+                for c in cones if d else ():
+                    for tau, i in zip(combinations(c, d - 1), reversed(c)):
+                        ext.setdefault(tau, {})[i] = c
         return self._extensions.get(cone, {})
 
     def _by_slot(self, tau, weights):
@@ -289,26 +297,52 @@ def _sum_on(block, cuts):
     return value or 0
 
 
+def _slot_values(cone, a):
+    """(v, active) for the fan-out of D = sum a[rho] x_rho at a sorted
+    cone: v = [0, a on the rays of cone, 0], so that the rays bounding slot
+    j hold v[j] and v[j + 1], and the slots where a coefficient can be
+    nonzero.  That is every slot when D has a ray off the cone, and else
+    the slots beside a ray of D, off which m vanishes but for the block of
+    q on a biflag chain (`BiflagFan._fan_out`): the walk's x_rho, the j-th
+    ray of the cone, has two, j below rho and j + 1 above it."""
+    k = len(cone)
+    v = [0, *[a.get(i, 0) for i in cone], 0]
+    slots = range(k + 1)
+    if len(a) > k + 2 - v.count(0):
+        return v, slots
+    return v, [j for j in slots if v[j] or v[j + 1]]
+
+
 class FlagFan(Fan):
     """A fan of bergman_fan: it lists its flats by size.  The blocks of
     the flag F_1 < ... < F_k of a cone are B_j = F_{j+1} minus F_j,
     j = 0..k, for F_0 empty and F_{k+1} = [n]; rays j-1 and j bound B_j."""
 
-    def _functional(self, cone, values):
-        """The functional of the sorted cone read off its chain: each
-        block's columns of the rows are equal, a 1 then j zeros then ones,
-        so the pivots are the min B_j, and m = v_{j+1} - v_j on min B_j,
-        for v_j the value on e_{F_j} and v_0 = v_{k+1} = 0, so that
-        m(e_G) = sum_j [min B_j in G] (v_{j+1} - v_j)."""
-        labels = self.ray_labels
-        m, prev, E = [0] * self.ambient_dim, 0, 0
-        for i, v in zip(cone, values):
-            B = labels[i] & ~E
-            m[(B & -B).bit_length() - 1] = v - prev
-            prev, E = v, labels[i]
-        B = ((1 << self.ambient_dim) - 1) & ~E
-        m[(B & -B).bit_length() - 1] = -prev
-        return m
+    def _fan_out(self, cone, a):
+        """The fan-out read off the chain, slot by slot.  Each block's
+        columns of the rows are equal, a 1 then j zeros then ones, so the
+        pivots are the min B_j, and m = v_(j+1) - v_j on min B_j, for v_j
+        the value on e_(F_j) and v_0 = v_(k+1) = 0.  An extension G in slot
+        j (F_j < G < F_(j+1)) holds min B_i for every i < j and none for
+        i > j, so m(e_G) is v_(j+1) if min B_j lies in G, else v_j."""
+        labels, k = self.ray_labels, len(cone)
+        v, active = _slot_values(cone, a)
+        slots = [None] * (k + 1)
+        for j in active:
+            E = labels[cone[j - 1]] if j else 0
+            F = labels[cone[j]] if j < k else (1 << self.ambient_dim) - 1
+            B = F & ~E
+            slots[j] = (v[j], v[j + 1], B & -B)
+        out, j, ends = [], 0, (*cone, len(labels))
+        for rho, sigma in self._extension_map(cone).items():
+            while ends[j] < rho:
+                j += 1
+            if slots[j]:
+                below, above, bit = slots[j]
+                x = a.get(rho, 0) - (above if labels[rho] & bit else below)
+                if x:
+                    out.append((sigma, x))
+        return out
 
     def _label_json(self, label):
         return sorted(mask_to_set(label))
@@ -349,35 +383,66 @@ class BiflagFan(Fan):
     c_0 = a + b + sum_i g_i; conversely a = c_0 - c_1, b = c_{k+1} and
     g_i = c_i - c_{i+1}."""
 
-    def _functional(self, cone, values):
-        """The functional of the sorted cone read off its chain: m =
-        sum_j (v_j - v_{j-1}) c_j, j = 1..k+1, for v_j the value on
-        e_{S_j|F_j} and v_0 = v_{k+1} = 0, with each c_j written on pivot
-        columns: c_j is v[min A_j] where A_j is nonempty; c_0 = v[N + q] +
-        v[aq] for q the least min B_j over the blocks with both parts
-        nonempty, in a block whose min A_j is aq (a cone of the fan has
-        one); and c_j = c_0 - v[N + min B_j] where A_j is empty."""
-        N, labels, k = self.ambient_dim // 2, self.ray_labels, len(cone)
-        full = (1 << N) - 1
-        m, on_c0, prev, q = [0] * self.ambient_dim, 0, 0, None
-        S0, F0 = 0, full
-        for j in range(k + 1):
+    def _fan_out(self, cone, a):
+        """The fan-out read off the chain, slot by slot.  The functional
+        of the chain is m = sum_j (v_j - v_(j-1)) c_j, j = 1..k+1, for v_j
+        the value on e_(S_j|F_j) and v_0 = v_(k+1) = 0, with each c_j
+        written on pivot columns: c_j is v[min A_j] where A_j is nonempty;
+        c_0 = v[N + q] + v[a_q] for q the least min B_j over the blocks with
+        both parts nonempty, in block j_q, whose min A_j is a_q (a cone of
+        the fan has one); and c_j = c_0 - v[N + min B_j] where A_j is
+        empty.  An extension S|F in block j (S_(j-1)|F_(j-1) < S|F <
+        S_j|F_j) reads c_i = 1 for i < j and c_i = 0 for i > j where A_i
+        is nonempty, and c_0 = 1 off block j_q, so m(e_(S|F)) is v_j if c_j
+        = [min A_j in S] or, for A_j empty, 1 - [min B_j in F], is 1, else
+        v_(j-1).  In block j_q it gains (c_0 - 1) times the sum of the v_i -
+        v_(i-1) over the empty A_i, for c_0 = [q in F] + c_j; that sum
+        reads only the blocks beside a nonzero v_i, so q is looked for only
+        when it is nonzero."""
+        labels, k = self.ray_labels, len(cone)
+        full = (1 << (self.ambient_dim // 2)) - 1
+        v, active = _slot_values(cone, a)
+        # slot j holds block j + 1: its values and its bit test, on S where
+        # that block's A is nonempty, else on F
+        slots, empty = [None] * (k + 1), 0
+        for j in active:
+            S0, F0 = labels[cone[j - 1]] if j else (0, full)
             S, F = labels[cone[j]] if j < k else (full, 0)
-            v = values[j] if j < k else 0
-            A, B = S & ~S0, F0 & ~F
+            A = S & ~S0
             if A:
-                a = (A & -A).bit_length() - 1
-                m[a] = v - prev
-                b = (B & -B).bit_length() - 1
-                if B and (q is None or b < q):
-                    q, aq = b, a
+                slots[j] = (v[j], v[j + 1], A & -A, 0)
             else:
-                m[N + (B & -B).bit_length() - 1] = prev - v
-                on_c0 += v - prev
-            prev, S0, F0 = v, S, F
-        m[N + q] = on_c0
-        m[aq] += on_c0
-        return m
+                B = F0 & ~F
+                slots[j] = (v[j], v[j + 1], 0, B & -B)
+                empty += v[j + 1] - v[j]
+        q = jq = -1
+        if empty:
+            q, S0, F0 = 0, 0, full
+            for j in range(k + 1):
+                S, F = labels[cone[j]] if j < k else (full, 0)
+                A, B = S & ~S0, F0 & ~F
+                if A and B and (not q or B & -B < q):
+                    q, jq, aq = B & -B, j, A & -A
+                S0, F0 = S, F
+            slots[jq] = slots[jq] or (v[jq], v[jq + 1], aq, 0)
+        out, j, ends = [], 0, (*cone, len(labels))
+        for rho, sigma in self._extension_map(cone).items():
+            while ends[j] < rho:
+                j += 1
+            if slots[j]:
+                below, above, sbit, fbit = slots[j]
+                S, F = labels[rho]
+                c = S & sbit if sbit else not F & fbit
+                m = above if c else below
+                if j == jq:
+                    if c and F & q:
+                        m += empty
+                    elif not (c or F & q):
+                        m -= empty
+                x = a.get(rho, 0) - m
+                if x:
+                    out.append((sigma, x))
+        return out
 
     def _label_json(self, label):
         return [sorted(mask_to_set(label[0])), sorted(mask_to_set(label[1]))]

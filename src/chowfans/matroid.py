@@ -74,6 +74,7 @@ class Matroid:
         self._flats = None
         self._closure_cache = {}
         self._biflat_poset = None     # fans.biflat_poset
+        self._biflat_lookup = None    # biflags._biflat_lookup
 
     def _check_exchange(self):
         # for bases A, B and x in A \ B there must be y in B \ A with

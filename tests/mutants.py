@@ -38,6 +38,9 @@ PIN = CHAIN + "::test_products_and_balancing_build_no_dual_basis"
 BY_COLUMN = CHOW + "::test_pairing_matrix_walked_by_column_equals_the_row_walks"
 RAY_SUMS = "test_kernel.py::test_divisor_product_is_sum_of_ray_products"
 FAN_OUT = CHAIN + "::test_fan_out_matches_fraction_reference"
+EVERY_RAY = CHAIN + "::test_fan_out_of_every_ray_at_every_cone_matches_the_reference"
+IDENTITY_WITNESSES = ("test_biflags.py::"
+                      "test_identity_witnesses_when_a_product_is_nonzero")
 PRODUCTS = CHOW + "::test_products_match_fraction_reference"
 
 # name -> (file under src/chowfans, snippet, replacement, tests); a
@@ -71,22 +74,44 @@ MUTANTS = {
         "_pairings(ChowElement(fan, len(tau), {tau: 1}))",
         "_pairings(ChowElement(fan, len(tau) + 1, {tau: 1}))",
         [BY_COLUMN]),
-    # the one divisor-product kernel, chow._times
+    # the one divisor-product kernel, chow._times, and the fans' fan-out
+    # hook it calls, read slot by slot off the chain
     "times-drops-the-m-term": (
-        "chow.py",
-        "a.get(rho, 0) - sum(map(mul, m, rays[rho]))",
-        "a.get(rho, 0)",
-        [RAY_SUMS, FAN_OUT, PRODUCTS]),
+        "fans.py",
+        "x = a.get(rho, 0) - (above if labels[rho] & bit else below)",
+        "x = a.get(rho, 0)",
+        [EVERY_RAY, RAY_SUMS, FAN_OUT, PRODUCTS]),
     "times-reads-a-as-0-in-the-fan-out": (
-        "chow.py",
-        "(x := a.get(rho, 0) - ",
-        "(x := 0 - ",
+        "fans.py",
+        "                x = a.get(rho, 0) - m\n",
+        "                x = 0 - m\n",
         [RAY_SUMS, FAN_OUT, PRODUCTS]),
     "times-never-fans-out": (
         "chow.py",
         "        if not a.keys().isdisjoint(cone):\n",
         "        if False:\n",
         [RAY_SUMS, FAN_OUT, PRODUCTS]),
+    "fan-out-swaps-below-and-above": (
+        "fans.py",
+        "slots[j] = (v[j], v[j + 1], B & -B)",
+        "slots[j] = (v[j + 1], v[j], B & -B)",
+        [EVERY_RAY, RAY_SUMS, FAN_OUT]),
+    "fan-out-drops-the-q-correction": (
+        "fans.py",
+        "        if empty:\n            q, S0, F0 = 0, 0, full\n",
+        "        if False:\n            q, S0, F0 = 0, 0, full\n",
+        [EVERY_RAY, FAN_OUT]),
+    "fan-out-misses-the-top-slot": (
+        "fans.py",
+        "    slots = range(k + 1)\n",
+        "    slots = range(k)\n",
+        [EVERY_RAY, RAY_SUMS, FAN_OUT]),
+    "identity-walks-e3-after-e1-fails": (
+        "biflags.py",
+        "e2_is_zero = (checks[\"chern-delta-polynomial\"] is None\n"
+        "                  and ",
+        "e2_is_zero = (",
+        [IDENTITY_WITNESSES]),
     # mutants recorded by earlier kernel changes, on today's code
     "flag-relation-adds-w-plus-x": (
         "fans.py",
@@ -105,9 +130,10 @@ MUTANTS = {
         [EVERY_CONE, RELATION, SHARED_CUT]),
     "biflag-functional-flips-c0": (
         "fans.py",
-        "        m[aq] += on_c0\n",
-        "        m[aq] -= on_c0\n",
-        [PIN, CHAIN + "::test_functional_and_span_match_the_dual_basis_path"]),
+        "                    if c and F & q:\n                        m += empty\n",
+        "                    if c and F & q:\n                        m -= empty\n",
+        [EVERY_RAY, PIN,
+         CHAIN + "::test_functional_and_span_match_the_dual_basis_path"]),
     "fan-weight-is-a-plain-dict": (
         "fans.py",
         "self.weight = MappingProxyType(dict.fromkeys(self.maximal_cones, 1))",

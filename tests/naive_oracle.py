@@ -591,12 +591,13 @@ def _reference_dual_basis(fan, cone):
 def reference_functional(fan, cone, values):
     """The functional vanishing on the lineality with m(u_j) = values[j]
     on the j-th ray of cone and 0 off the pivot coordinates, as a list of
-    Fractions over the ambient coordinates: `Fan._functional`."""
+    Fractions over the ambient coordinates, the m of `Fan._fan_out`."""
     pivots, dual = _reference_dual_basis(fan, cone)
     m = [Fraction(0)] * fan.ambient_dim
     for f, v in zip(dual[len(fan.lineality):], values):
-        for p, x in zip(pivots, f):
-            m[p] += Fraction(v) * x
+        if v:
+            for p, x in zip(pivots, f):
+                m[p] += Fraction(v) * x
     return m
 
 
@@ -630,32 +631,33 @@ def reference_relation(fan, tau, values):
     return tuple(coefs[len(fan.lineality):])
 
 
-class ReferenceFan(Fan):
-    """A fan given by its rays and cones that answers the two per-cone
-    hooks of `Fan` by the references above: `reference_functional` and
-    `reference_relation`.  As for any subclass, its cones must be
-    unimodular and its Chow ring must satisfy Poincare duality, as the fan
-    of a smooth complete toric variety does."""
-
-    _functional = reference_functional
-    _relation = reference_relation
-
-
-def reference_fan_out(fan, cone, values, a=None):
-    """x_cone * D over Fraction, as (cone + rho, a_rho - m(u_rho)) pairs,
-    for m the `reference_functional` of the values on the rays of cone,
-    and the rays rho extending cone found by a scan."""
-    m = reference_functional(fan, cone, values)
+def reference_fan_out(fan, cone, a):
+    """x_cone * D over Fraction, for D = sum a[rho] x_rho with a a dict of
+    coefficients by ray, as the (cone + rho, a_rho - m(u_rho)) pairs whose
+    coefficient is nonzero, for m the `reference_functional` of the a_i on
+    the rays i of cone, and the rays rho extending cone found by a scan in
+    ascending order: `Fan._fan_out`."""
+    m = reference_functional(fan, cone, [a.get(i, 0) for i in cone])
     out = []
     for rho, u in enumerate(fan.rays):
         key = tuple(sorted(cone + (rho,)))
         if rho in cone or key not in fan.cones:
             continue
-        coef = Fraction(0 if a is None else a[rho]) - sum(
-            x * y for x, y in zip(m, u))
+        coef = Fraction(a.get(rho, 0)) - sum(x * y for x, y in zip(m, u) if y)
         if coef:
             out.append((key, coef))
     return out
+
+
+class ReferenceFan(Fan):
+    """A fan given by its rays and cones that answers the two per-cone
+    hooks of `Fan` by the references above: `reference_fan_out` and
+    `reference_relation`.  As for any subclass, its cones must be
+    unimodular and its Chow ring must satisfy Poincare duality, as the fan
+    of a smooth complete toric variety does."""
+
+    _fan_out = reference_fan_out
+    _relation = reference_relation
 
 
 def _reference_accumulate(out, c, pairs):
@@ -673,7 +675,7 @@ def reference_multiply_by_ray(fan, terms, rho):
     for cone, c in terms.items():
         if rho in cone:
             _reference_accumulate(out, c, reference_fan_out(
-                fan, cone, [int(i == rho) for i in cone]))
+                fan, cone, {rho: 1}))
         else:
             key = tuple(sorted(cone + (rho,)))
             if key in fan.cones:
@@ -686,7 +688,7 @@ def reference_multiply_by_divisor(fan, terms, a):
     out = {}
     for cone, c in terms.items():
         _reference_accumulate(out, c, reference_fan_out(
-            fan, cone, [a[i] for i in cone], a))
+            fan, cone, dict(enumerate(a))))
     return out
 
 
@@ -731,7 +733,7 @@ def reference_cap_product(fan, dim, values, a):
     out = {}
     for tau in fan.cones_of_dim(dim - 1):
         total = sum((coef * Fraction(values.get(sigma, 0)) for sigma, coef
-                     in reference_fan_out(fan, tau, [a[i] for i in tau], a)),
+                     in reference_fan_out(fan, tau, dict(enumerate(a)))),
                     Fraction(0))
         if total:
             out[tau] = total

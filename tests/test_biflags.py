@@ -9,8 +9,12 @@ from chowfans.biflags import (InvariantViolated, NotABiflag, SplitBiflag,
                               is_lex_decreasing, lemma_suite,
                               split_at_first_gap, verify_bundle_identity,
                               verify_cancellation, verify_min_dec)
+from chowfans.chow import (multiply_by_divisor, nonzero_pairing_witness,
+                           ray_class, unit_class)
 from chowfans.fans import projective_bundle_fan
-from chowfans.matroid import matroid_uniform, pyramid_matroid, set_to_mask
+from chowfans.matroid import (matroid_from_bases, matroid_uniform,
+                              pyramid_matroid, set_to_mask)
+from chowfans.tautological import structural_divisors
 
 
 def m(*elements):
@@ -252,3 +256,64 @@ def test_bundle_identity_small():
     for N, M in [(2, matroid_uniform(1, 2)), (3, matroid_uniform(2, 3))]:
         rep = verify_bundle_identity(N, M)
         assert rep["status"] == "pass"
+
+
+def parallel_pair():
+    return matroid_from_bases(4, [[1, 3], [1, 4], [2, 3], [2, 4], [3, 4]])
+
+
+# the witnesses of verify_bundle_identity when one structural divisor gains
+# the ray x_0: with gammabar changed only e3 is nonzero, and with delta
+# changed e1 = e2 is nonzero and e3 still vanishes; as recorded when the
+# third check walked e2 - e3 in every case
+CHANGED_WITNESSES = {
+    ("U(3,4)", "gammabar"): (None, None, (0, 16)),
+    ("U(3,4)", "delta"): ((0, 32), None, (0, 32)),
+    ("parallel-pair", "gammabar"): (None, None, (0, 11)),
+    ("parallel-pair", "delta"): ((0, 15), None, (0, 15)),
+}
+IDENTITY_MATROIDS = {"U(3,4)": lambda: matroid_uniform(3, 4),
+                     "parallel-pair": parallel_pair}
+
+
+@pytest.mark.parametrize("name,changed", list(CHANGED_WITNESSES))
+def test_identity_witnesses_when_a_product_is_nonzero(monkeypatch, name,
+                                                      changed):
+    """verify_bundle_identity walks e3 for its third check only once e1 = 0
+    and e1 - e2 = 0 are proved, and e2 - e3 otherwise.  With x_0 added to
+    gammabar, e3 alone is nonzero and the walk of e3 finds the witness
+    that e2 - e3 has; with x_0 added to delta, e1 fails and e2 - e3 is
+    walked, whose witness, that of e2, e3 (zero) does not have."""
+    M = IDENTITY_MATROIDS[name]()
+
+    def changed_divisors(fan, M, j=1):
+        sd = structural_divisors(fan, M, j)
+        sd[changed] = sd[changed] + ray_class(fan, 0)
+        return sd
+
+    walked = []
+
+    def recording(elem):
+        walked.append(elem)
+        return nonzero_pairing_witness(elem)
+
+    monkeypatch.setattr(biflags, "structural_divisors", changed_divisors)
+    monkeypatch.setattr(biflags, "nonzero_pairing_witness", recording)
+    rep = verify_bundle_identity(M.n, M)
+    checks = rep["checks"]
+    assert (checks["chern-delta-polynomial"],
+            checks["delta-u-product-difference"],
+            checks["v-minus-product-difference"]) == \
+        CHANGED_WITNESSES[name, changed]
+    assert checks["v-r-minus-restricts-to-zero"] is None
+    assert rep["status"] == "fail"
+    fan = rep["fan"]
+    sd = changed_divisors(fan, M)
+    e2 = e3 = unit_class(fan)
+    for j in range(1, M.r + 1):
+        e2 = multiply_by_divisor(e2, sd["delta"] + sd["u"][j])
+        e3 = multiply_by_divisor(e3, sd["gammabar"] - sd["vminus"][j])
+    third = e3 if changed == "gammabar" else e2 - e3
+    assert len(walked) == 3 and walked[2].terms == third.terms
+    assert nonzero_pairing_witness(e2 - e3) == \
+        checks["v-minus-product-difference"]

@@ -1,8 +1,9 @@
 """Differential tests for the products and balancing relations that flag
-and biflag fans read off the chains of their cones (`_functional` and
+and biflag fans read off the chains of their cones (`_fan_out` and
 `_relation` of `FlagFan` and `BiflagFan`), on hypothesis-drawn cones,
-values and weights with int and rational entries: against the Fraction
-functional, relation, fan-out and pairing walk of `naive_oracle`, whose
+values and weights with int and rational entries, and the fan-out of
+every ray at every cone of seven fans: against the Fraction
+fan-out, relation and pairing walk of `naive_oracle`, whose
 dual bases come from Gauss-Jordan, and against balancing by two rank
 computations per cone; the relation also around cones whose slot holds
 several extensions that cut its block, and check_balanced, which visits
@@ -39,8 +40,7 @@ from chowfans.matroid import (matroid_from_bases, matroid_from_graph,
                               matroid_uniform, pyramid_matroid)
 from chowfans.rings import FanRingModel
 from naive_oracle import (ReferenceFan, reference_cap_product, reference_degree,
-                          reference_fan_out, reference_functional,
-                          reference_multiply_by_divisor,
+                          reference_fan_out, reference_multiply_by_divisor,
                           reference_multiply_by_ray, reference_pair_all,
                           reference_pairings, reference_relation)
 from test_kernel import rank_balanced, rank_violations
@@ -87,8 +87,9 @@ def fan_of(name):
 @given(data=st.data())
 def test_functional_and_span_match_the_dual_basis_path(name, data):
     """The chain reads equal the references on a drawn cone of the fan:
-    the functional equals the Fraction one of a Gauss-Jordan dual basis,
-    and the relation around the cone equals the Fraction solve, for drawn
+    the fan-out of a divisor with drawn values on the cone's rays alone
+    equals the Fraction one through a Gauss-Jordan dual basis, and the
+    relation around the cone equals the Fraction solve, for drawn
     weights on its extensions and, around a (top-1)-cone, for the
     fundamental weight, balanced, and that weight with one drawn change.
     A class keyed by the cone listed out of chain order is keyed by the
@@ -100,8 +101,10 @@ def test_functional_and_span_match_the_dual_basis_path(name, data):
     cone = data.draw(st.sampled_from(sorted(fan.cones)))
     values = data.draw(st.lists(COEFFS, min_size=len(cone),
                                 max_size=len(cone)))
-    assert fan._functional(cone, values) == \
-        reference_functional(fan, cone, values)
+    on_cone = {i: x for i, x in zip(cone, values) if x}
+    if on_cone:
+        assert fan._fan_out(cone, on_cone) == \
+            reference_fan_out(fan, cone, on_cone)
     extensions = list(fan._extension_map(cone).values())
     drawn = {sigma: data.draw(COEFFS) for sigma in extensions}
     weights = [drawn]
@@ -136,9 +139,11 @@ NONZERO = COEFFS.filter(bool)
 def test_fan_out_matches_fraction_reference(name, data):
     """chow._times at a drawn cone, for D = sum a_rho x_rho given by its
     nonzero a_rho, equals the Fraction fan-out of the reference for a
-    dense divisor, a one-ray divisor and a divisor that vanishes on the
-    cone.  The last reaches the cone's extensions through the rays of D
-    when D has one ray, and through the extensions themselves when D is
+    dense divisor, a one-ray divisor, a divisor that vanishes on the cone
+    and one on the cone's rays and a few drawn rays off it; where D meets
+    the cone, so does the fan's own fan-out hook.  The divisor that
+    vanishes on the cone reaches the cone's extensions through the rays of
+    D when D has one ray, and through the extensions themselves when D is
     nonzero on every ray off the cone, which outnumber them."""
     fan = fan_of(name)
     cone = data.draw(st.sampled_from(
@@ -152,11 +157,69 @@ def test_fan_out_matches_fraction_reference(name, data):
         data.draw(st.lists(NONZERO, min_size=nrays, max_size=nrays)))]
     off_ray = data.draw(st.sampled_from(sorted(ext)))
     one_off_ray = [int(i == off_ray) for i in range(nrays)]
+    off = data.draw(st.sets(st.integers(0, nrays - 1), max_size=3))
+    on_and_off = [data.draw(NONZERO) if i in cone or i in off else 0
+                  for i in range(nrays)]
     assert len(ext) > 1
-    for coeffs in (dense, one_ray, off_cone, one_off_ray):
+    for coeffs in (dense, one_ray, off_cone, one_off_ray, on_and_off):
         a = {i: x for i, x in enumerate(coeffs) if x}
-        assert chow._times(fan, a, [(cone, 1)]) == dict(reference_fan_out(
-            fan, cone, [coeffs[i] for i in cone], coeffs))
+        want = reference_fan_out(fan, cone, a)
+        assert chow._times(fan, a, [(cone, 1)]) == dict(want)
+        if not a.keys().isdisjoint(cone):
+            assert fan._fan_out(cone, a) == want
+
+
+# four biflag and three flag fans, checked at every (cone, ray) pair; the
+# bundle fan of U(3,4), with 3,545 cones, is the largest
+EVERY_RAY_FANS = ["bundle-U(2,3)", "bundle-U(3,4)", "bundle-parallel-pair",
+                  "biperm3", "perm4", "bergman-pyramid", "bergman-U(3,5)"]
+
+
+@pytest.mark.parametrize("name", EVERY_RAY_FANS)
+def test_fan_out_of_every_ray_at_every_cone_matches_the_reference(name):
+    """The walk's products x_cone * x_rho for every cone and every ray rho
+    of it: the fan's fan-out hook, which reads only the slots below and
+    above rho and, on a biflag chain, the block of q, equals the Fraction
+    fan-out over every extension; so does the fan-out of a divisor on
+    every ray of the cone at once."""
+    fan = fan_of(name)
+    for cone in sorted(fan.cones - {()}):
+        for rho in cone:
+            assert fan._fan_out(cone, {rho: 1}) == \
+                reference_fan_out(fan, cone, {rho: 1}), (cone, rho)
+        every = {i: i + 2 for i in cone}
+        assert fan._fan_out(cone, every) == \
+            reference_fan_out(fan, cone, every), cone
+
+
+# P2 and P1 x P1: the self-intersection of every ray, and the product of
+# each ray with the next one, which spans a maximal cone with it
+REFERENCE_SURFACES = {
+    "P2": ([[1, 0], [0, 1], [-1, -1]],
+           [(), (0,), (1,), (2,), (0, 1), (1, 2), (0, 2)], [1, 1, 1]),
+    "P1xP1": ([[1, 0], [0, 1], [-1, 0], [0, -1]],
+              [(), (0,), (1,), (2,), (3,), (0, 1), (1, 2), (2, 3), (0, 3)],
+              [0, 0, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_SURFACES))
+def test_a_reference_fan_answers_the_fan_out_hook(name):
+    """A ReferenceFan answers `_fan_out` with `reference_fan_out`, and the
+    products taken through it give the intersection numbers of P2 (every
+    x_rho^2 = 1) and of P1 x P1 (every x_rho^2 = 0), with x_rho x_(rho+1)
+    = 1, and degree-one pairings that the oracle's walk gives too."""
+    rays, cones, squares = REFERENCE_SURFACES[name]
+    fan = ReferenceFan(2, [], rays, range(len(rays)), cones, "toric")
+    for rho in range(len(rays)):
+        assert fan._fan_out((rho,), {rho: 1}) == \
+            reference_fan_out(fan, (rho,), {rho: 1})
+        x = ChowElement(fan, 1, {(rho,): 1})
+        nxt = (rho + 1) % len(rays)
+        assert chow.degree(chow.multiply_by_monomial(x, (rho,))) == \
+            squares[rho]
+        assert chow.degree(chow.multiply_by_monomial(x, (nxt,))) == 1
+        assert pair_all(x) == reference_pair_all(fan, 1, {(rho,): 1})
 
 
 @FANS

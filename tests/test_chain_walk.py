@@ -176,3 +176,23 @@ def test_lemma_suite_builds_the_biflat_poset_once(monkeypatch):
     reports = list(lemma_suite(M, max_first_len=1))
     assert reports and all(r["status"] == "pass" for r in reports)
     assert built == {"proper_biflats": 1, "_successors": 1}
+
+
+def test_canonical_expansion_builds_its_lookup_once_and_fans_never():
+    """A bundle fan build leaves the predecessor lists and the label index
+    of `canonical_expansion` unbuilt; the lemma suite builds them once,
+    the predecessor lists are the successor lists read backwards, and
+    both hold one shared int object per index."""
+    M = matroid_uniform(2, 4)
+    projective_bundle_fan(4, M)
+    assert M._biflat_lookup is None
+    list(lemma_suite(M, max_first_len=1, with_min_dec=False))
+    lookup = M._biflat_lookup
+    list(lemma_suite(M, max_first_len=1, with_min_dec=False))
+    assert M._biflat_lookup is lookup
+    position, pred = lookup
+    labels, succ = fans.biflat_poset(M)
+    assert [position[p] for p in labels] == list(range(len(labels)))
+    assert pred == tuple(tuple(i for i in range(j) if j in succ[i])
+                         for j in range(len(labels)))
+    assert all(i is position[labels[i]] for before in pred for i in before)

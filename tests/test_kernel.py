@@ -1,4 +1,4 @@
-"""Differential tests for the per-cone functional and everything derived
+"""Differential tests for the per-cone fan-out and everything derived
 from it: representatives, balancing, divisor and ray products, and the
 pairing walk; for the integer solves of the ring models against their
 Fraction references; plus the fraction-free echelon form and inverse of
@@ -26,7 +26,8 @@ from chowfans.matroid import matroid_uniform, pyramid_matroid
 from chowfans.rings import FanRingModel, quotient_by_ann_segre
 from naive_oracle import (mat_mul, reference_basis_minor,
                           reference_coordinates, reference_dense_bareiss,
-                          reference_dense_inertia, reference_inertia,
+                          reference_dense_inertia, reference_fan_out,
+                          reference_functional, reference_inertia,
                           reference_invert, reference_lattice_index,
                           reference_multiply_by_ray, reference_projection,
                           reference_row_echelon, reference_weighted_sum)
@@ -67,12 +68,18 @@ def rank_violations(fan, dim, values):
 
 @FANS
 def test_representative_takes_the_values_and_kills_lineality(name, fan):
+    """At every cone, for drawn rational values on its rays, the Fraction
+    functional takes the values and kills the lineality, and the fan's
+    fan-out of the divisor with those values is the one through it."""
     rng = random.Random(name)
     for cone in sorted(fan.cones):
         values = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in cone]
-        m = fan._functional(cone, values)
+        m = reference_functional(fan, cone, values)
         assert [dot(m, fan.rays[i]) for i in cone] == values, cone
         assert all(dot(m, v) == 0 for v in fan.lineality), cone
+        a = {i: x for i, x in zip(cone, values) if x}
+        if a:
+            assert fan._fan_out(cone, a) == reference_fan_out(fan, cone, a)
 
 
 @FANS
